@@ -1,19 +1,18 @@
-# Segmented sieve, cached tables, and primality -- the substrate the
-# rest of the package is built on.
+# Segmented sieve, AP counts, and primality -- the substrate the rest
+# of the package is built on.
 
-from primestrings import count_primes_ap, is_prime, load_or_build, sieve_range
-from primestrings.sieve import cache_dir, primality_is_deterministic
+from primestrings import count_primes_ap, is_prime, sieve_range
+from primestrings.sieve import primality_is_deterministic
 
 # windows never materialize more than one segment at a time
 window = sieve_range(10 ** 12, 10 ** 12 + 200)
 print("primes just past 1e12:", [int(p) for p in window])
 
-# tables persist on disk; the second call is a file read
-table = load_or_build(1_000_000)
-print("pi(1e6) =", len(table.primes_between(2, 1_000_000)),
-      " cached under", cache_dir())
+# the same primes come out for any segment size
+print("pi(1e6) =", len(sieve_range(0, 1_000_000)),
+      "=", len(sieve_range(0, 1_000_000, segment_size=4_999)))
 
-ap = count_primes_ap(100_000, 12, table=table)
+ap = count_primes_ap(100_000, 12)
 print("primes <= 1e5 by class mod 12:", ap.counts)
 
 # primality is deterministic through 64 bits, seeded-probabilistic above

@@ -2,7 +2,7 @@
 
 Library layout:
 
-- sieve: segmented prime sieve, AP counts, primality, table cache
+- sieve: segmented prime sieve, AP counts, primality
 - fixedpoint: directed fixed-point arithmetic for irrational constants
 - special: Beatty and floor-product sequences, class-condition evidence
 - search: segmented scans for strings of congruent special primes
@@ -18,8 +18,7 @@ from .errors import (CaseMismatch, DerivativeUnavailable, DomainError,
                      NegativeStart, ParameterDomain, PrecisionExhausted,
                      PrimestringsError, RangeExceeded, RangeTooLarge)
 from .fixedpoint import IrrationalConstant, named_constant
-from .sieve import (APCount, PrimeTable, count_primes_ap, is_prime,
-                    load_or_build, sieve_range)
+from .sieve import APCount, count_primes_ap, is_prime, sieve_range
 from .special import (AlphaReport, GFamily, SpecialSetSpec, beatty_member,
                       enumerate_special, member, special_primes, validate_g)
 from .search import (NotFound, SetCensus, StringHit, StringQuery,

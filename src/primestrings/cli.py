@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: strings, maier, counts sq, counts psi, census, cache.
+Subcommands: strings, maier, counts sq, counts psi, census.
 Output is JSON (or CSV where offered) on stdout; logs go to stderr.
 Exit codes: 0 success, 2 usage error, 3 scan completed without a hit,
 4 runtime/domain error.
@@ -13,7 +13,6 @@ import hashlib
 import json
 import logging
 import os
-import shutil
 import sys
 import time
 
@@ -23,7 +22,6 @@ from .fixedpoint import IrrationalConstant, named_constant
 from .maier import census_json, run_construction
 from .search import (NotFound, StringQuery, find_first_string, hit_record,
                      residue_census, scan_all_strings)
-from .sieve import cache_dir, load_or_build, table_cache_path
 from .special import GFamily, SpecialSetSpec
 from .maier import count_S_q, count_psi
 
@@ -179,27 +177,6 @@ def cmd_counts_psi(args, argv, t0):
     return EXIT_OK
 
 
-def cmd_cache(args, argv, t0):
-    if args.action == "path":
-        _emit(args, cache_dir() + "\n", argv, t0)
-        return EXIT_OK
-    if args.action == "clear":
-        removed = 0
-        if os.path.isdir(cache_dir()):
-            shutil.rmtree(cache_dir())
-            removed = 1
-        _emit(args, _dump({"cleared": bool(removed), "dir": cache_dir()}),
-              argv, t0)
-        return EXIT_OK
-    # build
-    if args.limit is None:
-        raise PrimestringsError("cache build needs --limit")
-    load_or_build(args.limit, workers=args.threads, use_cache=True)
-    _emit(args, _dump({"built": args.limit,
-                       "path": table_cache_path(args.limit)}), argv, t0)
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="primestrings",
@@ -214,8 +191,6 @@ def build_parser():
                        default=os.cpu_count() or 1,
                        help="worker processes (default: machine cores)")
         p.add_argument("--manifest", help="write a run manifest JSON here")
-        p.add_argument("--no-cache", action="store_true",
-                       help="do not read or write the table cache")
 
     p = sub.add_parser("strings", help="find the first k-string")
     p.add_argument("--set", type=parse_set, default=SpecialSetSpec.all_primes())
@@ -262,12 +237,6 @@ def build_parser():
     pp.add_argument("--t", type=float, required=True)
     common(pp)
     pp.set_defaults(func=cmd_counts_psi)
-
-    p = sub.add_parser("cache", help="prime table cache management")
-    p.add_argument("action", choices=("build", "clear", "path"))
-    p.add_argument("--limit", type=parse_count, default=None)
-    common(p)
-    p.set_defaults(func=cmd_cache)
 
     return parser
 

@@ -350,16 +350,20 @@ class MaierCensus:
     deterministic: bool      # primality testing stayed below 2^64
 
 
-def sample_rows_census(config, interval, rows, spec=None, table=None):
+def sample_rows_census(config, interval, rows, spec=None):
     """Scan rows r = 1..rows of the matrix for good and bad primes.
 
     A prime at column i is good when i = a (mod q). Only columns
     coprime to Q can contribute primes beyond Q's own support, so the
-    scan walks those columns. The column residue invariant
-    (r*Q + i = i mod q) is asserted for every prime found.
+    scan walks those columns. Every entry r*Q + i keeps its column's
+    residue i mod q, which holds for all rows exactly when q divides Q.
     """
     if rows < 1:
         raise InvalidQuery(f"rows must be >= 1, got {rows}")
+    if config.Q % config.q != 0:
+        raise ParameterDomain(
+            f"Q = {config.Q} is not a multiple of q = {config.q}, so rows "
+            f"do not keep the column residues mod q")
     start, length = interval
     mask = _coprime_mask(config, start, length)
     cols = [int(j) for j in np.flatnonzero(mask)]
@@ -375,12 +379,11 @@ def sample_rows_census(config, interval, rows, spec=None, table=None):
         run = best = 0
         for j in cols:
             c = base + j
-            if not is_prime(c, table=table):
+            if not is_prime(c):
                 continue
             if spec is not None and spec.kind != "all" \
                     and not member(spec, c):
                 continue
-            assert c % q == (start + j) % q, "column residue broken"
             if c % q == a % q:
                 good += 1
                 run += 1
@@ -404,17 +407,14 @@ def sample_rows_census(config, interval, rows, spec=None, table=None):
 # counting functions and bound evaluation
 
 
-def count_S_q(q, z, return_members=False):
-    """Count n <= z whose prime factors are all = 1 (mod q); 1 counts.
+def _count_products(ps, bound, return_members):
+    """Count n <= bound whose prime factors all lie in ps; 1 counts.
 
-    Exact enumeration over nondecreasing factorizations into primes
-    = 1 mod q.
+    ps is ascending. Exact enumeration over nondecreasing
+    factorizations; with return_members the sorted n are returned.
     """
-    if q < 1:
-        raise InvalidQuery(f"q must be >= 1, got {q}")
-    if z < 1:
+    if bound < 1:
         return [] if return_members else 0
-    ps = [int(p) for p in sieve_range(0, int(z) + 1) if p % q == 1 % q]
     members = [] if return_members else None
     count = 0
 
@@ -429,37 +429,26 @@ def count_S_q(q, z, return_members=False):
                 break
             rec(j, value * p, budget // p)
 
-    rec(0, 1, int(z))
+    rec(0, 1, int(bound))
     if return_members:
         members.sort()
         return members
     return count
+
+
+def count_S_q(q, z, return_members=False):
+    """Count n <= z whose prime factors are all = 1 (mod q); 1 counts."""
+    if q < 1:
+        raise InvalidQuery(f"q must be >= 1, got {q}")
+    ps = [int(p) for p in sieve_range(0, max(1, int(z) + 1))
+          if p % q == 1 % q]
+    return _count_products(ps, z, return_members)
 
 
 def count_psi(x, t, return_members=False):
     """Psi(x, t): count n <= x with every prime factor strictly below t."""
-    if x < 1:
-        return [] if return_members else 0
     ps = [int(p) for p in sieve_range(0, max(2, math.ceil(t))) if p < t]
-    members = [] if return_members else None
-    count = 0
-
-    def rec(idx, value, budget):
-        nonlocal count
-        count += 1
-        if members is not None:
-            members.append(value)
-        for j in range(idx, len(ps)):
-            p = ps[j]
-            if p > budget:
-                break
-            rec(j, value * p, budget // p)
-
-    rec(0, 1, int(x))
-    if return_members:
-        members.sort()
-        return members
-    return count
+    return _count_products(ps, x, return_members)
 
 
 def estimate_string_bound(x_scales, d_value, f_value, q, case):
@@ -535,7 +524,7 @@ def bound_report(config, X, model):
 
 
 def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
-                     X=10.0 ** 8, model=None, table=None):
+                     X=10.0 ** 8, model=None):
     """Assemble a full construction: parameters, Q, interval, row census.
 
     Explicit y/p0/yz win over the chosen defaults. Returns (config,
@@ -550,6 +539,11 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
     z = chosen.z if yz is None else max(1, -(-yz // y))
     yz = yz if yz is not None else y * z
     cls = classify_residue(a, q)
+    if cls == "other" and t is None:
+        raise ParameterDomain(
+            f"a = {a} is not an A± residue mod {q}, so t is needed and y "
+            f"must exceed e^e ~ {E_POW_E:.2f}; got y = {y}, use "
+            f"--y {math.floor(E_POW_E) + 1} or more")
     yz_over_t = (yz / t) if t else None
     product = build_Q(q, a, y, p0,
                       t=t if cls == "other" else None,
@@ -557,8 +551,7 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
     config = make_config(q, a, y, p0, t, z, product)
     anchors, interval = anchored_interval(config, yz)
     census = sample_rows_census(config, interval, rows,
-                                spec=spec or SpecialSetSpec.all_primes(),
-                                table=table)
+                                spec=spec or SpecialSetSpec.all_primes())
     bounds = bound_report(config, X, model)
     bounds["anchors"] = {k: str(v) for k, v in anchors.items()}
     return config, interval, census, bounds

@@ -20,6 +20,7 @@ import numpy as np
 
 from .arith import euler_phi
 from .errors import InvalidQuery
+from .sieve import _segment_bounds
 from .special import member, special_primes
 
 log = logging.getLogger("primestrings.search")
@@ -93,7 +94,7 @@ def _segment_runs(args):
 
 
 def _segment_census(args):
-    """(residue counts, n_set) for one segment. Picklable worker task."""
+    """Residue counts mod q of one segment's set-primes. Picklable task."""
     spec, q, lo, hi = args
     sp = special_primes(spec, lo, hi)
     counts = np.bincount(sp % q, minlength=q) if sp.size else \
@@ -149,16 +150,6 @@ class _RunMerger:
         return None
 
 
-def _segment_bounds(lo, hi, size):
-    out = []
-    a = lo
-    while a < hi:
-        b = min(a + size, hi)
-        out.append((a, b))
-        a = b
-    return out
-
-
 def _ordered_results(task, jobs, workers):
     """Yield task(job) in job order, optionally via a process pool.
 
@@ -200,7 +191,7 @@ def _collect_run_primes(spec, start, k, limit):
     return out[:k]
 
 
-def find_first_string(query, table=None, workers=1,
+def find_first_string(query, workers=1,
                       segment_size=DEFAULT_SCAN_SEGMENT):
     """First string of k consecutive good special primes below limit.
 
@@ -228,7 +219,7 @@ def find_first_string(query, table=None, workers=1,
     return NotFound(limit=limit)
 
 
-def scan_all_strings(query, table=None, workers=1,
+def scan_all_strings(query, workers=1,
                      segment_size=DEFAULT_SCAN_SEGMENT):
     """Every maximal run of good special primes below limit.
 
@@ -264,7 +255,7 @@ class SetCensus:
         return "\n".join(lines) + "\n"
 
 
-def residue_census(spec, X, q, table=None, workers=1,
+def residue_census(spec, X, q, workers=1,
                    segment_size=DEFAULT_SCAN_SEGMENT):
     """Count set-primes <= X in every residue class mod q."""
     if q < 1:
@@ -301,7 +292,7 @@ def _trial_prime(n):
     return True
 
 
-def verify_hit(query, hit, check_index=False, table=None):
+def verify_hit(query, hit, check_index=False):
     """Re-verify a hit with independent arithmetic.
 
     Checks primality by trial division, set membership by the exact
@@ -324,7 +315,7 @@ def verify_hit(query, hit, check_index=False, table=None):
             if member(query.spec, m) and _trial_prime(m):
                 return False
     if check_index:
-        before = special_primes(query.spec, 1, ps[0], table=table)
+        before = special_primes(query.spec, 1, ps[0])
         if int(before.size) != hit.start_index:
             return False
     return True

@@ -3,17 +3,15 @@
 The sieve works on a bitmap over odd integers >= 3 (2 is handled
 implicitly). Bit j covers the odd number 2j + 3 and is set when that
 number is composite. Segment size only controls working-set memory;
-the produced bitmap is bit-identical for any segmentation and any
-worker count.
+the primes produced are identical for any segmentation and any worker
+count.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 import random
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -27,9 +25,6 @@ DEFAULT_SEGMENT_BYTES = 262144  # odds per working segment (1 byte each)
 MAX_SCAN_HI = 1 << 48           # upper end of the supported scan range
 MAX_SCAN_SPAN = 1 << 31         # widest single [lo, hi) window
 PROGRESS_EVERY = 10 ** 7        # candidates between progress log lines
-
-CACHE_MAGIC = b"SPC1"
-CACHE_VERSION = 1
 
 # Deterministic Miller-Rabin witnesses, valid for every n < 2^64.
 _MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -76,13 +71,11 @@ def _sieve_segment(args):
     return comp
 
 
-def _segment_bounds(j_lo, j_hi, seg_odds):
-    out = []
-    j = j_lo
-    while j < j_hi:
-        out.append((j, min(j + seg_odds, j_hi)))
-        j = out[-1][1]
-    return out
+def _segment_bounds(lo, hi, size):
+    """Consecutive windows [a, b) covering [lo, hi), each at most size wide."""
+    if size < 1:
+        raise InvalidRange(f"segment_size must be >= 1, got {size}")
+    return [(a, min(a + size, hi)) for a in range(lo, hi, size)]
 
 
 def _run_segments(bounds, base_odd, workers):
@@ -94,90 +87,10 @@ def _run_segments(bounds, base_odd, workers):
         return list(pool.map(_sieve_segment, tasks, chunksize=1))
 
 
-@dataclass
-class PrimeTable:
-    """Composite-flag table for odd integers in [3, limit)."""
-
-    limit: int
-    segment_size: int
-    _comp: np.ndarray  # bool, index j <-> odd 2j+3
-
-    @classmethod
-    def build(cls, limit, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
-        if limit < 0:
-            raise InvalidRange(f"limit must be >= 0, got {limit}")
-        if limit > MAX_SCAN_SPAN:
-            raise RangeTooLarge(f"table limit {limit} > {MAX_SCAN_SPAN}")
-        if segment_size < 1:
-            raise InvalidRange("segment_size must be positive")
-        n = _n_odds(limit)
-        base_odd = _dense_primes(math.isqrt(max(limit - 1, 0)))[1:]
-        bounds = _segment_bounds(0, n, segment_size)
-        parts = _run_segments(bounds, base_odd, workers)
-        comp = np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
-        return cls(limit=limit, segment_size=segment_size, _comp=comp)
-
-    @property
-    def bitmap(self):
-        """Packed composite flags, LSB-first, as stored in cache files."""
-        return np.packbits(self._comp, bitorder="little").tobytes()
-
-    def is_prime(self, n):
-        if n >= self.limit:
-            raise InvalidRange(f"{n} >= table limit {self.limit}")
-        if n < 3 or n % 2 == 0:
-            return n == 2
-        return not self._comp[(n - 3) // 2]
-
-    def primes_between(self, lo, hi):
-        """Ascending primes in [lo, hi); requires hi <= limit."""
-        if not 0 <= lo <= hi:
-            raise InvalidRange(f"bad range [{lo}, {hi})")
-        if hi > self.limit:
-            raise InvalidRange(f"hi {hi} > table limit {self.limit}")
-        j_lo = max(0, (lo - 2) // 2) if lo > 3 else 0
-        j_hi = _n_odds(hi)
-        odd = 2 * (np.flatnonzero(~self._comp[j_lo:j_hi]) + j_lo) + 3
-        if lo <= 2 < hi:
-            return np.concatenate(([2], odd)).astype(np.int64)
-        return odd.astype(np.int64)
-
-    def save(self, path):
-        payload = struct.pack("<4sIQ", CACHE_MAGIC, CACHE_VERSION, self.limit)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.write(self.bitmap)
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path, segment_size=DEFAULT_SEGMENT_BYTES):
-        with open(path, "rb") as fh:
-            head = fh.read(16)
-            if len(head) != 16:
-                raise InvalidRange(f"{path}: truncated header")
-            magic, version, limit = struct.unpack("<4sIQ", head)
-            if magic != CACHE_MAGIC:
-                raise InvalidRange(f"{path}: bad magic {magic!r}")
-            if version != CACHE_VERSION:
-                raise InvalidRange(f"{path}: unsupported version {version}")
-            n = _n_odds(limit)
-            body = fh.read()
-        if len(body) < (n + 7) // 8:
-            raise InvalidRange(f"{path}: bitmap shorter than limit implies")
-        comp = np.unpackbits(
-            np.frombuffer(body, dtype=np.uint8), bitorder="little", count=n
-        ).astype(bool)
-        return cls(limit=int(limit), segment_size=segment_size, _comp=comp)
-
-
-def sieve_range(lo, hi, table=None, segment_size=DEFAULT_SEGMENT_BYTES,
-                workers=1):
+def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
     """Ascending primes in [lo, hi) as an int64 array.
 
-    Uses the supplied table when it covers the window, otherwise sieves
-    the window directly (works for hi up to MAX_SCAN_HI, window width up
-    to MAX_SCAN_SPAN).
+    Works for hi up to MAX_SCAN_HI and window width up to MAX_SCAN_SPAN.
     """
     if not 0 <= lo <= hi:
         raise InvalidRange(f"bad range [{lo}, {hi})")
@@ -185,8 +98,6 @@ def sieve_range(lo, hi, table=None, segment_size=DEFAULT_SEGMENT_BYTES,
         raise RangeTooLarge(f"hi {hi} > {MAX_SCAN_HI}")
     if hi - lo > MAX_SCAN_SPAN:
         raise RangeTooLarge(f"window {hi - lo} wider than {MAX_SCAN_SPAN}")
-    if table is not None and hi <= table.limit:
-        return table.primes_between(lo, hi)
     if hi <= 3:
         return np.array([2], dtype=np.int64) if lo <= 2 < hi else \
             np.empty(0, dtype=np.int64)
@@ -220,13 +131,13 @@ class APCount:
         return sum(self.counts.values())
 
 
-def count_primes_ap(X, q, table=None, workers=1):
+def count_primes_ap(X, q, workers=1):
     """Count primes p <= X in each residue class mod q."""
     if q < 1:
         raise InvalidModulus(f"q must be >= 1, got {q}")
     if X < 0:
         raise InvalidRange(f"X must be >= 0, got {X}")
-    primes = sieve_range(0, X + 1, table=table, workers=workers)
+    primes = sieve_range(0, X + 1, workers=workers)
     binned = np.bincount(primes % q, minlength=q) if primes.size else \
         np.zeros(q, dtype=np.int64)
     return APCount(X=X, q=q, counts={r: int(binned[r]) for r in range(q)})
@@ -244,15 +155,13 @@ def _mr_witness(n, a, d, s):
     return True
 
 
-def is_prime(n, table=None):
-    """Primality of any integer: table lookup, then Miller-Rabin.
+def is_prime(n):
+    """Primality of any integer: trial division, then Miller-Rabin.
 
     Deterministic below 2^64 (fixed witness set). Above that the test
     is probabilistic Miller-Rabin with 48 rounds, with witnesses drawn
     from a PRNG seeded by n so repeat calls agree.
     """
-    if table is not None and 0 <= n < table.limit:
-        return table.is_prime(n)
     if n < 2:
         return False
     for p in _TINY_PRIMES:
@@ -283,41 +192,3 @@ def is_prime(n, table=None):
 def primality_is_deterministic(n):
     """Whether is_prime(n) is exact rather than probabilistic."""
     return n < _MR_DETERMINISTIC_LIMIT
-
-
-def cache_dir():
-    """Directory for persisted tables (PRIMES_CACHE_DIR overrides)."""
-    env = os.environ.get("PRIMES_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "primestrings")
-
-
-def table_cache_path(limit):
-    return os.path.join(cache_dir(), f"primes-{limit}.spc")
-
-
-def load_or_build(limit, segment_size=DEFAULT_SEGMENT_BYTES, workers=1,
-                  use_cache=True):
-    """Fetch a table from the cache or build (and persist) it.
-
-    A missing or unreadable cache file is never an error; the table is
-    rebuilt silently.
-    """
-    path = table_cache_path(limit)
-    if use_cache and os.path.exists(path):
-        try:
-            table = PrimeTable.load(path, segment_size=segment_size)
-            if table.limit == limit:
-                return table
-        except (OSError, InvalidRange):
-            log.info("ignoring unreadable cache file %s", path)
-    table = PrimeTable.build(limit, segment_size=segment_size,
-                             workers=workers)
-    if use_cache:
-        try:
-            os.makedirs(cache_dir(), exist_ok=True)
-            table.save(path)
-        except OSError:
-            log.info("could not persist table to %s", path)
-    return table

@@ -344,9 +344,9 @@ def member(spec, m):
     return floorprod_member(spec, m)
 
 
-def special_primes(spec, lo, hi, table=None, workers=1):
+def special_primes(spec, lo, hi, workers=1):
     """Ascending primes in the carrier sequence, within [lo, hi)."""
-    primes = sieve_range(lo, hi, table=table, workers=workers)
+    primes = sieve_range(lo, hi, workers=workers)
     if spec.kind == "all":
         return primes
     members = enumerate_special(spec, lo, hi)

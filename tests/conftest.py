@@ -1,20 +1,9 @@
-import os
-import tempfile
+import pytest
 
-# Keep every table the suite builds away from the user's real cache.
-os.environ["PRIMES_CACHE_DIR"] = tempfile.mkdtemp(prefix="primestrings-tests-")
+import primestrings as ps
 
-import pytest  # noqa: E402
-
-import primestrings as ps  # noqa: E402
-
-import _oracles  # noqa: E402
-from _acceptance_log import RESULTS  # noqa: E402
-
-
-@pytest.fixture(scope="session")
-def table_1m():
-    return ps.load_or_build(1_000_000)
+import _oracles
+from _acceptance_log import RESULTS
 
 
 @pytest.fixture(scope="session")

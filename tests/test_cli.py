@@ -84,6 +84,7 @@ def test_strings_all_runs(capsys):
     ["counts", "sq", "--q", "3", "--z", "1.5"],                 # not integral
     ["counts", "sq", "--q", "3", "--z", "ten"],
     ["nonsense"],
+    ["cache", "path"],                                     # no such command
 ])
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -95,8 +96,6 @@ def test_domain_errors_exit_4(capsys):
     code, _, err = run_cli(["strings", "--k", "0", "--q", "3", "--a", "1",
                             "--limit", "100", "--threads", "1"], capsys)
     assert code == 4 and "error:" in err
-    code, _, err = run_cli(["cache", "build"], capsys)
-    assert code == 4 and "--limit" in err
 
 
 # -------------------------------------------------------------- counts
@@ -165,31 +164,15 @@ def test_maier_subcommand(capsys):
                                   "bound_other", "bound", "case1_proxy"}
 
 
-# --------------------------------------------------------------- cache
-
-
-def test_cache_lifecycle(monkeypatch, tmp_path, capsys):
-    cachedir = tmp_path / "cache"
-    monkeypatch.setenv("PRIMES_CACHE_DIR", str(cachedir))
-
-    code, out, _ = run_cli(["cache", "path"], capsys)
-    assert code == 0 and out.strip() == str(cachedir)
-
-    code, out, _ = run_cli(["cache", "build", "--limit", "1000",
+def test_maier_non_a_pm_needs_y_16(capsys):
+    # 3 mod 7 is neither 1 nor -1; the default --x 1e8 picks y = 10
+    code, _, err = run_cli(["maier", "--q", "7", "--a", "3",
                             "--threads", "1"], capsys)
+    assert code == 4 and "--y 16" in err
+    code, out, _ = run_cli(["maier", "--q", "7", "--a", "3", "--y", "16",
+                            "--rows", "20", "--threads", "1"], capsys)
     assert code == 0
-    doc = json.loads(out)
-    assert doc["built"] == 1000
-    assert doc["path"].endswith("primes-1000.spc")
-    with open(doc["path"], "rb") as fh:
-        assert fh.read(4) == b"SPC1"
-
-    code, out, _ = run_cli(["cache", "clear"], capsys)
-    assert code == 0 and json.loads(out)["cleared"] is True
-    assert not cachedir.exists()
-
-    code, out, _ = run_cli(["cache", "clear"], capsys)
-    assert json.loads(out)["cleared"] is False
+    assert json.loads(out)["case"] == "other"
 
 
 # ------------------------------------------------------------ manifest

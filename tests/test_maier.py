@@ -1,5 +1,6 @@
 """Maier matrix lab: cases, Q products, anchors, censuses, counts, bounds."""
 
+import dataclasses
 import json
 import math
 import random
@@ -264,6 +265,9 @@ def test_sample_rows_census_guards():
     config, _, interval = micro_config()
     with pytest.raises(InvalidQuery):
         sample_rows_census(config, interval, 0)
+    # q must divide Q, or entries r*Q + i leave their column's class mod q
+    with pytest.raises(ParameterDomain):
+        sample_rows_census(dataclasses.replace(config, Q=31), interval, 3)
 
 
 # ------------------------------------------------------ counting functions

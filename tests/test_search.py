@@ -8,8 +8,8 @@ import _oracles
 from primestrings import (NotFound, SetCensus, SpecialSetSpec, StringHit,
                           StringQuery, find_first_string, hit_record,
                           named_constant, residue_census, scan_all_strings,
-                          verify_hit)
-from primestrings.errors import InvalidQuery
+                          sieve_range, verify_hit)
+from primestrings.errors import InvalidQuery, InvalidRange
 
 ALL = SpecialSetSpec.all_primes()
 
@@ -183,6 +183,19 @@ def test_results_invariant_under_workers_and_segments(b_pi):
         census = residue_census(b_pi, 100_000, 7,
                                 workers=workers, segment_size=seg)
         assert census.counts == base_census.counts
+
+
+@pytest.mark.parametrize("seg", [0, -5])
+def test_segment_size_must_be_positive(b_pi, seg):
+    query = q(b_pi, 2, 3, 1, 1000)
+    with pytest.raises(InvalidRange):
+        sieve_range(0, 1000, segment_size=seg)
+    with pytest.raises(InvalidRange):
+        find_first_string(query, segment_size=seg)
+    with pytest.raises(InvalidRange):
+        scan_all_strings(query, segment_size=seg)
+    with pytest.raises(InvalidRange):
+        residue_census(b_pi, 1000, 3, segment_size=seg)
 
 
 # ---------------------------------------------------------------- records

@@ -1,20 +1,16 @@
-"""Segmented sieve, cache format, AP counts, and primality."""
+"""Segmented sieve, AP counts, and primality."""
 
-import os
 import random
-import struct
 
 import numpy as np
 import pytest
 
 import _oracles
-from primestrings import (APCount, PrimeTable, count_primes_ap, is_prime,
-                          load_or_build, sieve_range)
+from primestrings import APCount, count_primes_ap, is_prime, sieve_range
 from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
-from primestrings.sieve import (CACHE_MAGIC, CACHE_VERSION, MAX_SCAN_HI,
-                                MAX_SCAN_SPAN, _TINY_PRIMES, cache_dir,
-                                primality_is_deterministic, table_cache_path)
+from primestrings.sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _TINY_PRIMES,
+                                primality_is_deterministic)
 
 
 def test_sieve_matches_dense_oracle(primes_100k):
@@ -62,98 +58,13 @@ def test_sieve_range_high_window():
 
 
 def test_bitmap_identical_across_segmentation():
-    base = PrimeTable.build(100_000)
+    base = sieve_range(0, 100_000)
     for seg in (64, 1_000, 4_999, 1 << 16):
-        assert PrimeTable.build(100_000, segment_size=seg).bitmap == base.bitmap
+        assert np.array_equal(sieve_range(0, 100_000, segment_size=seg), base)
     for workers in (2, 3):
-        assert PrimeTable.build(100_000, workers=workers).bitmap == base.bitmap
-        assert PrimeTable.build(100_000, segment_size=4_999,
-                                workers=workers).bitmap == base.bitmap
-
-
-def test_table_lookup_and_primes_between(primes_100k):
-    t = PrimeTable.build(100_000)
-    flags = _oracles.composite_flags(100_000)
-    for n in range(0, 2_000):
-        assert t.is_prime(n) == (not flags[n])
-    assert np.array_equal(t.primes_between(0, 100_000), primes_100k)
-    assert list(t.primes_between(89, 98)) == [89, 97]
-    with pytest.raises(InvalidRange):
-        t.is_prime(100_000)
-    with pytest.raises(InvalidRange):
-        t.primes_between(0, 100_001)
-
-
-def test_cache_file_layout(tmp_path):
-    t = PrimeTable.build(1000)
-    path = tmp_path / "primes-1000.spc"
-    t.save(str(path))
-    raw = path.read_bytes()
-    magic, version, limit = struct.unpack("<4sIQ", raw[:16])
-    assert magic == CACHE_MAGIC == b"SPC1"
-    assert version == CACHE_VERSION == 1
-    assert limit == 1000
-    # bit j (LSB-first) = 1 iff 2j+3 is composite
-    flags = _oracles.composite_flags(1000)
-    want = np.packbits(flags[3:1000:2], bitorder="little").tobytes()
-    assert raw[16:] == want
-
-
-def test_cache_roundtrip(tmp_path):
-    t = PrimeTable.build(50_000)
-    path = str(tmp_path / "t.spc")
-    t.save(path)
-    back = PrimeTable.load(path)
-    assert back.limit == t.limit
-    assert back.bitmap == t.bitmap
-
-
-def test_cache_rejects_bad_files(tmp_path):
-    t = PrimeTable.build(1000)
-    good = str(tmp_path / "good.spc")
-    t.save(good)
-    raw = bytearray(open(good, "rb").read())
-
-    bad_magic = tmp_path / "m.spc"
-    bad_magic.write_bytes(b"XXXX" + bytes(raw[4:]))
-    with pytest.raises(InvalidRange):
-        PrimeTable.load(str(bad_magic))
-
-    bad_version = tmp_path / "v.spc"
-    bad_version.write_bytes(bytes(raw[:4]) + struct.pack("<I", 9) + bytes(raw[8:]))
-    with pytest.raises(InvalidRange):
-        PrimeTable.load(str(bad_version))
-
-    truncated = tmp_path / "t.spc"
-    truncated.write_bytes(bytes(raw[:20]))
-    with pytest.raises(InvalidRange):
-        PrimeTable.load(str(truncated))
-
-
-def test_load_or_build_uses_and_survives_cache():
-    limit = 77_777
-    path = table_cache_path(limit)
-    if os.path.exists(path):
-        os.remove(path)
-    first = load_or_build(limit)
-    assert os.path.exists(path)
-    second = load_or_build(limit)
-    assert second.bitmap == first.bitmap
-    # corrupt the file: rebuild must be silent and correct
-    with open(path, "wb") as fh:
-        fh.write(b"garbage")
-    third = load_or_build(limit)
-    assert third.bitmap == first.bitmap
-    assert cache_dir() == os.environ["PRIMES_CACHE_DIR"]
-
-
-def test_build_guards():
-    with pytest.raises(InvalidRange):
-        PrimeTable.build(-1)
-    with pytest.raises(InvalidRange):
-        PrimeTable.build(100, segment_size=0)
-    with pytest.raises(RangeTooLarge):
-        PrimeTable.build(MAX_SCAN_SPAN + 1)
+        assert np.array_equal(sieve_range(0, 100_000, workers=workers), base)
+        assert np.array_equal(sieve_range(0, 100_000, segment_size=4_999,
+                                          workers=workers), base)
 
 
 def test_count_primes_ap_examples():
@@ -164,12 +75,12 @@ def test_count_primes_ap_examples():
     assert isinstance(c, APCount)
 
 
-def test_count_primes_ap_matches_direct(primes_100k, table_1m):
+def test_count_primes_ap_matches_direct(primes_100k):
     for X in (10, 997, 10_000):
         prefix = primes_100k[primes_100k <= X]
         for q in (1, 2, 3, 7, 12, 50):
             want = _oracles.ap_counts(prefix, q)
-            assert count_primes_ap(X, q, table=table_1m).counts == want
+            assert count_primes_ap(X, q).counts == want
 
 
 def test_count_primes_ap_guards():
@@ -212,10 +123,3 @@ def test_is_prime_range_ceiling():
         n += 2
     with pytest.raises(RangeExceeded):
         is_prime(n)
-
-
-def test_is_prime_prefers_table(table_1m):
-    assert is_prime(999_983, table=table_1m)
-    assert not is_prime(999_981, table=table_1m)
-    # out-of-table values fall through to Miller-Rabin
-    assert is_prime(1_000_003, table=table_1m)

@@ -128,10 +128,10 @@ def test_floorprod_logpow_values():
     assert got == want
 
 
-def test_special_primes_is_prime_intersection(table_1m):
+def test_special_primes_is_prime_intersection():
     for spec in (SpecialSetSpec.beatty(PI),
                  SpecialSetSpec.floor_product(GFamily.loglog())):
-        got = [int(p) for p in special_primes(spec, 1, 5000, table=table_1m)]
+        got = [int(p) for p in special_primes(spec, 1, 5000)]
         want = [int(m) for m in enumerate_special(spec, 1, 5000)
                 if _oracles.trial_is_prime(int(m))]
         assert got == want
