@@ -85,7 +85,7 @@ def parse_set(text):
     raise argparse.ArgumentTypeError(f"unknown set descriptor {text!r}")
 
 
-def _emit(args, text, argv, t0):
+def _emit(args, text, argv, t0, workers=1):
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
@@ -98,7 +98,7 @@ def _emit(args, text, argv, t0):
                 json.dumps(params, sort_keys=True).encode()).hexdigest(),
             "tool_version": __version__,
             "wall_time_ms": int((time.monotonic() - t0) * 1000),
-            "workers": getattr(args, "threads", 1),
+            "workers": workers,
             "result_digest": hashlib.sha256(text.encode()).hexdigest(),
         }
         with open(args.manifest, "w") as fh:
@@ -120,7 +120,7 @@ def cmd_strings(args, argv, t0):
                "limit": args.limit,
                "runs": [{"start": s, "length": n} for s, n in runs],
                "elapsed_ms": int((time.monotonic() - start) * 1000)}
-        _emit(args, _dump(doc), argv, t0)
+        _emit(args, _dump(doc), argv, t0, workers=args.threads)
         return EXIT_OK
     result = find_first_string(query, workers=args.threads)
     elapsed = int((time.monotonic() - start) * 1000)
@@ -136,7 +136,7 @@ def cmd_strings(args, argv, t0):
             ",".join(str(row.get(c, "")) for c in cols) + "\n"
     else:
         text = _dump(record)
-    _emit(args, text, argv, t0)
+    _emit(args, text, argv, t0, workers=args.threads)
     return EXIT_OK if not isinstance(result, NotFound) else EXIT_NOT_FOUND
 
 
@@ -152,7 +152,7 @@ def cmd_census(args, argv, t0):
             "phi": census.phi, "coprime_mean": census.coprime_mean,
             "max_ratio": census.max_ratio, "min_ratio": census.min_ratio,
         })
-    _emit(args, text, argv, t0)
+    _emit(args, text, argv, t0, workers=args.threads)
     return EXIT_OK
 
 
@@ -189,7 +189,7 @@ def build_parser():
     def common(p):
         p.add_argument("--threads", type=int,
                        default=os.cpu_count() or 1,
-                       help="worker processes (default: machine cores)")
+                       help="workers for strings and census (default: cores)")
         p.add_argument("--manifest", help="write a run manifest JSON here")
 
     p = sub.add_parser("strings", help="find the first k-string")

@@ -311,6 +311,8 @@ class STCount:
 
 def _coprime_mask(config, start, length):
     """Coprimality to Q over the interval, via the prime support of Q."""
+    if length > MAX_INTERVAL:
+        raise IntervalTooLarge(f"interval length {length} > {MAX_INTERVAL}")
     mask = np.ones(length, dtype=bool)
     support = sorted(set(prime_factors(config.q)) | set(config.P_a)) \
         if config.q > 1 else sorted(config.P_a)
@@ -320,19 +322,19 @@ def _coprime_mask(config, start, length):
     return mask
 
 
-def count_S_T(config, interval, with_members=True):
+def _s_columns(config, start, mask):
+    """Indices of the coprime columns = a (mod q): the set S."""
+    good = np.arange((config.a - start) % config.q, mask.size, config.q)
+    return good[mask[good]]
+
+
+def count_S_T(config, interval):
     """Split coprime columns into S (= a mod q) and T (the rest)."""
     start, length = interval
-    if length > MAX_INTERVAL:
-        raise IntervalTooLarge(f"interval length {length} > {MAX_INTERVAL}")
     mask = _coprime_mask(config, start, length)
-    first_good = (config.a - start) % config.q
-    good_idx = np.arange(first_good, length, config.q)
-    s_idx = good_idx[mask[good_idx]]
-    s_count = int(s_idx.size)
-    t_count = int(mask.sum()) - s_count
-    members = tuple(start + int(j) for j in s_idx) if with_members else ()
-    return STCount(S=s_count, T=t_count, S_members=members)
+    s_idx = _s_columns(config, start, mask)
+    return STCount(S=int(s_idx.size), T=int(mask.sum()) - int(s_idx.size),
+                   S_members=tuple(start + int(j) for j in s_idx))
 
 
 @dataclass
@@ -396,8 +398,9 @@ def sample_rows_census(config, interval, rows, spec=None):
         bad_total += bad
         rows_with_bad += 1 if bad else 0
         max_run = max(max_run, best)
-    st = count_S_T(config, interval, with_members=False)
-    return MaierCensus(S_count=st.S, T_count=st.T, rows_sampled=rows,
+    s_count = int(_s_columns(config, start, mask).size)
+    return MaierCensus(S_count=s_count, T_count=len(cols) - s_count,
+                       rows_sampled=rows,
                        per_row=per_row, good_total=good_total,
                        bad_total=bad_total, rows_with_bad=rows_with_bad,
                        max_good_run=max_run, deterministic=deterministic)

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import euler_phi
 from .errors import InvalidQuery
-from .sieve import _segment_bounds
+from .sieve import _ordered_results, _segment_bounds
 from .special import member, special_primes
 
 log = logging.getLogger("primestrings.search")
@@ -67,115 +65,60 @@ class NotFound:
     limit: int
 
 
-@dataclass
-class _SegmentRuns:
-    lo: int
-    hi: int
-    n_set: int
-    # (start_prime, last_prime, length, start_ordinal_in_segment)
-    runs: list = field(default_factory=list)
-
-
 def _segment_runs(args):
-    """Runs of good primes inside one segment. Picklable worker task."""
+    """Set-prime count and runs of good primes of one segment.
+
+    A run is (start_prime, length, ordinal within the segment).
+    Picklable worker task.
+    """
     spec, q, a, lo, hi = args
     sp = special_primes(spec, lo, hi)
-    out = _SegmentRuns(lo=lo, hi=hi, n_set=int(sp.size))
-    if sp.size:
-        idx = np.flatnonzero(sp % q == a % q)
-        if idx.size:
-            gaps = np.flatnonzero(np.diff(idx) > 1)
-            starts = np.concatenate(([0], gaps + 1))
-            ends = np.concatenate((gaps, [idx.size - 1]))
-            for s, e in zip(starts, ends):
-                i0, i1 = int(idx[s]), int(idx[e])
-                out.runs.append((int(sp[i0]), int(sp[i1]), i1 - i0 + 1, i0))
-    return out
+    idx = np.flatnonzero(sp % q == a % q)
+    if not idx.size:
+        return sp.size, []
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    first = idx[np.concatenate(([0], breaks + 1))]
+    last = idx[np.concatenate((breaks, [idx.size - 1]))]
+    return sp.size, list(zip(sp[first].tolist(), (last - first + 1).tolist(),
+                             first.tolist()))
 
 
 def _segment_census(args):
     """Residue counts mod q of one segment's set-primes. Picklable task."""
     spec, q, lo, hi = args
-    sp = special_primes(spec, lo, hi)
-    counts = np.bincount(sp % q, minlength=q) if sp.size else \
-        np.zeros(q, dtype=np.int64)
-    return counts
+    return np.bincount(special_primes(spec, lo, hi) % q, minlength=q)
 
 
-class _RunMerger:
-    """Splices per-segment runs in ascending segment order."""
+def _runs(query, workers, segment_size):
+    """Runs of good set-primes below the limit, spliced across segments.
 
-    def __init__(self):
-        self.completed = []   # (start_prime, last_prime, length, start_ord)
-        self.open = None
-        self.n_set = 0        # set-primes merged so far
-
-    def push(self, seg):
-        if seg.n_set == 0:
-            return            # no set-prime here, adjacency is preserved
-        runs = deque(seg.runs)
-        if self.open is not None:
-            if runs and runs[0][3] == 0:
-                s, last, ln, so = runs.popleft()
-                merged = (self.open[0], last, self.open[2] + ln, self.open[3])
-                if so + ln == seg.n_set:
-                    self.open = merged
-                else:
-                    self.completed.append(merged)
-                    self.open = None
-            else:
-                self.completed.append(self.open)
-                self.open = None
-        for s, last, ln, so in runs:
-            item = (s, last, ln, self.n_set + so)
-            if so + ln == seg.n_set:
-                self.open = item      # may continue into the next segment
-            else:
-                self.completed.append(item)
-        self.n_set += seg.n_set
-
-    def finish(self):
-        if self.open is not None:
-            self.completed.append(self.open)
-            self.open = None
-        return self.completed
-
-    def first_at_least(self, k):
-        """Earliest run (closed or still open) with length >= k, if any."""
-        for run in self.completed:
-            if run[2] >= k:
-                return run
-        if self.open is not None and self.open[2] >= k:
-            return self.open
-        return None
-
-
-def _ordered_results(task, jobs, workers):
-    """Yield task(job) in job order, optionally via a process pool.
-
-    Submission happens in waves so an early consumer break does not
-    leave the whole range queued.
+    Yields (start_prime, length, ordinal) in ascending start order,
+    where ordinal counts the set-primes before the run. A run still
+    open at the end of a segment is yielded there with its length so
+    far, and again wherever it grows, so a consumer can stop as soon
+    as a run is long enough. The last yield for each start is the
+    maximal run.
     """
-    if workers <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            yield task(job)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        window = deque()
-        it = iter(jobs)
-        try:
-            while True:
-                while len(window) < 2 * workers:
-                    job = next(it, None)
-                    if job is None:
-                        break
-                    window.append(pool.submit(task, job))
-                if not window:
-                    break
-                yield window.popleft().result()
-        finally:
-            for fut in window:
-                fut.cancel()
+    spec, q, a, limit = query.spec, query.q, query.a, query.limit
+    bounds = _segment_bounds(1, limit, segment_size)
+    jobs = [(spec, q, a, lo, hi) for lo, hi in bounds]
+    tail = None           # the run that reaches the last set-prime so far
+    n_set = 0             # set-primes in the segments before this one
+    for (_lo, hi), (count, runs) in zip(
+            bounds, _ordered_results(_segment_runs, jobs, workers)):
+        if count:         # else no set-prime here, adjacency is preserved
+            touching, tail = tail, None
+            for start, length, ordinal in runs:
+                if ordinal == 0 and touching is not None:
+                    run = (touching[0], touching[1] + length, touching[2])
+                else:
+                    run = (start, length, n_set + ordinal)
+                yield run
+                if ordinal + length == count:
+                    tail = run
+            n_set += count
+        if (hi - 1) % PROGRESS_EVERY < segment_size:
+            log.info("scanned %d candidates, %d set-primes", hi - 1, n_set)
 
 
 def _collect_run_primes(spec, start, k, limit):
@@ -199,24 +142,12 @@ def find_first_string(query, workers=1,
     NotFound (a normal result, not an error) when the scan completes
     without a hit.
     """
-    spec, k, q, a, limit = (query.spec, query.k, query.q, query.a,
-                            query.limit)
-    merger = _RunMerger()
-    bounds = _segment_bounds(1, limit, segment_size)
-    jobs = [(spec, q, a, lo, hi) for lo, hi in bounds]
-    covered = 0
-    for seg in _ordered_results(_segment_runs, jobs, workers):
-        merger.push(seg)
-        covered += seg.hi - seg.lo
-        if covered % PROGRESS_EVERY < segment_size:
-            log.info("scanned %d candidates, %d set-primes",
-                     covered, merger.n_set)
-        run = merger.first_at_least(k)
-        if run is not None:
-            start, _last, _ln, start_ord = run
-            primes = _collect_run_primes(spec, start, k, limit)
-            return StringHit(primes=primes, start_index=start_ord)
-    return NotFound(limit=limit)
+    for start, length, ordinal in _runs(query, workers, segment_size):
+        if length >= query.k:
+            primes = _collect_run_primes(query.spec, start, query.k,
+                                         query.limit)
+            return StringHit(primes=primes, start_index=ordinal)
+    return NotFound(limit=query.limit)
 
 
 def scan_all_strings(query, workers=1,
@@ -226,14 +157,9 @@ def scan_all_strings(query, workers=1,
     Returns (start_prime, length) pairs in increasing start order;
     lengths >= 1 are all included.
     """
-    spec, q, a, limit = query.spec, query.q, query.a, query.limit
-    merger = _RunMerger()
-    bounds = _segment_bounds(1, limit, segment_size)
-    jobs = [(spec, q, a, lo, hi) for lo, hi in bounds]
-    for seg in _ordered_results(_segment_runs, jobs, workers):
-        merger.push(seg)
-    return [(start, length) for start, _last, length, _ord
-            in merger.finish()]
+    runs = {start: length for start, length, _ordinal
+            in _runs(query, workers, segment_size)}
+    return list(runs.items())
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -78,13 +79,28 @@ def _segment_bounds(lo, hi, size):
     return [(a, min(a + size, hi)) for a in range(lo, hi, size)]
 
 
-def _run_segments(bounds, base_odd, workers):
-    tasks = [(lo, hi, base_odd) for lo, hi in bounds]
-    if workers <= 1 or len(tasks) <= 1:
-        return [_sieve_segment(t) for t in tasks]
+def _ordered_results(task, jobs, workers):
+    """Yield task(job) in job order, optionally via a process pool.
+
+    Submission happens in waves so an early consumer break does not
+    leave the whole range queued.
+    """
+    if workers <= 1 or len(jobs) <= 1:
+        for job in jobs:
+            yield task(job)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map() preserves submission order, which is ascending segments
-        return list(pool.map(_sieve_segment, tasks, chunksize=1))
+        window = deque()
+        try:
+            for job in jobs:
+                window.append(pool.submit(task, job))
+                if len(window) >= 2 * workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            for fut in window:
+                fut.cancel()
 
 
 def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
@@ -105,10 +121,11 @@ def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
     j_lo = max(0, (lo - 2) // 2) if lo > 3 else 0
     j_hi = _n_odds(hi)
     bounds = _segment_bounds(j_lo, j_hi, segment_size)
+    tasks = [(a, b, base_odd) for a, b in bounds]
     chunks = []
     done = 0
     for (a, b), comp in zip(bounds,
-                            _run_segments(bounds, base_odd, workers)):
+                            _ordered_results(_sieve_segment, tasks, workers)):
         chunks.append(2 * (np.flatnonzero(~comp) + a) + 3)
         done += 2 * (b - a)
         if done // PROGRESS_EVERY != (done - 2 * (b - a)) // PROGRESS_EVERY:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import mpmath
@@ -23,7 +24,8 @@ from .fixedpoint import IrrationalConstant
 from .sieve import sieve_range
 
 MAX_ENUM_HI = 1 << 48
-_FLOAT_GUARD = 1 << 52     # values beyond this cannot use the float path
+_CHUNK = 1 << 20           # indices per int64 Beatty block
+_FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
 _MP_DPS = 50               # digits for boundary rechecks
 
 
@@ -247,22 +249,48 @@ def beatty_member(alpha, m):
     return alpha.floor_mul(n0) == m
 
 
+@lru_cache(maxsize=64)
+def _bracket(alpha):
+    """(bits, c_lo, c_hi) with c_lo/2^bits <= alpha <= c_hi/2^bits."""
+    return (alpha.precision_bits, *alpha.bounds(alpha.precision_bits))
+
+
+def _side_floors(n0, c, bits, i, pad):
+    """floor((n0 + i) * c / 2^bits) from below (pad 0) or above.
+
+    n0 * c and c split once into whole and fractional parts. The
+    fractions keep _FRAC_BITS bits, rounded down, or up when pad is
+    2^(bits - _FRAC_BITS) - 1, so i * step < 2^60 fits in int64.
+    """
+    whole, frac = divmod(n0 * c, 1 << bits)
+    step_whole, step = divmod(c, 1 << bits)
+    shift = bits - _FRAC_BITS
+    frac, step = (frac + pad) >> shift, (step + pad) >> shift
+    return whole + i * step_whole + ((i * step + frac) >> _FRAC_BITS)
+
+
 def _beatty_block(alpha, n_lo, n_hi):
     """floor(n * alpha) for n in [n_lo, n_hi), exactly, vectorized.
 
-    Float fast path plus exact fixed-point recheck of every n whose
-    fractional part sits within the float error bound of 0 or 1.
+    alpha.bounds brackets alpha by c_lo/2^b <= alpha <= c_hi/2^b, so
+    floor(n c_lo/2^b) <= floor(n alpha) <= floor(n c_hi/2^b). Both
+    sides are evaluated in int64 over chunks of _CHUNK indices, with
+    rounding that only widens the bracket, by at most
+    _CHUNK * 2^-_FRAC_BITS = 2^-20 (_side_floors). Where the two sides
+    agree they equal floor(n alpha); the few n where they differ
+    (frac(n alpha) within about 2^-20 of an integer) are decided by the
+    exact floor_mul.
     """
-    if n_hi <= n_lo:
-        return np.empty(0, dtype=np.int64)
-    n = np.arange(n_lo, n_hi, dtype=np.float64)
-    prod = n * float(alpha)
-    m = np.floor(prod)
-    frac = prod - m
-    eps = prod * 2.0 ** -50 + 2.0 ** -45
-    vals = m.astype(np.int64)
-    for i in np.flatnonzero((frac < eps) | (frac > 1.0 - eps)):
-        vals[i] = alpha.floor_mul(int(n_lo + i))
+    bits, c_lo, c_hi = _bracket(alpha)
+    pad = (1 << (bits - _FRAC_BITS)) - 1
+    vals = np.empty(max(0, n_hi - n_lo), dtype=np.int64)
+    for n0 in range(n_lo, n_hi, _CHUNK):
+        i = np.arange(min(_CHUNK, n_hi - n0), dtype=np.int64)
+        lo = _side_floors(n0, c_lo, bits, i, 0)
+        hi = _side_floors(n0, c_hi, bits, i, pad)
+        for j in np.flatnonzero(lo != hi):
+            lo[j] = alpha.floor_mul(n0 + int(j))
+        vals[n0 - n_lo:n0 - n_lo + i.size] = lo
     return vals
 
 

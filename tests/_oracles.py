@@ -6,10 +6,12 @@ floors are exact multiplications against a 60-digit *decimal* integer
 sieves are single-shot dense arrays, primality is trial division, and
 the counting functions walk a smallest-prime-factor table exhaustively.
 
-The decimal scale is safe far beyond the ranges used here: flipping a
-floor would need frac(n*c) within ~1e-52 of an integer, which cannot
-happen for n below 1e8 for constants this well separated from
-rationals.
+The decimal scale is safe for every n the tests use, up to about 1e14
+(Beatty windows just below 2^48): the 60-digit constant is off by less
+than 1e-60, so n*c is off by less than 1e-46, and flipping a floor
+would need frac(n*c) within 1e-46 of an integer. For n below 1e14 that
+would take a continued-fraction partial quotient near 1e32, far beyond
+anything pi, sqrt2 or e have in that range.
 """
 
 import math
@@ -42,6 +44,21 @@ def beatty_values(hi, name="pi", lo=1):
         if m >= lo:
             out.append(m)
         n += 1
+
+
+def convergent_denominators(name, bound):
+    """Continued-fraction denominators n < bound of the constant, where
+    n*c comes within 1/n of an integer."""
+    num, den = const60(name), SCALE
+    num, den = den, num % den          # drop the integer part
+    prev, cur, out = 0, 1, []
+    while den:
+        a, num, den = num // den, den, num % den
+        prev, cur = cur, a * cur + prev
+        if cur >= bound:
+            return out
+        out.append(cur)
+    return out
 
 
 def beatty_member_direct(m, name="pi"):
@@ -154,3 +171,17 @@ def first_k_run(set_primes, k, q, a):
         else:
             run = 0
     return None
+
+
+def maximal_runs(set_primes, q, a):
+    """(start, length) of every maximal run of entries = a (mod q)."""
+    runs = []
+    run_open = False
+    for p in set_primes:
+        good = p % q == a % q
+        if good and run_open:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        elif good:
+            runs.append((p, 1))
+        run_open = good
+    return runs

@@ -204,10 +204,12 @@ def test_manifest_reproducible(tmp_path, capsys):
 def test_manifest_on_counts(tmp_path, capsys):
     m = tmp_path / "m.json"
     code, out, _ = run_cli(["counts", "sq", "--q", "4", "--z", "30",
-                            "--manifest", str(m)], capsys)
+                            "--threads", "2", "--manifest", str(m)], capsys)
     assert code == 0
     doc = json.loads(m.read_text())
     assert doc["result_digest"] == hashlib.sha256(out.encode()).hexdigest()
+    # counts runs in one process whatever --threads says
+    assert doc["workers"] == 1
 
 
 # ------------------------------------------------------------- version

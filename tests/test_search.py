@@ -1,10 +1,14 @@
 """String scanning: hits, runs, censuses, verification, determinism."""
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _oracles
+from primestrings import search
 from primestrings import (NotFound, SetCensus, SpecialSetSpec, StringHit,
                           StringQuery, find_first_string, hit_record,
                           named_constant, residue_census, scan_all_strings,
@@ -183,6 +187,53 @@ def test_results_invariant_under_workers_and_segments(b_pi):
         census = residue_census(b_pi, 100_000, 7,
                                 workers=workers, segment_size=seg)
         assert census.counts == base_census.counts
+
+
+@st.composite
+def scan_cases(draw):
+    name = draw(st.sampled_from(["all", "pi", "e"]))
+    qq = draw(st.integers(1, 12))
+    a = draw(st.sampled_from([r for r in range(qq) if math.gcd(r, qq) == 1]))
+    return (name, qq, a, draw(st.integers(1, 4)),
+            draw(st.integers(2, 40_000)), draw(st.integers(1, 6_000)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(scan_cases())
+# the odd Beatty primes form one run across many empty segments
+@example(("pi", 2, 1, 3, 3_000, 7))
+def test_splicer_matches_oracle(case):
+    name, qq, a, k, limit, seg = case
+    if name == "all":
+        spec = ALL
+        set_primes = [int(p) for p in _oracles.simple_sieve(limit - 1)]
+    else:
+        spec = SpecialSetSpec.beatty(named_constant(name))
+        set_primes = _oracles.beatty_primes_below(limit, name)
+    query = q(spec, k, qq, a, limit)
+    assert scan_all_strings(query, segment_size=seg) == \
+        _oracles.maximal_runs(set_primes, qq, a)
+    want = _oracles.first_k_run(set_primes, k, qq, a)
+    hit = find_first_string(query, segment_size=seg)
+    if want is None:
+        assert isinstance(hit, NotFound)
+    else:
+        assert (hit.start_index, hit.primes) == want
+
+
+def test_first_string_stops_at_the_segment_it_reaches_k(monkeypatch):
+    # the odd primes form one run that is still open at every segment end
+    calls = []
+    real = search._segment_runs
+
+    def counted(args):
+        calls.append(args)
+        return real(args)
+
+    monkeypatch.setattr(search, "_segment_runs", counted)
+    hit = find_first_string(q(ALL, 3, 2, 1, 10 ** 6), segment_size=1000)
+    assert hit.primes == [3, 5, 7]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seg", [0, -5])

@@ -50,7 +50,7 @@ def test_sieve_range_guards():
 
 
 def test_sieve_range_high_window():
-    # beyond any table: 2^40 .. 2^40 + 2000, checked by trial division
+    # 2^40 .. 2^40 + 2000, checked by trial division
     lo = 1 << 40
     got = [int(p) for p in sieve_range(lo, lo + 2000)]
     want = [n for n in range(lo, lo + 2000) if _oracles.trial_is_prime(n)]

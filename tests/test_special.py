@@ -59,6 +59,38 @@ def test_beatty_sqrt2_and_e():
         assert got == _oracles.beatty_values(1999, name=name)
 
 
+@pytest.mark.parametrize("name", ["pi", "sqrt2", "e"])
+@pytest.mark.parametrize("lo", [10 ** 12, 8 * 10 ** 13, 2 ** 48 - 30_000])
+def test_beatty_high_magnitude_matches_decimal_oracle(name, lo):
+    # int64 floors near the top of the enumeration range, n up to 9e13
+    spec = SpecialSetSpec.beatty(named_constant(name))
+    hi = lo + 30_000
+    got = [int(m) for m in enumerate_special(spec, lo, hi)]
+    assert got == _oracles.beatty_values(hi - 1, name, lo)
+
+
+@pytest.mark.parametrize("name", ["pi", "sqrt2", "e"])
+def test_beatty_floors_at_near_integer_products(name):
+    # at convergent denominators n, n*alpha sits within 1/n of an integer
+    spec = SpecialSetSpec.beatty(named_constant(name))
+    c = _oracles.const60(name)
+    for n in _oracles.convergent_denominators(name, 1 << 46):
+        m = n * c // _oracles.SCALE
+        lo, hi = max(1, m - 500), m + 500
+        got = [int(v) for v in enumerate_special(spec, lo, hi)]
+        assert got == _oracles.beatty_values(hi - 1, name, lo)
+
+
+def test_beatty_enumeration_splits_into_windows():
+    # 2.1e6 indices of sqrt2 span several int64 blocks
+    spec = SpecialSetSpec.beatty(named_constant("sqrt2"))
+    lo, hi = 10 ** 13, 10 ** 13 + 3_000_000
+    parts = [enumerate_special(spec, a, min(a + 70_001, hi))
+             for a in range(lo, hi, 70_001)]
+    assert np.array_equal(enumerate_special(spec, lo, hi),
+                          np.concatenate(parts))
+
+
 def test_beatty_rejects_alpha_at_most_one():
     small = IrrationalConstant.from_decimal(
         "small", "0.577215664901532860606512090082402431042")
