@@ -3,10 +3,11 @@ Floor-product sets and the slow-growth diagnostics
 ==================================================
 
 Beyond Beatty sequences, the package enumerates sets floor(n * g(n))
-for slowly growing g.  The flagship family is
-g(x) = exp(log^B(log x)); for B = 1 that is just log x, but any
-B > 1 grows strictly slower than every power of log x while still
-escaping to infinity.
+for slowly growing g.  Two families are built in:
+g(x) = (log log x)^B (GFamily.loglog) and g(x) = (log x)^B
+(GFamily.log_pow).  This demo uses GFamily.loglog(1.0), so its set is
+floor(n log log n), the paper's example of a set of density zero.
+Floors are exact below 2^48.
 
 validate_g fits local power-law exponents ("alpha hats") to g on a
 grid and reports a panel of evidence flags.  It never *asserts* that g

@@ -19,11 +19,10 @@ import time
 from . import __version__
 from .errors import DomainError, PrimestringsError
 from .fixedpoint import IrrationalConstant, named_constant
-from .maier import census_json, run_construction
+from .maier import census_json, count_psi, count_S_q, run_construction
 from .search import (NotFound, StringQuery, find_first_string, hit_record,
                      residue_census, scan_all_strings)
 from .special import GFamily, SpecialSetSpec
-from .maier import count_S_q, count_psi
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,6 +75,9 @@ def parse_set(text):
         arg = text.split(":", 1)[1]
         family, _, power = arg.partition("^")
         B = float(power) if power else 1.0
+        if not B > 0:
+            raise argparse.ArgumentTypeError(
+                f"floor-product power must be > 0: {arg!r}")
         if family == "loglog":
             return SpecialSetSpec.floor_product(GFamily.loglog(B))
         if family == "log":

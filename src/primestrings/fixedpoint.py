@@ -36,7 +36,6 @@ class IrrationalConstant:
     num: int            # exact value of the reference string is num/den
     den: int
     precision_bits: int
-    digits: int = field(init=False)   # floor(value * 2^precision_bits)
     max_bits: int = field(init=False)
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class IrrationalConstant:
                 f"{self.name}: reference digits support only {max_bits} "
                 f"bits, requested {self.precision_bits}")
         object.__setattr__(self, "max_bits", max_bits)
-        object.__setattr__(
-            self, "digits", (self.num << self.precision_bits) // self.den)
 
     @classmethod
     def from_decimal(cls, name, text, precision_bits=96):

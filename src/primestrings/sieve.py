@@ -155,8 +155,7 @@ def count_primes_ap(X, q, workers=1):
     if X < 0:
         raise InvalidRange(f"X must be >= 0, got {X}")
     primes = sieve_range(0, X + 1, workers=workers)
-    binned = np.bincount(primes % q, minlength=q) if primes.size else \
-        np.zeros(q, dtype=np.int64)
+    binned = np.bincount(primes % q, minlength=q)
     return APCount(X=X, q=q, counts={r: int(binned[r]) for r in range(q)})
 
 

@@ -3,9 +3,11 @@
 Three carriers are supported: the natural numbers ("all", so the prime
 subset is every prime), Beatty sequences floor(n * alpha) for
 irrational alpha > 1, and floor-product sequences floor(n * g(n)) for
-slowly varying g. Beatty membership and enumeration are exact (integer
-fixed-point with directed rounding); floor-product values are computed
-in floats with high-precision rechecks near floor boundaries.
+g = (log log n)^B or (log n)^B. Beatty membership and enumeration are
+exact (integer fixed-point with directed rounding). Floor-product
+values below 2^48 are exact too: float floors are kept only where the
+product is far from an integer, and every other floor is decided at
+_MP_DPS digits or raises PrecisionExhausted.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import mpmath
 import numpy as np
 
 from .errors import (DerivativeUnavailable, DomainError, GridTooSmall,
-                     InvalidRange, RangeTooLarge)
+                     InvalidRange, PrecisionExhausted, RangeTooLarge)
 from .fixedpoint import IrrationalConstant
 from .sieve import sieve_range
 
 MAX_ENUM_HI = 1 << 48
 _CHUNK = 1 << 20           # indices per int64 Beatty block
 _FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
-_MP_DPS = 50               # digits for boundary rechecks
+_MP_DPS = 50               # digits for floor-product floors near an integer
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +41,8 @@ class GFamily:
 
     Built-in families carry analytic derivatives; custom families carry
     evaluators for g, g', g'' and get g''' by central differences with
-    relative step 1e-5.
+    relative step 1e-5. Custom families are for validate_g only: a
+    floor-product set needs the high-precision floors of a built-in g.
     """
 
     family: str                      # "loglogpow" | "logpow" | "custom"
@@ -153,47 +156,14 @@ class GFamily:
         return order * self.deriv(x, order - 1) + x * self.deriv(x, order)
 
     def value_np(self, x):
-        """Vectorized g over a float array (domain already checked)."""
+        """Vectorized built-in g over a float array (domain checked)."""
         if self.family == "loglogpow":
             return np.log(np.log(x)) ** self.B
-        if self.family == "logpow":
-            return np.log(x) ** self.B
-        return np.array([self.fn(v) for v in x])
-
-    def _mp_value(self, n):
-        if self.family == "loglogpow":
-            return mpmath.log(mpmath.log(n)) ** self.B
-        if self.family == "logpow":
-            return mpmath.log(n) ** self.B
-        return None
-
-    def f_floor(self, n):
-        """floor(n * g(n)) with a high-precision recheck near boundaries."""
-        v = n * self.value(n)
-        f = math.floor(v)
-        if min(v - f, f + 1 - v) < 1e-9:
-            with mpmath.workdps(_MP_DPS):
-                gv = self._mp_value(n)
-                if gv is not None:
-                    f = int(mpmath.floor(n * gv))
-        return f
+        return np.log(x) ** self.B
 
     def default_start_n(self):
-        """Smallest integer where g is defined and positive."""
-        if self.family == "loglogpow":
-            return 3    # needs log x > 1
-        if self.family == "logpow":
-            return 2    # needs log x > 0
-        n = max(2, math.ceil(self.c))
-        while True:
-            try:
-                if self.value(n) > 0:
-                    return n
-            except (DomainError, ValueError):
-                pass
-            n += 1
-            if n > 10 ** 9:
-                raise DomainError("no positive start found for custom g")
+        """Smallest integer where a built-in g is defined and positive."""
+        return 3 if self.family == "loglogpow" else 2   # log x > 1, > 0
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +192,12 @@ class SpecialSetSpec:
 
     @staticmethod
     def floor_product(g, start_n=None):
+        if g.family == "custom":
+            raise DomainError(
+                "floor-product sets need a built-in g (loglog or log_pow): "
+                "a custom g has no high-precision evaluator for exact floors")
+        if not g.B > 0:                  # else n * g(n) need not increase
+            raise DomainError(f"floor products need B > 0, got {g.B}")
         if start_n is None:
             start_n = g.default_start_n()
         return SpecialSetSpec(kind="floorprod", g=g, start_n=start_n)
@@ -319,8 +295,6 @@ def _floorprod_first_n(spec, target):
     step = 1
     while g.f_value(n + step) < target:
         step *= 2
-        if step > 1 << 60:
-            raise DomainError(f"f never reaches {target}; g not unbounded?")
     lo, hi = n + step // 2, n + step
     while lo < hi:
         mid = (lo + hi) // 2
@@ -331,36 +305,48 @@ def _floorprod_first_n(spec, target):
     return lo
 
 
+def _floorprod_floor(g, n):
+    """floor(n * g(n)) at _MP_DPS digits; PrecisionExhausted when n * g(n)
+    is within 10^(10 - _MP_DPS) of an integer, relative to its size (10
+    digits of margin for the rounding in the logs and the power)."""
+    with mpmath.workdps(_MP_DPS):
+        x = mpmath.log(n)
+        if g.family == "loglogpow":
+            x = mpmath.log(x)
+        v = n * x ** g.B
+        f = int(mpmath.nint(v))
+        if abs(v - f) <= v * mpmath.mpf(10) ** (10 - _MP_DPS):
+            raise PrecisionExhausted(
+                f"{g.label()}: n * g(n) at n = {n} cannot be told from "
+                f"the integer {f} at {_MP_DPS} digits")
+    return f if v > f else f - 1
+
+
 def _floorprod_range(spec, lo, hi):
     g = spec.g
     lo = max(lo, 2)                      # values below 2 are skipped
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    n_lo = _floorprod_first_n(spec, lo)
-    n_hi = _floorprod_first_n(spec, hi)
-    if n_hi - n_lo > MAX_ENUM_HI:
-        raise RangeTooLarge("floor-product index range too wide")
-    if n_hi <= n_lo:
-        return np.empty(0, dtype=np.int64)
+    # the float bisection can land one index off either way
+    n_lo = max(spec.start_n, _floorprod_first_n(spec, lo) - 1)
+    n_hi = _floorprod_first_n(spec, hi) + 1
     n = np.arange(n_lo, n_hi, dtype=np.float64)
     prod = n * g.value_np(n)
     vals = np.floor(prod).astype(np.int64)
     frac = prod - np.floor(prod)
     eps = prod * 2.0 ** -46 + 2.0 ** -40
     for i in np.flatnonzero((frac < eps) | (frac > 1.0 - eps)):
-        vals[i] = g.f_floor(int(n_lo + i))
-    vals = np.unique(vals)               # repeats collapse
-    return vals[(vals >= lo) & (vals < hi)]
+        vals[i] = _floorprod_floor(g, n_lo + int(i))
+    # floors of an increasing f never fall, so repeats are adjacent
+    keep = (vals >= lo) & (vals < hi)
+    keep[1:] &= vals[1:] != vals[:-1]
+    return vals[keep]
 
 
 def floorprod_member(spec, m):
-    """Whether m = floor(n * g(n)) for some n >= start_n."""
-    if m < 2:
-        return False
-    n = _floorprod_first_n(spec, m)
-    # the float search can land one off when f(n) grazes m
-    return any(spec.g.f_floor(k) == m
-               for k in (n - 1, n, n + 1) if k >= spec.start_n)
+    """Whether m = floor(n * g(n)) for some n >= start_n (m < 2^48)."""
+    if m >= MAX_ENUM_HI:
+        raise RangeTooLarge(f"floor-product membership is decided only "
+                            f"below 2^48 = {MAX_ENUM_HI}, got {m}")
+    return m >= 2 and enumerate_special(spec, m, m + 1).size > 0
 
 
 def member(spec, m):

@@ -3,8 +3,10 @@
 Nothing here shares code or representation with the package: Beatty
 floors are exact multiplications against a 60-digit *decimal* integer
 (the package works in binary fixed point with directed brackets),
-sieves are single-shot dense arrays, primality is trial division, and
-the counting functions walk a smallest-prime-factor table exhaustively.
+floor-product floors are 60-digit mpmath at every index (the package
+keeps float floors away from integers), sieves are single-shot dense
+arrays, primality is trial division, and the counting functions walk a
+smallest-prime-factor table exhaustively.
 
 The decimal scale is safe for every n the tests use, up to about 1e14
 (Beatty windows just below 2^48): the 60-digit constant is off by less
@@ -59,6 +61,39 @@ def convergent_denominators(name, bound):
             return out
         out.append(cur)
     return out
+
+
+def floorprod_floor(family, B, n):
+    """floor(n * g(n)) at 60 digits, g = (log log n)^B or (log n)^B."""
+    with mp.workdps(60):
+        x = mp.log(n) if family == "log" else mp.log(mp.log(n))
+        return int(mp.floor(n * x ** B))
+
+
+def floorprod_values(family, B, lo, hi):
+    """Distinct floor(n * g(n)) in [lo, hi) over n from the first n where
+    g > 0 (3 for "loglog", 2 for "log"); values below 2 are skipped.
+
+    The index range comes from an integer bisection on these floors,
+    which never fall as n grows.
+    """
+    start = 3 if family == "loglog" else 2
+
+    def first_n(target):       # smallest n >= start with floor >= target
+        a, b = start, start
+        while floorprod_floor(family, B, b) < target:
+            a, b = b + 1, 2 * b
+        while a < b:
+            mid = (a + b) // 2
+            if floorprod_floor(family, B, mid) < target:
+                a = mid + 1
+            else:
+                b = mid
+        return a
+
+    values = (floorprod_floor(family, B, n)
+              for n in range(first_n(max(lo, 2)), first_n(hi)))
+    return sorted(set(values))
 
 
 def beatty_member_direct(m, name="pi"):

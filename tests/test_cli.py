@@ -81,6 +81,10 @@ def test_strings_all_runs(capsys):
      "--a", "1", "--limit", "100"],                             # slope <= 1
     ["strings", "--set", "floorprod:cosh", "--k", "1", "--q", "3",
      "--a", "1", "--limit", "100"],
+    ["strings", "--set", "floorprod:loglog^-1", "--k", "1", "--q", "3",
+     "--a", "1", "--limit", "100"],                             # B <= 0
+    ["strings", "--set", "floorprod:log^0", "--k", "1", "--q", "3",
+     "--a", "1", "--limit", "100"],
     ["counts", "sq", "--q", "3", "--z", "1.5"],                 # not integral
     ["counts", "sq", "--q", "3", "--z", "ten"],
     ["nonsense"],
@@ -173,6 +177,15 @@ def test_maier_non_a_pm_needs_y_16(capsys):
                             "--rows", "20", "--threads", "1"], capsys)
     assert code == 0
     assert json.loads(out)["case"] == "other"
+
+
+def test_maier_floorprod_above_membership_cap_exits_4(capsys):
+    # Q is about 2e16, so the matrix entries pass 2^48
+    code, _, err = run_cli(["maier", "--q", "5", "--a", "4", "--y", "60",
+                            "--yz", "200", "--rows", "3",
+                            "--set", "floorprod:loglog"], capsys)
+    assert code == 4
+    assert "floor-product membership" in err and str(2 ** 48) in err
 
 
 # ------------------------------------------------------------ manifest

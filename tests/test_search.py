@@ -2,17 +2,18 @@
 
 import json
 import math
+from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import _oracles
 from primestrings import search
-from primestrings import (NotFound, SetCensus, SpecialSetSpec, StringHit,
-                          StringQuery, find_first_string, hit_record,
-                          named_constant, residue_census, scan_all_strings,
-                          sieve_range, verify_hit)
+from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
+                          StringHit, StringQuery, find_first_string,
+                          hit_record, named_constant, residue_census,
+                          scan_all_strings, sieve_range, verify_hit)
 from primestrings.errors import InvalidQuery, InvalidRange
 
 ALL = SpecialSetSpec.all_primes()
@@ -189,16 +190,27 @@ def test_results_invariant_under_workers_and_segments(b_pi):
         assert census.counts == base_census.counts
 
 
+FLOORPROD = {"loglog": GFamily.loglog(), "log^1.5": GFamily.log_pow(1.5)}
+
+
+@lru_cache(maxsize=None)
+def floorprod_primes_below_40k(name):
+    family, B = ("loglog", 1.0) if name == "loglog" else ("log", 1.5)
+    values = _oracles.floorprod_values(family, B, 2, 40_000)
+    return [m for m in values if _oracles.trial_is_prime(m)]
+
+
 @st.composite
 def scan_cases(draw):
-    name = draw(st.sampled_from(["all", "pi", "e"]))
+    name = draw(st.sampled_from(["all", "pi", "e", *FLOORPROD]))
     qq = draw(st.integers(1, 12))
     a = draw(st.sampled_from([r for r in range(qq) if math.gcd(r, qq) == 1]))
     return (name, qq, a, draw(st.integers(1, 4)),
             draw(st.integers(2, 40_000)), draw(st.integers(1, 6_000)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@seed(20141)
+@settings(database=None, deadline=None, max_examples=40)
 @given(scan_cases())
 # the odd Beatty primes form one run across many empty segments
 @example(("pi", 2, 1, 3, 3_000, 7))
@@ -207,6 +219,9 @@ def test_splicer_matches_oracle(case):
     if name == "all":
         spec = ALL
         set_primes = [int(p) for p in _oracles.simple_sieve(limit - 1)]
+    elif name in FLOORPROD:
+        spec = SpecialSetSpec.floor_product(FLOORPROD[name])
+        set_primes = [p for p in floorprod_primes_below_40k(name) if p < limit]
     else:
         spec = SpecialSetSpec.beatty(named_constant(name))
         set_primes = _oracles.beatty_primes_below(limit, name)

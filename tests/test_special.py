@@ -11,7 +11,7 @@ from primestrings import (GFamily, SpecialSetSpec, beatty_member,
                           enumerate_special, member, named_constant,
                           special_primes, validate_g)
 from primestrings.errors import (DerivativeUnavailable, DomainError,
-                                 GridTooSmall)
+                                 GridTooSmall, RangeTooLarge)
 from primestrings.fixedpoint import IrrationalConstant
 from primestrings.special import floorprod_member
 
@@ -158,6 +158,51 @@ def test_floorprod_logpow_values():
                        if n * mp.log(n) >= 2})
     got = [int(m) for m in enumerate_special(spec, 1, want[-1] + 1)]
     assert got == want
+
+
+def _floorprod_spec(family, B):
+    g = GFamily.loglog(B) if family == "loglog" else GFamily.log_pow(B)
+    return SpecialSetSpec.floor_product(g)
+
+
+@pytest.mark.parametrize("family,B,lo", [
+    ("loglog", 1.0, 10 ** 8),
+    ("loglog", 1.0, 29 * 10 ** 11),
+    ("log", 1.5, 12747135619159 - 1000),   # n = 100000009910 grazes it
+    ("log", 2.0, 10 ** 12),
+])
+def test_floorprod_window_matches_mpmath_oracle(family, B, lo):
+    spec = _floorprod_spec(family, B)
+    hi = lo + 2000
+    want = _oracles.floorprod_values(family, B, lo, hi)
+    assert [int(m) for m in enumerate_special(spec, lo, hi)] == want
+    want = set(want)
+    for m in range(lo, hi):
+        assert member(spec, m) == (m in want), m
+
+
+@pytest.mark.parametrize("lo,hi", [
+    # float f(n) falls short of lo: the first index comes out one too high
+    (12747135619159, 12747135619164),
+    # float f(n) reaches hi: the last index comes out one too low
+    (12747134291903, 12747134291908),
+])
+def test_floorprod_window_keeps_a_value_the_float_search_misplaces(lo, hi):
+    spec = _floorprod_spec("log", 1.5)
+    got = [int(m) for m in enumerate_special(spec, lo, hi)]
+    assert got == _oracles.floorprod_values("log", 1.5, lo, hi)
+    assert len(got) == 1
+
+
+def test_floorprod_rejects_what_it_cannot_decide_exactly():
+    spec = _floorprod_spec("loglog", 1.0)
+    with pytest.raises(RangeTooLarge,
+                       match=f"floor-product membership.*{2 ** 48}"):
+        member(spec, 2 ** 48)
+    with pytest.raises(DomainError):
+        SpecialSetSpec.floor_product(GFamily.custom(lambda x: x ** 0.5, c=16))
+    with pytest.raises(DomainError):       # n / log log n falls at first
+        SpecialSetSpec.floor_product(GFamily.loglog(-1.0))
 
 
 def test_special_primes_is_prime_intersection():
