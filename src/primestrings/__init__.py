@@ -12,11 +12,11 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .errors import (CaseMismatch, DerivativeUnavailable, DomainError,
-                     EmptyProductWarning, GridTooSmall, IntervalTooLarge,
-                     InvalidModulus, InvalidQuery, InvalidRange,
-                     NegativeStart, ParameterDomain, PrecisionExhausted,
-                     PrimestringsError, RangeExceeded, RangeTooLarge)
+from .errors import (DerivativeUnavailable, DomainError, EmptyProductWarning,
+                     GridTooSmall, IntervalTooLarge, InvalidModulus,
+                     InvalidQuery, InvalidRange, ParameterDomain,
+                     PrecisionExhausted, PrimestringsError, RangeExceeded,
+                     RangeTooLarge)
 from .fixedpoint import IrrationalConstant, named_constant
 from .sieve import APCount, count_primes_ap, is_prime, sieve_range
 from .special import (AlphaReport, GFamily, SpecialSetSpec, beatty_member,
@@ -26,10 +26,9 @@ from .search import (NotFound, SetCensus, StringHit, StringQuery,
                      scan_all_strings, verify_hit)
 from .maier import (ChosenParams, MaierCensus, MaierConfig, QProduct,
                     STCount, WellDistModel, anchored_interval, bound_report,
-                    build_interval, build_Q, case1_proxy, census_json,
-                    choose_parameters, classify_residue, count_S_T,
-                    count_S_q, count_psi, crt_anchor, estimate_string_bound,
-                    log_y_t, make_config, run_construction,
-                    sample_rows_census)
+                    build_Q, case1_proxy, census_json, choose_parameters,
+                    classify_residue, count_S_T, count_S_q, count_psi,
+                    crt_anchor, estimate_string_bound, log_y_t, make_config,
+                    run_construction, sample_rows_census)
 
 __all__ = [n for n in dir() if not n.startswith("_")]

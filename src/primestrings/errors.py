@@ -46,14 +46,6 @@ class ParameterDomain(PrimestringsError):
     """Maier parameter outside its domain (e.g. t needs y > e^e)."""
 
 
-class CaseMismatch(PrimestringsError):
-    """Caller-supplied residue case tag disagrees with classification."""
-
-
-class NegativeStart(PrimestringsError):
-    """A_- interval would start below 1; enlarge the anchor first."""
-
-
 class IntervalTooLarge(PrimestringsError):
     """Row interval exceeds the configured maximum."""
 

@@ -1,11 +1,13 @@
 """Fixed-point representations of irrational constants.
 
 A constant is carried as an exact decimal fraction num/den taken from a
-high-precision reference string, plus a working precision in bits. All
-floor/ceil decisions run in integer arithmetic with directed bounds:
-the true constant is bracketed by (num-1)/den and (num+1)/den, so a
-decision is accepted only when both brackets agree. Undecided cases
-escalate 96 -> 192 -> 384 bits before raising PrecisionExhausted.
+high-precision reference string. The true constant lies between
+(num-1)/den and (num+1)/den; that interval is widened once, at
+construction, to a dyadic bracket lo/2^bits <= value <= hi/2^bits at
+the finest precision the digits support (bits = den.bit_length() - 8,
+404 for the built-in constants). All floor/ceil decisions run in
+integer arithmetic against that bracket: a decision is accepted only
+when both ends agree, and otherwise raises PrecisionExhausted.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PrecisionExhausted
-
-PRECISION_CAP = 384
 
 # Reference values, 124 significant digits each.
 _REFERENCE_DIGITS = {
@@ -35,25 +35,29 @@ class IrrationalConstant:
     name: str
     num: int            # exact value of the reference string is num/den
     den: int
-    precision_bits: int
-    max_bits: int = field(init=False)
+    bits: int = field(init=False)
+    lo: int = field(init=False, repr=False)   # lo/2^bits <= value
+    hi: int = field(init=False, repr=False)   # value <= hi/2^bits
 
     def __post_init__(self):
         if self.num <= 0 or self.den <= 0:
             raise ValueError("constant must be positive")
-        if self.precision_bits < 96:
-            raise ValueError("precision_bits must be >= 96")
         # Bits the reference digits can actually support, with headroom
         # for the +-1/den directed slack.
-        max_bits = self.den.bit_length() - 8
-        if self.precision_bits > max_bits:
+        bits = self.den.bit_length() - 8
+        if bits < 96:
             raise ValueError(
-                f"{self.name}: reference digits support only {max_bits} "
-                f"bits, requested {self.precision_bits}")
-        object.__setattr__(self, "max_bits", max_bits)
+                f"{self.name}: reference digits support only {bits} "
+                f"bits, need >= 96")
+        # Honest as long as the reference string is correct to its last
+        # digit (rounded or truncated), since then |true - num/den| < 1/den.
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "lo", ((self.num - 1) << bits) // self.den)
+        object.__setattr__(self, "hi",
+                           -((-(self.num + 1) << bits) // self.den))
 
     @classmethod
-    def from_decimal(cls, name, text, precision_bits=96):
+    def from_decimal(cls, name, text):
         text = text.strip()
         if text.startswith("+"):
             text = text[1:]
@@ -64,56 +68,26 @@ class IrrationalConstant:
         if not (whole + frac).isdigit():
             raise ValueError(f"not a decimal literal: {text!r}")
         num = int(whole + frac) if (whole + frac) else 0
-        return cls(name=name, num=num, den=10 ** len(frac),
-                   precision_bits=precision_bits)
+        return cls(name=name, num=num, den=10 ** len(frac))
 
     def __float__(self):
         return self.num / self.den
 
-    def bounds(self, bits):
-        """(lo, hi) ints with the true value inside [lo/2^b, hi/2^b].
-
-        Honest as long as the reference string is correct to its last
-        digit (rounded or truncated), since then |true - num/den| < 1/den.
-        """
-        lo = ((self.num - 1) << bits) // self.den
-        hi = -((-(self.num + 1) << bits) // self.den)
-        return lo, hi
-
-    def bit_ladder(self):
-        cap = min(PRECISION_CAP, self.max_bits)
-        bits = min(self.precision_bits, cap)
-        out = [bits]
-        while bits < cap:
-            bits = min(2 * bits, cap)
-            out.append(bits)
-        return out
-
     def floor_mul(self, n):
         """Exact floor(n * value) for integer n >= 0."""
-        if n == 0:
-            return 0
-        for bits in self.bit_ladder():
-            lo, hi = self.bounds(bits)
-            f1 = (n * lo) >> bits
-            f2 = (n * hi) >> bits
-            if f1 == f2:
-                return f1
-        raise PrecisionExhausted(
-            f"floor({n} * {self.name}) undecided at {self.max_bits} bits")
+        f = (n * self.lo) >> self.bits
+        if f != (n * self.hi) >> self.bits:
+            raise PrecisionExhausted(
+                f"floor({n} * {self.name}) undecided at {self.bits} bits")
+        return f
 
     def floor_div(self, m):
         """Exact floor(m / value) for integer m >= 0."""
-        if m == 0:
-            return 0
-        for bits in self.bit_ladder():
-            lo, hi = self.bounds(bits)
-            f1 = (m << bits) // hi
-            f2 = (m << bits) // lo
-            if f1 == f2:
-                return f1
-        raise PrecisionExhausted(
-            f"floor({m} / {self.name}) undecided at {self.max_bits} bits")
+        f = (m << self.bits) // self.hi
+        if f != (m << self.bits) // self.lo:
+            raise PrecisionExhausted(
+                f"floor({m} / {self.name}) undecided at {self.bits} bits")
+        return f
 
     def ceil_div(self, m):
         """Exact ceil(m / value); m / value is irrational for m >= 1."""
@@ -122,14 +96,14 @@ class IrrationalConstant:
         return self.floor_div(m) + 1
 
 
-def named_constant(name, precision_bits=96):
+def named_constant(name):
     """One of the built-in reference constants: pi, sqrt2, e."""
     try:
         text = _REFERENCE_DIGITS[name]
     except KeyError:
         raise KeyError(f"unknown constant {name!r}; have "
                        f"{sorted(_REFERENCE_DIGITS)}") from None
-    return IrrationalConstant.from_decimal(name, text, precision_bits)
+    return IrrationalConstant.from_decimal(name, text)
 
 
 def reference_decimal(name):

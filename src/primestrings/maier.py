@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .arith import euler_phi, prime_factors, crt_pair
-from .errors import (CaseMismatch, EmptyProductWarning, IntervalTooLarge,
-                     InvalidQuery, NegativeStart, ParameterDomain)
+from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
+                     ParameterDomain)
 from .sieve import is_prime, sieve_range, primality_is_deterministic
 from .special import member, SpecialSetSpec
 
@@ -47,30 +47,26 @@ class WellDistModel:
     full primes F is ~1.
     """
 
-    e_name: str
-    d_name: str
     _e: object
     _d: object
 
     @staticmethod
     def d_constant(c):
-        return (f"const:{c:g}", lambda X: float(c))
+        return lambda X: float(c)
 
     @staticmethod
     def d_loglog(c):
-        return (f"loglog:{c:g}", lambda X: c * math.log(math.log(X)))
+        return lambda X: c * math.log(math.log(X))
 
     @classmethod
     def all_primes(cls, d=None):
         """E(X) = X / log X (primes, Beatty primes)."""
-        d_name, d_fn = d if d is not None else cls.d_constant(2.0)
-        return cls(e_name="X/logX", d_name=d_name,
-                   _e=lambda X: X / math.log(X), _d=d_fn)
+        return cls(_e=lambda X: X / math.log(X),
+                   _d=d if d is not None else cls.d_constant(2.0))
 
     @classmethod
     def floor_product(cls, g, d=None):
         """E(X) = f^{-1}(X) / log X for f(x) = x g(x)."""
-        d_name, d_fn = d if d is not None else cls.d_constant(2.0)
 
         def e_fn(X, g=g):
             lo, hi = 2.0, 4.0
@@ -84,8 +80,7 @@ class WellDistModel:
                     hi = mid
             return lo / math.log(X)
 
-        return cls(e_name=f"finv:{g.label()}", d_name=d_name,
-                   _e=e_fn, _d=d_fn)
+        return cls(_e=e_fn, _d=d if d is not None else cls.d_constant(2.0))
 
     def E(self, X):
         v = self._e(X)
@@ -182,29 +177,20 @@ class QProduct:
     case: str
 
 
-def build_Q(q, a, y, p0, t=None, yz_over_t=None, case=None):
+def build_Q(q, a, y, p0, t=None, yz_over_t=None):
     """Assemble the prime support P_a and the modulus Q = q * prod(P_a).
 
     A_plus/A_minus (and both): P_a holds primes p <= y with p not
     dividing q, p != p0, p != 1 mod q. Otherwise three prime blocks are
     joined: p <= y with p != 1, a; t <= p <= y with p = 1; and
-    p <= y*z/t with p = a, again excluding p0 and divisors of q.
+    p <= y*z/t with p = a, again excluding p0 and divisors of q; t and
+    yz_over_t are read only in that case.
     """
-    if q < 1:
-        raise InvalidQuery(f"q must be >= 1, got {q}")
-    if math.gcd(a, q) != 1:
-        raise InvalidQuery(f"need gcd(a, q) = 1, got gcd({a}, {q})")
+    cls = classify_residue(a, q)
     if y < 2:
         raise ParameterDomain(f"y must be >= 2, got {y}")
     if not is_prime(p0) or q % p0 == 0:
         raise ParameterDomain(f"p0 = {p0} must be a prime not dividing q")
-    cls = classify_residue(a, q)
-    if case is not None:
-        compatible = {cls}
-        if cls == "both":
-            compatible = {"both", "A_plus", "A_minus"}
-        if case not in compatible:
-            raise CaseMismatch(f"caller says {case}, classification {cls}")
     a_mod = a % q
     small = [int(p) for p in sieve_range(0, y + 1)]
     if cls != "other":
@@ -266,36 +252,27 @@ def crt_anchor(config, sign):
     return x if x > 0 else R * config.q
 
 
-def build_interval(config, anchors, yz):
-    """Column interval I as (start, length).
+def anchored_interval(config, yz):
+    """The CRT anchors and the column interval I as (start, length).
 
-    A_plus: {m+1 .. m+yz}; A_minus: {n-yz+1 .. n} and n must keep the
-    start positive; other: {1 .. yz}.
+    A_plus: {m+1 .. m+yz}; A_minus: {n-yz+1 .. n}, with n lifted by
+    multiples of Q until the start is positive; other: {1 .. yz}.
     """
     if yz < 1:
         raise InvalidQuery(f"yz must be >= 1, got {yz}")
     if yz > MAX_INTERVAL:
         raise IntervalTooLarge(f"yz = {yz} > {MAX_INTERVAL}")
+    anchors = {"plus": crt_anchor(config, "plus"),
+               "minus": crt_anchor(config, "minus")}
     if config.case_tag == "A_plus":
-        return anchors["plus"] + 1, yz
+        return anchors, (anchors["plus"] + 1, yz)
     if config.case_tag == "A_minus":
         n = anchors["minus"]
         if n < yz:
-            raise NegativeStart(
-                f"n = {n} < yz = {yz}; enlarge n by a multiple of Q")
-        return n - yz + 1, yz
-    return 1, yz
-
-
-def anchored_interval(config, yz):
-    """Anchors plus the case interval, enlarging n when it sits too low."""
-    anchors = {"plus": crt_anchor(config, "plus"),
-               "minus": crt_anchor(config, "minus")}
-    if config.case_tag == "A_minus" and anchors["minus"] < yz:
-        n = anchors["minus"]
-        lift = -(-(yz - n) // config.Q) * config.Q
-        anchors["minus"] = n + lift
-    return anchors, build_interval(config, anchors, yz)
+            n += -(-(yz - n) // config.Q) * config.Q
+            anchors["minus"] = n
+        return anchors, (n - yz + 1, yz)
+    return anchors, (1, yz)
 
 
 # ---------------------------------------------------------------------------
@@ -527,34 +504,32 @@ def bound_report(config, X, model):
 
 
 def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
-                     X=10.0 ** 8, model=None):
+                     X=10.0 ** 8):
     """Assemble a full construction: parameters, Q, interval, row census.
 
-    Explicit y/p0/yz win over the chosen defaults. Returns (config,
-    interval, census, bounds).
+    Explicit y/p0/yz win over the chosen defaults. The density model
+    follows the set: floor-product sets use WellDistModel.floor_product
+    of their g, all others (all primes, Beatty primes) the all-primes
+    model. Returns (config, interval, census, bounds).
     """
-    if model is None:
-        model = WellDistModel.all_primes()
+    spec = spec or SpecialSetSpec.all_primes()
+    model = WellDistModel.floor_product(spec.g) \
+        if spec.kind == "floorprod" else WellDistModel.all_primes()
     chosen = choose_parameters(X, q, model, y_override=y)
     y = chosen.y
     p0 = p0 if p0 is not None else chosen.p0
     t = chosen.t
     z = chosen.z if yz is None else max(1, -(-yz // y))
     yz = yz if yz is not None else y * z
-    cls = classify_residue(a, q)
-    if cls == "other" and t is None:
+    if classify_residue(a, q) == "other" and t is None:
         raise ParameterDomain(
             f"a = {a} is not an A± residue mod {q}, so t is needed and y "
             f"must exceed e^e ~ {E_POW_E:.2f}; got y = {y}, use "
             f"--y {math.floor(E_POW_E) + 1} or more")
-    yz_over_t = (yz / t) if t else None
-    product = build_Q(q, a, y, p0,
-                      t=t if cls == "other" else None,
-                      yz_over_t=yz_over_t if cls == "other" else None)
+    product = build_Q(q, a, y, p0, t=t, yz_over_t=yz / t if t else None)
     config = make_config(q, a, y, p0, t, z, product)
     anchors, interval = anchored_interval(config, yz)
-    census = sample_rows_census(config, interval, rows,
-                                spec=spec or SpecialSetSpec.all_primes())
+    census = sample_rows_census(config, interval, rows, spec=spec)
     bounds = bound_report(config, X, model)
     bounds["anchors"] = {k: str(v) for k, v in anchors.items()}
     return config, interval, census, bounds

@@ -148,13 +148,13 @@ class APCount:
         return sum(self.counts.values())
 
 
-def count_primes_ap(X, q, workers=1):
+def count_primes_ap(X, q):
     """Count primes p <= X in each residue class mod q."""
     if q < 1:
         raise InvalidModulus(f"q must be >= 1, got {q}")
     if X < 0:
         raise InvalidRange(f"X must be >= 0, got {X}")
-    primes = sieve_range(0, X + 1, workers=workers)
+    primes = sieve_range(0, X + 1)
     binned = np.bincount(primes % q, minlength=q)
     return APCount(X=X, q=q, counts={r: int(binned[r]) for r in range(q)})
 
@@ -196,9 +196,10 @@ def is_prime(n):
     if n < _MR_DETERMINISTIC_LIMIT:
         bases = _MR_BASES_64
     else:
+        # drawn lazily: most composites fail at the first witness
         rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1)
-                 for _ in range(_MR_PROBABILISTIC_ROUNDS)]
+        bases = (rng.randrange(2, n - 1)
+                 for _ in range(_MR_PROBABILISTIC_ROUNDS))
     for a in bases:
         if a % n and _mr_witness(n, a % n, d, s):
             return False

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import mpmath
@@ -47,28 +46,23 @@ class GFamily:
 
     family: str                      # "loglogpow" | "logpow" | "custom"
     B: float = 1.0
-    c: float = 1.0                   # nominal domain start
     fn: Optional[Callable] = None
     dfn: Optional[Callable] = None
     d2fn: Optional[Callable] = None
 
     @staticmethod
-    def loglog(B=1.0, c=None):
-        """g(x) = (log log x)^B; default c solves g(c) = 2."""
-        if c is None:
-            c = math.exp(math.exp(2.0 ** (1.0 / B)))
-        return GFamily(family="loglogpow", B=B, c=c)
+    def loglog(B=1.0):
+        """g(x) = (log log x)^B."""
+        return GFamily(family="loglogpow", B=B)
 
     @staticmethod
-    def log_pow(B=1.0, c=None):
-        """g(x) = (log x)^B; default c solves g(c) = 2."""
-        if c is None:
-            c = math.exp(2.0 ** (1.0 / B))
-        return GFamily(family="logpow", B=B, c=c)
+    def log_pow(B=1.0):
+        """g(x) = (log x)^B."""
+        return GFamily(family="logpow", B=B)
 
     @staticmethod
-    def custom(fn, dfn=None, d2fn=None, c=1.0):
-        return GFamily(family="custom", c=c, fn=fn, dfn=dfn, d2fn=d2fn)
+    def custom(fn, dfn=None, d2fn=None):
+        return GFamily(family="custom", fn=fn, dfn=dfn, d2fn=d2fn)
 
     def label(self):
         if self.family == "loglogpow":
@@ -191,16 +185,15 @@ class SpecialSetSpec:
         return SpecialSetSpec(kind="beatty", alpha=alpha)
 
     @staticmethod
-    def floor_product(g, start_n=None):
+    def floor_product(g):
         if g.family == "custom":
             raise DomainError(
                 "floor-product sets need a built-in g (loglog or log_pow): "
                 "a custom g has no high-precision evaluator for exact floors")
         if not g.B > 0:                  # else n * g(n) need not increase
             raise DomainError(f"floor products need B > 0, got {g.B}")
-        if start_n is None:
-            start_n = g.default_start_n()
-        return SpecialSetSpec(kind="floorprod", g=g, start_n=start_n)
+        return SpecialSetSpec(kind="floorprod", g=g,
+                              start_n=g.default_start_n())
 
     def descriptor(self):
         if self.kind == "all":
@@ -214,8 +207,8 @@ def beatty_member(alpha, m):
     """Whether m = floor(n * alpha) for some positive integer n.
 
     Exact: an integer n exists in [m/alpha, (m+1)/alpha) iff
-    floor(ceil(m/alpha) * alpha) == m. Undecided comparisons escalate
-    precision and ultimately raise PrecisionExhausted.
+    floor(ceil(m/alpha) * alpha) == m. Comparisons the constant's
+    bracket cannot decide raise PrecisionExhausted.
     """
     if m < 1:
         raise InvalidRange(f"membership defined for m >= 1, got {m}")
@@ -223,12 +216,6 @@ def beatty_member(alpha, m):
         raise DomainError("Beatty slope must exceed 1")
     n0 = alpha.ceil_div(m)
     return alpha.floor_mul(n0) == m
-
-
-@lru_cache(maxsize=64)
-def _bracket(alpha):
-    """(bits, c_lo, c_hi) with c_lo/2^bits <= alpha <= c_hi/2^bits."""
-    return (alpha.precision_bits, *alpha.bounds(alpha.precision_bits))
 
 
 def _side_floors(n0, c, bits, i, pad):
@@ -248,22 +235,23 @@ def _side_floors(n0, c, bits, i, pad):
 def _beatty_block(alpha, n_lo, n_hi):
     """floor(n * alpha) for n in [n_lo, n_hi), exactly, vectorized.
 
-    alpha.bounds brackets alpha by c_lo/2^b <= alpha <= c_hi/2^b, so
-    floor(n c_lo/2^b) <= floor(n alpha) <= floor(n c_hi/2^b). Both
-    sides are evaluated in int64 over chunks of _CHUNK indices, with
+    The constant carries one bracket lo/2^b <= alpha <= hi/2^b (alpha.lo,
+    alpha.hi, b = alpha.bits), fixed at construction, so
+    floor(n lo/2^b) <= floor(n alpha) <= floor(n hi/2^b). Both sides
+    are evaluated in int64 over chunks of _CHUNK indices, with
     rounding that only widens the bracket, by at most
     _CHUNK * 2^-_FRAC_BITS = 2^-20 (_side_floors). Where the two sides
     agree they equal floor(n alpha); the few n where they differ
     (frac(n alpha) within about 2^-20 of an integer) are decided by the
     exact floor_mul.
     """
-    bits, c_lo, c_hi = _bracket(alpha)
+    bits = alpha.bits
     pad = (1 << (bits - _FRAC_BITS)) - 1
     vals = np.empty(max(0, n_hi - n_lo), dtype=np.int64)
     for n0 in range(n_lo, n_hi, _CHUNK):
         i = np.arange(min(_CHUNK, n_hi - n0), dtype=np.int64)
-        lo = _side_floors(n0, c_lo, bits, i, 0)
-        hi = _side_floors(n0, c_hi, bits, i, pad)
+        lo = _side_floors(n0, alpha.lo, bits, i, 0)
+        hi = _side_floors(n0, alpha.hi, bits, i, pad)
         for j in np.flatnonzero(lo != hi):
             lo[j] = alpha.floor_mul(n0 + int(j))
         vals[n0 - n_lo:n0 - n_lo + i.size] = lo

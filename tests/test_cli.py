@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import _oracles
 from primestrings import __version__
 from primestrings.cli import main
 
@@ -148,6 +149,19 @@ def test_census_csv(capsys):
                                 "3,3", "4,1", "5,1", "6,1"]
 
 
+@pytest.mark.parametrize("family,B", [("log", 0.001), ("loglog", 0.2)])
+def test_census_floorprod_small_power(family, B, capsys):
+    code, out, _ = run_cli(["census", "--set", f"floorprod:{family}^{B}",
+                            "--q", "3", "--limit", "100", "--threads", "1"],
+                           capsys)
+    assert code == 0
+    want = {str(r): 0 for r in range(3)}
+    for m in _oracles.floorprod_values(family, B, 2, 101):
+        if _oracles.trial_is_prime(m):
+            want[str(m % 3)] += 1
+    assert json.loads(out)["counts"] == want
+
+
 # --------------------------------------------------------------- maier
 
 
@@ -177,6 +191,18 @@ def test_maier_non_a_pm_needs_y_16(capsys):
                             "--rows", "20", "--threads", "1"], capsys)
     assert code == 0
     assert json.loads(out)["case"] == "other"
+
+
+def test_maier_density_model_follows_the_set(capsys):
+    # floor products are sparser than the primes: F(X) > 1 raises z
+    zs = {}
+    for desc in ("all", "floorprod:loglog"):
+        code, out, _ = run_cli(["maier", "--q", "5", "--a", "4", "--y", "16",
+                                "--rows", "3", "--set", desc,
+                                "--threads", "1"], capsys)
+        assert code == 0
+        zs[desc] = json.loads(out)["z"]
+    assert zs == {"all": 8, "floorprod:loglog": 24}
 
 
 def test_maier_floorprod_above_membership_cap_exits_4(capsys):

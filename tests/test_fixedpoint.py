@@ -1,4 +1,4 @@
-"""Directed fixed-point constants: brackets, ladders, exact floors."""
+"""Directed fixed-point constants: brackets and exact floors."""
 
 import math
 
@@ -28,7 +28,7 @@ def test_stored_value_within_declared_precision():
         for name in NAMES:
             c = named_constant(name)
             err = abs(mp.mpf(c.num) / c.den - _TRUE[name]())
-            assert err < mp.mpf(2) ** (-c.precision_bits + 1)
+            assert err < mp.mpf(2) ** (-c.bits + 1)
 
 
 def test_float_view():
@@ -37,18 +37,14 @@ def test_float_view():
 
 
 def test_bounds_bracket_true_value():
-    c = named_constant("pi")
+    # one bracket per constant, at the bits its 124 digits support
     with mp.workdps(200):
-        for bits in c.bit_ladder():
-            lo, hi = c.bounds(bits)
-            scaled = mp.pi * mp.mpf(2) ** bits
-            assert lo <= scaled <= hi
-            assert hi - lo <= 4
-
-
-def test_bit_ladder_doubles_to_cap():
-    assert named_constant("pi").bit_ladder() == [96, 192, 384]
-    assert named_constant("pi", precision_bits=120).bit_ladder() == [120, 240, 384]
+        for name in NAMES:
+            c = named_constant(name)
+            assert c.bits == c.den.bit_length() - 8 == 404
+            scaled = _TRUE[name]() * mp.mpf(2) ** c.bits
+            assert c.lo <= scaled <= c.hi
+            assert c.hi - c.lo <= 4
 
 
 def test_floor_mul_matches_decimal_oracle():
@@ -60,7 +56,7 @@ def test_floor_mul_matches_decimal_oracle():
 
 
 def test_floor_mul_escalates_for_huge_multipliers():
-    # 96 bits cannot separate the brackets here; 192 can
+    # a 96-bit bracket could not separate the floors here; 404 bits can
     c = named_constant("pi")
     n = 1 << 120
     with mp.workdps(90):
@@ -78,7 +74,7 @@ def test_div_identities_sqrt2():
 
 
 def test_precision_exhausted_at_reference_edge():
-    # at n = den the +-1/den slack spans two integers at every rung
+    # at n = den the +-1/den slack spans two integers at any precision
     c = named_constant("pi")
     with pytest.raises(PrecisionExhausted):
         c.floor_mul(c.den)
@@ -87,10 +83,11 @@ def test_precision_exhausted_at_reference_edge():
 def test_construction_guards():
     with pytest.raises(ValueError):
         IrrationalConstant.from_decimal("halfish", "3.5")  # too few digits
+    with pytest.raises(ValueError):      # 10^31 supports 95 bits, < 96
+        IrrationalConstant.from_decimal("short", "3." + "1" * 31)
+    assert IrrationalConstant.from_decimal("ok", "3." + "1" * 32).bits == 99
     with pytest.raises(ValueError):
-        named_constant("pi", precision_bits=64)  # below the floor
-    with pytest.raises(ValueError):
-        IrrationalConstant(name="neg", num=-3, den=10 ** 40, precision_bits=96)
+        IrrationalConstant(name="neg", num=-3, den=10 ** 40)
     with pytest.raises(KeyError):
         named_constant("tau")
 

@@ -10,14 +10,13 @@ import pytest
 
 import _oracles
 from primestrings import (SpecialSetSpec, WellDistModel, anchored_interval,
-                          bound_report, build_Q, build_interval, case1_proxy,
-                          census_json, choose_parameters, classify_residue,
-                          count_S_T, count_S_q, count_psi, crt_anchor,
+                          bound_report, build_Q, case1_proxy, census_json,
+                          choose_parameters, classify_residue, count_S_T,
+                          count_S_q, count_psi, crt_anchor,
                           estimate_string_bound, is_prime, log_y_t,
                           make_config, run_construction, sample_rows_census)
-from primestrings.errors import (CaseMismatch, EmptyProductWarning,
-                                 IntervalTooLarge, InvalidQuery,
-                                 NegativeStart, ParameterDomain)
+from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
+                                 InvalidQuery, ParameterDomain)
 from primestrings.maier import PHI_NOTE, X_FLOOR
 
 
@@ -87,8 +86,6 @@ def test_build_q_guards():
         build_Q(5, 4, 20, 5)                # p0 divides q
     with pytest.raises(ParameterDomain):
         build_Q(5, 4, 1, 3)                 # y too small
-    with pytest.raises(CaseMismatch):
-        build_Q(5, 2, 20, 3, case="A_plus")
     with pytest.raises(ParameterDomain):
         build_Q(5, 2, 20, 3)                # other case without t
     with pytest.raises(ParameterDomain):
@@ -153,13 +150,11 @@ def test_interval_cases():
 
 
 def test_interval_guards():
-    config, anchors, _ = micro_config()
-    with pytest.raises(NegativeStart):
-        build_interval(config, {"plus": 18, "minus": 30}, 45)
+    config, _, _ = micro_config()
     with pytest.raises(IntervalTooLarge):
-        build_interval(config, anchors, 10 ** 8 + 1)
+        anchored_interval(config, 10 ** 8 + 1)
     with pytest.raises(InvalidQuery):
-        build_interval(config, anchors, 0)
+        anchored_interval(config, 0)
 
 
 def test_minus_anchor_lift():

@@ -167,6 +167,10 @@ def test_verify_hit_checks_membership(b_pi):
     hit = find_first_string(query)
     assert hit.primes == [31, 37]
     assert verify_hit(query, hit, check_index=True)
+    for shift in (-1, 1):
+        moved = StringHit(primes=hit.primes,
+                          start_index=hit.start_index + shift)
+        assert not verify_hit(query, moved, check_index=True)
     not_in_set = StringHit(primes=[61, 67], start_index=4)
     assert not verify_hit(query, not_in_set)
 

@@ -1,15 +1,18 @@
 """Segmented sieve, AP counts, and primality."""
 
 import random
+import types
 
 import numpy as np
 import pytest
 
 import _oracles
-from primestrings import APCount, count_primes_ap, is_prime, sieve_range
+from primestrings import (APCount, count_primes_ap, is_prime, sieve,
+                          sieve_range)
 from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
-from primestrings.sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _TINY_PRIMES,
+from primestrings.sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN,
+                                _MR_PROBABILISTIC_ROUNDS, _TINY_PRIMES,
                                 primality_is_deterministic)
 
 
@@ -115,6 +118,31 @@ def test_is_prime_probabilistic_is_repeatable():
     assert not primality_is_deterministic(n)
     assert primality_is_deterministic(2 ** 64 - 1)
     assert [is_prime(n) for _ in range(3)] == [True, True, True]
+
+
+def test_is_prime_draws_witnesses_lazily(monkeypatch):
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(sieve, "random",
+                        types.SimpleNamespace(Random=CountingRandom))
+    # 193707721 * 761838257287: above 2^64, no tiny factor, so the
+    # first random witness is the first test it fails
+    assert not is_prime(2 ** 67 - 1)
+    assert len(draws) == 1
+    draws.clear()
+    assert is_prime(2 ** 89 - 1)
+    assert len(draws) == _MR_PROBABILISTIC_ROUNDS
+    # the lazy draws give the same verdicts: Mersenne primes, then composites
+    assert all(is_prime(n) for n in (2 ** 89 - 1, 2 ** 107 - 1,
+                                     2 ** 127 - 1))
+    assert not any(is_prime(n) for n in ((2 ** 61 - 1) * (2 ** 31 - 1),
+                                         (2 ** 61 - 1) ** 2,
+                                         (2 ** 89 - 1) * (2 ** 107 - 1)))
 
 
 def test_is_prime_range_ceiling():

@@ -200,7 +200,7 @@ def test_floorprod_rejects_what_it_cannot_decide_exactly():
                        match=f"floor-product membership.*{2 ** 48}"):
         member(spec, 2 ** 48)
     with pytest.raises(DomainError):
-        SpecialSetSpec.floor_product(GFamily.custom(lambda x: x ** 0.5, c=16))
+        SpecialSetSpec.floor_product(GFamily.custom(lambda x: x ** 0.5))
     with pytest.raises(DomainError):       # n / log log n falls at first
         SpecialSetSpec.floor_product(GFamily.loglog(-1.0))
 
@@ -229,8 +229,6 @@ def _mp_deriv(fn, x, order):
 ])
 def test_derivatives_match_mpmath(g, fn):
     for x in (2e3, 1e5, 3e7):
-        if x < g.c:
-            continue
         for order in (0, 1, 2, 3):
             want = _mp_deriv(fn, x, order)
             assert g.deriv(x, order) == pytest.approx(want, rel=1e-8)
@@ -247,12 +245,12 @@ def test_f_deriv_product_rule():
 def test_custom_family_derivatives():
     g = GFamily.custom(lambda x: x ** 0.5,
                        lambda x: 0.5 * x ** -0.5,
-                       lambda x: -0.25 * x ** -1.5, c=16)
+                       lambda x: -0.25 * x ** -1.5)
     assert g.value(100) == pytest.approx(10.0)
     assert g.deriv(100, 1) == pytest.approx(0.05)
     # third order falls back to differencing the supplied second
     assert g.deriv(100, 3) == pytest.approx(0.375 * 100 ** -2.5, rel=1e-4)
-    bare = GFamily.custom(lambda x: x ** 0.5, None, None, c=16)
+    bare = GFamily.custom(lambda x: x ** 0.5, None, None)
     with pytest.raises(DerivativeUnavailable):
         bare.deriv(100, 1)
 
@@ -298,11 +296,11 @@ def test_validate_g_logpow_alpha_collision():
 
 
 def test_validate_g_flags_degenerate_custom():
-    flat = GFamily.custom(lambda x: 5.0, lambda x: 0.0, lambda x: 0.0, c=10)
+    flat = GFamily.custom(lambda x: 5.0, lambda x: 0.0, lambda x: 0.0)
     rep = validate_g(flat, [10, 100, 1000, 1e4, 1e5])
     assert not rep.flags["increasing_unbounded"]
     assert not rep.flags["second_order_positive"]
-    shrunk = GFamily.custom(lambda x: 1.5, lambda x: 0.0, lambda x: 0.0, c=10)
+    shrunk = GFamily.custom(lambda x: 1.5, lambda x: 0.0, lambda x: 0.0)
     rep2 = validate_g(shrunk, [10, 100, 1000, 1e4, 1e5])
     assert not rep2.flags["codomain_ge_2"]
 
