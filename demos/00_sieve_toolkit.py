@@ -15,7 +15,7 @@ print("pi(1e6) =", len(sieve_range(0, 1_000_000)),
 ap = count_primes_ap(100_000, 12)
 print("primes <= 1e5 by class mod 12:", ap.counts)
 
-# primality is deterministic through 64 bits, seeded-probabilistic above
+# BPSW primality: exact through 64 bits, probabilistic above
 for n in (2 ** 61 - 1, 2 ** 67 - 1, 2 ** 89 - 1):
     kind = "det." if primality_is_deterministic(n) else "prob."
     print(f"is_prime(2^{n.bit_length()} - 1) = {is_prime(n)!s:5s} ({kind})")

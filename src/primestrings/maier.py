@@ -30,6 +30,7 @@ from .special import member, SpecialSetSpec
 E_POW_E = math.exp(math.e)              # ~15.154, threshold for t
 X_FLOOR = math.exp(math.exp(math.e))    # loglog X must exceed e
 MAX_INTERVAL = 10 ** 8
+_PRESIEVE_B = 1 << 16                   # row presieve: primes up to this
 
 PHI_NOTE = ("k-bound exponents are evaluated with phi(q); the asymptotic "
             "statement they mirror uses phi(Q), which is far larger")
@@ -41,31 +42,21 @@ PHI_NOTE = ("k-bound exponents are evaluated with phi(q); the asymptotic "
 
 @dataclass(frozen=True)
 class WellDistModel:
-    """Carrier density model: E(X) with remainder quality D(X).
+    """Carrier density model: E(X), with remainder quality D(X) = 2.
 
     F(X) = X / (E(X) log X) measures how sparse the carrier is; for the
     full primes F is ~1.
     """
 
     _e: object
-    _d: object
-
-    @staticmethod
-    def d_constant(c):
-        return lambda X: float(c)
-
-    @staticmethod
-    def d_loglog(c):
-        return lambda X: c * math.log(math.log(X))
 
     @classmethod
-    def all_primes(cls, d=None):
+    def all_primes(cls):
         """E(X) = X / log X (primes, Beatty primes)."""
-        return cls(_e=lambda X: X / math.log(X),
-                   _d=d if d is not None else cls.d_constant(2.0))
+        return cls(_e=lambda X: X / math.log(X))
 
     @classmethod
-    def floor_product(cls, g, d=None):
+    def floor_product(cls, g):
         """E(X) = f^{-1}(X) / log X for f(x) = x g(x)."""
 
         def e_fn(X, g=g):
@@ -80,7 +71,7 @@ class WellDistModel:
                     hi = mid
             return lo / math.log(X)
 
-        return cls(_e=e_fn, _d=d if d is not None else cls.d_constant(2.0))
+        return cls(_e=e_fn)
 
     def E(self, X):
         v = self._e(X)
@@ -89,10 +80,7 @@ class WellDistModel:
         return v
 
     def D(self, X):
-        v = self._d(X)
-        if X >= 16 and v < 1:
-            raise ParameterDomain(f"D({X}) = {v} must be >= 1")
-        return v
+        return 2.0
 
     def F(self, X):
         return X / (self.E(X) * math.log(X))
@@ -329,6 +317,14 @@ class MaierCensus:
     deterministic: bool      # primality testing stayed below 2^64
 
 
+def _presieve_primes(Q, start):
+    """Primes p <= _PRESIEVE_B not dividing Q, with Q and start mod p."""
+    ps = [p for p in sieve_range(0, _PRESIEVE_B + 1).tolist() if Q % p]
+    return (np.array(ps, dtype=np.int64),
+            np.array([Q % p for p in ps], dtype=np.int64),
+            np.array([start % p for p in ps], dtype=np.int64))
+
+
 def sample_rows_census(config, interval, rows, spec=None):
     """Scan rows r = 1..rows of the matrix for good and bad primes.
 
@@ -336,6 +332,12 @@ def sample_rows_census(config, interval, rows, spec=None):
     coprime to Q can contribute primes beyond Q's own support, so the
     scan walks those columns. Every entry r*Q + i keeps its column's
     residue i mod q, which holds for all rows exactly when q divides Q.
+
+    Before any primality test, each row is presieved by the primes
+    p <= _PRESIEVE_B = 2^16 that do not divide Q: an entry c with
+    p | c is composite unless c = p, and an entry equal to p is never
+    struck (entries fall below the bound when Q is small). Only the
+    unstruck coprime entries reach is_prime and the set filter.
     """
     if rows < 1:
         raise InvalidQuery(f"rows must be >= 1, got {rows}")
@@ -345,8 +347,9 @@ def sample_rows_census(config, interval, rows, spec=None):
             f"do not keep the column residues mod q")
     start, length = interval
     mask = _coprime_mask(config, start, length)
-    cols = [int(j) for j in np.flatnonzero(mask)]
     q, a, Q = config.q, config.a, config.Q
+    ps, q_mod, res = _presieve_primes(Q, start)
+    n_small = int(np.searchsorted(ps, length, side="right"))
     per_row = []
     good_total = bad_total = 0
     rows_with_bad = 0
@@ -354,9 +357,19 @@ def sample_rows_census(config, interval, rows, spec=None):
     deterministic = primality_is_deterministic(rows * Q + start + length)
     for r in range(1, rows + 1):
         base = r * Q + start
+        res = (res + q_mod) % ps                    # base mod p
+        first = (ps - res) % ps                     # first column p divides
+        if base <= _PRESIEVE_B:
+            keep = base + first == ps               # the entry c = p
+            first[keep] += ps[keep]
+        struck = np.zeros(length, dtype=bool)
+        for p, j in zip(ps[:n_small].tolist(), first[:n_small].tolist()):
+            struck[j::p] = True
+        wide = first[n_small:]
+        struck[wide[wide < length]] = True
         good = bad = 0
         run = best = 0
-        for j in cols:
+        for j in np.flatnonzero(mask & ~struck).tolist():
             c = base + j
             if not is_prime(c):
                 continue
@@ -376,7 +389,7 @@ def sample_rows_census(config, interval, rows, spec=None):
         rows_with_bad += 1 if bad else 0
         max_run = max(max_run, best)
     s_count = int(_s_columns(config, start, mask).size)
-    return MaierCensus(S_count=s_count, T_count=len(cols) - s_count,
+    return MaierCensus(S_count=s_count, T_count=int(mask.sum()) - s_count,
                        rows_sampled=rows,
                        per_row=per_row, good_total=good_total,
                        bad_total=bad_total, rows_with_bad=rows_with_bad,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import euler_phi
 from .errors import InvalidQuery
-from .sieve import _ordered_results, _segment_bounds
+from .sieve import MAX_CENSUS_Q, _ordered_results, _segment_bounds
 from .special import member, special_primes
 
 log = logging.getLogger("primestrings.search")
@@ -183,9 +183,12 @@ class SetCensus:
 
 def residue_census(spec, X, q, workers=1,
                    segment_size=DEFAULT_SCAN_SEGMENT):
-    """Count set-primes <= X in every residue class mod q."""
+    """Count set-primes <= X in every residue class mod q <= MAX_CENSUS_Q."""
     if q < 1:
         raise InvalidQuery(f"q must be >= 1, got {q}")
+    if q > MAX_CENSUS_Q:
+        raise InvalidQuery(f"q = {q} exceeds the census modulus cap "
+                           f"{MAX_CENSUS_Q} (one count per residue)")
     bounds = _segment_bounds(1, X + 1, segment_size)
     jobs = [(spec, q, lo, hi) for lo, hi in bounds]
     total = np.zeros(q, dtype=np.int64)
@@ -205,7 +208,7 @@ def residue_census(spec, X, q, workers=1,
 
 
 def _trial_prime(n):
-    """Trial-division primality, independent of the sieve and MR paths."""
+    """Trial-division primality, independent of the sieve and BPSW paths."""
     if n < 2:
         return False
     if n % 2 == 0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import random
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,12 +24,12 @@ log = logging.getLogger("primestrings.sieve")
 DEFAULT_SEGMENT_BYTES = 262144  # odds per working segment (1 byte each)
 MAX_SCAN_HI = 1 << 48           # upper end of the supported scan range
 MAX_SCAN_SPAN = 1 << 31         # widest single [lo, hi) window
+MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
 PROGRESS_EVERY = 10 ** 7        # candidates between progress log lines
 
-# Deterministic Miller-Rabin witnesses, valid for every n < 2^64.
-_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_MR_DETERMINISTIC_LIMIT = 1 << 64
-_MR_PROBABILISTIC_ROUNDS = 48
+# BPSW has no counterexample below 2^64 (Feitsma-Galway's list of
+# base-2 strong pseudoprimes, each of which fails the strong Lucas test).
+_BPSW_DETERMINISTIC_LIMIT = 1 << 64
 _MR_MAX_CANDIDATE = 1 << 256
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -149,9 +148,12 @@ class APCount:
 
 
 def count_primes_ap(X, q):
-    """Count primes p <= X in each residue class mod q."""
+    """Count primes p <= X in each residue class mod q <= MAX_CENSUS_Q."""
     if q < 1:
         raise InvalidModulus(f"q must be >= 1, got {q}")
+    if q > MAX_CENSUS_Q:
+        raise InvalidModulus(f"q = {q} exceeds the census modulus cap "
+                             f"{MAX_CENSUS_Q} (one count per residue)")
     if X < 0:
         raise InvalidRange(f"X must be >= 0, got {X}")
     primes = sieve_range(0, X + 1)
@@ -159,24 +161,86 @@ def count_primes_ap(X, q):
     return APCount(X=X, q=q, counts={r: int(binned[r]) for r in range(q)})
 
 
-def _mr_witness(n, a, d, s):
-    """True when a witnesses the compositeness of n."""
-    x = pow(a, d, n)
+def _strong_prp_base2(n):
+    """Strong base-2 Miller-Rabin test of an odd n > 2."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(2, d, n)
     if x == 1 or x == n - 1:
-        return False
+        return True
     for _ in range(s - 1):
         x = x * x % n
         if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_prp(n):
+    """Strong Lucas test of an odd n > 2 with no factor below 41.
+
+    Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4. A square n has no such D, so it
+    is rejected first. With n + 1 = d 2^s, n passes when U_d = 0 or
+    V_(d 2^r) = 0 (mod n) for some 0 <= r < s. Only V is computed:
+    D U_d = 2 V_(d+1) - V_d, and D is invertible mod n.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:                # |D| < n shares a factor with n
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    V, W, Qk = 2, 1, 1            # V_k, V_(k+1), Q^k from k = 0
+    for bit in bin(d)[2:]:
+        if bit == "1":            # k -> 2k + 1
+            V, W, Qk = ((V * W - Qk) % n, (W * W - 2 * Qk * Q) % n,
+                        Qk * Qk * Q % n)
+        else:                     # k -> 2k
+            V, W, Qk = (V * V - 2 * Qk) % n, (V * W - Qk) % n, Qk * Qk % n
+    if V == 0 or (2 * W - V) % n == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n):
-    """Primality of any integer: trial division, then Miller-Rabin.
+    """Primality of any integer up to 2^256: trial division, then BPSW.
 
-    Deterministic below 2^64 (fixed witness set). Above that the test
-    is probabilistic Miller-Rabin with 48 rounds, with witnesses drawn
-    from a PRNG seeded by n so repeat calls agree.
+    After trial division by the primes below 41, n passes when it is a
+    strong probable prime to base 2 and a strong Lucas probable prime
+    with Selfridge's parameters (Baillie-PSW). The verdict is exact
+    below 2^64, where BPSW has no counterexample, and probabilistic
+    above, where none is known either.
     """
     if n < 2:
         return False
@@ -188,24 +252,9 @@ def is_prime(n):
     if n > _MR_MAX_CANDIDATE:
         raise RangeExceeded(f"{n.bit_length()}-bit candidate exceeds "
                             f"the supported primality range")
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    if n < _MR_DETERMINISTIC_LIMIT:
-        bases = _MR_BASES_64
-    else:
-        # drawn lazily: most composites fail at the first witness
-        rng = random.Random(n)
-        bases = (rng.randrange(2, n - 1)
-                 for _ in range(_MR_PROBABILISTIC_ROUNDS))
-    for a in bases:
-        if a % n and _mr_witness(n, a % n, d, s):
-            return False
-    return True
+    return _strong_prp_base2(n) and _strong_lucas_prp(n)
 
 
 def primality_is_deterministic(n):
     """Whether is_prime(n) is exact rather than probabilistic."""
-    return n < _MR_DETERMINISTIC_LIMIT
+    return n < _BPSW_DETERMINISTIC_LIMIT

@@ -171,7 +171,6 @@ class SpecialSetSpec:
     kind: str                                  # "all" | "beatty" | "floorprod"
     alpha: Optional[IrrationalConstant] = None
     g: Optional[GFamily] = None
-    start_n: Optional[int] = None
 
     @staticmethod
     def all_primes():
@@ -192,8 +191,7 @@ class SpecialSetSpec:
                 "a custom g has no high-precision evaluator for exact floors")
         if not g.B > 0:                  # else n * g(n) need not increase
             raise DomainError(f"floor products need B > 0, got {g.B}")
-        return SpecialSetSpec(kind="floorprod", g=g,
-                              start_n=g.default_start_n())
+        return SpecialSetSpec(kind="floorprod", g=g)
 
     def descriptor(self):
         if self.kind == "all":
@@ -275,9 +273,9 @@ def enumerate_special(spec, lo, hi):
 
 
 def _floorprod_first_n(spec, target):
-    """Smallest n >= start_n with f(n) >= target (f increasing)."""
+    """Smallest n >= g.default_start_n() with f(n) >= target."""
     g = spec.g
-    n = spec.start_n
+    n = g.default_start_n()
     if g.f_value(n) >= target:
         return n
     step = 1
@@ -314,7 +312,7 @@ def _floorprod_range(spec, lo, hi):
     g = spec.g
     lo = max(lo, 2)                      # values below 2 are skipped
     # the float bisection can land one index off either way
-    n_lo = max(spec.start_n, _floorprod_first_n(spec, lo) - 1)
+    n_lo = max(g.default_start_n(), _floorprod_first_n(spec, lo) - 1)
     n_hi = _floorprod_first_n(spec, hi) + 1
     n = np.arange(n_lo, n_hi, dtype=np.float64)
     prod = n * g.value_np(n)
@@ -330,7 +328,7 @@ def _floorprod_range(spec, lo, hi):
 
 
 def floorprod_member(spec, m):
-    """Whether m = floor(n * g(n)) for some n >= start_n (m < 2^48)."""
+    """Whether m = floor(n g(n)) for an n >= g.default_start_n(), m < 2^48."""
     if m >= MAX_ENUM_HI:
         raise RangeTooLarge(f"floor-product membership is decided only "
                             f"below 2^48 = {MAX_ENUM_HI}, got {m}")

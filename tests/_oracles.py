@@ -5,8 +5,9 @@ floors are exact multiplications against a 60-digit *decimal* integer
 (the package works in binary fixed point with directed brackets),
 floor-product floors are 60-digit mpmath at every index (the package
 keeps float floors away from integers), sieves are single-shot dense
-arrays, primality is trial division, and the counting functions walk a
-smallest-prime-factor table exhaustively.
+arrays, primality is trial division (or, for large n, Miller-Rabin with
+48 seeded random bases where the package runs BPSW), and the counting
+functions walk a smallest-prime-factor table exhaustively.
 
 The decimal scale is safe for every n the tests use, up to about 1e14
 (Beatty windows just below 2^48): the 60-digit constant is off by less
@@ -17,6 +18,7 @@ anything pi, sqrt2 or e have in that range.
 """
 
 import math
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -113,6 +115,30 @@ def trial_is_prime(n):
         if n % d == 0:
             return False
         d += 2
+    return True
+
+
+def miller_rabin_48(n):
+    """Miller-Rabin with 48 random bases from a PRNG seeded by n; a
+    composite passes with probability below 4^-48."""
+    if n < 4:
+        return n in (2, 3)
+    if n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    rng = random.Random(n)
+    for _ in range(48):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -10,6 +10,7 @@ import pytest
 import _oracles
 from primestrings import __version__
 from primestrings.cli import main
+from primestrings.sieve import MAX_CENSUS_Q
 
 GAMMA_40 = "0.5772156649015328606065120900824024310421"
 
@@ -160,6 +161,13 @@ def test_census_floorprod_small_power(family, B, capsys):
         if _oracles.trial_is_prime(m):
             want[str(m % 3)] += 1
     assert json.loads(out)["counts"] == want
+
+
+def test_census_modulus_above_cap_exits_4(capsys):
+    code, out, err = run_cli(["census", "--q", str(MAX_CENSUS_Q + 1),
+                              "--limit", "1e8", "--threads", "1"], capsys)
+    assert code == 4 and out == ""
+    assert f"census modulus cap {MAX_CENSUS_Q}" in err
 
 
 # --------------------------------------------------------------- maier

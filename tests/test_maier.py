@@ -15,9 +15,10 @@ from primestrings import (SpecialSetSpec, WellDistModel, anchored_interval,
                           count_S_q, count_psi, crt_anchor,
                           estimate_string_bound, is_prime, log_y_t,
                           make_config, run_construction, sample_rows_census)
+from primestrings import maier
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
                                  InvalidQuery, ParameterDomain)
-from primestrings.maier import PHI_NOTE, X_FLOOR
+from primestrings.maier import _PRESIEVE_B, PHI_NOTE, X_FLOOR
 
 
 def micro_config():
@@ -256,6 +257,56 @@ def test_sample_rows_census_with_set_filter(b_pi):
         assert (good, bad) == (want_good, want_bad)
 
 
+def _small_entry_configs():
+    """(config, interval, rows) whose entries all stay below _PRESIEVE_B."""
+    micro, _, micro_interval = micro_config()
+    plus = make_config(3, 1, 10, 5, None, 2, build_Q(3, 1, 10, 5))  # Q = 6
+    other = make_config(7, 3, 6, 11, 2.0, 9,                       # Q = 210
+                        build_Q(7, 3, 6, 11, t=2, yz_over_t=6))
+    return [(micro, micro_interval, 250),
+            (plus, anchored_interval(plus, 120)[1], 300),
+            (other, anchored_interval(other, 50)[1], 200)]
+
+
+@pytest.mark.parametrize("set_name", ["all", "beatty:pi"])
+@pytest.mark.parametrize("index", range(3))
+def test_presieve_against_trial_division(set_name, index, b_pi,
+                                         monkeypatch):
+    # entries below the presieve bound include the presieve primes
+    # themselves (c = p must stay), and every composite entry has a
+    # factor below the bound, so is_prime sees exactly the primes
+    config, (start, length), rows = _small_entry_configs()[index]
+    assert rows * config.Q + start + length < _PRESIEVE_B
+    spec = b_pi if set_name == "beatty:pi" else SpecialSetSpec.all_primes()
+    tested = []
+    real_is_prime = maier.is_prime
+
+    def recording_is_prime(n):
+        tested.append(n)
+        return real_is_prime(n)
+
+    monkeypatch.setattr(maier, "is_prime", recording_is_prime)
+    census = sample_rows_census(config, (start, length), rows, spec=spec)
+    want_rows, want_tested = [], []
+    for r in range(1, rows + 1):
+        good = bad = run = best = 0
+        for i in range(start, start + length):
+            c = r * config.Q + i
+            if math.gcd(i, config.Q) != 1 or not _oracles.trial_is_prime(c):
+                continue
+            want_tested.append(c)
+            if spec.kind == "beatty" and not _oracles.beatty_member_direct(c):
+                continue
+            if c % config.q == config.a % config.q:
+                good, run = good + 1, run + 1
+                best = max(best, run)
+            else:
+                bad, run = bad + 1, 0
+        want_rows.append((r, good, bad, best))
+    assert census.per_row == want_rows
+    assert tested == want_tested
+
+
 def test_sample_rows_census_guards():
     config, _, interval = micro_config()
     with pytest.raises(InvalidQuery):
@@ -314,16 +365,17 @@ def test_choose_parameters_needs_large_x():
 
 
 def test_choose_parameters_defaults():
-    model = WellDistModel.all_primes(d=WellDistModel.d_constant(5.0))
-    got = choose_parameters(10 ** 8, 7, model)
-    assert (got.y, got.p0, got.t, got.z) == (4, 2, None, 125)            # y, p0, t, z
-    assert got.t is None                       # y = 4 is below e^e
+    # D = 2: y = ceil(log 1e8 / 2) = 10, z = ceil(max(F^3, 2^3)) = 8 with
+    # F ~ 1, p0 = 3 is the first prime above log 10 ~ 2.30
+    got = choose_parameters(10 ** 8, 7, WellDistModel.all_primes())
+    assert (got.y, got.p0, got.t, got.z) == (10, 3, None, 8)
+    assert got.t is None                       # y = 10 is below e^e
 
 
 def test_choose_parameters_override():
-    model = WellDistModel.all_primes(d=WellDistModel.d_constant(5.0))
+    model = WellDistModel.all_primes()
     got = choose_parameters(10 ** 8, 7, model, y_override=20)
-    assert got.y == 20 and got.p0 == 3
+    assert got.y == 20 and got.p0 == 3 and got.z == 8
     assert got.t == pytest.approx(1.0653584180932671)
     got3 = choose_parameters(10 ** 8, 3, model, y_override=20)
     assert got3.p0 == 5                        # 3 divides q
@@ -343,13 +395,7 @@ def test_well_dist_models():
     inv = fp.E(X) * math.log(X)
     assert inv * g.value(inv) == pytest.approx(X, rel=1e-6)
     assert fp.F(X) > 1.0                       # sparser than the primes
-
-    low = WellDistModel.all_primes(d=WellDistModel.d_constant(0.5))
-    with pytest.raises(ParameterDomain):
-        low.D(100)
-
-    ll = WellDistModel.all_primes(d=WellDistModel.d_loglog(1.5))
-    assert ll.D(10 ** 8) == pytest.approx(1.5 * math.log(math.log(10 ** 8)))
+    assert fp.D(X) == 2.0
 
 
 # ------------------------------------------------------------------ bounds

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -15,6 +16,7 @@ from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
                           hit_record, named_constant, residue_census,
                           scan_all_strings, sieve_range, verify_hit)
 from primestrings.errors import InvalidQuery, InvalidRange
+from primestrings.sieve import MAX_CENSUS_Q
 
 ALL = SpecialSetSpec.all_primes()
 
@@ -122,6 +124,17 @@ def test_census_beatty_100(b_pi):
     assert census.set_descriptor == "beatty:pi"
 
 
+def test_census_modulus_cap(b_pi):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidQuery, match=str(MAX_CENSUS_Q)):
+            residue_census(b_pi, 10 ** 8, MAX_CENSUS_Q + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_CENSUS_Q       # one int64 per residue is 8x that
+
+
 def test_census_csv():
     census = residue_census(ALL, 10, 3)
     text = census.to_csv()
@@ -204,6 +217,17 @@ def floorprod_primes_below_40k(name):
     return [m for m in values if _oracles.trial_is_prime(m)]
 
 
+def spec_and_oracle_primes(name, limit):
+    """The set named by name and its primes below limit, from _oracles."""
+    if name == "all":
+        return ALL, [int(p) for p in _oracles.simple_sieve(limit - 1)]
+    if name in FLOORPROD:
+        return (SpecialSetSpec.floor_product(FLOORPROD[name]),
+                [p for p in floorprod_primes_below_40k(name) if p < limit])
+    return (SpecialSetSpec.beatty(named_constant(name)),
+            _oracles.beatty_primes_below(limit, name))
+
+
 @st.composite
 def scan_cases(draw):
     name = draw(st.sampled_from(["all", "pi", "e", *FLOORPROD]))
@@ -220,15 +244,7 @@ def scan_cases(draw):
 @example(("pi", 2, 1, 3, 3_000, 7))
 def test_splicer_matches_oracle(case):
     name, qq, a, k, limit, seg = case
-    if name == "all":
-        spec = ALL
-        set_primes = [int(p) for p in _oracles.simple_sieve(limit - 1)]
-    elif name in FLOORPROD:
-        spec = SpecialSetSpec.floor_product(FLOORPROD[name])
-        set_primes = [p for p in floorprod_primes_below_40k(name) if p < limit]
-    else:
-        spec = SpecialSetSpec.beatty(named_constant(name))
-        set_primes = _oracles.beatty_primes_below(limit, name)
+    spec, set_primes = spec_and_oracle_primes(name, limit)
     query = q(spec, k, qq, a, limit)
     assert scan_all_strings(query, segment_size=seg) == \
         _oracles.maximal_runs(set_primes, qq, a)
@@ -238,6 +254,38 @@ def test_splicer_matches_oracle(case):
         assert isinstance(hit, NotFound)
     else:
         assert (hit.start_index, hit.primes) == want
+        assert verify_hit(query, hit, check_index=True)
+
+
+@st.composite
+def pool_cases(draw):
+    name = draw(st.sampled_from(["all", "pi", "loglog"]))
+    qq = draw(st.integers(1, 12))
+    a = draw(st.sampled_from([r for r in range(qq) if math.gcd(r, qq) == 1]))
+    limit = draw(st.integers(2, 40_000))
+    # at most 40 segments, so a pool round trip per segment stays cheap
+    seg = draw(st.integers(max(1, limit // 40), limit))
+    return name, qq, a, limit, seg
+
+
+@seed(20142)
+@settings(database=None, deadline=None, max_examples=10)
+@given(pool_cases())
+def test_one_and_two_workers_match_oracle(case):
+    name, qq, a, limit, seg = case
+    spec, set_primes = spec_and_oracle_primes(name, limit)
+    primes = [int(p) for p in _oracles.simple_sieve(limit - 1)]
+    query = q(spec, 1, qq, a, limit)
+    runs = _oracles.maximal_runs(set_primes, qq, a)
+    counts = _oracles.ap_counts(set_primes, qq)
+    for workers in (1, 2):
+        assert scan_all_strings(query, workers=workers,
+                                segment_size=seg) == runs
+        census = residue_census(spec, limit - 1, qq, workers=workers,
+                                segment_size=seg)
+        assert census.counts == counts
+        assert sieve_range(0, limit, segment_size=seg,
+                           workers=workers).tolist() == primes
 
 
 def test_first_string_stops_at_the_segment_it_reaches_k(monkeypatch):

@@ -1,19 +1,37 @@
 """Segmented sieve, AP counts, and primality."""
 
 import random
-import types
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import _oracles
-from primestrings import (APCount, count_primes_ap, is_prime, sieve,
-                          sieve_range)
+from primestrings import APCount, count_primes_ap, is_prime, sieve_range
 from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
-from primestrings.sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN,
-                                _MR_PROBABILISTIC_ROUNDS, _TINY_PRIMES,
-                                primality_is_deterministic)
+from primestrings.sieve import (MAX_CENSUS_Q, MAX_SCAN_HI, MAX_SCAN_SPAN,
+                                _TINY_PRIMES, _strong_lucas_prp,
+                                _strong_prp_base2, primality_is_deterministic)
+
+# random 214-bit primes and pairs of 107-bit primes, found with
+# _oracles.miller_rabin_48 from random.Random(214)
+PRIMES_214 = (
+    15781691301312641504239510945903448816093094547917078804914555869,
+    26202799284199243005337252652634005582309123288805936256355008129,
+    19339708965173149285635948600804837217751269267465354811291602829,
+    25989031623817614676689775091444609549028341264093213491327004747,
+    14249851620670016602865267231579249273945201267611580493508862027,
+    15309319353975450396672144313105806869661071747556685507991203243,
+)
+FACTORS_107 = (
+    (98750254489512194320862056541389, 131190553397287988040892097223547),
+    (161100264038689805021305287490403, 86235897327820152057579220466369),
+    (155394806784881591676440114553041, 134761042866607488888420227725637),
+    (109708236610572943468432636309411, 98190714189228837932391894753713),
+    (90514986026977453782583819428397, 98209719926521703241435221035229),
+    (114485732533239404520557360311649, 103231477883637806816979181442669),
+)
 
 
 def test_sieve_matches_dense_oracle(primes_100k):
@@ -93,6 +111,17 @@ def test_count_primes_ap_guards():
         count_primes_ap(-5, 3)
 
 
+def test_count_primes_ap_modulus_cap():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidModulus, match=str(MAX_CENSUS_Q)):
+            count_primes_ap(10, MAX_CENSUS_Q + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_CENSUS_Q       # one int64 per residue is 8x that
+
+
 def test_is_prime_small_agrees_with_trial_division():
     for n in range(-3, 20_000):
         assert is_prime(n) == _oracles.trial_is_prime(n), n
@@ -120,29 +149,31 @@ def test_is_prime_probabilistic_is_repeatable():
     assert [is_prime(n) for _ in range(3)] == [True, True, True]
 
 
-def test_is_prime_draws_witnesses_lazily(monkeypatch):
-    draws = []
-
-    class CountingRandom(random.Random):
-        def randrange(self, *args):
-            draws.append(args)
-            return super().randrange(*args)
-
-    monkeypatch.setattr(sieve, "random",
-                        types.SimpleNamespace(Random=CountingRandom))
-    # 193707721 * 761838257287: above 2^64, no tiny factor, so the
-    # first random witness is the first test it fails
-    assert not is_prime(2 ** 67 - 1)
-    assert len(draws) == 1
-    draws.clear()
-    assert is_prime(2 ** 89 - 1)
-    assert len(draws) == _MR_PROBABILISTIC_ROUNDS
-    # the lazy draws give the same verdicts: Mersenne primes, then composites
+def test_is_prime_bpsw():
+    # strong base-2 pseudoprimes pass the Miller-Rabin half only; the
+    # squares of the Wieferich primes 1093 and 3511 reach the Lucas
+    # half's square check
+    for n in (2047, 3277, 4033, 4681, 8321, 3215031751, 1093 ** 2,
+              3511 ** 2):
+        assert _strong_prp_base2(n) and not is_prime(n), n
+    # strong Lucas pseudoprimes (Selfridge parameters) pass the Lucas
+    # half only
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _strong_lucas_prp(n) and not is_prime(n), n
     assert all(is_prime(n) for n in (2 ** 89 - 1, 2 ** 107 - 1,
                                      2 ** 127 - 1))
     assert not any(is_prime(n) for n in ((2 ** 61 - 1) * (2 ** 31 - 1),
                                          (2 ** 61 - 1) ** 2,
                                          (2 ** 89 - 1) * (2 ** 107 - 1)))
+
+
+def test_is_prime_agrees_with_miller_rabin_above_2_64():
+    semiprimes = [a * b for a, b in FACTORS_107]
+    factors = [p for pair in FACTORS_107 for p in pair]
+    for n in (*PRIMES_214, *semiprimes, *factors):
+        assert is_prime(n) == _oracles.miller_rabin_48(n), n
+    assert all(is_prime(p) for p in PRIMES_214 + tuple(factors))
+    assert not any(is_prime(n) for n in semiprimes)
 
 
 def test_is_prime_range_ceiling():

@@ -130,7 +130,7 @@ def test_floorprod_matches_mpmath_floor():
     spec = SpecialSetSpec.floor_product(g)
     with mp.workdps(60):
         want = sorted({int(mp.floor(n * mp.log(mp.log(n))))
-                       for n in range(spec.start_n, 400)
+                       for n in range(g.default_start_n(), 400)
                        if n * mp.log(mp.log(n)) >= 2})
     got = [int(m) for m in enumerate_special(spec, 1, want[-1] + 1)]
     assert got == want
@@ -154,7 +154,7 @@ def test_floorprod_logpow_values():
     spec = SpecialSetSpec.floor_product(g)
     with mp.workdps(60):
         want = sorted({int(mp.floor(n * mp.log(n)))
-                       for n in range(spec.start_n, 500)
+                       for n in range(g.default_start_n(), 500)
                        if n * mp.log(n) >= 2})
     got = [int(m) for m in enumerate_special(spec, 1, want[-1] + 1)]
     assert got == want
