@@ -12,11 +12,10 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .errors import (DerivativeUnavailable, DomainError, EmptyProductWarning,
-                     GridTooSmall, IntervalTooLarge, InvalidModulus,
-                     InvalidQuery, InvalidRange, ParameterDomain,
-                     PrecisionExhausted, PrimestringsError, RangeExceeded,
-                     RangeTooLarge)
+from .errors import (DomainError, EmptyProductWarning, GridTooSmall,
+                     IntervalTooLarge, InvalidModulus, InvalidQuery,
+                     InvalidRange, ParameterDomain, PrecisionExhausted,
+                     PrimestringsError, RangeExceeded, RangeTooLarge)
 from .fixedpoint import IrrationalConstant, named_constant
 from .sieve import APCount, count_primes_ap, is_prime, sieve_range
 from .special import (AlphaReport, GFamily, SpecialSetSpec, beatty_member,

@@ -49,10 +49,3 @@ def euler_phi(n):
     for p in prime_factors(n) if n > 1 else []:
         phi -= phi // p
     return phi
-
-
-def radical(n):
-    r = 1
-    for p in prime_factors(n) if n > 1 else []:
-        r *= p
-    return r

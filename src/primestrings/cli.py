@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -41,6 +42,8 @@ def parse_count(text):
         f = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(f):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     if f != int(f):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(f)
@@ -72,18 +75,12 @@ def parse_set(text):
         except (ValueError, DomainError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     if text.startswith("floorprod:"):
-        arg = text.split(":", 1)[1]
-        family, _, power = arg.partition("^")
-        B = float(power) if power else 1.0
-        if not B > 0:
-            raise argparse.ArgumentTypeError(
-                f"floor-product power must be > 0: {arg!r}")
-        if family == "loglog":
-            return SpecialSetSpec.floor_product(GFamily.loglog(B))
-        if family == "log":
-            return SpecialSetSpec.floor_product(GFamily.log_pow(B))
-        raise argparse.ArgumentTypeError(
-            f"unknown floor-product family {family!r} (loglog, log)")
+        family, _, power = text.split(":", 1)[1].partition("^")
+        try:
+            g = GFamily(family, float(power) if power else 1.0)
+            return SpecialSetSpec.floor_product(g)
+        except (ValueError, DomainError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown set descriptor {text!r}")
 
 

@@ -34,10 +34,6 @@ class DomainError(PrimestringsError):
     """A function evaluation left its domain of definition."""
 
 
-class DerivativeUnavailable(PrimestringsError):
-    """Custom g-family queried for a derivative it does not carry."""
-
-
 class GridTooSmall(PrimestringsError):
     """validate_g sample grid has too few points or too little span."""
 

@@ -3,7 +3,8 @@
 Three carriers are supported: the natural numbers ("all", so the prime
 subset is every prime), Beatty sequences floor(n * alpha) for
 irrational alpha > 1, and floor-product sequences floor(n * g(n)) for
-g = (log log n)^B or (log n)^B. Beatty membership and enumeration are
+g = (log log n)^B or (log n)^B, defined once by GFamily (formula,
+derivatives and family names). Beatty membership and enumeration are
 exact (integer fixed-point with directed rounding). Floor-product
 values below 2^48 are exact too: float floors are kept only where the
 product is far from an integer, and every other floor is decided at
@@ -14,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import mpmath
 import numpy as np
 
-from .errors import (DerivativeUnavailable, DomainError, GridTooSmall,
-                     InvalidRange, PrecisionExhausted, RangeTooLarge)
+from .errors import (DomainError, GridTooSmall, InvalidRange,
+                     PrecisionExhausted, RangeTooLarge)
 from .fixedpoint import IrrationalConstant
 from .sieve import sieve_range
 
@@ -34,112 +35,80 @@ _MP_DPS = 50               # digits for floor-product floors near an integer
 # g-families for floor-product sequences
 
 
+_FAMILIES = ("loglog", "log")      # u(x) = log log x, u(x) = log x
+
+
 @dataclass(frozen=True)
 class GFamily:
-    """A slowly varying g with derivatives up to third order.
+    """g(x) = u(x)^B, where u(x) is log log x ("loglog") or log x ("log").
 
-    Built-in families carry analytic derivatives; custom families carry
-    evaluators for g, g', g'' and get g''' by central differences with
-    relative step 1e-5. Custom families are for validate_g only: a
-    floor-product set needs the high-precision floors of a built-in g.
+    The formula is written once, in at(), and evaluated with the log
+    function the caller passes: math.log for a float, np.log for an
+    array, mpmath.log at high precision. deriv() applies one chain rule
+    for u^B to the analytic u', u'', u''' of the family.
     """
 
-    family: str                      # "loglogpow" | "logpow" | "custom"
+    family: str
     B: float = 1.0
-    fn: Optional[Callable] = None
-    dfn: Optional[Callable] = None
-    d2fn: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown floor-product family {self.family!r}"
+                             f" ({', '.join(_FAMILIES)})")
 
     @staticmethod
     def loglog(B=1.0):
         """g(x) = (log log x)^B."""
-        return GFamily(family="loglogpow", B=B)
+        return GFamily(family="loglog", B=B)
 
     @staticmethod
     def log_pow(B=1.0):
         """g(x) = (log x)^B."""
-        return GFamily(family="logpow", B=B)
-
-    @staticmethod
-    def custom(fn, dfn=None, d2fn=None):
-        return GFamily(family="custom", fn=fn, dfn=dfn, d2fn=d2fn)
+        return GFamily(family="log", B=B)
 
     def label(self):
-        if self.family == "loglogpow":
-            return "loglog" if self.B == 1.0 else f"loglog^{self.B:g}"
-        if self.family == "logpow":
-            return "log" if self.B == 1.0 else f"log^{self.B:g}"
-        return "custom"
+        return self.family if self.B == 1.0 else f"{self.family}^{self.B:g}"
+
+    def at(self, x, log):
+        """u(x)^B, with u built from the given log function."""
+        u = log(x)
+        if self.family == "loglog":
+            u = log(u)
+        return u ** self.B
+
+    def _log(self, x):
+        """log x, where u(x) is defined and positive; else DomainError."""
+        L = math.log(x) if x > 1.0 else 0.0
+        if L <= (1.0 if self.family == "loglog" else 0.0):
+            raise DomainError(f"{self.family} undefined/nonpositive at {x}")
+        return L
 
     def value(self, x):
-        if self.family == "loglogpow":
-            if x <= 1.0 or math.log(x) <= 1.0:
-                raise DomainError(f"loglog undefined/nonpositive at {x}")
-            return math.log(math.log(x)) ** self.B
-        if self.family == "logpow":
-            if x <= 1.0:
-                raise DomainError(f"log nonpositive at {x}")
-            return math.log(x) ** self.B
-        return self.fn(x)
+        self._log(x)
+        return self.at(x, math.log)
 
     def deriv(self, x, order):
-        if order == 0:
-            return self.value(x)
-        if self.family == "loglogpow":
-            return self._loglog_deriv(x, order)
-        if self.family == "logpow":
-            return self._log_deriv(x, order)
-        return self._custom_deriv(x, order)
-
-    def _loglog_deriv(self, x, order):
-        L = math.log(x)
-        if L <= 1.0:
-            raise DomainError(f"loglog undefined/nonpositive at {x}")
+        """g^(order)(x) for order 0..3."""
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"order {order} not supported")
+        L = self._log(x)
+        if self.family == "loglog":
+            u = math.log(L)
+            u1 = 1.0 / (x * L)
+            u2 = -(L + 1.0) / (x * L) ** 2
+            u3 = -1.0 / (x ** 3 * L ** 2) + 2.0 * (L + 1.0) ** 2 / (x * L) ** 3
+        else:
+            u, u1, u2, u3 = L, 1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3
         B = self.B
-        u = math.log(L)
-        u1 = 1.0 / (x * L)
-        u2 = -(L + 1.0) / (x * L) ** 2
-        u3 = -1.0 / (x ** 3 * L ** 2) + 2.0 * (L + 1.0) ** 2 / (x * L) ** 3
+        if order == 0:
+            return u ** B
         if order == 1:
             return B * u ** (B - 1) * u1
         if order == 2:
             return B * ((B - 1) * u ** (B - 2) * u1 ** 2 + u ** (B - 1) * u2)
-        if order == 3:
-            return B * ((B - 1) * (B - 2) * u ** (B - 3) * u1 ** 3
-                        + 3 * (B - 1) * u ** (B - 2) * u1 * u2
-                        + u ** (B - 1) * u3)
-        raise ValueError(f"order {order} not supported")
-
-    def _log_deriv(self, x, order):
-        if x <= 1.0:
-            raise DomainError(f"log nonpositive at {x}")
-        B = self.B
-        v = math.log(x)
-        if order == 1:
-            return B * v ** (B - 1) / x
-        if order == 2:
-            return B * v ** (B - 2) * ((B - 1) - v) / x ** 2
-        if order == 3:
-            return (B * v ** (B - 3)
-                    * ((B - 1) * (B - 2) - 3 * (B - 1) * v + 2 * v ** 2)
-                    / x ** 3)
-        raise ValueError(f"order {order} not supported")
-
-    def _custom_deriv(self, x, order):
-        if order == 1:
-            if self.dfn is None:
-                raise DerivativeUnavailable("custom family lacks g'")
-            return self.dfn(x)
-        if order == 2:
-            if self.d2fn is None:
-                raise DerivativeUnavailable("custom family lacks g''")
-            return self.d2fn(x)
-        if order == 3:
-            if self.d2fn is None:
-                raise DerivativeUnavailable("custom family lacks g''")
-            h = 1e-5 * x
-            return (self.d2fn(x + h) - self.d2fn(x - h)) / (2.0 * h)
-        raise ValueError(f"order {order} not supported")
+        return B * ((B - 1) * (B - 2) * u ** (B - 3) * u1 ** 3
+                    + 3 * (B - 1) * u ** (B - 2) * u1 * u2
+                    + u ** (B - 1) * u3)
 
     def f_value(self, n):
         """f(n) = n * g(n)."""
@@ -150,14 +119,12 @@ class GFamily:
         return order * self.deriv(x, order - 1) + x * self.deriv(x, order)
 
     def value_np(self, x):
-        """Vectorized built-in g over a float array (domain checked)."""
-        if self.family == "loglogpow":
-            return np.log(np.log(x)) ** self.B
-        return np.log(x) ** self.B
+        """g over a float array (domain not checked)."""
+        return self.at(x, np.log)
 
     def default_start_n(self):
-        """Smallest integer where a built-in g is defined and positive."""
-        return 3 if self.family == "loglogpow" else 2   # log x > 1, > 0
+        """Smallest integer where g is defined and positive."""
+        return 3 if self.family == "loglog" else 2   # log x > 1, > 0
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +152,10 @@ class SpecialSetSpec:
 
     @staticmethod
     def floor_product(g):
-        if g.family == "custom":
+        # B <= 0: n * g(n) need not increase; B infinite: g(n) is not finite
+        if not 0 < g.B < math.inf:
             raise DomainError(
-                "floor-product sets need a built-in g (loglog or log_pow): "
-                "a custom g has no high-precision evaluator for exact floors")
-        if not g.B > 0:                  # else n * g(n) need not increase
-            raise DomainError(f"floor products need B > 0, got {g.B}")
+                f"floor products need a finite power B > 0, got {g.B}")
         return SpecialSetSpec(kind="floorprod", g=g)
 
     def descriptor(self):
@@ -296,10 +261,7 @@ def _floorprod_floor(g, n):
     is within 10^(10 - _MP_DPS) of an integer, relative to its size (10
     digits of margin for the rounding in the logs and the power)."""
     with mpmath.workdps(_MP_DPS):
-        x = mpmath.log(n)
-        if g.family == "loglogpow":
-            x = mpmath.log(x)
-        v = n * x ** g.B
+        v = n * g.at(n, mpmath.log)
         f = int(mpmath.nint(v))
         if abs(v - f) <= v * mpmath.mpf(10) ** (10 - _MP_DPS):
             raise PrecisionExhausted(

@@ -5,9 +5,10 @@ floors are exact multiplications against a 60-digit *decimal* integer
 (the package works in binary fixed point with directed brackets),
 floor-product floors are 60-digit mpmath at every index (the package
 keeps float floors away from integers), sieves are single-shot dense
-arrays, primality is trial division (or, for large n, Miller-Rabin with
-48 seeded random bases where the package runs BPSW), and the counting
-functions walk a smallest-prime-factor table exhaustively.
+arrays (one array over the window itself at large offsets), primality
+is trial division (or, for large n, Miller-Rabin with 48 seeded random
+bases where the package runs BPSW), and the counting functions walk a
+smallest-prime-factor table exhaustively.
 
 The decimal scale is safe for every n the tests use, up to about 1e14
 (Beatty windows just below 2^48): the 60-digit constant is off by less
@@ -150,6 +151,17 @@ def simple_sieve(limit):
         if not comp[p]:
             comp[p * p::p] = True
     return np.flatnonzero(~comp)
+
+
+def window_primes(lo, hi):
+    """Ascending primes in [lo, hi): a dense sieve of the window itself
+    by the primes up to isqrt(hi - 1)."""
+    comp = np.zeros(hi - lo, dtype=bool)
+    comp[:max(0, 2 - lo)] = True
+    for p in simple_sieve(math.isqrt(hi - 1)):
+        p = int(p)
+        comp[max(p * p, -(-lo // p) * p) - lo::p] = True
+    return [lo + int(i) for i in np.flatnonzero(~comp)]
 
 
 def composite_flags(limit):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from primestrings.arith import crt_pair, egcd, euler_phi, prime_factors, radical
+from primestrings.arith import crt_pair, egcd, euler_phi, prime_factors
 
 
 def test_egcd_bezout_identity():
@@ -59,10 +59,3 @@ def test_euler_phi_brute_force():
     for n in range(1, 300):
         direct = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert euler_phi(n) == direct
-
-
-def test_radical():
-    assert radical(1) == 1
-    assert radical(12) == 6
-    assert radical(97) == 97
-    assert radical(2 ** 10) == 2

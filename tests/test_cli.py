@@ -87,8 +87,12 @@ def test_strings_all_runs(capsys):
      "--a", "1", "--limit", "100"],                             # B <= 0
     ["strings", "--set", "floorprod:log^0", "--k", "1", "--q", "3",
      "--a", "1", "--limit", "100"],
+    ["strings", "--set", "floorprod:loglog^inf", "--k", "1", "--q", "3",
+     "--a", "1", "--limit", "100"],                             # B = inf
+    ["census", "--q", "3", "--limit", "inf"],
     ["counts", "sq", "--q", "3", "--z", "1.5"],                 # not integral
     ["counts", "sq", "--q", "3", "--z", "ten"],
+    ["counts", "sq", "--q", "3", "--z", "1e400"],               # overflows
     ["nonsense"],
     ["cache", "path"],                                     # no such command
 ])

@@ -10,8 +10,7 @@ import _oracles
 from primestrings import (GFamily, SpecialSetSpec, beatty_member,
                           enumerate_special, member, named_constant,
                           special_primes, validate_g)
-from primestrings.errors import (DerivativeUnavailable, DomainError,
-                                 GridTooSmall, RangeTooLarge)
+from primestrings.errors import DomainError, GridTooSmall, RangeTooLarge
 from primestrings.fixedpoint import IrrationalConstant
 from primestrings.special import floorprod_member
 
@@ -161,8 +160,7 @@ def test_floorprod_logpow_values():
 
 
 def _floorprod_spec(family, B):
-    g = GFamily.loglog(B) if family == "loglog" else GFamily.log_pow(B)
-    return SpecialSetSpec.floor_product(g)
+    return SpecialSetSpec.floor_product(GFamily(family, B))
 
 
 @pytest.mark.parametrize("family,B,lo", [
@@ -199,10 +197,13 @@ def test_floorprod_rejects_what_it_cannot_decide_exactly():
     with pytest.raises(RangeTooLarge,
                        match=f"floor-product membership.*{2 ** 48}"):
         member(spec, 2 ** 48)
-    with pytest.raises(DomainError):
-        SpecialSetSpec.floor_product(GFamily.custom(lambda x: x ** 0.5))
     with pytest.raises(DomainError):       # n / log log n falls at first
         SpecialSetSpec.floor_product(GFamily.loglog(-1.0))
+    for B in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SpecialSetSpec.floor_product(GFamily.log_pow(B))
+    with pytest.raises(ValueError):
+        GFamily("cosh", 1.0)
 
 
 def test_special_primes_is_prime_intersection():
@@ -224,8 +225,10 @@ def _mp_deriv(fn, x, order):
 @pytest.mark.parametrize("g,fn", [
     (GFamily.loglog(), lambda t: mp.log(mp.log(t))),
     (GFamily.loglog(3.0), lambda t: mp.log(mp.log(t)) ** 3),
+    (GFamily.loglog(0.5), lambda t: mp.log(mp.log(t)) ** 0.5),
     (GFamily.log_pow(1.0), lambda t: mp.log(t)),
     (GFamily.log_pow(2.5), lambda t: mp.log(t) ** 2.5),
+    (GFamily.log_pow(0.2), lambda t: mp.log(t) ** 0.2),
 ])
 def test_derivatives_match_mpmath(g, fn):
     for x in (2e3, 1e5, 3e7):
@@ -240,19 +243,6 @@ def test_f_deriv_product_rule():
     for order in (1, 2, 3):
         want = _mp_deriv(lambda t: t * mp.log(mp.log(t)), x, order)
         assert g.f_deriv(x, order) == pytest.approx(want, rel=1e-8)
-
-
-def test_custom_family_derivatives():
-    g = GFamily.custom(lambda x: x ** 0.5,
-                       lambda x: 0.5 * x ** -0.5,
-                       lambda x: -0.25 * x ** -1.5)
-    assert g.value(100) == pytest.approx(10.0)
-    assert g.deriv(100, 1) == pytest.approx(0.05)
-    # third order falls back to differencing the supplied second
-    assert g.deriv(100, 3) == pytest.approx(0.375 * 100 ** -2.5, rel=1e-4)
-    bare = GFamily.custom(lambda x: x ** 0.5, None, None)
-    with pytest.raises(DerivativeUnavailable):
-        bare.deriv(100, 1)
 
 
 # ------------------------------------------------------------- validate_g
@@ -296,13 +286,12 @@ def test_validate_g_logpow_alpha_collision():
 
 
 def test_validate_g_flags_degenerate_custom():
-    flat = GFamily.custom(lambda x: 5.0, lambda x: 0.0, lambda x: 0.0)
-    rep = validate_g(flat, [10, 100, 1000, 1e4, 1e5])
+    # a hand-picked power B = -1: 1 / log log x falls, stays below 2
+    # and makes x g(x) concave
+    rep = validate_g(GFamily.loglog(-1.0), [1e2, 1e3, 1e4, 1e5, 1e6])
     assert not rep.flags["increasing_unbounded"]
     assert not rep.flags["second_order_positive"]
-    shrunk = GFamily.custom(lambda x: 1.5, lambda x: 0.0, lambda x: 0.0)
-    rep2 = validate_g(shrunk, [10, 100, 1000, 1e4, 1e5])
-    assert not rep2.flags["codomain_ge_2"]
+    assert not rep.flags["codomain_ge_2"]
 
 
 def test_validate_g_report_shape():
