@@ -31,22 +31,38 @@ EXIT_NOT_FOUND = 3
 EXIT_ERROR = 4
 
 
-def parse_count(text):
-    """Integer-valued numeric literal; scientific notation accepted."""
-    try:
-        v = int(text)
-        return v
-    except ValueError:
-        pass
+def parse_finite(text):
+    """Finite float literal; inf and nan are usage errors."""
     try:
         f = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(f):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return f
+
+
+def parse_count(text):
+    """Integer-valued numeric literal; scientific notation accepted."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    f = parse_finite(text)
     if f != int(f):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(f)
+
+
+def parse_workers(text):
+    """Worker count: an integer >= 1."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker: {text!r}")
+    return v
 
 
 def _significant_digits(text):
@@ -186,7 +202,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int,
+        p.add_argument("--threads", type=parse_workers,
                        default=os.cpu_count() or 1,
                        help="workers for strings and census (default: cores)")
         p.add_argument("--manifest", help="write a run manifest JSON here")
@@ -233,7 +249,7 @@ def build_parser():
     ps.set_defaults(func=cmd_counts_sq)
     pp = csub.add_parser("psi", help="t-smooth numbers up to x")
     pp.add_argument("--x", type=parse_count, required=True)
-    pp.add_argument("--t", type=float, required=True)
+    pp.add_argument("--t", type=parse_finite, required=True)
     common(pp)
     pp.set_defaults(func=cmd_counts_psi)
 

@@ -5,6 +5,13 @@ implicitly). Bit j covers the odd number 2j + 3 and is set when that
 number is composite. Segment size only controls working-set memory;
 the primes produced are identical for any segmentation and any worker
 count.
+
+In a segment of n odds, each base prime p < n crosses off a strided
+slice in a Python loop. A base prime p >= n strikes at most one odd of
+the segment, since its odd multiples are 2p apart, so all of those are
+crossed off together in one numpy step (a vectorised form of the
+large-prime buckets of Oliveira e Silva, Herzog and Pardi, Math. Comp.
+2014). Above 10^12 most base primes are of the second kind.
 """
 
 from __future__ import annotations
@@ -53,21 +60,41 @@ def _dense_primes(n):
 
 
 def _sieve_segment(args):
-    """Composite flags for odd-index window [j_lo, j_hi). Picklable task."""
+    """Composite flags for odd-index window [j_lo, j_hi). Picklable task.
+
+    The window holds the n = j_hi - j_lo odds m_lo <= m < m_hi. The odd
+    base primes p with p^2 < m_hi cross it off in two regimes, split at
+    p = n. A small prime (p < n) may strike many of the odds, so each
+    crosses off a strided slice in a Python loop. Odd multiples of p are
+    2p apart and the window's first and last odd 2n - 2 apart, so a
+    large prime (p >= n) strikes at most one odd: its first odd multiple
+    >= m_lo, when that is below m_hi. As p^2 < m_hi <= m_lo + 2p puts
+    m_lo above p, that multiple is k p with odd k >= 3, a composite. All
+    large primes are crossed off in one int64 numpy step; its values
+    stay below 2^49 for m_hi <= MAX_SCAN_HI.
+    """
     j_lo, j_hi, base_odd = args
-    comp = np.zeros(j_hi - j_lo, dtype=bool)
+    n = j_hi - j_lo
+    comp = np.zeros(n, dtype=bool)
     m_lo = 2 * j_lo + 3
     m_hi = 2 * j_hi + 3
-    for p in base_odd:
-        p = int(p)
-        if p * p >= m_hi:
-            break
+    k_end = int(np.searchsorted(base_odd, math.isqrt(m_hi - 1), "right"))
+    k_big = int(np.searchsorted(base_odd[:k_end], n))
+    for p in base_odd[:k_big].tolist():
         start = max(p * p, ((m_lo + p - 1) // p) * p)
         if start % 2 == 0:
             start += p
         if start >= m_hi:
             continue
         comp[(start - 3) // 2 - j_lo:: p] = True
+    big = base_odd[k_big:k_end]
+    k = m_lo + big - 1            # k = ceil(m_lo / p) | 1, in place
+    k //= big
+    k |= 1
+    k *= big                      # first odd multiple k p >= m_lo
+    k -= m_lo
+    k >>= 1                       # its index in the window
+    comp[k[k < n]] = True
     return comp
 
 

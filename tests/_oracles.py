@@ -155,13 +155,12 @@ def simple_sieve(limit):
 
 def window_primes(lo, hi):
     """Ascending primes in [lo, hi): a dense sieve of the window itself
-    by the primes up to isqrt(hi - 1)."""
-    comp = np.zeros(hi - lo, dtype=bool)
-    comp[:max(0, 2 - lo)] = True
-    for p in simple_sieve(math.isqrt(hi - 1)):
-        p = int(p)
-        comp[max(p * p, -(-lo // p) * p) - lo::p] = True
-    return [lo + int(i) for i in np.flatnonzero(~comp)]
+    by the primes up to isqrt(hi - 1), one multiple at a time."""
+    comp = bytearray(hi - lo)
+    for p in simple_sieve(math.isqrt(hi - 1)).tolist():
+        for m in range(max(p * p, -(-lo // p) * p), hi, p):
+            comp[m - lo] = 1
+    return [lo + i for i, c in enumerate(comp) if not c and lo + i >= 2]
 
 
 def composite_flags(limit):

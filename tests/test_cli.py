@@ -93,6 +93,10 @@ def test_strings_all_runs(capsys):
     ["counts", "sq", "--q", "3", "--z", "1.5"],                 # not integral
     ["counts", "sq", "--q", "3", "--z", "ten"],
     ["counts", "sq", "--q", "3", "--z", "1e400"],               # overflows
+    ["counts", "psi", "--x", "100", "--t", "inf"],
+    ["counts", "psi", "--x", "100", "--t", "nan"],
+    ["census", "--q", "3", "--limit", "100", "--threads", "0"],
+    ["census", "--q", "3", "--limit", "100", "--threads", "-1"],
     ["nonsense"],
     ["cache", "path"],                                     # no such command
 ])

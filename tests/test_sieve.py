@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import _oracles
 from primestrings import APCount, count_primes_ap, is_prime, sieve_range
@@ -75,6 +77,49 @@ def test_sieve_range_high_window():
     lo = 1 << 40
     got = [int(p) for p in sieve_range(lo, lo + 2000)]
     assert got == _oracles.window_primes(lo, lo + 2000)
+
+
+@st.composite
+def window_cases(draw):
+    top = 1 << draw(st.integers(0, 12))      # log-uniform, 1 to 4096
+    seg = draw(st.integers(max(1, top // 2), top))
+    # at most 40 segments of seg odds, so a pool round trip stays cheap
+    width = draw(st.integers(1, min(5000, 80 * seg)))
+    lo = draw(st.integers(0, (1 << 36) - 1))
+    return lo, width, seg, draw(st.sampled_from([1, 2]))
+
+
+@seed(20148)
+@settings(database=None, deadline=None, max_examples=60)
+@given(window_cases())
+# one-odd segments: every base prime takes the one-step branch
+@example((10 ** 9 + 1, 200, 1, 1))
+def test_sieve_range_matches_window_oracle(case):
+    # base primes p >= seg are crossed off in one step, p < seg in a loop
+    lo, width, seg, workers = case
+    got = sieve_range(lo, lo + width, segment_size=seg, workers=workers)
+    assert got.tolist() == _oracles.window_primes(lo, lo + width)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1 << 46, (1 << 46) + 20_000),
+    (MAX_SCAN_HI - 100_000, MAX_SCAN_HI),
+])
+def test_sieve_range_top_windows(lo, hi):
+    # int64 crossing near the top of the scan range
+    assert sieve_range(lo, hi).tolist() == _oracles.window_primes(lo, hi)
+
+
+@pytest.mark.parametrize("seg", [7, 333, 1000])
+def test_sieve_range_window_from_first_large_prime_square(seg):
+    # lo = p^2 for the first base prime p >= seg (and >= 2 seg): p^2 is
+    # struck by p alone, at the first index of the first segment
+    for least in (seg, 2 * seg):
+        p = next(int(p) for p in _oracles.simple_sieve(4 * seg + 100)
+                 if p >= least)
+        lo = p * p
+        got = sieve_range(lo, lo + 50 * seg, segment_size=seg)
+        assert got.tolist() == _oracles.window_primes(lo, lo + 50 * seg)
 
 
 def test_bitmap_identical_across_segmentation():
