@@ -24,7 +24,8 @@ import numpy as np
 from .arith import euler_phi, prime_factors, crt_pair
 from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
                      ParameterDomain)
-from .sieve import is_prime, sieve_range, primality_is_deterministic
+from .sieve import (_strike, is_prime, primality_is_deterministic,
+                    sieve_range)
 from .special import member, SpecialSetSpec
 
 E_POW_E = math.exp(math.e)              # ~15.154, threshold for t
@@ -278,13 +279,12 @@ def _coprime_mask(config, start, length):
     """Coprimality to Q over the interval, via the prime support of Q."""
     if length > MAX_INTERVAL:
         raise IntervalTooLarge(f"interval length {length} > {MAX_INTERVAL}")
-    mask = np.ones(length, dtype=bool)
     support = sorted(set(prime_factors(config.q)) | set(config.P_a)) \
         if config.q > 1 else sorted(config.P_a)
-    for p in support:
-        first = (-start) % p
-        mask[first::p] = False
-    return mask
+    shared = np.zeros(length, dtype=bool)
+    first = np.array([(-start) % p for p in support], dtype=np.int64)
+    _strike(shared, first, np.array(support, dtype=np.int64))
+    return ~shared
 
 
 def _s_columns(config, start, mask):
@@ -335,9 +335,11 @@ def sample_rows_census(config, interval, rows, spec=None):
 
     Before any primality test, each row is presieved by the primes
     p <= _PRESIEVE_B = 2^16 that do not divide Q: an entry c with
-    p | c is composite unless c = p, and an entry equal to p is never
-    struck (entries fall below the bound when Q is small). Only the
-    unstruck coprime entries reach is_prime and the set filter.
+    p | c is composite unless c = p. Each p strikes every p-th column
+    from the first one it divides, through sieve._strike, the kernel
+    of the segment sieve; that start moves up by p when the entry
+    there is p itself (entries fall below the bound when Q is small).
+    Only the unstruck coprime entries reach is_prime and the set filter.
     """
     if rows < 1:
         raise InvalidQuery(f"rows must be >= 1, got {rows}")
@@ -349,7 +351,6 @@ def sample_rows_census(config, interval, rows, spec=None):
     mask = _coprime_mask(config, start, length)
     q, a, Q = config.q, config.a, config.Q
     ps, q_mod, res = _presieve_primes(Q, start)
-    n_small = int(np.searchsorted(ps, length, side="right"))
     per_row = []
     good_total = bad_total = 0
     rows_with_bad = 0
@@ -363,10 +364,7 @@ def sample_rows_census(config, interval, rows, spec=None):
             keep = base + first == ps               # the entry c = p
             first[keep] += ps[keep]
         struck = np.zeros(length, dtype=bool)
-        for p, j in zip(ps[:n_small].tolist(), first[:n_small].tolist()):
-            struck[j::p] = True
-        wide = first[n_small:]
-        struck[wide[wide < length]] = True
+        _strike(struck, first, ps)
         good = bad = 0
         run = best = 0
         for j in np.flatnonzero(mask & ~struck).tolist():

@@ -18,13 +18,13 @@ import numpy as np
 
 from .arith import euler_phi
 from .errors import InvalidQuery
-from .sieve import MAX_CENSUS_Q, _ordered_results, _segment_bounds
+from .sieve import (MAX_CENSUS_Q, PROGRESS_EVERY, _ordered_results,
+                    _segment_bounds)
 from .special import member, special_primes
 
 log = logging.getLogger("primestrings.search")
 
 DEFAULT_SCAN_SEGMENT = 1 << 21
-PROGRESS_EVERY = 10 ** 7
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,12 @@ number is composite. Segment size only controls working-set memory;
 the primes produced are identical for any segmentation and any worker
 count.
 
-In a segment of n odds, each base prime p < n crosses off a strided
-slice in a Python loop. A base prime p >= n strikes at most one odd of
-the segment, since its odd multiples are 2p apart, so all of those are
-crossed off together in one numpy step (a vectorised form of the
-large-prime buckets of Oliveira e Silva, Herzog and Pardi, Math. Comp.
-2014). Above 10^12 most base primes are of the second kind.
+Every crossing-off in the package goes through one kernel, _strike,
+which sets flags[first::step] for many (first, step) pairs at once: in
+a sieve segment here, and in a Maier row (the presieve) and the Maier
+column interval (coprimality to Q) in maier. The base primes up to
+sqrt(hi) come from sieve_range itself, one level down; the recursion
+ends at hi <= 3.
 """
 
 from __future__ import annotations
@@ -37,64 +37,46 @@ PROGRESS_EVERY = 10 ** 7        # candidates between progress log lines
 # BPSW has no counterexample below 2^64 (Feitsma-Galway's list of
 # base-2 strong pseudoprimes, each of which fails the strong Lucas test).
 _BPSW_DETERMINISTIC_LIMIT = 1 << 64
-_MR_MAX_CANDIDATE = 1 << 256
+_PRIMALITY_CEILING = 1 << 256
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _n_odds(limit):
-    # number of odd integers m with 3 <= m < limit
-    return max(0, (limit - 2) // 2)
+def _strike(flags, first, step):
+    """Set flags[first[i]::step[i]] for every i; step ascending, >= 1.
 
-
-def _dense_primes(n):
-    """All primes <= n via a plain dense sieve (used for base primes)."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    comp = np.zeros(n + 1, dtype=bool)
-    comp[:2] = True
-    for p in range(2, math.isqrt(n) + 1):
-        if not comp[p]:
-            comp[p * p:: p] = True
-    return np.flatnonzero(~comp).astype(np.int64)
+    Each step below n = flags.size sets a strided slice in a Python
+    loop. A step >= n sets at most its first index, since the next one,
+    first + step, is past the end, so all of those are set together in
+    one numpy step (a vectorised form of the large-prime buckets of
+    Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). Offsets may
+    lie at or beyond n; they set nothing.
+    """
+    n = flags.size
+    k = int(np.searchsorted(step, n))
+    for j, p in zip(first[:k].tolist(), step[:k].tolist()):
+        flags[j::p] = True
+    big = first[k:]
+    flags[big[big < n]] = True
 
 
 def _sieve_segment(args):
     """Composite flags for odd-index window [j_lo, j_hi). Picklable task.
 
-    The window holds the n = j_hi - j_lo odds m_lo <= m < m_hi. The odd
-    base primes p with p^2 < m_hi cross it off in two regimes, split at
-    p = n. A small prime (p < n) may strike many of the odds, so each
-    crosses off a strided slice in a Python loop. Odd multiples of p are
-    2p apart and the window's first and last odd 2n - 2 apart, so a
-    large prime (p >= n) strikes at most one odd: its first odd multiple
-    >= m_lo, when that is below m_hi. As p^2 < m_hi <= m_lo + 2p puts
-    m_lo above p, that multiple is k p with odd k >= 3, a composite. All
-    large primes are crossed off in one int64 numpy step; its values
-    stay below 2^49 for m_hi <= MAX_SCAN_HI.
+    The window holds the odds m_lo <= m < m_hi. Each odd base prime p
+    with p^2 < m_hi strikes its odd multiples k p for odd k >= p, which
+    are 2p apart, so p indices apart. The first one in the window has
+    k = max(ceil(m_lo / p), p) | 1, at index (k p - m_lo) / 2; both are
+    computed for all p in one int64 expression whose values stay below
+    2^49 for m_hi <= MAX_SCAN_HI.
     """
     j_lo, j_hi, base_odd = args
-    n = j_hi - j_lo
-    comp = np.zeros(n, dtype=bool)
+    comp = np.zeros(j_hi - j_lo, dtype=bool)
     m_lo = 2 * j_lo + 3
     m_hi = 2 * j_hi + 3
-    k_end = int(np.searchsorted(base_odd, math.isqrt(m_hi - 1), "right"))
-    k_big = int(np.searchsorted(base_odd[:k_end], n))
-    for p in base_odd[:k_big].tolist():
-        start = max(p * p, ((m_lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start >= m_hi:
-            continue
-        comp[(start - 3) // 2 - j_lo:: p] = True
-    big = base_odd[k_big:k_end]
-    k = m_lo + big - 1            # k = ceil(m_lo / p) | 1, in place
-    k //= big
-    k |= 1
-    k *= big                      # first odd multiple k p >= m_lo
-    k -= m_lo
-    k >>= 1                       # its index in the window
-    comp[k[k < n]] = True
+    ps = base_odd[:np.searchsorted(base_odd, math.isqrt(m_hi - 1), "right")]
+    k = np.maximum((m_lo + ps - 1) // ps, ps) | 1
+    _strike(comp, (k * ps - m_lo) >> 1, ps)
     return comp
 
 
@@ -140,15 +122,14 @@ def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
         raise RangeTooLarge(f"hi {hi} > {MAX_SCAN_HI}")
     if hi - lo > MAX_SCAN_SPAN:
         raise RangeTooLarge(f"window {hi - lo} wider than {MAX_SCAN_SPAN}")
+    chunks = [np.array([2] if lo <= 2 < hi else [], dtype=np.int64)]
     if hi <= 3:
-        return np.array([2], dtype=np.int64) if lo <= 2 < hi else \
-            np.empty(0, dtype=np.int64)
-    base_odd = _dense_primes(math.isqrt(hi - 1))[1:]
-    j_lo = max(0, (lo - 2) // 2) if lo > 3 else 0
-    j_hi = _n_odds(hi)
+        return chunks[0]
+    base_odd = sieve_range(0, math.isqrt(hi - 1) + 1)[1:]
+    # the odds 2j + 3 in [lo, hi) are those with j_lo <= j < j_hi
+    j_lo, j_hi = max(0, (lo - 2) // 2), (hi - 2) // 2
     bounds = _segment_bounds(j_lo, j_hi, segment_size)
     tasks = [(a, b, base_odd) for a, b in bounds]
-    chunks = []
     done = 0
     for (a, b), comp in zip(bounds,
                             _ordered_results(_sieve_segment, tasks, workers)):
@@ -156,10 +137,7 @@ def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
         done += 2 * (b - a)
         if done // PROGRESS_EVERY != (done - 2 * (b - a)) // PROGRESS_EVERY:
             log.info("sieved %d candidates up to %d", done, 2 * b + 3)
-    odd = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    if lo <= 2 < hi:
-        return np.concatenate(([2], odd)).astype(np.int64)
-    return odd.astype(np.int64)
+    return np.concatenate(chunks)
 
 
 @dataclass
@@ -276,7 +254,7 @@ def is_prime(n):
             return n == p
     if n < 41 * 41:
         return True
-    if n > _MR_MAX_CANDIDATE:
+    if n > _PRIMALITY_CEILING:
         raise RangeExceeded(f"{n.bit_length()}-bit candidate exceeds "
                             f"the supported primality range")
     return _strong_prp_base2(n) and _strong_lucas_prp(n)

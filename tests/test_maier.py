@@ -307,6 +307,44 @@ def test_presieve_against_trial_division(set_name, index, b_pi,
     assert tested == want_tested
 
 
+def test_presieve_wide_Q(monkeypatch):
+    # a 209-bit Q puts every entry far above the presieve primes, and
+    # the primes above the interval length strike at most once per row
+    config = make_config(5, 4, 200, 3, None, 10, build_Q(5, 4, 200, 3))
+    assert config.Q > 1 << 200
+    start, length = anchored_interval(config, 2000)[1]
+    tested = set()
+
+    def recording_is_prime(n):
+        tested.add(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(maier, "is_prime", recording_is_prime)
+    census = sample_rows_census(config, (start, length), 3)
+    small = _oracles.simple_sieve(_PRESIEVE_B).tolist()
+    want_rows, struck = [], []
+    for r in range(1, 4):
+        good = bad = run = best = 0
+        for i in range(start, start + length):
+            c = r * config.Q + i
+            if math.gcd(i, config.Q) != 1:
+                continue
+            if c not in tested:
+                struck.append(c)
+            if not is_prime(c):
+                continue
+            if c % config.q == config.a % config.q:
+                good, run = good + 1, run + 1
+                best = max(best, run)
+            else:
+                bad, run = bad + 1, 0
+        want_rows.append((r, good, bad, best))
+    assert census.per_row == want_rows
+    assert struck
+    for c in struck:
+        assert any(c % p == 0 and c != p for p in small), c
+
+
 def test_sample_rows_census_guards():
     config, _, interval = micro_config()
     with pytest.raises(InvalidQuery):

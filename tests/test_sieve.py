@@ -13,7 +13,7 @@ from primestrings import APCount, count_primes_ap, is_prime, sieve_range
 from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
 from primestrings.sieve import (MAX_CENSUS_Q, MAX_SCAN_HI, MAX_SCAN_SPAN,
-                                _TINY_PRIMES, _strong_lucas_prp,
+                                _TINY_PRIMES, _strike, _strong_lucas_prp,
                                 _strong_prp_base2, primality_is_deterministic)
 
 # random 214-bit primes and pairs of 107-bit primes, found with
@@ -120,6 +120,49 @@ def test_sieve_range_window_from_first_large_prime_square(seg):
         lo = p * p
         got = sieve_range(lo, lo + 50 * seg, segment_size=seg)
         assert got.tolist() == _oracles.window_primes(lo, lo + 50 * seg)
+
+
+def test_sieve_range_recursion_edges():
+    # the base primes come from sieve_range(0, isqrt(hi - 1) + 1): they
+    # gain p at hi = p^2 + 1, and the recursion bottoms out at hi <= 3
+    primes = _oracles.simple_sieve(1000 ** 2 + 2)
+    for hi in range(401):
+        assert sieve_range(0, hi).tolist() == primes[primes < hi].tolist(), hi
+    for p in primes[primes < 1000].tolist():
+        for hi in (p * p, p * p + 1, p * p + 2):
+            want = primes[primes < hi].tolist()
+            assert sieve_range(0, hi).tolist() == want, hi
+            lo = max(0, hi - 50)
+            assert sieve_range(lo, hi).tolist() == \
+                _oracles.window_primes(lo, hi), hi
+
+
+def _strike_by_index(flags, first, step):
+    flags = flags.copy()
+    for j, p in zip(first, step):
+        for i in range(j, flags.size, p):
+            flags[i] = True
+    return flags
+
+
+def test_strike_matches_per_index_loop():
+    rng = random.Random(49)
+    cases = [(0, [], []), (1, [], []), (0, [0, 3], [1, 2]), (1, [0], [1]),
+             (1, [1, 0], [1, 1]), (1, [0, 0], [2, 5])]
+    for _ in range(400):
+        n = rng.choice([0, 1, 2, rng.randrange(3, 300)])
+        # steps around the split at n, offsets at and beyond the end
+        pool = [s for s in (n - 1, n, n + 1) if s >= 1] + \
+            [rng.randrange(1, 2 * n + 3) for _ in range(3)]
+        step = sorted(rng.choice(pool) for _ in range(rng.randrange(0, 12)))
+        first = [rng.randrange(0, 2 * n + 4) for _ in step]
+        cases.append((n, first, step))
+    for n, first, step in cases:
+        flags = np.array([rng.random() < 0.2 for _ in range(n)], dtype=bool)
+        want = _strike_by_index(flags, first, step)
+        _strike(flags, np.array(first, dtype=np.int64),
+                np.array(step, dtype=np.int64))
+        assert flags.tolist() == want.tolist(), (n, first, step)
 
 
 def test_bitmap_identical_across_segmentation():
