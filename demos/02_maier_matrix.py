@@ -11,7 +11,7 @@ can only show up in coprime columns, and a prime in a good column is a
 prime = a (mod q).
 """
 
-from primestrings import (WellDistModel, anchored_interval, bound_report,
+from primestrings import (SpecialSetSpec, anchored_interval, bound_report,
                           build_Q, census_json, count_S_T, is_prime,
                           make_config, sample_rows_census)
 
@@ -47,6 +47,6 @@ print("over 25 rows: good =", census.good_total, " bad =", census.bad_total,
 # nothing is lost when Q outgrows doubles)
 doc = census_json(config, interval, census,
                   bounds=bound_report(config, 10 ** 8,
-                                      WellDistModel.all_primes()))
+                                      SpecialSetSpec.all_primes()))
 print("census keys:", ", ".join(sorted(doc)))
 print("string-length bound at X=1e8:", doc["bounds"]["bound"])

@@ -24,8 +24,8 @@ from .search import (NotFound, SetCensus, StringHit, StringQuery,
                      find_first_string, hit_record, residue_census,
                      scan_all_strings, verify_hit)
 from .maier import (ChosenParams, MaierCensus, MaierConfig, QProduct,
-                    STCount, WellDistModel, anchored_interval, bound_report,
-                    build_Q, case1_proxy, census_json, choose_parameters,
+                    STCount, anchored_interval, bound_report, build_Q,
+                    carrier_F, case1_proxy, census_json, choose_parameters,
                     classify_residue, count_S_T, count_S_q, count_psi,
                     crt_anchor, estimate_string_bound, log_y_t, make_config,
                     run_construction, sample_rows_census)

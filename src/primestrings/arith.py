@@ -1,17 +1,6 @@
 """Small exact-arithmetic helpers (all plain Python ints)."""
 
-
-def egcd(a, b):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+import math
 
 
 def crt_pair(r1, m1, r2, m2):
@@ -19,9 +8,10 @@ def crt_pair(r1, m1, r2, m2):
 
     Moduli must be coprime.
     """
-    g, u, _ = egcd(m1, m2)
+    g = math.gcd(m1, m2)
     if g != 1:
         raise ValueError(f"moduli not coprime: gcd({m1}, {m2}) = {g}")
+    u = pow(m1, -1, m2)                 # m1 * u = 1 (mod m2)
     lcm = m1 * m2
     x = (r1 + (r2 - r1) * u % m2 * m1) % lcm
     return x

@@ -38,53 +38,24 @@ PHI_NOTE = ("k-bound exponents are evaluated with phi(q); the asymptotic "
 
 
 # ---------------------------------------------------------------------------
-# well-distribution models
+# carrier density
 
 
-@dataclass(frozen=True)
-class WellDistModel:
-    """Carrier density model: E(X), with remainder quality D(X) = 2.
+D = 2.0                                 # remainder quality D(X), every set
 
-    F(X) = X / (E(X) log X) measures how sparse the carrier is; for the
-    full primes F is ~1.
+
+def carrier_F(spec, X):
+    """F(X) = X / (E(X) log X): how much sparser the set's carrier is
+    than the primes (F is 1 for the full primes).
+
+    The carrier density is E(X) = f^{-1}(X) / log X for a floor product
+    f(x) = x g(x) and E(X) = X / log X for every other set.
     """
-
-    _e: object
-
-    @classmethod
-    def all_primes(cls):
-        """E(X) = X / log X (primes, Beatty primes)."""
-        return cls(_e=lambda X: X / math.log(X))
-
-    @classmethod
-    def floor_product(cls, g):
-        """E(X) = f^{-1}(X) / log X for f(x) = x g(x)."""
-
-        def e_fn(X, g=g):
-            lo, hi = 2.0, 4.0
-            while hi * g.value(hi) < X:
-                lo, hi = hi, hi * 2
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                if mid * g.value(mid) < X:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo / math.log(X)
-
-        return cls(_e=e_fn)
-
-    def E(self, X):
-        v = self._e(X)
-        if v <= 0:
-            raise ParameterDomain(f"E({X}) = {v} must be positive")
-        return v
-
-    def D(self, X):
-        return 2.0
-
-    def F(self, X):
-        return X / (self.E(X) * math.log(X))
+    E = spec.g.inverse(X) / math.log(X) if spec.kind == "floorprod" \
+        else X / math.log(X)
+    if E <= 0:
+        raise ParameterDomain(f"E({X}) = {E} must be positive")
+    return X / (E * math.log(X))
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +101,11 @@ def _smallest_prime_above(x, avoid_divisor_of):
         n += 1
 
 
-def choose_parameters(X, q, model, y_override=None):
-    """Derive (y, p0, t, z) for a construction at scale X.
+def choose_parameters(X, q, spec, y_override=None):
+    """Derive (y, p0, t, z) for a construction over spec at scale X.
 
-    z = ceil(max(F(X)^3, D(X)^3)); y defaults to ceil(log X / D(X));
+    z = ceil(max(F(X)^3, D^3)) with F = carrier_F; y defaults to
+    ceil(log X / D);
     t = exp(log y * logloglog y / (4 loglog y)), undefined (None) when
     y <= e^e; p0 is the smallest prime above log y not dividing q.
     """
@@ -142,10 +114,9 @@ def choose_parameters(X, q, model, y_override=None):
             f"X must exceed e^(e^e) ~ {X_FLOOR:.0f} so loglog X > e")
     if y_override is not None and y_override < 7:
         raise ParameterDomain(f"y override must be >= 7, got {y_override}")
-    d = model.D(X)
-    z = max(1, math.ceil(max(model.F(X) ** 3, d ** 3)))
+    z = max(1, math.ceil(max(carrier_F(spec, X) ** 3, D ** 3)))
     y = int(y_override) if y_override is not None else \
-        math.ceil(math.log(X) / d)
+        math.ceil(math.log(X) / D)
     if y > E_POW_E:
         ly = math.log(y)
         t = math.exp(0.25 * ly * math.log(math.log(ly)) / math.log(ly))
@@ -481,22 +452,21 @@ def log_y_t(config):
     return math.log(config.t)
 
 
-def bound_report(config, X, model):
-    """All bound evaluations for a config at scale X, JSON-ready."""
+def bound_report(config, X, spec):
+    """All bound evaluations for a config over spec at scale X, JSON-ready."""
     ll = math.log(math.log(X))
     lll = math.log(ll)
     llll = math.log(lll)
-    d_value = model.D(X)
-    f_value = model.F(X)
+    f_value = carrier_F(spec, X)
     scales = (ll, lll, llll)
     report = {
         "loglog_X": ll,
         "phi_q": euler_phi(config.q),
         "case": config.case_tag,
-        "bound_A_pm": estimate_string_bound(scales, d_value, f_value,
-                                            config.q, "A_plus"),
-        "bound_other": estimate_string_bound(scales, d_value, f_value,
-                                             config.q, "other"),
+        "bound_A_pm": estimate_string_bound(scales, D, f_value, config.q,
+                                            "A_plus"),
+        "bound_other": estimate_string_bound(scales, D, f_value, config.q,
+                                             "other"),
         "phi_note": PHI_NOTE,
     }
     report["bound"] = report["bound_A_pm"] \
@@ -518,15 +488,13 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
                      X=10.0 ** 8):
     """Assemble a full construction: parameters, Q, interval, row census.
 
-    Explicit y/p0/yz win over the chosen defaults. The density model
-    follows the set: floor-product sets use WellDistModel.floor_product
-    of their g, all others (all primes, Beatty primes) the all-primes
-    model. Returns (config, interval, census, bounds).
+    Explicit y/p0/yz win over the chosen defaults. The carrier density
+    in z and the bounds follows the set (carrier_F): floor products
+    use f^{-1}(X) / log X, all other sets X / log X. Returns (config,
+    interval, census, bounds).
     """
     spec = spec or SpecialSetSpec.all_primes()
-    model = WellDistModel.floor_product(spec.g) \
-        if spec.kind == "floorprod" else WellDistModel.all_primes()
-    chosen = choose_parameters(X, q, model, y_override=y)
+    chosen = choose_parameters(X, q, spec, y_override=y)
     y = chosen.y
     p0 = p0 if p0 is not None else chosen.p0
     t = chosen.t
@@ -541,7 +509,7 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
     config = make_config(q, a, y, p0, t, z, product)
     anchors, interval = anchored_interval(config, yz)
     census = sample_rows_census(config, interval, rows, spec=spec)
-    bounds = bound_report(config, X, model)
+    bounds = bound_report(config, X, spec)
     bounds["anchors"] = {k: str(v) for k, v in anchors.items()}
     return config, interval, census, bounds
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import euler_phi
-from .errors import InvalidQuery
-from .sieve import (MAX_CENSUS_Q, PROGRESS_EVERY, _ordered_results,
-                    _segment_bounds)
+from .errors import InvalidQuery, InvalidRange, RangeTooLarge
+from .sieve import (MAX_CENSUS_Q, MAX_SCAN_HI, PROGRESS_EVERY,
+                    _ordered_results, _segment_bounds)
 from .special import member, special_primes
 
 log = logging.getLogger("primestrings.search")
@@ -47,6 +47,9 @@ class StringQuery:
                 f"need gcd(a, q) = 1, got gcd({self.a}, {self.q})")
         if self.limit < 2:
             raise InvalidQuery(f"limit must be >= 2, got {self.limit}")
+        if self.limit > MAX_SCAN_HI:
+            raise RangeTooLarge(f"limit {self.limit} exceeds "
+                                f"sieve.MAX_SCAN_HI = 2^48 = {MAX_SCAN_HI}")
 
 
 @dataclass
@@ -189,6 +192,11 @@ def residue_census(spec, X, q, workers=1,
     if q > MAX_CENSUS_Q:
         raise InvalidQuery(f"q = {q} exceeds the census modulus cap "
                            f"{MAX_CENSUS_Q} (one count per residue)")
+    if X < 0:
+        raise InvalidRange(f"X must be >= 0, got {X}")
+    if X + 1 > MAX_SCAN_HI:
+        raise RangeTooLarge(f"X = {X} must be below "
+                            f"sieve.MAX_SCAN_HI = 2^48 = {MAX_SCAN_HI}")
     bounds = _segment_bounds(1, X + 1, segment_size)
     jobs = [(spec, q, lo, hi) for lo, hi in bounds]
     total = np.zeros(q, dtype=np.int64)

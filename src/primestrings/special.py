@@ -110,10 +110,6 @@ class GFamily:
                     + 3 * (B - 1) * u ** (B - 2) * u1 * u2
                     + u ** (B - 1) * u3)
 
-    def f_value(self, n):
-        """f(n) = n * g(n)."""
-        return n * self.value(n)
-
     def f_deriv(self, x, order):
         # f = x g  =>  f^(k) = k g^(k-1) + x g^(k)
         return order * self.deriv(x, order - 1) + x * self.deriv(x, order)
@@ -125,6 +121,27 @@ class GFamily:
     def default_start_n(self):
         """Smallest integer where g is defined and positive."""
         return 3 if self.family == "loglog" else 2   # log x > 1, > 0
+
+    def inverse(self, X):
+        """f^{-1}(X) for f(x) = x g(x), as the float lo with
+        f(lo) < X <= f(next float above lo); default_start_n() when
+        f is already >= X there.
+
+        hi doubles from 4.0 until f(hi) >= X, then [lo, hi] is halved
+        until lo and hi are adjacent floats. g is only evaluated above
+        default_start_n(), where it is defined.
+        """
+        lo, hi = float(self.default_start_n()), 4.0
+        while hi * self.value(hi) < X:
+            lo, hi = hi, hi * 2
+        mid = (lo + hi) / 2
+        while lo < mid < hi:
+            if mid * self.value(mid) < X:
+                lo = mid
+            else:
+                hi = mid
+            mid = (lo + hi) / 2
+        return lo
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +254,6 @@ def enumerate_special(spec, lo, hi):
     return _floorprod_range(spec, lo, hi)
 
 
-def _floorprod_first_n(spec, target):
-    """Smallest n >= g.default_start_n() with f(n) >= target."""
-    g = spec.g
-    n = g.default_start_n()
-    if g.f_value(n) >= target:
-        return n
-    step = 1
-    while g.f_value(n + step) < target:
-        step *= 2
-    lo, hi = n + step // 2, n + step
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if g.f_value(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _floorprod_floor(g, n):
     """floor(n * g(n)) at _MP_DPS digits; PrecisionExhausted when n * g(n)
     is within 10^(10 - _MP_DPS) of an integer, relative to its size (10
@@ -273,9 +271,9 @@ def _floorprod_floor(g, n):
 def _floorprod_range(spec, lo, hi):
     g = spec.g
     lo = max(lo, 2)                      # values below 2 are skipped
-    # the float bisection can land one index off either way
-    n_lo = max(g.default_start_n(), _floorprod_first_n(spec, lo) - 1)
-    n_hi = _floorprod_first_n(spec, hi) + 1
+    # the float inverse can land one index off either way
+    n_lo = max(g.default_start_n(), math.ceil(g.inverse(lo)) - 1)
+    n_hi = math.ceil(g.inverse(hi)) + 1
     n = np.arange(n_lo, n_hi, dtype=np.float64)
     prod = n * g.value_np(n)
     vals = np.floor(prod).astype(np.int64)

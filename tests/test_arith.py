@@ -3,17 +3,7 @@ import random
 
 import pytest
 
-from primestrings.arith import crt_pair, egcd, euler_phi, prime_factors
-
-
-def test_egcd_bezout_identity():
-    rng = random.Random(7)
-    for _ in range(300):
-        a = rng.randrange(0, 10 ** 9)
-        b = rng.randrange(0, 10 ** 9)
-        g, x, y = egcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
+from primestrings.arith import crt_pair, euler_phi, prime_factors
 
 
 def test_crt_pair_examples():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import _oracles
-from primestrings import __version__
+from primestrings import __version__, search
 from primestrings.cli import main
 from primestrings.sieve import MAX_CENSUS_Q
 
@@ -169,6 +169,23 @@ def test_census_floorprod_small_power(family, B, capsys):
         if _oracles.trial_is_prime(m):
             want[str(m % 3)] += 1
     assert json.loads(out)["counts"] == want
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["census", "--q", "3", "--limit", "-5"], "X must be >= 0"),
+    (["census", "--q", "3", "--limit", "3e14"], "MAX_SCAN_HI"),
+    (["strings", "--k", "3", "--q", "7", "--a", "5", "--limit", "3e14"],
+     "MAX_SCAN_HI"),
+])
+def test_scan_limit_outside_the_scan_range_exits_4(argv, error, capsys,
+                                                   monkeypatch):
+    def no_segments(*args):
+        raise AssertionError("segments built for a rejected limit")
+
+    monkeypatch.setattr(search, "_segment_bounds", no_segments)
+    code, out, err = run_cli(argv + ["--threads", "1"], capsys)
+    assert code == 4 and out == ""
+    assert error in err
 
 
 def test_census_modulus_above_cap_exits_4(capsys):

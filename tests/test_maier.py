@@ -9,16 +9,18 @@ import warnings
 import pytest
 
 import _oracles
-from primestrings import (SpecialSetSpec, WellDistModel, anchored_interval,
-                          bound_report, build_Q, case1_proxy, census_json,
-                          choose_parameters, classify_residue, count_S_T,
-                          count_S_q, count_psi, crt_anchor,
+from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
+                          bound_report, build_Q, carrier_F, case1_proxy,
+                          census_json, choose_parameters, classify_residue,
+                          count_S_T, count_S_q, count_psi, crt_anchor,
                           estimate_string_bound, is_prime, log_y_t,
                           make_config, run_construction, sample_rows_census)
 from primestrings import maier
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
                                  InvalidQuery, ParameterDomain)
 from primestrings.maier import _PRESIEVE_B, PHI_NOTE, X_FLOOR
+
+ALL = SpecialSetSpec.all_primes()
 
 
 def micro_config():
@@ -396,44 +398,41 @@ def test_counts_monotone():
 # ----------------------------------------------------- parameter selection
 
 def test_choose_parameters_needs_large_x():
-    model = WellDistModel.all_primes()
     with pytest.raises(ParameterDomain):
-        choose_parameters(10 ** 6, 7, model)   # below e^(e^e)
+        choose_parameters(10 ** 6, 7, ALL)     # below e^(e^e)
     assert 3.8e6 < X_FLOOR < 3.9e6
 
 
 def test_choose_parameters_defaults():
     # D = 2: y = ceil(log 1e8 / 2) = 10, z = ceil(max(F^3, 2^3)) = 8 with
     # F ~ 1, p0 = 3 is the first prime above log 10 ~ 2.30
-    got = choose_parameters(10 ** 8, 7, WellDistModel.all_primes())
+    got = choose_parameters(10 ** 8, 7, ALL)
     assert (got.y, got.p0, got.t, got.z) == (10, 3, None, 8)
     assert got.t is None                       # y = 10 is below e^e
 
 
 def test_choose_parameters_override():
-    model = WellDistModel.all_primes()
-    got = choose_parameters(10 ** 8, 7, model, y_override=20)
+    got = choose_parameters(10 ** 8, 7, ALL, y_override=20)
     assert got.y == 20 and got.p0 == 3 and got.z == 8
     assert got.t == pytest.approx(1.0653584180932671)
-    got3 = choose_parameters(10 ** 8, 3, model, y_override=20)
+    got3 = choose_parameters(10 ** 8, 3, ALL, y_override=20)
     assert got3.p0 == 5                        # 3 divides q
     with pytest.raises(ParameterDomain):
-        choose_parameters(10 ** 8, 7, model, y_override=6)
+        choose_parameters(10 ** 8, 7, ALL, y_override=6)
 
 
 def test_well_dist_models():
-    m = WellDistModel.all_primes()
-    assert m.E(10 ** 6) == pytest.approx(72382.41365054197)
-    assert m.D(10 ** 6) == 2.0
-    assert m.F(10 ** 6) == pytest.approx(1.0)
-
-    g = __import__("primestrings").GFamily.loglog()
-    fp = WellDistModel.floor_product(g)
-    X = 10 ** 8
-    inv = fp.E(X) * math.log(X)
-    assert inv * g.value(inv) == pytest.approx(X, rel=1e-6)
-    assert fp.F(X) > 1.0                       # sparser than the primes
-    assert fp.D(X) == 2.0
+    assert maier.D == 2.0
+    for X in (10 ** 6, 10 ** 8, 1e30):
+        assert carrier_F(ALL, X) == pytest.approx(1.0)
+    for g in (GFamily.loglog(), GFamily.log_pow(1.5)):
+        spec = SpecialSetSpec.floor_product(g)
+        X = 10 ** 8
+        inv = g.inverse(X)
+        assert inv * g.value(inv) == pytest.approx(X, rel=1e-12)
+        # E(X) log X = f^{-1}(X), so F(X) = X / f^{-1}(X) > 1
+        assert carrier_F(spec, X) == pytest.approx(X / inv)
+        assert carrier_F(spec, X) > 1.0        # sparser than the primes
 
 
 # ------------------------------------------------------------------ bounds
@@ -469,7 +468,7 @@ def test_log_y_t_switch():
 
 def test_bound_report_shape():
     config, _, _ = micro_config()
-    report = bound_report(config, 10 ** 8, WellDistModel.all_primes())
+    report = bound_report(config, 10 ** 8, ALL)
     assert report["phi_q"] == 4
     assert report["case"] == "A_minus"
     assert report["bound"] == report["bound_A_pm"]

@@ -15,8 +15,8 @@ from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
                           StringHit, StringQuery, find_first_string,
                           hit_record, named_constant, residue_census,
                           scan_all_strings, sieve_range, verify_hit)
-from primestrings.errors import InvalidQuery, InvalidRange
-from primestrings.sieve import MAX_CENSUS_Q
+from primestrings.errors import InvalidQuery, InvalidRange, RangeTooLarge
+from primestrings.sieve import MAX_CENSUS_Q, MAX_SCAN_HI
 
 ALL = SpecialSetSpec.all_primes()
 
@@ -36,6 +36,12 @@ def test_query_validation():
         q(ALL, 1, 6, 3, 100)     # gcd(3, 6) = 3
     with pytest.raises(InvalidQuery):
         q(ALL, 1, 3, 1, 1)
+
+
+def test_query_limit_above_scan_cap():
+    q(ALL, 3, 7, 5, MAX_SCAN_HI)             # the cap itself is accepted
+    with pytest.raises(RangeTooLarge, match="MAX_SCAN_HI"):
+        q(ALL, 3, 7, 5, MAX_SCAN_HI + 1)
 
 
 # ------------------------------------------------------------------ hits
@@ -154,6 +160,17 @@ def test_census_matches_direct_count(b_pi, primes_100k):
 def test_census_rejects_bad_modulus(b_pi):
     with pytest.raises(InvalidQuery):
         residue_census(b_pi, 100, 0)
+
+
+def test_census_rejects_limits_outside_the_scan_range(b_pi, monkeypatch):
+    def no_segments(*args):
+        raise AssertionError("segments built for a rejected limit")
+
+    monkeypatch.setattr(search, "_segment_bounds", no_segments)
+    with pytest.raises(InvalidRange):
+        residue_census(b_pi, -5, 3)
+    with pytest.raises(RangeTooLarge, match="MAX_SCAN_HI"):
+        residue_census(b_pi, MAX_SCAN_HI, 3)      # scans [1, X + 1)
 
 
 # ----------------------------------------------------------- verification

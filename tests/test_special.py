@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import _oracles
@@ -168,6 +170,11 @@ def _floorprod_spec(family, B):
     ("loglog", 1.0, 29 * 10 ** 11),
     ("log", 1.5, 12747135619159 - 1000),   # n = 100000009910 grazes it
     ("log", 2.0, 10 ** 12),
+    # windows from 0: the index window starts at g.default_start_n()
+    ("loglog", 0.2, 0),
+    ("loglog", 3.0, 0),
+    ("log", 0.2, 0),
+    ("log", 3.0, 0),
 ])
 def test_floorprod_window_matches_mpmath_oracle(family, B, lo):
     spec = _floorprod_spec(family, B)
@@ -177,6 +184,28 @@ def test_floorprod_window_matches_mpmath_oracle(family, B, lo):
     want = set(want)
     for m in range(lo, hi):
         assert member(spec, m) == (m in want), m
+
+
+@seed(20143)
+@settings(database=None, deadline=None, max_examples=200)
+@given(family=st.sampled_from(("loglog", "log")),
+       B=st.sampled_from((0.2, 1.0, 1.5, 2.0)),
+       u=st.floats(0.0, 1.0), integral=st.booleans())
+def test_inverse_brackets_X(family, B, u, integral):
+    # X runs log-uniformly from f(start) to 2^48, as a float or an int
+    g = GFamily(family, B)
+    start = g.default_start_n()
+
+    def f(x):
+        return x * g.value(x)
+
+    X = math.exp(math.log(f(start)) * (1 - u) + math.log(2.0 ** 48) * u)
+    X = round(X) if integral else X
+    lo = g.inverse(X)
+    if f(start) >= X:
+        assert lo == start
+    else:
+        assert f(lo) < X <= f(math.nextafter(lo, math.inf))
 
 
 @pytest.mark.parametrize("lo,hi", [
