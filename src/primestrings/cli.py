@@ -122,7 +122,7 @@ def _emit(args, text, argv, t0, workers=1):
 
 
 def _dump(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def cmd_strings(args, argv, t0):

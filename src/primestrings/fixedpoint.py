@@ -5,7 +5,7 @@ high-precision reference string. The true constant lies between
 (num-1)/den and (num+1)/den; that interval is widened once, at
 construction, to a dyadic bracket lo/2^bits <= value <= hi/2^bits at
 the finest precision the digits support (bits = den.bit_length() - 8,
-404 for the built-in constants). All floor/ceil decisions run in
+404 for the built-in constants). All floor decisions run in
 integer arithmetic against that bracket: a decision is accepted only
 when both ends agree, and otherwise raises PrecisionExhausted.
 """
@@ -88,12 +88,6 @@ class IrrationalConstant:
             raise PrecisionExhausted(
                 f"floor({m} / {self.name}) undecided at {self.bits} bits")
         return f
-
-    def ceil_div(self, m):
-        """Exact ceil(m / value); m / value is irrational for m >= 1."""
-        if m == 0:
-            return 0
-        return self.floor_div(m) + 1
 
 
 def named_constant(name):

@@ -103,12 +103,12 @@ def _runs(query, workers, segment_size):
     maximal run.
     """
     spec, q, a, limit = query.spec, query.q, query.a, query.limit
-    bounds = _segment_bounds(1, limit, segment_size)
-    jobs = [(spec, q, a, lo, hi) for lo, hi in bounds]
+    jobs = ((spec, q, a, lo, hi)
+            for lo, hi in _segment_bounds(1, limit, segment_size))
     tail = None           # the run that reaches the last set-prime so far
     n_set = 0             # set-primes in the segments before this one
-    for (_lo, hi), (count, runs) in zip(
-            bounds, _ordered_results(_segment_runs, jobs, workers)):
+    for (*_, hi), (count, runs) in _ordered_results(_segment_runs, jobs,
+                                                    workers):
         if count:         # else no set-prime here, adjacency is preserved
             touching, tail = tail, None
             for start, length, ordinal in runs:
@@ -197,10 +197,10 @@ def residue_census(spec, X, q, workers=1,
     if X + 1 > MAX_SCAN_HI:
         raise RangeTooLarge(f"X = {X} must be below "
                             f"sieve.MAX_SCAN_HI = 2^48 = {MAX_SCAN_HI}")
-    bounds = _segment_bounds(1, X + 1, segment_size)
-    jobs = [(spec, q, lo, hi) for lo, hi in bounds]
+    jobs = ((spec, q, lo, hi)
+            for lo, hi in _segment_bounds(1, X + 1, segment_size))
     total = np.zeros(q, dtype=np.int64)
-    for counts in _ordered_results(_segment_census, jobs, workers):
+    for _job, counts in _ordered_results(_segment_census, jobs, workers):
         total += counts
     counts = {r: int(total[r]) for r in range(q)}
     coprime = [counts[r] for r in range(q) if math.gcd(r, q) == 1]

@@ -20,6 +20,7 @@ import logging
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, islice
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,33 +82,37 @@ def _sieve_segment(args):
 
 
 def _segment_bounds(lo, hi, size):
-    """Consecutive windows [a, b) covering [lo, hi), each at most size wide."""
+    """Lazy consecutive windows [a, b) covering [lo, hi), each <= size."""
     if size < 1:
         raise InvalidRange(f"segment_size must be >= 1, got {size}")
-    return [(a, min(a + size, hi)) for a in range(lo, hi, size)]
+    return ((a, min(a + size, hi)) for a in range(lo, hi, size))
 
 
 def _ordered_results(task, jobs, workers):
-    """Yield task(job) in job order, optionally via a process pool.
+    """Yield (job, task(job)) in job order, optionally via a process pool.
 
-    Submission happens in waves so an early consumer break does not
-    leave the whole range queued.
+    Jobs are drawn lazily, at most 2 * workers ahead of the consumer, so
+    an early break leaves nothing queued. A one-job plan runs in-process.
     """
-    if workers <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            yield task(job)
+    jobs = iter(jobs)
+    head = list(islice(jobs, 2))
+    if workers <= 1 or len(head) <= 1:
+        for job in chain(head, jobs):
+            yield job, task(job)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window = deque()
         try:
-            for job in jobs:
-                window.append(pool.submit(task, job))
+            for job in chain(head, jobs):
+                window.append((job, pool.submit(task, job)))
                 if len(window) >= 2 * workers:
-                    yield window.popleft().result()
+                    job, fut = window.popleft()
+                    yield job, fut.result()
             while window:
-                yield window.popleft().result()
+                job, fut = window.popleft()
+                yield job, fut.result()
         finally:
-            for fut in window:
+            for _job, fut in window:
                 fut.cancel()
 
 
@@ -128,11 +133,10 @@ def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
     base_odd = sieve_range(0, math.isqrt(hi - 1) + 1)[1:]
     # the odds 2j + 3 in [lo, hi) are those with j_lo <= j < j_hi
     j_lo, j_hi = max(0, (lo - 2) // 2), (hi - 2) // 2
-    bounds = _segment_bounds(j_lo, j_hi, segment_size)
-    tasks = [(a, b, base_odd) for a, b in bounds]
+    tasks = ((a, b, base_odd)
+             for a, b in _segment_bounds(j_lo, j_hi, segment_size))
     done = 0
-    for (a, b), comp in zip(bounds,
-                            _ordered_results(_sieve_segment, tasks, workers)):
+    for (a, b, _), comp in _ordered_results(_sieve_segment, tasks, workers):
         chunks.append(2 * (np.flatnonzero(~comp) + a) + 3)
         done += 2 * (b - a)
         if done // PROGRESS_EVERY != (done - 2 * (b - a)) // PROGRESS_EVERY:

@@ -4,9 +4,10 @@ Three carriers are supported: the natural numbers ("all", so the prime
 subset is every prime), Beatty sequences floor(n * alpha) for
 irrational alpha > 1, and floor-product sequences floor(n * g(n)) for
 g = (log log n)^B or (log n)^B, defined once by GFamily (formula,
-derivatives and family names). Beatty membership and enumeration are
-exact (integer fixed-point with directed rounding). Floor-product
-values below 2^48 are exact too: float floors are kept only where the
+derivatives and family names). Beatty membership is one exact test,
+floor((m+1)/alpha) - floor(m/alpha) = 1, on a bracket of 1/alpha: in
+int64 over an array, in big integers for one m. Floor-product values
+below 2^48 are exact too: float floors are kept only where the
 product is far from an integer, and every other floor is decided at
 _MP_DPS digits or raises PrecisionExhausted.
 """
@@ -26,7 +27,7 @@ from .fixedpoint import IrrationalConstant
 from .sieve import sieve_range
 
 MAX_ENUM_HI = 1 << 48
-_CHUNK = 1 << 20           # indices per int64 Beatty block
+_CHUNK = 1 << 20           # widest span of one int64 Beatty chunk
 _FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
 _MP_DPS = 50               # digits for floor-product floors near an integer
 
@@ -186,56 +187,58 @@ class SpecialSetSpec:
 def beatty_member(alpha, m):
     """Whether m = floor(n * alpha) for some positive integer n.
 
-    Exact: an integer n exists in [m/alpha, (m+1)/alpha) iff
-    floor(ceil(m/alpha) * alpha) == m. Comparisons the constant's
-    bracket cannot decide raise PrecisionExhausted.
+    Exact: [m/alpha, (m+1)/alpha) is shorter than 1, so it holds an
+    integer n iff floor((m+1)/alpha) - floor(m/alpha) = 1 (Fraenkel
+    1969). Floors the bracket cannot decide raise PrecisionExhausted.
     """
     if m < 1:
         raise InvalidRange(f"membership defined for m >= 1, got {m}")
     if float(alpha) <= 1.0:
         raise DomainError("Beatty slope must exceed 1")
-    n0 = alpha.ceil_div(m)
-    return alpha.floor_mul(n0) == m
+    return alpha.floor_div(m + 1) - alpha.floor_div(m) == 1
 
 
 def _side_floors(n0, c, bits, i, pad):
-    """floor((n0 + i) * c / 2^bits) from below (pad 0) or above.
+    """floor((n0 + i) * c / 2^bits) for an end c < 2^bits of the bracket
+    of 1/alpha, from below (pad 0) or above.
 
-    n0 * c and c split once into whole and fractional parts. The
-    fractions keep _FRAC_BITS bits, rounded down, or up when pad is
-    2^(bits - _FRAC_BITS) - 1, so i * step < 2^60 fits in int64.
+    n0 * c splits once into whole and fractional parts. The fraction
+    and c keep _FRAC_BITS bits, rounded down, or up when pad is
+    2^(bits - _FRAC_BITS) - 1, so i * step <= 2^60 for i <= _CHUNK.
     """
     whole, frac = divmod(n0 * c, 1 << bits)
-    step_whole, step = divmod(c, 1 << bits)
     shift = bits - _FRAC_BITS
-    frac, step = (frac + pad) >> shift, (step + pad) >> shift
-    return whole + i * step_whole + ((i * step + frac) >> _FRAC_BITS)
+    frac, step = (frac + pad) >> shift, (c + pad) >> shift
+    return whole + ((i * step + frac) >> _FRAC_BITS)
 
 
-def _beatty_block(alpha, n_lo, n_hi):
-    """floor(n * alpha) for n in [n_lo, n_hi), exactly, vectorized.
+def _beatty_mask(alpha, m):
+    """beatty_member(alpha, m) for an ascending int64 array m >= 1.
 
-    The constant carries one bracket lo/2^b <= alpha <= hi/2^b (alpha.lo,
-    alpha.hi, b = alpha.bits), fixed at construction, so
-    floor(n lo/2^b) <= floor(n alpha) <= floor(n hi/2^b). Both sides
-    are evaluated in int64 over chunks of _CHUNK indices, with
-    rounding that only widens the bracket, by at most
-    _CHUNK * 2^-_FRAC_BITS = 2^-20 (_side_floors). Where the two sides
-    agree they equal floor(n alpha); the few n where they differ
-    (frac(n alpha) within about 2^-20 of an integer) are decided by the
-    exact floor_mul.
+    alpha's bracket lo/2^b <= alpha <= hi/2^b (b = alpha.bits) gives
+    rlo/2^b <= 1/alpha <= rhi/2^b, rlo = floor(2^(2b)/hi), rhi =
+    ceil(2^(2b)/lo). floor(m/alpha) and floor((m+1)/alpha) are taken
+    from both sides in int64 at offsets up to _CHUNK from a chunk start
+    m0, widened by at most _CHUNK * 2^-_FRAC_BITS = 2^-20 (_side_floors).
+    Where a floor's sides differ, beatty_member decides.
     """
     bits = alpha.bits
+    rlo = (1 << 2 * bits) // alpha.hi
+    rhi = -(-(1 << 2 * bits) // alpha.lo)
     pad = (1 << (bits - _FRAC_BITS)) - 1
-    vals = np.empty(max(0, n_hi - n_lo), dtype=np.int64)
-    for n0 in range(n_lo, n_hi, _CHUNK):
-        i = np.arange(min(_CHUNK, n_hi - n0), dtype=np.int64)
-        lo = _side_floors(n0, alpha.lo, bits, i, 0)
-        hi = _side_floors(n0, alpha.hi, bits, i, pad)
-        for j in np.flatnonzero(lo != hi):
-            lo[j] = alpha.floor_mul(n0 + int(j))
-        vals[n0 - n_lo:n0 - n_lo + i.size] = lo
-    return vals
+    keep = np.empty(m.size, dtype=bool)
+    s = 0
+    while s < m.size:
+        m0 = int(m[s])
+        e = int(np.searchsorted(m, m0 + _CHUNK))
+        i = m[s:e] - m0 + np.arange(2)[:, None]    # rows m and m + 1
+        lo = _side_floors(m0, rlo, bits, i, 0)
+        hi = _side_floors(m0, rhi, bits, i, pad)
+        keep[s:e] = lo[1] - lo[0] == 1
+        for j in np.flatnonzero((lo != hi).any(axis=0)):
+            keep[s + j] = beatty_member(alpha, int(m[s + j]))
+        s = e
+    return keep
 
 
 def enumerate_special(spec, lo, hi):
@@ -244,14 +247,10 @@ def enumerate_special(spec, lo, hi):
         raise InvalidRange(f"bad range [{lo}, {hi})")
     if hi > MAX_ENUM_HI:
         raise RangeTooLarge(f"hi {hi} > {MAX_ENUM_HI}")
-    if spec.kind == "all":
-        return np.arange(max(lo, 1), max(hi, 1), dtype=np.int64)
-    if spec.kind == "beatty":
-        alpha = spec.alpha
-        n_lo = max(1, alpha.ceil_div(max(lo, 0)))
-        n_hi = alpha.ceil_div(hi)        # first n with floor(n*alpha) >= hi
-        return _beatty_block(alpha, n_lo, n_hi)
-    return _floorprod_range(spec, lo, hi)
+    if spec.kind == "floorprod":
+        return _floorprod_range(spec, lo, hi)
+    m = np.arange(max(lo, 1), max(hi, 1), dtype=np.int64)
+    return m if spec.kind == "all" else m[_beatty_mask(spec.alpha, m)]
 
 
 def _floorprod_floor(g, n):
@@ -309,6 +308,8 @@ def special_primes(spec, lo, hi, workers=1):
     primes = sieve_range(lo, hi, workers=workers)
     if spec.kind == "all":
         return primes
+    if spec.kind == "beatty":
+        return primes[_beatty_mask(spec.alpha, primes)]
     members = enumerate_special(spec, lo, hi)
     return np.intersect1d(members, primes, assume_unique=True)
 

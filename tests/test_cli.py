@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,7 +298,12 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point():
+    env = dict(os.environ)     # the child imports the package from src/
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "primestrings",
-                           "--version"], capture_output=True, text=True)
+                           "--version"], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__

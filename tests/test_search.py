@@ -173,6 +173,23 @@ def test_census_rejects_limits_outside_the_scan_range(b_pi, monkeypatch):
         residue_census(b_pi, MAX_SCAN_HI, 3)      # scans [1, X + 1)
 
 
+def test_scan_plans_its_segments_lazily(monkeypatch):
+    # limit 2^40 is 2^19 segments; a hit in the first one ends the scan
+    # before the rest of the plan exists
+    def first_segment_hits(args):
+        return 3, [(2, 3, 0)]
+
+    monkeypatch.setattr(search, "_segment_runs", first_segment_hits)
+    tracemalloc.start()
+    try:
+        hit = find_first_string(q(ALL, 3, 7, 5, 1 << 40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit == StringHit(primes=[2, 3, 5], start_index=0)
+    assert peak < 1 << 20
+
+
 # ----------------------------------------------------------- verification
 
 def test_verify_hit_rejects_tampering():

@@ -1,5 +1,6 @@
 """Segmented sieve, AP counts, and primality."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -13,8 +14,9 @@ from primestrings import APCount, count_primes_ap, is_prime, sieve_range
 from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
 from primestrings.sieve import (MAX_CENSUS_Q, MAX_SCAN_HI, MAX_SCAN_SPAN,
-                                _TINY_PRIMES, _strike, _strong_lucas_prp,
-                                _strong_prp_base2, primality_is_deterministic)
+                                _TINY_PRIMES, _ordered_results, _strike,
+                                _strong_lucas_prp, _strong_prp_base2,
+                                primality_is_deterministic)
 
 # random 214-bit primes and pairs of 107-bit primes, found with
 # _oracles.miller_rabin_48 from random.Random(214)
@@ -173,6 +175,23 @@ def test_bitmap_identical_across_segmentation():
         assert np.array_equal(sieve_range(0, 100_000, workers=workers), base)
         assert np.array_equal(sieve_range(0, 100_000, segment_size=4_999,
                                           workers=workers), base)
+
+
+def test_ordered_results_draws_jobs_as_the_pool_has_room():
+    drawn = []
+
+    def jobs():                      # an endless plan
+        for j in itertools.count():
+            drawn.append(j)
+            yield j
+
+    results = _ordered_results(abs, jobs(), workers=2)
+    assert [next(results) for _ in range(3)] == [(0, 0), (1, 1), (2, 2)]
+    results.close()                  # an early break: the pool shuts down
+    assert len(drawn) <= 3 + 2 * 2
+    # a one-job plan runs in-process, so even a local task is fine
+    assert list(_ordered_results(lambda j: -j, iter([7]), workers=2)) \
+        == [(7, -7)]
 
 
 def test_count_primes_ap_examples():

@@ -11,10 +11,10 @@ from mpmath import mp
 import _oracles
 from primestrings import (GFamily, SpecialSetSpec, beatty_member,
                           enumerate_special, member, named_constant,
-                          special_primes, validate_g)
+                          sieve_range, special_primes, validate_g)
 from primestrings.errors import DomainError, GridTooSmall, RangeTooLarge
 from primestrings.fixedpoint import IrrationalConstant
-from primestrings.special import floorprod_member
+from primestrings.special import _CHUNK, floorprod_member
 
 PI = named_constant("pi")
 
@@ -90,6 +90,51 @@ def test_beatty_enumeration_splits_into_windows():
              for a in range(lo, hi, 70_001)]
     assert np.array_equal(enumerate_special(spec, lo, hi),
                           np.concatenate(parts))
+
+
+_NAMES = ("pi", "sqrt2", "e")
+# denominators n > 2^20: m = floor(n alpha) puts m/alpha or (m+1)/alpha
+# within 1/m of an integer, inside the 2^-20 width of the int64 sides
+_CONVERGENTS = {name: [n for n in _oracles.convergent_denominators(
+    name, 1 << 46) if n > _CHUNK] for name in _NAMES}
+_BIG_CONVERGENTS = {name: _oracles.convergent_denominators(name, 10 ** 20)
+                    for name in _NAMES}
+
+
+@seed(20111)
+@settings(database=None, deadline=None, max_examples=40)
+@given(name=st.sampled_from(_NAMES), at_top=st.booleans(), data=st.data())
+def test_beatty_mask_matches_oracle(name, at_top, data):
+    # Windows [lo, hi) end just below 2^48, or just above m = floor(n
+    # alpha) for a convergent denominator n, where the int64 sides
+    # disagree and floor_div decides. Wide ones put m far from the chunk
+    # start, where the sides are widest, or in a second chunk.
+    alpha = named_constant(name)
+    spec = SpecialSetSpec.beatty(alpha)
+    c = _oracles.const60(name)
+    if at_top:
+        hi = (1 << 48) - data.draw(st.integers(0, 5000))
+        m, width = hi - 1, data.draw(st.integers(1, 4000))
+    else:
+        m = data.draw(st.sampled_from(_CONVERGENTS[name])) * c \
+            // _oracles.SCALE
+        hi = m + data.draw(st.integers(2, 2000))
+        width = data.draw(st.one_of(st.integers(1, 4000),
+                                    st.integers(_CHUNK // 2, _CHUNK),
+                                    st.integers(_CHUNK + 1, _CHUNK + 4000)))
+    lo = max(1, hi - width)
+    want = [p for p in sieve_range(lo, hi).tolist()
+            if _oracles.beatty_member_direct(p, name)]
+    assert special_primes(spec, lo, hi).tolist() == want
+    got = enumerate_special(spec, lo, hi)
+    tail = max(lo, hi - 4000)            # the oracle checks the last 4000
+    assert (got[got >= tail].tolist()
+            == _oracles.beatty_values(hi - 1, name, tail))
+    n = data.draw(st.sampled_from(_BIG_CONVERGENTS[name]))
+    near = n * c // _oracles.SCALE + data.draw(st.integers(-1, 1))
+    for x in (lo, m, near, data.draw(st.integers(1, 10 ** 30))):
+        assert beatty_member(alpha, x) == \
+            _oracles.beatty_member_direct(x, name), x
 
 
 def test_beatty_rejects_alpha_at_most_one():
