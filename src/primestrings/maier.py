@@ -14,6 +14,7 @@ by y*z) go through numpy.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ import numpy as np
 
 from .arith import euler_phi, prime_factors, crt_pair
 from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
-                     ParameterDomain)
-from .sieve import (_strike, is_prime, primality_is_deterministic,
-                    sieve_range)
+                     ParameterDomain, RangeTooLarge)
+from .sieve import (MAX_SCAN_SPAN, _strike, is_prime,
+                    primality_is_deterministic, sieve_range)
 from .special import member, SpecialSetSpec
 
 E_POW_E = math.exp(math.e)              # ~15.154, threshold for t
@@ -372,26 +373,41 @@ def sample_rows_census(config, interval, rows, spec=None):
 def _count_products(ps, bound, return_members):
     """Count n <= bound whose prime factors all lie in ps; 1 counts.
 
-    ps is ascending. Exact enumeration over nondecreasing
-    factorizations; with return_members the sorted n are returned.
+    ps is ascending. The walk builds each n once, as value * p^e with
+    p above every prime of value, and recurses to the primes after p
+    with budget // p^e. Once p^2 > budget, value * r has no room for a
+    second factor >= r for any listed r in [p, budget], so those n are
+    leaves: one bisect counts them (or lists them) with no call per n.
+    Each level adds a distinct prime, so the depth is the most distinct
+    primes of an n <= bound, not log2(bound). With return_members the
+    sorted n are returned.
     """
     if bound < 1:
         return [] if return_members else 0
-    members = [] if return_members else None
-    count = 0
+    members = [1] if return_members else None
 
-    def rec(idx, value, budget):
-        nonlocal count
-        count += 1
-        if members is not None:
-            members.append(value)
-        for j in range(idx, len(ps)):
-            p = ps[j]
-            if p > budget:
-                break
-            rec(j, value * p, budget // p)
+    def rec(j, value, budget):
+        count = 0
+        for i in range(j, len(ps)):
+            p = ps[i]
+            nb = budget // p
+            if nb < p:
+                k = bisect.bisect_right(ps, budget, i)
+                if members is not None:
+                    members.extend(value * r for r in ps[i:k])
+                return count + k - i
+            pe = p
+            while nb:
+                if members is not None:
+                    members.append(value * pe)
+                count += 1
+                if nb > p:             # room for a prime after p
+                    count += rec(i + 1, value * pe, nb)
+                pe *= p
+                nb //= p
+        return count
 
-    rec(0, 1, int(bound))
+    count = 1 + rec(0, 1, int(bound))
     if return_members:
         members.sort()
         return members
@@ -399,18 +415,36 @@ def _count_products(ps, bound, return_members):
 
 
 def count_S_q(q, z, return_members=False):
-    """Count n <= z whose prime factors are all = 1 (mod q); 1 counts."""
+    """Count n <= z whose prime factors are all = 1 (mod q); 1 counts.
+
+    Exact, in one process. z must lie below MAX_SCAN_SPAN, the widest
+    window sieve_range lists primes over.
+    """
     if q < 1:
         raise InvalidQuery(f"q must be >= 1, got {q}")
-    ps = [int(p) for p in sieve_range(0, max(1, int(z) + 1))
-          if p % q == 1 % q]
-    return _count_products(ps, z, return_members)
+    z = int(z)
+    if z >= MAX_SCAN_SPAN:
+        raise RangeTooLarge(f"z {z} must be below MAX_SCAN_SPAN = "
+                            f"{MAX_SCAN_SPAN}")
+    primes = sieve_range(0, max(1, z + 1))
+    # a prime p <= z < q is its own residue, never 1; q <= z fits int64
+    primes = primes[primes % q == 1 % q] if q <= z else primes[:0]
+    return _count_products(primes.tolist(), z, return_members)
 
 
 def count_psi(x, t, return_members=False):
-    """Psi(x, t): count n <= x with every prime factor strictly below t."""
-    ps = [int(p) for p in sieve_range(0, max(2, math.ceil(t))) if p < t]
-    return _count_products(ps, x, return_members)
+    """Psi(x, t): count n <= x with every prime factor strictly below t.
+
+    Exact, in one process. Only primes below min(t, x + 1) can divide
+    such an n; that bound must not exceed MAX_SCAN_SPAN.
+    """
+    x = int(x)
+    hi = max(2, min(math.ceil(t), x + 1))
+    if hi > MAX_SCAN_SPAN:
+        raise RangeTooLarge(f"t {t} and x {x} need the primes below {hi}, "
+                            f"more than MAX_SCAN_SPAN = {MAX_SCAN_SPAN}")
+    primes = sieve_range(0, hi)
+    return _count_products(primes[primes < t].tolist(), x, return_members)
 
 
 def estimate_string_bound(x_scales, d_value, f_value, q, case):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (DomainError, GridTooSmall, InvalidRange,
                      PrecisionExhausted, RangeTooLarge)
 from .fixedpoint import IrrationalConstant
-from .sieve import sieve_range
+from .sieve import MAX_SCAN_SPAN, sieve_range
 
 MAX_ENUM_HI = 1 << 48
 _CHUNK = 1 << 20           # widest span of one int64 Beatty chunk
@@ -242,15 +242,29 @@ def _beatty_mask(alpha, m):
 
 
 def enumerate_special(spec, lo, hi):
-    """Ascending members of the carrier sequence in [lo, hi)."""
+    """Ascending members of the carrier sequence in [lo, hi).
+
+    The window is at most MAX_SCAN_SPAN wide, as in sieve_range. A
+    Beatty window is masked one _CHUNK at a time, so its temporaries
+    are those of one chunk.
+    """
     if not 0 <= lo <= hi:
         raise InvalidRange(f"bad range [{lo}, {hi})")
     if hi > MAX_ENUM_HI:
         raise RangeTooLarge(f"hi {hi} > {MAX_ENUM_HI}")
+    if hi - lo > MAX_SCAN_SPAN:
+        raise RangeTooLarge(f"window {hi - lo} wider than MAX_SCAN_SPAN = "
+                            f"{MAX_SCAN_SPAN}")
     if spec.kind == "floorprod":
         return _floorprod_range(spec, lo, hi)
-    m = np.arange(max(lo, 1), max(hi, 1), dtype=np.int64)
-    return m if spec.kind == "all" else m[_beatty_mask(spec.alpha, m)]
+    lo, hi = max(lo, 1), max(hi, 1)
+    if spec.kind == "all":
+        return np.arange(lo, hi, dtype=np.int64)
+    parts = [np.empty(0, dtype=np.int64)]
+    for s in range(lo, hi, _CHUNK):
+        m = np.arange(s, min(s + _CHUNK, hi), dtype=np.int64)
+        parts.append(m[_beatty_mask(spec.alpha, m)])
+    return np.concatenate(parts)
 
 
 def _floorprod_floor(g, n):

@@ -196,7 +196,7 @@ def factorize(n, spf):
 
 def sq_members(q, z, spf):
     """n <= z with every prime factor = 1 (mod q); 1 included."""
-    out = [1]
+    out = [1] if z >= 1 else []
     for n in range(2, z + 1):
         if all(p % q == 1 % q for p in factorize(n, spf)):
             out.append(n)
@@ -205,7 +205,7 @@ def sq_members(q, z, spf):
 
 def psi_members(x, t, spf):
     """n <= x with every prime factor strictly below t; 1 included."""
-    out = [1]
+    out = [1] if x >= 1 else []
     for n in range(2, x + 1):
         if all(p < t for p in factorize(n, spf)):
             out.append(n)

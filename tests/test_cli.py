@@ -135,6 +135,21 @@ def test_counts_psi(capsys):
     assert json.loads(out) == {"count": 12, "t": 5.0, "x": 30}
 
 
+def test_counts_psi_huge_x(capsys):
+    code, out, _ = run_cli(["counts", "psi", "--x", "1e300", "--t", "3"],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["count"] == 997        # 2^0 .. 2^996
+
+
+def test_counts_sq_names_z_beyond_span(capsys):
+    code, out, err = run_cli(["counts", "sq", "--q", "3", "--z", "3e9"],
+                             capsys)
+    assert code == 4 and out == ""
+    assert "error: z 3000000000 must be below MAX_SCAN_SPAN = 2147483648" \
+        in err
+
+
 # -------------------------------------------------------------- census
 
 

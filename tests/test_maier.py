@@ -7,6 +7,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
@@ -17,8 +19,9 @@ from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
                           make_config, run_construction, sample_rows_census)
 from primestrings import maier
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
-                                 InvalidQuery, ParameterDomain)
+                                 InvalidQuery, ParameterDomain, RangeTooLarge)
 from primestrings.maier import _PRESIEVE_B, PHI_NOTE, X_FLOOR
+from primestrings.sieve import MAX_SCAN_SPAN
 
 ALL = SpecialSetSpec.all_primes()
 
@@ -388,6 +391,74 @@ def test_count_psi_exhaustive(spf_100k):
         want = _oracles.psi_members(2000, t, spf_100k)
         assert count_psi(2000, t, return_members=True) == want
         assert count_psi(2000, t) == len(want)
+
+
+# z = p^2 is the first budget where p is not a leaf: p^2 counts there
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                 53, 59, 61, 67)
+_NEAR_SQUARES = st.builds(lambda p, d: p * p + d,
+                          st.sampled_from(_SMALL_PRIMES), st.integers(-1, 1))
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(q=st.integers(1, 13),
+       z=st.one_of(st.integers(0, 4000), _NEAR_SQUARES))
+@example(q=3, z=48)                 # 7^2 - 1, 7^2, 7^2 + 1
+@example(q=3, z=49)
+@example(q=3, z=50)
+@example(q=4, z=25)                 # 5^2
+@example(q=6, z=169)                # 13^2
+def test_count_s_q_bulk_count_matches_oracle(spf_100k, q, z):
+    members = count_S_q(q, z, return_members=True)
+    assert count_S_q(q, z) == len(members)
+    assert members == _oracles.sq_members(q, z, spf_100k)
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(x=st.one_of(st.integers(0, 4000), _NEAR_SQUARES),
+       t=st.one_of(st.integers(0, 70), st.floats(0, 70)))
+@example(x=48, t=8)                 # 7^2 - 1, 7^2, 7^2 + 1
+@example(x=49, t=8)
+@example(x=50, t=8)
+@example(x=2000, t=12.999)          # t just below and above 13
+@example(x=2000, t=13)
+@example(x=2000, t=13.001)
+def test_count_psi_bulk_count_matches_oracle(spf_100k, x, t):
+    members = count_psi(x, t, return_members=True)
+    assert count_psi(x, t) == len(members)
+    assert members == _oracles.psi_members(x, t, spf_100k)
+
+
+def test_counts_closed_forms():
+    for z in (0, 1, 2, 3, 10, 1000, 99_991):
+        assert count_S_q(1, z) == z                 # every n <= z
+        assert count_S_q(2, z) == (z + 1) // 2      # the odd n <= z
+    for x in (1, 2, 10, 1000, 99_991):
+        for t in (x + 0.5, x + 1, 10 ** 12):        # every n <= x
+            assert count_psi(x, t) == x
+
+
+def test_counts_at_benchmark_scale():
+    # the counts the benchmark's seed-1 CLI ops print
+    assert count_S_q(3, 5473305) == 416586
+    assert count_S_q(5, 5403965) == 137345
+    assert count_psi(5403940, 101) == 191453
+    assert count_psi(1536503, 258) == 226061
+
+
+def test_count_psi_depth_is_distinct_primes():
+    # 2^e <= 10^300 for e <= 996: one frame per distinct prime, not per e
+    assert count_psi(10 ** 300, 3) == 997
+    assert count_psi(10 ** 300, 3, return_members=True)[-1] == 2 ** 996
+
+
+def test_counts_name_the_bound_they_exceed():
+    with pytest.raises(RangeTooLarge, match=f"z {MAX_SCAN_SPAN} .*"
+                       f"MAX_SCAN_SPAN = {MAX_SCAN_SPAN}"):
+        count_S_q(3, MAX_SCAN_SPAN)
+    with pytest.raises(RangeTooLarge, match=r"t 3000000000\.0 and x .*"
+                       f"MAX_SCAN_SPAN = {MAX_SCAN_SPAN}"):
+        count_psi(10 ** 12, 3e9)
 
 
 def test_counts_monotone():

@@ -1,6 +1,7 @@
 """Beatty and floor-product sets: membership, enumeration, g diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from primestrings import (GFamily, SpecialSetSpec, beatty_member,
                           sieve_range, special_primes, validate_g)
 from primestrings.errors import DomainError, GridTooSmall, RangeTooLarge
 from primestrings.fixedpoint import IrrationalConstant
+from primestrings.sieve import MAX_SCAN_SPAN
 from primestrings.special import _CHUNK, floorprod_member
 
 PI = named_constant("pi")
@@ -90,6 +92,31 @@ def test_beatty_enumeration_splits_into_windows():
              for a in range(lo, hi, 70_001)]
     assert np.array_equal(enumerate_special(spec, lo, hi),
                           np.concatenate(parts))
+
+
+
+def test_beatty_enumeration_memory_is_one_chunk_past_its_output():
+    # Masking one _CHUNK at a time keeps the output, its parts before
+    # concatenation and one chunk's int64 floors (66 MiB); an arange and
+    # a mask over the whole window peaked at 144 MiB for this window.
+    spec = SpecialSetSpec.beatty(PI)
+    lo = 1 << 40
+    tracemalloc.start()
+    try:
+        got = enumerate_special(spec, lo, lo + 8 * _CHUNK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(got.size - 8 * _CHUNK / math.pi) < 2
+    assert peak < 2 * got.nbytes + 80 * _CHUNK
+
+
+def test_enumeration_window_capped_at_scan_span():
+    for spec in (SpecialSetSpec.all_primes(), SpecialSetSpec.beatty(PI),
+                 SpecialSetSpec.floor_product(GFamily.loglog())):
+        with pytest.raises(RangeTooLarge,
+                           match=f"MAX_SCAN_SPAN = {MAX_SCAN_SPAN}"):
+            enumerate_special(spec, 1, MAX_SCAN_SPAN + 2)
 
 
 _NAMES = ("pi", "sqrt2", "e")
