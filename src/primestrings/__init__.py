@@ -2,10 +2,10 @@
 
 Library layout:
 
-- sieve: segmented prime sieve, AP counts, primality
+- sieve: segmented prime sieve, primality
 - fixedpoint: directed fixed-point arithmetic for irrational constants
 - special: Beatty and floor-product sequences, class-condition evidence
-- search: segmented scans for strings of congruent special primes
+- search: segmented scans for strings and residue counts of set-primes
 - maier: Maier-matrix constructions, counting functions, bound evaluation
 - cli: command line front end
 """
@@ -17,12 +17,12 @@ from .errors import (DomainError, EmptyProductWarning, GridTooSmall,
                      InvalidRange, ParameterDomain, PrecisionExhausted,
                      PrimestringsError, RangeExceeded, RangeTooLarge)
 from .fixedpoint import IrrationalConstant, named_constant
-from .sieve import APCount, count_primes_ap, is_prime, sieve_range
+from .sieve import is_prime, sieve_range
 from .special import (AlphaReport, GFamily, SpecialSetSpec, beatty_member,
                       enumerate_special, member, special_primes, validate_g)
-from .search import (NotFound, SetCensus, StringHit, StringQuery,
-                     find_first_string, hit_record, residue_census,
-                     scan_all_strings, verify_hit)
+from .search import (APCount, NotFound, SetCensus, StringHit, StringQuery,
+                     count_primes_ap, find_first_string, hit_record,
+                     residue_census, scan_all_strings, verify_hit)
 from .maier import (ChosenParams, MaierCensus, MaierConfig, QProduct,
                     STCount, anchored_interval, bound_report, build_Q,
                     carrier_F, case1_proxy, census_json, choose_parameters,

@@ -18,12 +18,12 @@ class RangeTooLarge(PrimestringsError):
     """Requested scan exceeds the configured maximum."""
 
 
-class InvalidModulus(PrimestringsError):
-    """q < 1 where a positive modulus is required."""
-
-
 class InvalidQuery(PrimestringsError):
     """String query is malformed (gcd(a, q) != 1, k < 1, ...)."""
+
+
+class InvalidModulus(InvalidQuery):
+    """Census modulus q outside [1, MAX_CENSUS_Q]."""
 
 
 class PrecisionExhausted(PrimestringsError):

@@ -17,14 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import euler_phi
-from .errors import InvalidQuery, InvalidRange, RangeTooLarge
-from .sieve import (MAX_CENSUS_Q, MAX_SCAN_HI, PROGRESS_EVERY,
-                    _ordered_results, _segment_bounds)
-from .special import member, special_primes
+from .errors import InvalidModulus, InvalidQuery, InvalidRange, RangeTooLarge
+from .sieve import (MAX_SCAN_HI, PROGRESS_EVERY, _ordered_results,
+                    _segment_bounds)
+from .special import SpecialSetSpec, member, special_primes
 
 log = logging.getLogger("primestrings.search")
 
 DEFAULT_SCAN_SEGMENT = 1 << 21
+MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,12 @@ def _segment_census(args):
     return np.bincount(special_primes(spec, lo, hi) % q, minlength=q)
 
 
+def _progress(hi, segment_size, n_set):
+    """Log about every PROGRESS_EVERY candidates: n_set set-primes < hi."""
+    if (hi - 1) % PROGRESS_EVERY < segment_size:
+        log.info("scanned %d candidates, %d set-primes", hi - 1, n_set)
+
+
 def _runs(query, workers, segment_size):
     """Runs of good set-primes below the limit, spliced across segments.
 
@@ -120,8 +127,7 @@ def _runs(query, workers, segment_size):
                 if ordinal + length == count:
                     tail = run
             n_set += count
-        if (hi - 1) % PROGRESS_EVERY < segment_size:
-            log.info("scanned %d candidates, %d set-primes", hi - 1, n_set)
+        _progress(hi, segment_size, n_set)
 
 
 def _collect_run_primes(spec, start, k, limit):
@@ -188,10 +194,10 @@ def residue_census(spec, X, q, workers=1,
                    segment_size=DEFAULT_SCAN_SEGMENT):
     """Count set-primes <= X in every residue class mod q <= MAX_CENSUS_Q."""
     if q < 1:
-        raise InvalidQuery(f"q must be >= 1, got {q}")
+        raise InvalidModulus(f"q must be >= 1, got {q}")
     if q > MAX_CENSUS_Q:
-        raise InvalidQuery(f"q = {q} exceeds the census modulus cap "
-                           f"{MAX_CENSUS_Q} (one count per residue)")
+        raise InvalidModulus(f"q = {q} exceeds the census modulus cap "
+                             f"{MAX_CENSUS_Q} (one count per residue)")
     if X < 0:
         raise InvalidRange(f"X must be >= 0, got {X}")
     if X + 1 > MAX_SCAN_HI:
@@ -200,8 +206,9 @@ def residue_census(spec, X, q, workers=1,
     jobs = ((spec, q, lo, hi)
             for lo, hi in _segment_bounds(1, X + 1, segment_size))
     total = np.zeros(q, dtype=np.int64)
-    for _job, counts in _ordered_results(_segment_census, jobs, workers):
+    for (*_, hi), counts in _ordered_results(_segment_census, jobs, workers):
         total += counts
+        _progress(hi, segment_size, int(total.sum()))
     counts = {r: int(total[r]) for r in range(q)}
     coprime = [counts[r] for r in range(q) if math.gcd(r, q) == 1]
     mean = sum(coprime) / len(coprime) if coprime else 0.0
@@ -213,6 +220,24 @@ def residue_census(spec, X, q, workers=1,
     return SetCensus(set_descriptor=spec.descriptor(), X=X, q=q,
                      counts=counts, phi=euler_phi(q), coprime_mean=mean,
                      max_ratio=max_ratio, min_ratio=min_ratio)
+
+
+@dataclass
+class APCount:
+    """Exact prime counts per residue class mod q, over primes <= X."""
+
+    X: int
+    q: int
+    counts: dict
+
+    def total(self):
+        return sum(self.counts.values())
+
+
+def count_primes_ap(X, q):
+    """Count primes p <= X in each residue class mod q <= MAX_CENSUS_Q."""
+    return APCount(X, q, residue_census(SpecialSetSpec.all_primes(), X,
+                                        q).counts)
 
 
 def _trial_prime(n):
@@ -234,7 +259,8 @@ def verify_hit(query, hit, check_index=False):
 
     Checks primality by trial division, set membership by the exact
     scalar criterion, congruences, and that no set-prime falls strictly
-    between consecutive members of the string.
+    between consecutive members of the string. check_index recounts the
+    set-primes below the string with residue_census.
     """
     ps = hit.primes
     if len(ps) != query.k or any(p >= query.limit for p in ps):
@@ -252,8 +278,8 @@ def verify_hit(query, hit, check_index=False):
             if member(query.spec, m) and _trial_prime(m):
                 return False
     if check_index:
-        before = special_primes(query.spec, 1, ps[0])
-        if int(before.size) != hit.start_index:
+        before = residue_census(query.spec, ps[0] - 1, 1).counts[0]
+        if before != hit.start_index:
             return False
     return True
 

@@ -1,4 +1,4 @@
-"""Segmented prime sieve, AP counting, and primality testing.
+"""Segmented prime sieve and primality testing.
 
 The sieve works on a bitmap over odd integers >= 3 (2 is handled
 implicitly). Bit j covers the odd number 2j + 3 and is set when that
@@ -21,18 +21,16 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, islice
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidModulus, InvalidRange, RangeExceeded, RangeTooLarge
+from .errors import InvalidRange, RangeExceeded, RangeTooLarge
 
 log = logging.getLogger("primestrings.sieve")
 
 DEFAULT_SEGMENT_BYTES = 262144  # odds per working segment (1 byte each)
 MAX_SCAN_HI = 1 << 48           # upper end of the supported scan range
 MAX_SCAN_SPAN = 1 << 31         # widest single [lo, hi) window
-MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
 PROGRESS_EVERY = 10 ** 7        # candidates between progress log lines
 
 # BPSW has no counterexample below 2^64 (Feitsma-Galway's list of
@@ -142,32 +140,6 @@ def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
         if done // PROGRESS_EVERY != (done - 2 * (b - a)) // PROGRESS_EVERY:
             log.info("sieved %d candidates up to %d", done, 2 * b + 3)
     return np.concatenate(chunks)
-
-
-@dataclass
-class APCount:
-    """Exact prime counts per residue class mod q, over primes <= X."""
-
-    X: int
-    q: int
-    counts: dict
-
-    def total(self):
-        return sum(self.counts.values())
-
-
-def count_primes_ap(X, q):
-    """Count primes p <= X in each residue class mod q <= MAX_CENSUS_Q."""
-    if q < 1:
-        raise InvalidModulus(f"q must be >= 1, got {q}")
-    if q > MAX_CENSUS_Q:
-        raise InvalidModulus(f"q = {q} exceeds the census modulus cap "
-                             f"{MAX_CENSUS_Q} (one count per residue)")
-    if X < 0:
-        raise InvalidRange(f"X must be >= 0, got {X}")
-    primes = sieve_range(0, X + 1)
-    binned = np.bincount(primes % q, minlength=q)
-    return APCount(X=X, q=q, counts={r: int(binned[r]) for r in range(q)})
 
 
 def _strong_prp_base2(n):

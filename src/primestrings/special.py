@@ -24,9 +24,8 @@ import numpy as np
 from .errors import (DomainError, GridTooSmall, InvalidRange,
                      PrecisionExhausted, RangeTooLarge)
 from .fixedpoint import IrrationalConstant
-from .sieve import MAX_SCAN_SPAN, sieve_range
+from .sieve import MAX_SCAN_HI, MAX_SCAN_SPAN, sieve_range
 
-MAX_ENUM_HI = 1 << 48
 _CHUNK = 1 << 20           # widest span of one int64 Beatty chunk
 _FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
 _MP_DPS = 50               # digits for floor-product floors near an integer
@@ -250,8 +249,8 @@ def enumerate_special(spec, lo, hi):
     """
     if not 0 <= lo <= hi:
         raise InvalidRange(f"bad range [{lo}, {hi})")
-    if hi > MAX_ENUM_HI:
-        raise RangeTooLarge(f"hi {hi} > {MAX_ENUM_HI}")
+    if hi > MAX_SCAN_HI:
+        raise RangeTooLarge(f"hi {hi} > {MAX_SCAN_HI}")
     if hi - lo > MAX_SCAN_SPAN:
         raise RangeTooLarge(f"window {hi - lo} wider than MAX_SCAN_SPAN = "
                             f"{MAX_SCAN_SPAN}")
@@ -302,9 +301,9 @@ def _floorprod_range(spec, lo, hi):
 
 def floorprod_member(spec, m):
     """Whether m = floor(n g(n)) for an n >= g.default_start_n(), m < 2^48."""
-    if m >= MAX_ENUM_HI:
+    if m >= MAX_SCAN_HI:
         raise RangeTooLarge(f"floor-product membership is decided only "
-                            f"below 2^48 = {MAX_ENUM_HI}, got {m}")
+                            f"below 2^48 = {MAX_SCAN_HI}, got {m}")
     return m >= 2 and enumerate_special(spec, m, m + 1).size > 0
 
 

@@ -12,7 +12,8 @@ import pytest
 import _oracles
 from primestrings import __version__, search
 from primestrings.cli import main
-from primestrings.sieve import MAX_CENSUS_Q
+from primestrings.search import MAX_CENSUS_Q
+from primestrings.sieve import PROGRESS_EVERY
 
 GAMMA_40 = "0.5772156649015328606065120900824024310421"
 
@@ -21,6 +22,16 @@ def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_module(argv):
+    """Run `python -m primestrings argv` in a child that imports src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "primestrings", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 # ------------------------------------------------------------- strings
@@ -313,12 +324,19 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point():
-    env = dict(os.environ)     # the child imports the package from src/
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(__file__).resolve().parents[1] / "src"),
-        env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "primestrings",
-                           "--version"], capture_output=True, text=True,
-                          env=env)
+    proc = run_module(["--version"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+def test_census_verbose_logs_progress():
+    # a child process: under pytest the root logger already has handlers,
+    # so main's logging.basicConfig would not route INFO to stderr
+    limit = PROGRESS_EVERY + 10 ** 6
+    proc = run_module(["--verbose", "census", "--q", "3", "--limit",
+                       str(limit), "--threads", "1"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["counts"] == {"0": 1, "1": 363_181,
+                                                 "2": 363_335}
+    assert (f"primestrings.search: scanned {limit} candidates, "
+            f"726517 set-primes") in proc.stderr.splitlines()

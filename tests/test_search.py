@@ -16,7 +16,8 @@ from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
                           hit_record, named_constant, residue_census,
                           scan_all_strings, sieve_range, verify_hit)
 from primestrings.errors import InvalidQuery, InvalidRange, RangeTooLarge
-from primestrings.sieve import MAX_CENSUS_Q, MAX_SCAN_HI
+from primestrings.search import MAX_CENSUS_Q
+from primestrings.sieve import MAX_SCAN_HI
 
 ALL = SpecialSetSpec.all_primes()
 
@@ -220,6 +221,21 @@ def test_verify_hit_checks_membership(b_pi):
         assert not verify_hit(query, moved, check_index=True)
     not_in_set = StringHit(primes=[61, 67], start_index=4)
     assert not verify_hit(query, not_in_set)
+
+
+def test_verify_hit_index_check_walks_segments(b_pi):
+    # the ordinal is recounted by the segmented census; listing every
+    # set-prime below the string in one window peaked at 25 MiB here
+    golden = [26402437, 26402507, 26402591, 26402843, 26402899, 26402927]
+    query = q(b_pi, 6, 7, 5, 30_000_000)
+    tracemalloc.start()
+    try:
+        ok = verify_hit(query, StringHit(golden, 523253), check_index=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 12 * 2 ** 20
 
 
 # ------------------------------------------------------------ determinism

@@ -13,8 +13,9 @@ import _oracles
 from primestrings import APCount, count_primes_ap, is_prime, sieve_range
 from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
-from primestrings.sieve import (MAX_CENSUS_Q, MAX_SCAN_HI, MAX_SCAN_SPAN,
-                                _TINY_PRIMES, _ordered_results, _strike,
+from primestrings.search import MAX_CENSUS_Q
+from primestrings.sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _TINY_PRIMES,
+                                _ordered_results, _strike,
                                 _strong_lucas_prp, _strong_prp_base2,
                                 primality_is_deterministic)
 
@@ -226,6 +227,20 @@ def test_count_primes_ap_modulus_cap():
     finally:
         tracemalloc.stop()
     assert peak < MAX_CENSUS_Q       # one int64 per residue is 8x that
+
+
+def test_count_primes_ap_walks_segments():
+    # the census holds one 2^21-wide segment at a time, not every prime
+    # up to X (a one-window sieve peaked at 10 MiB here)
+    tracemalloc.start()
+    try:
+        got = count_primes_ap(10 ** 7, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.total() == 664_579
+    assert got.counts[0] == 1            # 7 itself
+    assert peak < 6 * 2 ** 20
 
 
 def test_is_prime_small_agrees_with_trial_division():
