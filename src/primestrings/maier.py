@@ -24,8 +24,8 @@ import numpy as np
 
 from .arith import euler_phi, prime_factors, crt_pair
 from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
-                     ParameterDomain, RangeTooLarge)
-from .sieve import (MAX_SCAN_SPAN, _strike, is_prime,
+                     ParameterDomain, RangeExceeded, RangeTooLarge)
+from .sieve import (MAX_SCAN_SPAN, _PRIMALITY_CEILING, _strike, is_prime,
                     primality_is_deterministic, sieve_range)
 from .special import member, SpecialSetSpec
 
@@ -320,6 +320,12 @@ def sample_rows_census(config, interval, rows, spec=None):
             f"Q = {config.Q} is not a multiple of q = {config.q}, so rows "
             f"do not keep the column residues mod q")
     start, length = interval
+    top = rows * config.Q + start + length - 1          # the largest entry
+    if top > _PRIMALITY_CEILING:
+        raise RangeExceeded(
+            f"y = {config.y} and rows = {rows} put {top.bit_length()}-bit "
+            f"entries in the matrix, beyond the supported primality range "
+            f"(2^256); lower y or rows")
     mask = _coprime_mask(config, start, length)
     q, a, Q = config.q, config.a, config.Q
     ps, q_mod, res = _presieve_primes(Q, start)
@@ -327,7 +333,7 @@ def sample_rows_census(config, interval, rows, spec=None):
     good_total = bad_total = 0
     rows_with_bad = 0
     max_run = 0
-    deterministic = primality_is_deterministic(rows * Q + start + length)
+    deterministic = primality_is_deterministic(top + 1)
     for r in range(1, rows + 1):
         base = r * Q + start
         res = (res + q_mod) % ps                    # base mod p

@@ -26,7 +26,7 @@ from .errors import (DomainError, GridTooSmall, InvalidRange,
 from .fixedpoint import IrrationalConstant
 from .sieve import MAX_SCAN_HI, MAX_SCAN_SPAN, sieve_range
 
-_CHUNK = 1 << 20           # widest span of one int64 Beatty chunk
+_CHUNK = 1 << 18           # widest span of one int64 Beatty chunk
 _FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
 _MP_DPS = 50               # digits for floor-product floors near an integer
 
@@ -44,7 +44,7 @@ class GFamily:
 
     The formula is written once, in at(), and evaluated with the log
     function the caller passes: math.log for a float, np.log for an
-    array, mpmath.log at high precision. deriv() applies one chain rule
+    array, mpmath.log at high precision. derivs() applies one chain rule
     for u^B to the analytic u', u'', u''' of the family.
     """
 
@@ -87,10 +87,8 @@ class GFamily:
         self._log(x)
         return self.at(x, math.log)
 
-    def deriv(self, x, order):
-        """g^(order)(x) for order 0..3."""
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"order {order} not supported")
+    def derivs(self, x):
+        """(g, g', g'', g''') at x, from one u, u', u'', u'''."""
         L = self._log(x)
         if self.family == "loglog":
             u = math.log(L)
@@ -100,19 +98,17 @@ class GFamily:
         else:
             u, u1, u2, u3 = L, 1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3
         B = self.B
-        if order == 0:
-            return u ** B
-        if order == 1:
-            return B * u ** (B - 1) * u1
-        if order == 2:
-            return B * ((B - 1) * u ** (B - 2) * u1 ** 2 + u ** (B - 1) * u2)
-        return B * ((B - 1) * (B - 2) * u ** (B - 3) * u1 ** 3
-                    + 3 * (B - 1) * u ** (B - 2) * u1 * u2
-                    + u ** (B - 1) * u3)
+        return (u ** B,
+                B * u ** (B - 1) * u1,
+                B * ((B - 1) * u ** (B - 2) * u1 ** 2 + u ** (B - 1) * u2),
+                B * ((B - 1) * (B - 2) * u ** (B - 3) * u1 ** 3
+                     + 3 * (B - 1) * u ** (B - 2) * u1 * u2
+                     + u ** (B - 1) * u3))
 
-    def f_deriv(self, x, order):
-        # f = x g  =>  f^(k) = k g^(k-1) + x g^(k)
-        return order * self.deriv(x, order - 1) + x * self.deriv(x, order)
+    def f_derivs(self, x):
+        """(f, f', f'', f''') at x for f = x g: f^(k) = k g^(k-1) + x g^(k)."""
+        d = self.derivs(x)
+        return (x * d[0],) + tuple(k * d[k - 1] + x * d[k] for k in (1, 2, 3))
 
     def value_np(self, x):
         """g over a float array (domain not checked)."""
@@ -203,7 +199,7 @@ def _side_floors(n0, c, bits, i, pad):
 
     n0 * c splits once into whole and fractional parts. The fraction
     and c keep _FRAC_BITS bits, rounded down, or up when pad is
-    2^(bits - _FRAC_BITS) - 1, so i * step <= 2^60 for i <= _CHUNK.
+    2^(bits - _FRAC_BITS) - 1, so i * step <= 2^58 for i <= _CHUNK.
     """
     whole, frac = divmod(n0 * c, 1 << bits)
     shift = bits - _FRAC_BITS
@@ -218,7 +214,7 @@ def _beatty_mask(alpha, m):
     rlo/2^b <= 1/alpha <= rhi/2^b, rlo = floor(2^(2b)/hi), rhi =
     ceil(2^(2b)/lo). floor(m/alpha) and floor((m+1)/alpha) are taken
     from both sides in int64 at offsets up to _CHUNK from a chunk start
-    m0, widened by at most _CHUNK * 2^-_FRAC_BITS = 2^-20 (_side_floors).
+    m0, widened by at most _CHUNK * 2^-_FRAC_BITS = 2^-22 (_side_floors).
     Where a floor's sides differ, beatty_member decides.
     """
     bits = alpha.bits
@@ -350,47 +346,24 @@ class AlphaReport:
     tolerance: float
 
 
-def _alpha_fits(g, x):
-    d0 = g.deriv(x, 0)
-    d1 = g.deriv(x, 1)
-    d2 = g.deriv(x, 2)
-    d3 = g.deriv(x, 3)
-    a_g = (x * d1 / d0 + 1 if d0 else math.nan,
-           x * d2 / d1 + 2 if d1 else math.nan,
-           x * d3 / d2 + 3 if d2 else math.nan)
-    f0 = x * d0
-    f1 = g.f_deriv(x, 1)
-    f2 = g.f_deriv(x, 2)
-    f3 = g.f_deriv(x, 3)
-    a_f = (x * f1 / f0 if f0 else math.nan,
-           x * f2 / f1 if f1 else math.nan,
-           x * f3 / f2 if f2 else math.nan)
-    return a_g, a_f
+def _fits(x, d):
+    """x d[i] / d[i - 1] for i = 1, 2, 3; nan where d[i - 1] is 0."""
+    return tuple(x * d[i] / d[i - 1] if d[i - 1] else math.nan
+                 for i in (1, 2, 3))
 
 
-def _log_growth_trend(g, grid):
-    """True when log g / (loglog * llll / lll) decreases on the tail."""
+def _log_growth_trend(samples):
+    """True when log g / (loglog * llll / lll) decreases over the points
+    where g and the iterated logs log x, ..., llll x are all positive."""
     ratios = []
-    for x in grid:
-        L = math.log(x)
-        if L <= 0:
-            continue
-        LL = math.log(L)
-        if LL <= 0:
-            continue
-        LLL = math.log(LL)
-        if LLL <= 0:
-            continue
-        LLLL = math.log(LLL)
-        if LLLL <= 0:
-            continue
-        gv = g.value(x)
-        if gv <= 0:
-            continue
-        ratios.append(math.log(gv) / (LL * LLLL / LLL))
-    if len(ratios) < 2:
-        return False
-    return all(b < a for a, b in zip(ratios, ratios[1:]))
+    for s in samples:
+        logs = [math.log(s["x"])]
+        while logs[-1] > 0 and len(logs) < 4:
+            logs.append(math.log(logs[-1]))
+        if logs[-1] > 0 and s["g"] > 0:
+            _, LL, LLL, LLLL = logs
+            ratios.append(math.log(s["g"]) / (LL * LLLL / LLL))
+    return len(ratios) > 1 and all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
 def validate_g(g, grid, tolerance=0.05):
@@ -407,11 +380,10 @@ def validate_g(g, grid, tolerance=0.05):
         raise GridTooSmall("grid must span at least 3 decades")
     samples = []
     for x in grid:
-        a_g, a_f = _alpha_fits(g, x)
-        samples.append({"x": x, "alpha_g": a_g, "alpha_f": a_f,
-                        "g": g.deriv(x, 0),
-                        "dg": g.deriv(x, 1),
-                        "second_order": 2 * g.deriv(x, 1) + x * g.deriv(x, 2)})
+        d, f = g.derivs(x), g.f_derivs(x)
+        a_g = tuple(a + i for i, a in enumerate(_fits(x, d), 1))
+        samples.append({"x": x, "alpha_g": a_g, "alpha_f": _fits(x, f),
+                        "g": d[0], "dg": d[1], "second_order": f[2]})
     a1, a2, a3 = samples[-1]["alpha_g"]
     tol = tolerance
     flags = {
@@ -424,7 +396,7 @@ def validate_g(g, grid, tolerance=0.05):
         "increasing_unbounded": (all(s["dg"] > 0 for s in samples)
                                  and samples[-1]["g"] > samples[0]["g"]),
         "codomain_ge_2": all(s["g"] >= 2 for s in samples),
-        "log_growth": _log_growth_trend(g, grid),
+        "log_growth": _log_growth_trend(samples),
     }
     return AlphaReport(grid=tuple(grid),
                        alpha_g=samples[-1]["alpha_g"],

@@ -19,7 +19,8 @@ from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
                           make_config, run_construction, sample_rows_census)
 from primestrings import maier
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
-                                 InvalidQuery, ParameterDomain, RangeTooLarge)
+                                 InvalidQuery, ParameterDomain, RangeExceeded,
+                                 RangeTooLarge)
 from primestrings.maier import _PRESIEVE_B, PHI_NOTE, X_FLOOR
 from primestrings.sieve import MAX_SCAN_SPAN
 
@@ -357,6 +358,27 @@ def test_sample_rows_census_guards():
     # q must divide Q, or entries r*Q + i leave their column's class mod q
     with pytest.raises(ParameterDomain):
         sample_rows_census(dataclasses.replace(config, Q=31), interval, 3)
+
+
+def test_sample_rows_census_rejects_entries_beyond_primality_range(
+        monkeypatch):
+    # y = 300 makes Q a 296-bit product, so no entry can reach
+    # is_prime: the census stops before it builds the coprime mask
+    masks = []
+    mask = maier._coprime_mask
+    monkeypatch.setattr(maier, "_coprime_mask",
+                        lambda *args: masks.append(args) or mask(*args))
+    with pytest.raises(RangeExceeded, match=r"^y = 300 and rows = 1 put "
+                       r"\d+-bit entries in the matrix, beyond the supported"
+                       r" primality range \(2\^256\); lower y or rows$"):
+        run_construction(5, 4, y=300, yz=2000, rows=1)
+    assert masks == []
+    # the largest entry rows*Q + start + length - 1 may be 2^256 itself
+    config, _, _ = micro_config()
+    config = dataclasses.replace(config, Q=(1 << 256) - 31)
+    assert sample_rows_census(config, (2, 30), 1).rows_sampled == 1
+    with pytest.raises(RangeExceeded, match="rows = 1"):
+        sample_rows_census(config, (3, 30), 1)
 
 
 # ------------------------------------------------------ counting functions

@@ -97,8 +97,9 @@ def test_beatty_enumeration_splits_into_windows():
 
 def test_beatty_enumeration_memory_is_one_chunk_past_its_output():
     # Masking one _CHUNK at a time keeps the output, its parts before
-    # concatenation and one chunk's int64 floors (66 MiB); an arange and
-    # a mask over the whole window peaked at 144 MiB for this window.
+    # concatenation and one chunk's int64 floors (14.5 MiB at _CHUNK =
+    # 2^18); an arange and a mask over a whole 2^23-wide window peaked
+    # at 144 MiB.
     spec = SpecialSetSpec.beatty(PI)
     lo = 1 << 40
     tracemalloc.start()
@@ -120,8 +121,8 @@ def test_enumeration_window_capped_at_scan_span():
 
 
 _NAMES = ("pi", "sqrt2", "e")
-# denominators n > 2^20: m = floor(n alpha) puts m/alpha or (m+1)/alpha
-# within 1/m of an integer, inside the 2^-20 width of the int64 sides
+# denominators n > 2^18: m = floor(n alpha) puts m/alpha or (m+1)/alpha
+# within 1/m of an integer, inside the 2^-22 width of the int64 sides
 _CONVERGENTS = {name: [n for n in _oracles.convergent_denominators(
     name, 1 << 46) if n > _CHUNK] for name in _NAMES}
 _BIG_CONVERGENTS = {name: _oracles.convergent_denominators(name, 10 ** 20)
@@ -333,17 +334,19 @@ def _mp_deriv(fn, x, order):
 ])
 def test_derivatives_match_mpmath(g, fn):
     for x in (2e3, 1e5, 3e7):
+        got = g.derivs(x)
         for order in (0, 1, 2, 3):
             want = _mp_deriv(fn, x, order)
-            assert g.deriv(x, order) == pytest.approx(want, rel=1e-8)
+            assert got[order] == pytest.approx(want, rel=1e-8)
 
 
 def test_f_deriv_product_rule():
     g = GFamily.loglog()
     x = 1e6
+    got = g.f_derivs(x)
     for order in (1, 2, 3):
         want = _mp_deriv(lambda t: t * mp.log(mp.log(t)), x, order)
-        assert g.f_deriv(x, order) == pytest.approx(want, rel=1e-8)
+        assert got[order] == pytest.approx(want, rel=1e-8)
 
 
 # ------------------------------------------------------------- validate_g
@@ -376,6 +379,23 @@ def test_validate_g_loglog_canonical_grid():
 def test_validate_g_loglog_wide_grid_log_growth():
     rep = validate_g(GFamily.loglog(), [1e7, 1e9, 1e12, 1e16, 1e20])
     assert rep.flags["log_growth"]
+
+
+def test_validate_g_log_growth_skips_points_without_its_scale():
+    # log x, its iterated logs up to llll x, and g(x) must be positive
+    # for a point to count: llll x < 0 at 3e6 and 1e3, lll x < 0 at 10
+    # (<= e^e) and ll x < 0 at 2 (<= e). The kept points decrease; a
+    # skipped one would raise (log of a nonpositive number) or break
+    # the trend.
+    assert validate_g(GFamily.loglog(),
+                      [3e6, 1e7, 1e9, 1e12, 1e16]).flags["log_growth"]
+    for B in (1.0, 2.0):
+        rep = validate_g(GFamily.log_pow(B), [2, 10, 1e3, 1e7, 1e12, 1e16])
+        assert rep.flags["log_growth"]
+    # (log log x)^-1000 underflows to 0 on this grid: no point counts
+    rep = validate_g(GFamily.loglog(-1000.0), [1e7, 1e9, 1e12, 1e16, 1e20])
+    assert all(s["g"] == 0 for s in rep.samples)
+    assert not rep.flags["log_growth"]
 
 
 def test_validate_g_logpow_alpha_collision():
