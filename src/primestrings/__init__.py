@@ -20,7 +20,7 @@ from .fixedpoint import IrrationalConstant, named_constant
 from .sieve import is_prime, sieve_range
 from .special import (AlphaReport, GFamily, SpecialSetSpec, beatty_member,
                       enumerate_special, member, special_primes, validate_g)
-from .search import (APCount, NotFound, SetCensus, StringHit, StringQuery,
+from .search import (NotFound, SetCensus, StringHit, StringQuery,
                      count_primes_ap, find_first_string, hit_record,
                      residue_census, scan_all_strings, verify_hit)
 from .maier import (ChosenParams, MaierCensus, MaierConfig, QProduct,

@@ -27,6 +27,7 @@ from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
                      ParameterDomain, RangeExceeded, RangeTooLarge)
 from .sieve import (MAX_SCAN_SPAN, _PRIMALITY_CEILING, _strike, is_prime,
                     primality_is_deterministic, sieve_range)
+from .search import _good_runs
 from .special import member, SpecialSetSpec
 
 E_POW_E = math.exp(math.e)              # ~15.154, threshold for t
@@ -110,6 +111,8 @@ def choose_parameters(X, q, spec, y_override=None):
     t = exp(log y * logloglog y / (4 loglog y)), undefined (None) when
     y <= e^e; p0 is the smallest prime above log y not dividing q.
     """
+    if q < 1:
+        raise InvalidQuery(f"q must be >= 1, got {q}")
     if X <= X_FLOOR:
         raise ParameterDomain(
             f"X must exceed e^(e^e) ~ {X_FLOOR:.0f} so loglog X > e")
@@ -129,6 +132,15 @@ def choose_parameters(X, q, spec, y_override=None):
 
 # ---------------------------------------------------------------------------
 # the product Q and the column interval
+
+
+def _product(factors):
+    """Product of a nonempty int list by a balanced tree of pairwise
+    products (one factor at a time is quadratic in the bit length)."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2])
+                   for i in range(0, len(factors), 2)]
+    return factors[0]
 
 
 @dataclass(frozen=True)
@@ -172,11 +184,8 @@ def build_Q(q, a, y, p0, t=None, yz_over_t=None):
     if not pa:
         warnings.warn(f"P_a is empty for a={a}, q={q}, y={y}; Q = q",
                       EmptyProductWarning)
-    Q = q
-    for p in pa:
-        Q *= p
     tag = "A_plus" if cls == "both" else cls
-    return QProduct(Q=Q, P_a=tuple(pa), case=tag)
+    return QProduct(Q=_product([q] + pa), P_a=tuple(pa), case=tag)
 
 
 @dataclass(frozen=True)
@@ -259,17 +268,18 @@ def _coprime_mask(config, start, length):
     return ~shared
 
 
-def _s_columns(config, start, mask):
-    """Indices of the coprime columns = a (mod q): the set S."""
-    good = np.arange((config.a - start) % config.q, mask.size, config.q)
-    return good[mask[good]]
+def _s_mask(config, start, mask):
+    """The coprime columns = a (mod q), the set S, as a column mask."""
+    s_mask = np.zeros(mask.size, dtype=bool)
+    s_mask[(config.a - start) % config.q::config.q] = True
+    return s_mask & mask
 
 
 def count_S_T(config, interval):
     """Split coprime columns into S (= a mod q) and T (the rest)."""
     start, length = interval
     mask = _coprime_mask(config, start, length)
-    s_idx = _s_columns(config, start, mask)
+    s_idx = np.flatnonzero(_s_mask(config, start, mask))
     return STCount(S=int(s_idx.size), T=int(mask.sum()) - int(s_idx.size),
                    S_members=tuple(start + int(j) for j in s_idx))
 
@@ -282,7 +292,7 @@ class MaierCensus:
     T_count: int
     rows_sampled: int
     per_row: list            # (r, good, bad, longest_good_run)
-    good_total: int
+    good_total: int          # the totals derive from per_row
     bad_total: int
     rows_with_bad: int
     max_good_run: int
@@ -303,7 +313,8 @@ def sample_rows_census(config, interval, rows, spec=None):
     A prime at column i is good when i = a (mod q). Only columns
     coprime to Q can contribute primes beyond Q's own support, so the
     scan walks those columns. Every entry r*Q + i keeps its column's
-    residue i mod q, which holds for all rows exactly when q divides Q.
+    residue i mod q, which holds for all rows exactly when q divides Q:
+    S is one column mask, and a row's good runs are runs of S columns.
 
     Before any primality test, each row is presieved by the primes
     p <= _PRESIEVE_B = 2^16 that do not divide Q: an entry c with
@@ -327,15 +338,11 @@ def sample_rows_census(config, interval, rows, spec=None):
             f"entries in the matrix, beyond the supported primality range "
             f"(2^256); lower y or rows")
     mask = _coprime_mask(config, start, length)
-    q, a, Q = config.q, config.a, config.Q
-    ps, q_mod, res = _presieve_primes(Q, start)
+    s_mask = _s_mask(config, start, mask)
+    ps, q_mod, res = _presieve_primes(config.Q, start)
     per_row = []
-    good_total = bad_total = 0
-    rows_with_bad = 0
-    max_run = 0
-    deterministic = primality_is_deterministic(top + 1)
     for r in range(1, rows + 1):
-        base = r * Q + start
+        base = r * config.Q + start
         res = (res + q_mod) % ps                    # base mod p
         first = (ps - res) % ps                     # first column p divides
         if base <= _PRESIEVE_B:
@@ -343,33 +350,20 @@ def sample_rows_census(config, interval, rows, spec=None):
             first[keep] += ps[keep]
         struck = np.zeros(length, dtype=bool)
         _strike(struck, first, ps)
-        good = bad = 0
-        run = best = 0
-        for j in np.flatnonzero(mask & ~struck).tolist():
-            c = base + j
-            if not is_prime(c):
-                continue
-            if spec is not None and spec.kind != "all" \
-                    and not member(spec, c):
-                continue
-            if c % q == a % q:
-                good += 1
-                run += 1
-                best = max(best, run)
-            else:
-                bad += 1
-                run = 0
-        per_row.append((r, good, bad, best))
-        good_total += good
-        bad_total += bad
-        rows_with_bad += 1 if bad else 0
-        max_run = max(max_run, best)
-    s_count = int(_s_columns(config, start, mask).size)
+        cols = [j for j in np.flatnonzero(mask & ~struck).tolist()
+                if is_prime(base + j)
+                and (spec is None or member(spec, base + j))]
+        runs = _good_runs(s_mask[cols])[1]
+        good = int(runs.sum())
+        per_row.append((r, good, len(cols) - good, int(runs.max(initial=0))))
+    s_count = int(s_mask.sum())
+    _, goods, bads, bests = zip(*per_row)
     return MaierCensus(S_count=s_count, T_count=int(mask.sum()) - s_count,
-                       rows_sampled=rows,
-                       per_row=per_row, good_total=good_total,
-                       bad_total=bad_total, rows_with_bad=rows_with_bad,
-                       max_good_run=max_run, deterministic=deterministic)
+                       rows_sampled=rows, per_row=per_row,
+                       good_total=sum(goods), bad_total=sum(bads),
+                       rows_with_bad=sum(map(bool, bads)),
+                       max_good_run=max(bests),
+                       deterministic=primality_is_deterministic(top + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +528,14 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
     interval, census, bounds).
     """
     spec = spec or SpecialSetSpec.all_primes()
+    cls = classify_residue(a, q)
     chosen = choose_parameters(X, q, spec, y_override=y)
     y = chosen.y
     p0 = p0 if p0 is not None else chosen.p0
     t = chosen.t
     z = chosen.z if yz is None else max(1, -(-yz // y))
     yz = yz if yz is not None else y * z
-    if classify_residue(a, q) == "other" and t is None:
+    if cls == "other" and t is None:
         raise ParameterDomain(
             f"a = {a} is not an A± residue mod {q}, so t is needed and y "
             f"must exceed e^e ~ {E_POW_E:.2f}; got y = {y}, use "

@@ -69,6 +69,13 @@ class NotFound:
     limit: int
 
 
+def _good_runs(good):
+    """First index and length of each maximal run of True in a bool array:
+    runs start and end where the array, padded with False, changes."""
+    edges = np.flatnonzero(np.diff(good, prepend=False, append=False))
+    return edges[::2], edges[1::2] - edges[::2]
+
+
 def _segment_runs(args):
     """Set-prime count and runs of good primes of one segment.
 
@@ -77,13 +84,8 @@ def _segment_runs(args):
     """
     spec, q, a, lo, hi = args
     sp = special_primes(spec, lo, hi)
-    idx = np.flatnonzero(sp % q == a % q)
-    if not idx.size:
-        return sp.size, []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    first = idx[np.concatenate(([0], breaks + 1))]
-    last = idx[np.concatenate((breaks, [idx.size - 1]))]
-    return sp.size, list(zip(sp[first].tolist(), (last - first + 1).tolist(),
+    first, length = _good_runs(sp % q == a % q)
+    return sp.size, list(zip(sp[first].tolist(), length.tolist(),
                              first.tolist()))
 
 
@@ -222,22 +224,9 @@ def residue_census(spec, X, q, workers=1,
                      max_ratio=max_ratio, min_ratio=min_ratio)
 
 
-@dataclass
-class APCount:
-    """Exact prime counts per residue class mod q, over primes <= X."""
-
-    X: int
-    q: int
-    counts: dict
-
-    def total(self):
-        return sum(self.counts.values())
-
-
 def count_primes_ap(X, q):
     """Count primes p <= X in each residue class mod q <= MAX_CENSUS_Q."""
-    return APCount(X, q, residue_census(SpecialSetSpec.all_primes(), X,
-                                        q).counts)
+    return residue_census(SpecialSetSpec.all_primes(), X, q)
 
 
 def _trial_prime(n):

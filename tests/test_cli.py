@@ -254,6 +254,13 @@ def test_maier_non_a_pm_needs_y_16(capsys):
     assert json.loads(out)["case"] == "other"
 
 
+def test_maier_q_zero_exits_4(capsys):
+    code, out, err = run_cli(["maier", "--q", "0", "--a", "1",
+                              "--threads", "1"], capsys)
+    assert code == 4 and out == ""
+    assert "q must be >= 1" in err
+
+
 def test_maier_density_model_follows_the_set(capsys):
     # floor products are sparser than the primes: F(X) > 1 raises z
     zs = {}

@@ -1,8 +1,10 @@
 """Maier matrix lab: cases, Q products, anchors, censuses, counts, bounds."""
 
 import dataclasses
+import functools
 import json
 import math
+import operator
 import random
 import warnings
 
@@ -84,6 +86,22 @@ def test_build_q_other_case_structure():
     for p in sorted(want):
         expect_q *= p
     assert got.Q == expect_q
+
+
+@pytest.mark.parametrize("qq, a, y, p0, kwargs, size", [
+    (5, 4, 20, 3, {}, 5),                               # A_minus
+    (5, 4, 23, 3, {}, 6),
+    (5, 4, 1009, 3, {}, 127),
+    (7, 1, 15, 11, {}, 4),                              # A_plus
+    (5, 2, 20, 3, {"t": 7, "yz_over_t": 40}, 7),        # other
+    (5, 2, 20, 3, {"t": 7, "yz_over_t": 50}, 8),
+])
+def test_build_q_product_tree_matches_sequential(qq, a, y, p0, kwargs, size):
+    # Q is multiplied by a balanced tree; every leaf count must give the
+    # sequential product, odd counts carrying their last factor up
+    got = build_Q(qq, a, y, p0, **kwargs)
+    assert len(got.P_a) == size
+    assert got.Q == functools.reduce(operator.mul, got.P_a, qq)
 
 
 def test_build_q_guards():
@@ -512,6 +530,13 @@ def test_choose_parameters_override():
     assert got3.p0 == 5                        # 3 divides q
     with pytest.raises(ParameterDomain):
         choose_parameters(10 ** 8, 7, ALL, y_override=6)
+
+
+def test_choose_parameters_rejects_q_below_one():
+    # p0 avoids the divisors of q, and every n divides 0: without the
+    # guard the search for p0 never ends
+    with pytest.raises(InvalidQuery, match="q must be >= 1"):
+        choose_parameters(10 ** 8, 0, ALL)
 
 
 def test_well_dist_models():

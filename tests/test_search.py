@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -305,6 +306,24 @@ def test_splicer_matches_oracle(case):
     else:
         assert (hit.start_index, hit.primes) == want
         assert verify_hit(query, hit, check_index=True)
+
+
+@seed(20143)
+@settings(database=None, deadline=None, max_examples=200)
+@given(st.lists(st.booleans(), max_size=64))
+@example([])
+@example([True] * 64)
+@example([False] * 64)
+def test_good_runs_matches_loop(flags):
+    want, begin = [], None
+    for i, flag in enumerate(flags + [False]):
+        if flag and begin is None:
+            begin = i
+        elif not flag and begin is not None:
+            want.append((begin, i - begin))
+            begin = None
+    first, length = search._good_runs(np.array(flags, dtype=bool))
+    assert list(zip(first.tolist(), length.tolist())) == want
 
 
 @st.composite
