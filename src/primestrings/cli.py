@@ -17,6 +17,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .errors import DomainError, PrimestringsError
 from .fixedpoint import IrrationalConstant, named_constant
@@ -131,11 +133,17 @@ def cmd_strings(args, argv, t0):
     start = time.monotonic()
     if args.all_runs:
         runs = scan_all_strings(query, workers=args.threads)
-        doc = {"set": args.set.descriptor(), "q": args.q, "a": args.a,
-               "limit": args.limit,
-               "runs": [{"start": s, "length": n} for s, n in runs],
-               "elapsed_ms": int((time.monotonic() - start) * 1000)}
-        _emit(args, _dump(doc), argv, t0, workers=args.threads)
+        fields = {"set": args.set.descriptor(), "q": args.q, "a": args.a,
+                  "limit": args.limit,
+                  "elapsed_ms": int((time.monotonic() - start) * 1000)}
+        fields = {key: json.dumps(value) for key, value in fields.items()}
+        # the bytes json.dumps gives the runs as {"start", "length"} dicts
+        pairs = np.column_stack((runs["length"], runs["start"])).ravel()
+        rows = ", ".join(['{"length": %d, "start": %d}'] * runs.size)
+        fields["runs"] = "[%s]" % (rows % tuple(pairs.tolist()))
+        text = "{%s}\n" % ", ".join(f"{json.dumps(key)}: {value}"
+                                     for key, value in sorted(fields.items()))
+        _emit(args, text, argv, t0, workers=args.threads)
         return EXIT_OK
     result = find_first_string(query, workers=args.threads)
     elapsed = int((time.monotonic() - start) * 1000)

@@ -333,10 +333,12 @@ def sample_rows_census(config, interval, rows, spec=None):
     start, length = interval
     top = rows * config.Q + start + length - 1          # the largest entry
     if top > _PRIMALITY_CEILING:
+        # outside A±, Q also holds the primes = a (mod q) up to yz/t
+        knobs = "--yz, y" if config.case_tag == "other" else "y"
         raise RangeExceeded(
             f"y = {config.y} and rows = {rows} put {top.bit_length()}-bit "
             f"entries in the matrix, beyond the supported primality range "
-            f"(2^256); lower y or rows")
+            f"(2^256); lower {knobs} or rows")
     mask = _coprime_mask(config, start, length)
     s_mask = _s_mask(config, start, mask)
     ps, q_mod, res = _presieve_primes(config.Q, start)

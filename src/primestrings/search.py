@@ -2,10 +2,11 @@
 
 A string of length k is k consecutive members of the special-prime
 sequence, all congruent to a mod q. Scans are segmented: each segment
-reports its runs of good primes plus enough boundary state to splice
-runs across segment edges, and segments merge in ascending order. The
-merge is a pure function of the segment summaries, so results are
-identical for any worker count and any segment size.
+reports its runs of good primes as arrays plus its set-prime count,
+enough to splice runs across segment edges, and segments merge in
+ascending order. The merge is a pure function of the segment
+summaries, so results are identical for any worker count and any
+segment size.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ log = logging.getLogger("primestrings.search")
 
 DEFAULT_SCAN_SEGMENT = 1 << 21
 MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
+RUN_DTYPE = np.dtype([("start", np.int64), ("length", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,13 @@ def _good_runs(good):
 def _segment_runs(args):
     """Set-prime count and runs of good primes of one segment.
 
-    A run is (start_prime, length, ordinal within the segment).
-    Picklable worker task.
+    The runs are three arrays: first prime, length, and ordinal of the
+    first prime within the segment. Picklable worker task.
     """
     spec, q, a, lo, hi = args
     sp = special_primes(spec, lo, hi)
     first, length = _good_runs(sp % q == a % q)
-    return sp.size, list(zip(sp[first].tolist(), length.tolist(),
-                             first.tolist()))
+    return sp.size, sp[first], length, first
 
 
 def _segment_census(args):
@@ -104,31 +105,32 @@ def _progress(hi, segment_size, n_set):
 def _runs(query, workers, segment_size):
     """Runs of good set-primes below the limit, spliced across segments.
 
-    Yields (start_prime, length, ordinal) in ascending start order,
-    where ordinal counts the set-primes before the run. A run still
-    open at the end of a segment is yielded there with its length so
-    far, and again wherever it grows, so a consumer can stop as soon
-    as a run is long enough. The last yield for each start is the
-    maximal run.
+    Yields (starts, lengths, ordinals, spliced) arrays for each segment
+    that holds set-primes, in ascending start order; ordinal counts the
+    set-primes before a run. Only a segment's first run can continue
+    the run open at the end of the segments before: it then takes that
+    run's start and ordinal and its length so far, and spliced is True,
+    as it supersedes the last run yielded.
     """
     spec, q, a, limit = query.spec, query.q, query.a, query.limit
     jobs = ((spec, q, a, lo, hi)
             for lo, hi in _segment_bounds(1, limit, segment_size))
     tail = None           # the run that reaches the last set-prime so far
     n_set = 0             # set-primes in the segments before this one
-    for (*_, hi), (count, runs) in _ordered_results(_segment_runs, jobs,
-                                                    workers):
+    for (*_, hi), (count, starts, lengths, ordinals) in _ordered_results(
+            _segment_runs, jobs, workers):
         if count:         # else no set-prime here, adjacency is preserved
-            touching, tail = tail, None
-            for start, length, ordinal in runs:
-                if ordinal == 0 and touching is not None:
-                    run = (touching[0], touching[1] + length, touching[2])
-                else:
-                    run = (start, length, n_set + ordinal)
-                yield run
-                if ordinal + length == count:
-                    tail = run
+            has_runs = lengths.size > 0
+            spliced = has_runs and tail is not None and ordinals[0] == 0
+            open_end = has_runs and ordinals[-1] + lengths[-1] == count
+            ordinals += n_set
+            if spliced:
+                starts[0], ordinals[0] = tail[0], tail[2]
+                lengths[0] += tail[1]
+            tail = (starts[-1], lengths[-1], ordinals[-1]) if open_end \
+                else None
             n_set += count
+            yield starts, lengths, ordinals, spliced
         _progress(hi, segment_size, n_set)
 
 
@@ -153,11 +155,13 @@ def find_first_string(query, workers=1,
     NotFound (a normal result, not an error) when the scan completes
     without a hit.
     """
-    for start, length, ordinal in _runs(query, workers, segment_size):
-        if length >= query.k:
-            primes = _collect_run_primes(query.spec, start, query.k,
-                                         query.limit)
-            return StringHit(primes=primes, start_index=ordinal)
+    for starts, lengths, ordinals, _ in _runs(query, workers, segment_size):
+        hits = np.flatnonzero(lengths >= query.k)
+        if hits.size:
+            primes = _collect_run_primes(query.spec, int(starts[hits[0]]),
+                                         query.k, query.limit)
+            return StringHit(primes=primes,
+                             start_index=int(ordinals[hits[0]]))
     return NotFound(limit=query.limit)
 
 
@@ -165,12 +169,18 @@ def scan_all_strings(query, workers=1,
                      segment_size=DEFAULT_SCAN_SEGMENT):
     """Every maximal run of good special primes below limit.
 
-    Returns (start_prime, length) pairs in increasing start order;
-    lengths >= 1 are all included.
+    Returns a structured array with int64 fields start and length, in
+    increasing start order; lengths >= 1 are all included, and
+    .tolist() gives the (start_prime, length) pairs.
     """
-    runs = {start: length for start, length, _ordinal
-            in _runs(query, workers, segment_size)}
-    return list(runs.items())
+    parts = [np.empty(0, RUN_DTYPE)]
+    for starts, lengths, _, spliced in _runs(query, workers, segment_size):
+        if spliced:       # the run's last report was shorter
+            parts[-1] = parts[-1][:-1]
+        part = np.empty(starts.size, RUN_DTYPE)
+        part["start"], part["length"] = starts, lengths
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 @dataclass

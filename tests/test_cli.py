@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import _oracles
 from primestrings import __version__, search
-from primestrings.cli import main
+from primestrings.cli import main, parse_set
 from primestrings.search import MAX_CENSUS_Q
 from primestrings.sieve import PROGRESS_EVERY
 
@@ -81,6 +82,30 @@ def test_strings_all_runs(capsys):
                            {"start": 13, "length": 2},
                            {"start": 29, "length": 1}]
     assert doc["set"] == "all" and doc["q"] == 4
+
+
+@pytest.mark.parametrize("desc, qq, a, limit, threads", [
+    ("all", 3, 1, 2, 1),                        # no set-prime, no run
+    ("all", 2, 1, 4, 1),                        # one run, at 3
+    ("all", 3, 1, 5_000_000, 2),
+    ("beatty:pi", 4, 1, 5_000_000, 1),
+    ("beatty:pi", 2, 1, 5_000_000, 2),          # long runs across segments
+    ("floorprod:loglog", 3, 2, 5_000_000, 2),
+])
+def test_all_runs_bytes_match_json_dumps_of_run_dicts(desc, qq, a, limit,
+                                                      threads, capsys):
+    code, out, _ = run_cli(["strings", "--set", desc, "--k", "1", "--q",
+                            str(qq), "--a", str(a), "--limit", str(limit),
+                            "--all-runs", "--threads", str(threads)], capsys)
+    assert code == 0
+    query = search.StringQuery(spec=parse_set(desc), k=1, q=qq, a=a,
+                               limit=limit)
+    runs = search.scan_all_strings(query).tolist()
+    doc = {"set": desc, "q": qq, "a": a, "limit": limit,
+           "runs": [{"start": s, "length": n} for s, n in runs],
+           "elapsed_ms": 0}
+    assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == \
+        json.dumps(doc, sort_keys=True) + "\n"
 
 
 # -------------------------------------------------------------- errors
@@ -252,6 +277,16 @@ def test_maier_non_a_pm_needs_y_16(capsys):
                             "--rows", "20", "--threads", "1"], capsys)
     assert code == 0
     assert json.loads(out)["case"] == "other"
+
+
+def test_maier_non_a_pm_refusal_names_yz(capsys):
+    # outside A±, Q's size is set by the primes = a (mod q) up to yz/t,
+    # so at the least y = 16 and one row only a smaller --yz helps
+    code, out, err = run_cli(["maier", "--q", "7", "--a", "3", "--y", "16",
+                              "--yz", "2000", "--rows", "1",
+                              "--threads", "1"], capsys)
+    assert code == 4 and out == ""
+    assert "2^256); lower --yz, y or rows" in err
 
 
 def test_maier_q_zero_exits_4(capsys):

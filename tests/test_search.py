@@ -93,13 +93,13 @@ def test_monotone_in_limit(b_pi):
 
 def test_scan_all_strings_mod4():
     runs = scan_all_strings(q(ALL, 1, 4, 1, 31))
-    assert runs == [(5, 1), (13, 2), (29, 1)]
+    assert runs.tolist() == [(5, 1), (13, 2), (29, 1)]
 
 
 def test_scan_all_strings_beatty(b_pi):
     # the first seven Beatty primes are odd; 97 is excluded by the limit
     runs = scan_all_strings(q(b_pi, 1, 2, 1, 97))
-    assert runs == [(3, 7)]
+    assert runs.tolist() == [(3, 7)]
 
 
 def test_runs_cover_census(b_pi):
@@ -179,7 +179,7 @@ def test_scan_plans_its_segments_lazily(monkeypatch):
     # limit 2^40 is 2^19 segments; a hit in the first one ends the scan
     # before the rest of the plan exists
     def first_segment_hits(args):
-        return 3, [(2, 3, 0)]
+        return 3, np.array([2]), np.array([3]), np.array([0])
 
     monkeypatch.setattr(search, "_segment_runs", first_segment_hits)
     tracemalloc.start()
@@ -252,7 +252,7 @@ def test_results_invariant_under_workers_and_segments(b_pi):
             (base_hit.primes, base_hit.start_index)
         runs = scan_all_strings(q(b_pi, 1, 7, 1, 100_000),
                                 workers=workers, segment_size=seg)
-        assert runs == base_runs
+        assert runs.tolist() == base_runs.tolist()
         census = residue_census(b_pi, 100_000, 7,
                                 workers=workers, segment_size=seg)
         assert census.counts == base_census.counts
@@ -297,7 +297,7 @@ def test_splicer_matches_oracle(case):
     name, qq, a, k, limit, seg = case
     spec, set_primes = spec_and_oracle_primes(name, limit)
     query = q(spec, k, qq, a, limit)
-    assert scan_all_strings(query, segment_size=seg) == \
+    assert scan_all_strings(query, segment_size=seg).tolist() == \
         _oracles.maximal_runs(set_primes, qq, a)
     want = _oracles.first_k_run(set_primes, k, qq, a)
     hit = find_first_string(query, segment_size=seg)
@@ -349,7 +349,7 @@ def test_one_and_two_workers_match_oracle(case):
     counts = _oracles.ap_counts(set_primes, qq)
     for workers in (1, 2):
         assert scan_all_strings(query, workers=workers,
-                                segment_size=seg) == runs
+                                segment_size=seg).tolist() == runs
         census = residue_census(spec, limit - 1, qq, workers=workers,
                                 segment_size=seg)
         assert census.counts == counts
