@@ -133,6 +133,12 @@ def cmd_strings(args, argv, t0):
     start = time.monotonic()
     if args.all_runs:
         runs = scan_all_strings(query, workers=args.threads)
+        runs = runs[runs["length"] >= args.k]
+        if args.format == "csv":        # RUN_DTYPE rows are (start, length)
+            text = "start,length\n" + "%d,%d\n" * runs.size % tuple(
+                runs.view(np.int64).tolist())
+            _emit(args, text, argv, t0, workers=args.threads)
+            return EXIT_OK
         fields = {"set": args.set.descriptor(), "q": args.q, "a": args.a,
                   "limit": args.limit,
                   "elapsed_ms": int((time.monotonic() - start) * 1000)}

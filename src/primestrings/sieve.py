@@ -114,17 +114,23 @@ def _ordered_results(task, jobs, workers):
                 fut.cancel()
 
 
-def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
-    """Ascending primes in [lo, hi) as an int64 array.
-
-    Works for hi up to MAX_SCAN_HI and window width up to MAX_SCAN_SPAN.
-    """
+def _check_window(lo, hi):
+    """Raise unless 0 <= lo <= hi <= MAX_SCAN_HI, hi - lo <= MAX_SCAN_SPAN."""
     if not 0 <= lo <= hi:
         raise InvalidRange(f"bad range [{lo}, {hi})")
     if hi > MAX_SCAN_HI:
         raise RangeTooLarge(f"hi {hi} > {MAX_SCAN_HI}")
     if hi - lo > MAX_SCAN_SPAN:
-        raise RangeTooLarge(f"window {hi - lo} wider than {MAX_SCAN_SPAN}")
+        raise RangeTooLarge(f"window {hi - lo} wider than MAX_SCAN_SPAN = "
+                            f"{MAX_SCAN_SPAN}")
+
+
+def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
+    """Ascending primes in [lo, hi) as an int64 array.
+
+    Works for hi up to MAX_SCAN_HI and window width up to MAX_SCAN_SPAN.
+    """
+    _check_window(lo, hi)
     chunks = [np.array([2] if lo <= 2 < hi else [], dtype=np.int64)]
     if hi <= 3:
         return chunks[0]

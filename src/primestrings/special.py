@@ -4,12 +4,12 @@ Three carriers are supported: the natural numbers ("all", so the prime
 subset is every prime), Beatty sequences floor(n * alpha) for
 irrational alpha > 1, and floor-product sequences floor(n * g(n)) for
 g = (log log n)^B or (log n)^B, defined once by GFamily (formula,
-derivatives and family names). Beatty membership is one exact test,
-floor((m+1)/alpha) - floor(m/alpha) = 1, on a bracket of 1/alpha: in
-int64 over an array, in big integers for one m. Floor-product values
-below 2^48 are exact too: float floors are kept only where the
-product is far from an integer, and every other floor is decided at
-_MP_DPS digits or raises PrecisionExhausted.
+derivatives and family names). Both irrational carriers are decided by
+one exact mask over an ascending array, one _CHUNK-wide span at a time:
+a Beatty span tests floor((m+1)/alpha) - floor(m/alpha) = 1 in int64 on
+a bracket of 1/alpha, a floor-product span takes its n from
+GFamily.inverse and keeps a float floor only far from an integer; other
+floors are decided at _MP_DPS digits or raise PrecisionExhausted.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import numpy as np
 from .errors import (DomainError, GridTooSmall, InvalidRange,
                      PrecisionExhausted, RangeTooLarge)
 from .fixedpoint import IrrationalConstant
-from .sieve import MAX_SCAN_HI, MAX_SCAN_SPAN, sieve_range
+from .sieve import MAX_SCAN_HI, _check_window, sieve_range
 
-_CHUNK = 1 << 18           # widest span of one int64 Beatty chunk
+_CHUNK = 1 << 18           # widest span of values one mask kernel takes
 _FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
 _MP_DPS = 50               # digits for floor-product floors near an integer
 
@@ -207,59 +207,28 @@ def _side_floors(n0, c, bits, i, pad):
     return whole + ((i * step + frac) >> _FRAC_BITS)
 
 
-def _beatty_mask(alpha, m):
-    """beatty_member(alpha, m) for an ascending int64 array m >= 1.
+def _beatty_mask(alpha, part):
+    """beatty_member(alpha, m) for each m of one span of _mask.
 
     alpha's bracket lo/2^b <= alpha <= hi/2^b (b = alpha.bits) gives
     rlo/2^b <= 1/alpha <= rhi/2^b, rlo = floor(2^(2b)/hi), rhi =
     ceil(2^(2b)/lo). floor(m/alpha) and floor((m+1)/alpha) are taken
-    from both sides in int64 at offsets up to _CHUNK from a chunk start
-    m0, widened by at most _CHUNK * 2^-_FRAC_BITS = 2^-22 (_side_floors).
-    Where a floor's sides differ, beatty_member decides.
+    from both sides in int64 at offsets up to _CHUNK from the span's
+    start m0, widened by at most _CHUNK * 2^-_FRAC_BITS = 2^-22
+    (_side_floors). Where a floor's sides differ, beatty_member decides.
     """
     bits = alpha.bits
     rlo = (1 << 2 * bits) // alpha.hi
     rhi = -(-(1 << 2 * bits) // alpha.lo)
     pad = (1 << (bits - _FRAC_BITS)) - 1
-    keep = np.empty(m.size, dtype=bool)
-    s = 0
-    while s < m.size:
-        m0 = int(m[s])
-        e = int(np.searchsorted(m, m0 + _CHUNK))
-        i = m[s:e] - m0 + np.arange(2)[:, None]    # rows m and m + 1
-        lo = _side_floors(m0, rlo, bits, i, 0)
-        hi = _side_floors(m0, rhi, bits, i, pad)
-        keep[s:e] = lo[1] - lo[0] == 1
-        for j in np.flatnonzero((lo != hi).any(axis=0)):
-            keep[s + j] = beatty_member(alpha, int(m[s + j]))
-        s = e
+    m0 = int(part[0])
+    i = part - m0 + np.arange(2)[:, None]          # rows m and m + 1
+    lo = _side_floors(m0, rlo, bits, i, 0)
+    hi = _side_floors(m0, rhi, bits, i, pad)
+    keep = lo[1] - lo[0] == 1
+    for j in np.flatnonzero((lo != hi).any(axis=0)):
+        keep[j] = beatty_member(alpha, int(part[j]))
     return keep
-
-
-def enumerate_special(spec, lo, hi):
-    """Ascending members of the carrier sequence in [lo, hi).
-
-    The window is at most MAX_SCAN_SPAN wide, as in sieve_range. A
-    Beatty window is masked one _CHUNK at a time, so its temporaries
-    are those of one chunk.
-    """
-    if not 0 <= lo <= hi:
-        raise InvalidRange(f"bad range [{lo}, {hi})")
-    if hi > MAX_SCAN_HI:
-        raise RangeTooLarge(f"hi {hi} > {MAX_SCAN_HI}")
-    if hi - lo > MAX_SCAN_SPAN:
-        raise RangeTooLarge(f"window {hi - lo} wider than MAX_SCAN_SPAN = "
-                            f"{MAX_SCAN_SPAN}")
-    if spec.kind == "floorprod":
-        return _floorprod_range(spec, lo, hi)
-    lo, hi = max(lo, 1), max(hi, 1)
-    if spec.kind == "all":
-        return np.arange(lo, hi, dtype=np.int64)
-    parts = [np.empty(0, dtype=np.int64)]
-    for s in range(lo, hi, _CHUNK):
-        m = np.arange(s, min(s + _CHUNK, hi), dtype=np.int64)
-        parts.append(m[_beatty_mask(spec.alpha, m)])
-    return np.concatenate(parts)
 
 
 def _floorprod_floor(g, n):
@@ -276,12 +245,13 @@ def _floorprod_floor(g, n):
     return f if v > f else f - 1
 
 
-def _floorprod_range(spec, lo, hi):
-    g = spec.g
-    lo = max(lo, 2)                      # values below 2 are skipped
-    # the float inverse can land one index off either way
-    n_lo = max(g.default_start_n(), math.ceil(g.inverse(lo)) - 1)
-    n_hi = math.ceil(g.inverse(hi)) + 1
+def _floorprod_mask(g, part):
+    """floorprod_member for each m of one span of _mask, from the floors
+    of f(n) = n g(n) over the n whose floors can reach the span."""
+    # the float inverse can land one index off either way; it bisects
+    # faster on Python ints than on numpy scalars
+    n_lo = max(g.default_start_n(), math.ceil(g.inverse(int(part[0]))) - 1)
+    n_hi = math.ceil(g.inverse(int(part[-1]) + 1)) + 1
     n = np.arange(n_lo, n_hi, dtype=np.float64)
     prod = n * g.value_np(n)
     vals = np.floor(prod).astype(np.int64)
@@ -289,10 +259,38 @@ def _floorprod_range(spec, lo, hi):
     eps = prod * 2.0 ** -46 + 2.0 ** -40
     for i in np.flatnonzero((frac < eps) | (frac > 1.0 - eps)):
         vals[i] = _floorprod_floor(g, n_lo + int(i))
-    # floors of an increasing f never fall, so repeats are adjacent
-    keep = (vals >= lo) & (vals < hi)
-    keep[1:] &= vals[1:] != vals[:-1]
-    return vals[keep]
+    return np.isin(part, vals) & (part >= 2)
+
+
+def _mask(spec, m):
+    """member(spec, v) for each v of an ascending, possibly empty int64
+    array m >= 1, one kernel call per _CHUNK-wide span of values."""
+    kernel, arg = ((_beatty_mask, spec.alpha) if spec.kind == "beatty"
+                   else (_floorprod_mask, spec.g))
+    keep = np.empty(m.size, dtype=bool)
+    s = 0
+    while s < m.size:
+        e = int(np.searchsorted(m, m[s] + _CHUNK))
+        keep[s:e] = kernel(arg, m[s:e])
+        s = e
+    return keep
+
+
+def enumerate_special(spec, lo, hi):
+    """Ascending members of the carrier sequence in [lo, hi).
+
+    The window is at most MAX_SCAN_SPAN wide, as in sieve_range. It is
+    masked one _CHUNK at a time, so temporaries are those of one chunk.
+    """
+    _check_window(lo, hi)
+    lo, hi = max(lo, 1), max(hi, 1)
+    if spec.kind == "all":
+        return np.arange(lo, hi, dtype=np.int64)
+    parts = [np.empty(0, dtype=np.int64)]
+    for s in range(lo, hi, _CHUNK):
+        m = np.arange(s, min(s + _CHUNK, hi), dtype=np.int64)
+        parts.append(m[_mask(spec, m)])
+    return np.concatenate(parts)
 
 
 def floorprod_member(spec, m):
@@ -300,7 +298,7 @@ def floorprod_member(spec, m):
     if m >= MAX_SCAN_HI:
         raise RangeTooLarge(f"floor-product membership is decided only "
                             f"below 2^48 = {MAX_SCAN_HI}, got {m}")
-    return m >= 2 and enumerate_special(spec, m, m + 1).size > 0
+    return m >= 2 and bool(_floorprod_mask(spec.g, np.array([m]))[0])
 
 
 def member(spec, m):
@@ -317,10 +315,7 @@ def special_primes(spec, lo, hi, workers=1):
     primes = sieve_range(lo, hi, workers=workers)
     if spec.kind == "all":
         return primes
-    if spec.kind == "beatty":
-        return primes[_beatty_mask(spec.alpha, primes)]
-    members = enumerate_special(spec, lo, hi)
-    return np.intersect1d(members, primes, assume_unique=True)
+    return primes[_mask(spec, primes)]
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,33 @@ def test_all_runs_bytes_match_json_dumps_of_run_dicts(desc, qq, a, limit,
         json.dumps(doc, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("desc, fmt, k, limit", [
+    ("all", "csv", 5, 31),                      # no run reaches k: header
+    ("beatty:pi", "json", 2, 100_000),
+    ("beatty:pi", "csv", 1, 100_000),
+    ("floorprod:loglog", "csv", 3, 1_000_000),
+])
+def test_all_runs_keeps_runs_of_length_k_in_the_format_asked(desc, fmt, k,
+                                                             limit, capsys):
+    code, out, _ = run_cli(["strings", "--set", desc, "--k", str(k), "--q",
+                            "4", "--a", "1", "--limit", str(limit),
+                            "--all-runs", "--format", fmt, "--threads", "1"],
+                           capsys)
+    assert code == 0
+    query = search.StringQuery(spec=parse_set(desc), k=1, q=4, a=1,
+                               limit=limit)
+    runs = search.scan_all_strings(query).tolist()
+    want = [[s, n] for s, n in runs if n >= k]
+    assert (len(want) < len(runs)) == (k > 1)
+    if fmt == "csv":
+        header, *rows = out.splitlines()
+        assert header == "start,length"
+        got = [[int(x) for x in row.split(",")] for row in rows]
+    else:
+        got = [[r["start"], r["length"]] for r in json.loads(out)["runs"]]
+    assert got == want
+
+
 # -------------------------------------------------------------- errors
 
 

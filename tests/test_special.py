@@ -16,6 +16,7 @@ from primestrings import (GFamily, SpecialSetSpec, beatty_member,
 from primestrings.errors import DomainError, GridTooSmall, RangeTooLarge
 from primestrings.fixedpoint import IrrationalConstant
 from primestrings.sieve import MAX_SCAN_SPAN
+from primestrings import special
 from primestrings.special import _CHUNK, floorprod_member
 
 PI = named_constant("pi")
@@ -281,6 +282,13 @@ def test_inverse_brackets_X(family, B, u, integral):
         assert f(lo) < X <= f(math.nextafter(lo, math.inf))
 
 
+def _assert_one_floorprod_value(family, B, lo, hi):
+    spec = _floorprod_spec(family, B)
+    got = [int(m) for m in enumerate_special(spec, lo, hi)]
+    assert got == _oracles.floorprod_values(family, B, lo, hi)
+    assert len(got) == 1
+
+
 @pytest.mark.parametrize("lo,hi", [
     # float f(n) falls short of lo: the first index comes out one too high
     (12747135619159, 12747135619164),
@@ -288,10 +296,84 @@ def test_inverse_brackets_X(family, B, u, integral):
     (12747134291903, 12747134291908),
 ])
 def test_floorprod_window_keeps_a_value_the_float_search_misplaces(lo, hi):
-    spec = _floorprod_spec("log", 1.5)
-    got = [int(m) for m in enumerate_special(spec, lo, hi)]
-    assert got == _oracles.floorprod_values("log", 1.5, lo, hi)
-    assert len(got) == 1
+    _assert_one_floorprod_value("log", 1.5, lo, hi)
+
+
+def test_floorprod_window_keeps_a_value_whose_float_inverse_is_one_low():
+    # f' - 1 < ulp(n): f(n - 1) is so close below m = floor(f(n)) that
+    # the float inverse of m is n - 1; the inverse of m + 1 reaches n
+    _assert_one_floorprod_value("loglog", 0.01, 140737488355357,
+                                140737488355358)
+
+
+@pytest.mark.parametrize("family,B,lo", [
+    *((family, B, 0) for family in ("loglog", "log")
+      for B in (0.2, 1.0, 1.5, 2.0)),
+    # near 2^48 every float floor is rechecked at _MP_DPS digits: a span
+    # takes 4-18 s there for loglog and log^0.2, 1.3 s for log^1 and
+    # under 0.6 s for these
+    *(("log", B, 2 ** 48 - _CHUNK - 5000) for B in (1.5, 2.0)),
+])
+def test_floorprod_masks_match_oracle_across_span_edges(family, B, lo):
+    # windows wider than _CHUNK, checked around the first value of the
+    # second span: the first prime past primes[0] + _CHUNK for
+    # special_primes, max(lo, 1) + _CHUNK for enumerate_special
+    spec = _floorprod_spec(family, B)
+    hi = lo + _CHUNK + 5000
+    primes = sieve_range(lo, hi)
+    prime_edge = int(primes[np.searchsorted(primes, primes[0] + _CHUNK)])
+    for got, edge, sieved in (
+            (special_primes(spec, lo, hi), prime_edge, set(primes.tolist())),
+            (enumerate_special(spec, lo, hi), max(lo, 1) + _CHUNK, None)):
+        a, b = edge - 1000, edge + 1000
+        want = [v for v in _oracles.floorprod_values(family, B, a, b)
+                if sieved is None or v in sieved]
+        assert got[(got >= a) & (got < b)].tolist() == want
+
+
+@pytest.mark.parametrize("spec", [SpecialSetSpec.beatty(PI),
+                                  _floorprod_spec("loglog", 1.0)])
+def test_mask_hands_each_kernel_one_span_narrower_than_chunk(spec,
+                                                             monkeypatch):
+    # _beatty_mask's 2^-22 bound holds for offsets below _CHUNK from the
+    # span's start; a new span starts at the first value past it
+    name = "_beatty_mask" if spec.kind == "beatty" else "_floorprod_mask"
+    kernel, parts = getattr(special, name), []
+
+    def record(arg, part):
+        parts.append(part)
+        return kernel(arg, part)
+
+    monkeypatch.setattr(special, name, record)
+    assert special._mask(spec, np.empty(0, dtype=np.int64)).size == 0
+    assert parts == []
+    m = np.arange(10 ** 9, 10 ** 9 + 3 * _CHUNK, 7)
+    keep = special._mask(spec, m)
+    assert np.array_equal(np.concatenate(parts), m)
+    assert all(part[-1] - part[0] < _CHUNK for part in parts)
+    assert all(b[0] >= a[0] + _CHUNK for a, b in zip(parts, parts[1:]))
+    assert keep[::997].tolist() == [member(spec, v) for v in m[::997].tolist()]
+
+
+def test_floorprod_primes_memory_is_one_span_past_the_sieve(monkeypatch):
+    # special_primes masks the sieve's primes one span at a time, so past
+    # them it holds its output and one span's float floors (4.4 MiB peak);
+    # enumerating every member of the 2^23-wide window and intersecting
+    # it with the primes peaked at 128 MiB. The primes are sieved before
+    # tracing starts, which would slow the sieve's Python loop 7-fold.
+    spec = _floorprod_spec("loglog", 1.0)
+    lo = 10 ** 10
+    primes = sieve_range(lo, lo + 2 ** 23)
+    monkeypatch.setattr(special, "sieve_range",
+                        lambda lo, hi, workers=1: primes)
+    tracemalloc.start()
+    try:
+        got = special_primes(spec, lo, lo + 2 ** 23)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.size == 115_943
+    assert peak < 40 * _CHUNK
 
 
 def test_floorprod_rejects_what_it_cannot_decide_exactly():
