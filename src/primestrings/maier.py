@@ -25,8 +25,9 @@ import numpy as np
 from .arith import euler_phi, prime_factors, crt_pair
 from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
                      ParameterDomain, RangeExceeded, RangeTooLarge)
-from .sieve import (MAX_SCAN_SPAN, _PRIMALITY_CEILING, _strike, is_prime,
-                    primality_is_deterministic, sieve_range)
+from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _PRIMALITY_CEILING,
+                    _strike, is_prime, primality_is_deterministic,
+                    sieve_range)
 from .search import _good_runs
 from .special import member, SpecialSetSpec
 
@@ -323,6 +324,21 @@ def sample_rows_census(config, interval, rows, spec=None):
     of the segment sieve; that start moves up by p when the entry
     there is p itself (entries fall below the bound when Q is small).
     Only the unstruck coprime entries reach is_prime and the set filter.
+
+    The order of the tests follows their cost: presieve, then Beatty
+    membership, then is_prime (BPSW), then floor-product membership.
+    beatty_member is two exact floor_div calls, 2-5 us at 45-208 bits,
+    against 14-160 us for the base-2 Miller-Rabin half of BPSW and
+    47-565 us for its strong Lucas half on a prime; over beatty:pi it
+    drops about two thirds of the entries BPSW would pass. The scalar
+    floor-product member costs more than BPSW below 2^48, the only
+    range where it is decided, so it stays last; a census whose largest
+    entry reaches 2^48 is refused before any row. Since (p and m) =
+    (m and p), no per_row tuple changes. One thing does: on a composite
+    entry, beatty_member may now raise PrecisionExhausted where no
+    membership was asked before. That needs m/alpha within about
+    m 2^-bits of an integer, 2^-148 or less at 256 bits for the
+    built-in constants (bits = 404).
     """
     if rows < 1:
         raise InvalidQuery(f"rows must be >= 1, got {rows}")
@@ -332,16 +348,27 @@ def sample_rows_census(config, interval, rows, spec=None):
             f"do not keep the column residues mod q")
     start, length = interval
     top = rows * config.Q + start + length - 1          # the largest entry
+    # outside A±, Q also holds the primes = a (mod q) up to yz/t
+    knobs = "--yz, y" if config.case_tag == "other" else "y"
     if top > _PRIMALITY_CEILING:
-        # outside A±, Q also holds the primes = a (mod q) up to yz/t
-        knobs = "--yz, y" if config.case_tag == "other" else "y"
         raise RangeExceeded(
             f"y = {config.y} and rows = {rows} put {top.bit_length()}-bit "
             f"entries in the matrix, beyond the supported primality range "
             f"(2^256); lower {knobs} or rows")
+    if spec is not None and spec.kind == "floorprod" and top >= MAX_SCAN_HI:
+        raise RangeTooLarge(
+            f"y = {config.y} and rows = {rows} put entries up to {top} in "
+            f"the matrix, but floor-product membership is decided only "
+            f"below 2^48 = {MAX_SCAN_HI}; lower {knobs} or rows")
     mask = _coprime_mask(config, start, length)
     s_mask = _s_mask(config, start, mask)
     ps, q_mod, res = _presieve_primes(config.Q, start)
+    if spec is not None and spec.kind == "beatty":
+        def passes(c):
+            return member(spec, c) and is_prime(c)
+    else:
+        def passes(c):
+            return is_prime(c) and (spec is None or member(spec, c))
     per_row = []
     for r in range(1, rows + 1):
         base = r * config.Q + start
@@ -353,8 +380,7 @@ def sample_rows_census(config, interval, rows, spec=None):
         struck = np.zeros(length, dtype=bool)
         _strike(struck, first, ps)
         cols = [j for j in np.flatnonzero(mask & ~struck).tolist()
-                if is_prime(base + j)
-                and (spec is None or member(spec, base + j))]
+                if passes(base + j)]
         runs = _good_runs(s_mask[cols])[1]
         good = int(runs.sum())
         per_row.append((r, good, len(cols) - good, int(runs.max(initial=0))))

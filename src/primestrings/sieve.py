@@ -9,9 +9,12 @@ count.
 Every crossing-off in the package goes through one kernel, _strike,
 which sets flags[first::step] for many (first, step) pairs at once: in
 a sieve segment here, and in a Maier row (the presieve) and the Maier
-column interval (coprimality to Q) in maier. The base primes up to
-sqrt(hi) come from sieve_range itself, one level down; the recursion
-ends at hi <= 3.
+column interval (coprimality to Q) in maier. A step s hits at most h
+indices of an n-long array once s >= ceil(n/h), so only the steps
+below ceil(n/64) cross off in a Python loop; the others cross off in
+numpy tiers of at most 64, 32, ..., 2 indices, or one index for s >= n.
+The base primes up to sqrt(hi) come from sieve_range itself, one level
+down; the recursion ends at hi <= 3.
 """
 
 from __future__ import annotations
@@ -39,24 +42,37 @@ _BPSW_DETERMINISTIC_LIMIT = 1 << 64
 _PRIMALITY_CEILING = 1 << 256
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TIERS = (64, 32, 16, 8, 4, 2, 1)  # _strike: a step >= ceil(n/h) hits <= h
 
 
 def _strike(flags, first, step):
     """Set flags[first[i]::step[i]] for every i; step ascending, >= 1.
 
-    Each step below n = flags.size sets a strided slice in a Python
-    loop. A step >= n sets at most its first index, since the next one,
-    first + step, is past the end, so all of those are set together in
-    one numpy step (a vectorised form of the large-prime buckets of
-    Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). Offsets may
-    lie at or beyond n; they set nothing.
+    A step s >= ceil(n/h), n = flags.size, hits at most h indices,
+    since h s >= n. Steps below ceil(n/64) set a strided slice each in
+    a Python loop. The first index of every larger step is set in one
+    numpy step, and for h = 64, 32, ..., 2 the steps in [ceil(n/h),
+    ceil(2n/h)) set their indices 1 .. h-1 at once through first +
+    arange(1, h)[:, None] * step, keeping those below n (one row per
+    i, which scatters faster than one row per step). Steps >= n hit only
+    their first index (a vectorised form of the large-prime buckets of
+    Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014). A tier of
+    distinct steps holds at most n/h + 1 of them, so its index array
+    has at most about n entries; the first indices are read from first
+    itself, so the steps >= n (541,163 of 564,162 base primes in a
+    segment at 2^46) make no int64 temporary. Offsets may lie at or
+    beyond n; they set nothing.
     """
     n = flags.size
-    k = int(np.searchsorted(step, n))
-    for j, p in zip(first[:k].tolist(), step[:k].tolist()):
+    edges = np.searchsorted(step, [-(-n // h) for h in _TIERS]).tolist()
+    for j, p in zip(first[:edges[0]].tolist(), step[:edges[0]].tolist()):
         flags[j::p] = True
-    big = first[k:]
+    big = first[edges[0]:]
     flags[big[big < n]] = True
+    for h, a, b in zip(_TIERS, edges, edges[1:]):
+        if a < b:                 # an empty tier's numpy calls cost ~8 us
+            idx = first[a:b] + step[a:b] * np.arange(1, h)[:, None]
+            flags[idx[idx < n]] = True
 
 
 def _sieve_segment(args):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import _oracles
-from primestrings import __version__, search
+from primestrings import __version__, maier, search
 from primestrings.cli import main, parse_set
 from primestrings.search import MAX_CENSUS_Q
 from primestrings.sieve import PROGRESS_EVERY
@@ -342,6 +342,23 @@ def test_maier_floorprod_above_membership_cap_exits_4(capsys):
                             "--set", "floorprod:loglog"], capsys)
     assert code == 4
     assert "floor-product membership" in err and str(2 ** 48) in err
+
+
+def test_maier_floorprod_refused_before_any_row(capsys, monkeypatch):
+    # Q = 25297721988, so 11200 rows put the last entries above 2^48: the
+    # census stops before its first row, not at the first entry there
+    tested = []
+    real_is_prime = maier.is_prime
+    monkeypatch.setattr(maier, "is_prime",
+                        lambda n: tested.append(n) or real_is_prime(n))
+    code, out, err = run_cli(["maier", "--q", "4", "--a", "3", "--y", "47",
+                              "--yz", "1470", "--rows", "11200",
+                              "--set", "floorprod:loglog",
+                              "--threads", "1"], capsys)
+    assert code == 4 and out == ""
+    assert f"below 2^48 = {2 ** 48}; lower y or rows" in err
+    # only the parameter choice (p0 above log y) reached is_prime
+    assert tested and max(tested) < 100
 
 
 # ------------------------------------------------------------ manifest

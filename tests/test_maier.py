@@ -298,7 +298,8 @@ def test_presieve_against_trial_division(set_name, index, b_pi,
                                          monkeypatch):
     # entries below the presieve bound include the presieve primes
     # themselves (c = p must stay), and every composite entry has a
-    # factor below the bound, so is_prime sees exactly the primes
+    # factor below the bound, so is_prime sees exactly the primes; a
+    # Beatty set is tested first, so there only the prime members
     config, (start, length), rows = _small_entry_configs()[index]
     assert rows * config.Q + start + length < _PRESIEVE_B
     spec = b_pi if set_name == "beatty:pi" else SpecialSetSpec.all_primes()
@@ -318,9 +319,9 @@ def test_presieve_against_trial_division(set_name, index, b_pi,
             c = r * config.Q + i
             if math.gcd(i, config.Q) != 1 or not _oracles.trial_is_prime(c):
                 continue
-            want_tested.append(c)
             if spec.kind == "beatty" and not _oracles.beatty_member_direct(c):
                 continue
+            want_tested.append(c)
             if c % config.q == config.a % config.q:
                 good, run = good + 1, run + 1
                 best = max(best, run)
@@ -329,6 +330,42 @@ def test_presieve_against_trial_division(set_name, index, b_pi,
         want_rows.append((r, good, bad, best))
     assert census.per_row == want_rows
     assert tested == want_tested
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_presieve_floorprod_tests_bpsw_before_membership(index, monkeypatch):
+    # a scalar floor-product membership costs more than BPSW below 2^48,
+    # so is_prime sees every prime entry and member only those it passed
+    config, (start, length), rows = _small_entry_configs()[index]
+    spec = SpecialSetSpec.floor_product(GFamily.loglog())
+    values = set(_oracles.floorprod_values(
+        "loglog", 1.0, 2, rows * config.Q + start + length))
+    calls = []
+
+    def recording(name, real):
+        return lambda *args: calls.append((name, args[-1])) or real(*args)
+
+    monkeypatch.setattr(maier, "is_prime", recording("is_prime", is_prime))
+    monkeypatch.setattr(maier, "member", recording("member", maier.member))
+    census = sample_rows_census(config, (start, length), rows, spec=spec)
+    want_rows, want_calls = [], []
+    for r in range(1, rows + 1):
+        good = bad = run = best = 0
+        for i in range(start, start + length):
+            c = r * config.Q + i
+            if math.gcd(i, config.Q) != 1 or not _oracles.trial_is_prime(c):
+                continue
+            want_calls += [("is_prime", c), ("member", c)]
+            if c not in values:
+                continue
+            if c % config.q == config.a % config.q:
+                good, run = good + 1, run + 1
+                best = max(best, run)
+            else:
+                bad, run = bad + 1, 0
+        want_rows.append((r, good, bad, best))
+    assert census.per_row == want_rows
+    assert calls == want_calls
 
 
 def test_presieve_wide_Q(monkeypatch):
@@ -397,6 +434,24 @@ def test_sample_rows_census_rejects_entries_beyond_primality_range(
     assert sample_rows_census(config, (2, 30), 1).rows_sampled == 1
     with pytest.raises(RangeExceeded, match="rows = 1"):
         sample_rows_census(config, (3, 30), 1)
+
+
+def test_sample_rows_census_refuses_floorprod_entries_from_2_48():
+    # floor-product membership stops at MAX_SCAN_HI: a census whose
+    # largest entry rows*Q + start + length - 1 reaches it is refused
+    # before any row, one below it runs
+    spec = SpecialSetSpec.floor_product(GFamily.loglog())
+    config, _, _ = micro_config()
+    config = dataclasses.replace(config, Q=(1 << 48) - 31)
+    census = sample_rows_census(config, (1, 30), 1, spec=spec)
+    assert census.rows_sampled == 1
+    with pytest.raises(RangeTooLarge, match=r"^y = 4 and rows = 1 put "
+                       r"entries up to 281474976710656 in the matrix, but "
+                       r"floor-product membership is decided only below "
+                       r"2\^48 = 281474976710656; lower y or rows$"):
+        sample_rows_census(config, (2, 30), 1, spec=spec)
+    # the all-primes census has no such cap
+    assert sample_rows_census(config, (2, 30), 1).rows_sampled == 1
 
 
 # ------------------------------------------------------ counting functions

@@ -1,6 +1,7 @@
 """Segmented sieve, AP counts, and primality."""
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -95,10 +96,15 @@ def window_cases(draw):
 @seed(20148)
 @settings(database=None, deadline=None, max_examples=60)
 @given(window_cases())
-# one-odd segments: every base prime takes the one-step branch
+# one-odd segments: every base prime strikes only its first index
 @example((10 ** 9 + 1, 200, 1, 1))
+# above 2^40, segments whose base primes fill the loop and every tier
+@example(((1 << 40) + 12_345, 5000, 4096, 1))
+@example(((1 << 46) + 1, 5000, 1000, 1))
+@example(((1 << 44) + 777, 3000, 640, 2))
 def test_sieve_range_matches_window_oracle(case):
-    # base primes p >= seg are crossed off in one step, p < seg in a loop
+    # base primes p < ceil(seg/64) cross off in a loop, the others in
+    # numpy tiers of at most 64, 32, ..., 2 indices, or one index
     lo, width, seg, workers = case
     got = sieve_range(lo, lo + width, segment_size=seg, workers=workers)
     assert got.tolist() == _oracles.window_primes(lo, lo + width)
@@ -166,6 +172,67 @@ def test_strike_matches_per_index_loop():
         _strike(flags, np.array(first, dtype=np.int64),
                 np.array(step, dtype=np.int64))
         assert flags.tolist() == want.tolist(), (n, first, step)
+
+
+def test_strike_tier_edges_match_per_index_loop():
+    # steps ceil(n/h) - 1, ceil(n/h), ceil(n/h) + 1 for every h <= 64:
+    # each tier of _strike is non-empty and each tier edge is crossed;
+    # offset 0 makes a step reach its last possible index
+    rng = random.Random(64)
+    for n in (63, 64, 65, 127, 1000, 4095, 4097, 4999, 5000):
+        steps = sorted({s for h in range(1, 65)
+                        for s in (-(-n // h) + d for d in (-1, 0, 1))
+                        if s >= 1})
+        step = [s for s in steps for _ in range(2)]
+        first = [j for s in steps for j in (0, rng.randrange(0, 2 * s))]
+        flags = np.zeros(n, dtype=bool)
+        want = _strike_by_index(flags, first, step)
+        _strike(flags, np.array(first, dtype=np.int64),
+                np.array(step, dtype=np.int64))
+        assert flags.tolist() == want.tolist(), n
+
+
+class _SliceCounter(np.ndarray):
+    """A bool array that counts the strided-slice writes made to it."""
+
+    slices = 0
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            _SliceCounter.slices += 1
+        super().__setitem__(key, value)
+
+
+def test_strike_loops_only_over_steps_below_n_over_64():
+    # steps below ceil(n/64) write one strided slice each; every larger
+    # step goes through the numpy tiers, so writes no slice
+    n = 5000
+    step = np.arange(1, 2 * n, dtype=np.int64)
+    flags = np.zeros(n, dtype=bool).view(_SliceCounter)
+    _SliceCounter.slices = 0
+    _strike(flags, np.zeros(step.size, dtype=np.int64), step)
+    assert _SliceCounter.slices == -(-n // 64) - 1
+    assert flags.all()
+
+
+def test_strike_temporaries_stay_within_two_index_arrays():
+    # one 2^18-odd segment at 2^46 with all 564,162 base primes: no
+    # tier, nor the first-index strike, holds more than 2 n int64s
+    n, m_lo = 1 << 18, (1 << 46) + 1
+    base = sieve_range(0, math.isqrt(m_lo + 2 * n) + 1)[1:]
+    k = np.maximum((m_lo + base - 1) // base, base) | 1
+    first = (k * base - m_lo) >> 1
+    flags = np.zeros(n, dtype=bool)
+    tracemalloc.start()
+    try:
+        _strike(flags, first, base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert base.size == 564_162
+    assert peak <= 2 * n * 8, peak
+    primes = set(_oracles.window_primes(m_lo, m_lo + 2 * n))
+    assert flags.tolist() == [m_lo + 2 * j not in primes for j in range(n)]
 
 
 def test_bitmap_identical_across_segmentation():
