@@ -215,10 +215,11 @@ def build_parser():
                         help="progress logging on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    one_process = "ignored: this command runs in one process"
+
+    def common(p, threads="worker processes for the scan (default: cores)"):
         p.add_argument("--threads", type=parse_workers,
-                       default=os.cpu_count() or 1,
-                       help="workers for strings and census (default: cores)")
+                       default=os.cpu_count() or 1, help=threads)
         p.add_argument("--manifest", help="write a run manifest JSON here")
 
     p = sub.add_parser("strings", help="find the first k-string")
@@ -251,7 +252,7 @@ def build_parser():
     p.add_argument("--x", type=parse_count, default=10 ** 8,
                    help="scale X used for default parameters and bounds")
     p.add_argument("--set", type=parse_set, default=SpecialSetSpec.all_primes())
-    common(p)
+    common(p, one_process)
     p.set_defaults(func=cmd_maier)
 
     p = sub.add_parser("counts", help="counting functions")
@@ -259,12 +260,12 @@ def build_parser():
     ps = csub.add_parser("sq", help="products of primes = 1 mod q")
     ps.add_argument("--q", type=int, required=True)
     ps.add_argument("--z", type=parse_count, required=True)
-    common(ps)
+    common(ps, one_process)
     ps.set_defaults(func=cmd_counts_sq)
     pp = csub.add_parser("psi", help="t-smooth numbers up to x")
     pp.add_argument("--x", type=parse_count, required=True)
     pp.add_argument("--t", type=parse_finite, required=True)
-    common(pp)
+    common(pp, one_process)
     pp.set_defaults(func=cmd_counts_psi)
 
     return parser

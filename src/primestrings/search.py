@@ -6,21 +6,23 @@ reports its runs of good primes as arrays plus its set-prime count,
 enough to splice runs across segment edges, and segments merge in
 ascending order. The merge is a pure function of the segment
 summaries, so results are identical for any worker count and any
-segment size.
+segment size. _ordered_results is the package's one process pool.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import euler_phi, prime_factors
 from .errors import InvalidModulus, InvalidQuery, InvalidRange, RangeTooLarge
-from .sieve import (MAX_SCAN_HI, PROGRESS_EVERY, _ordered_results,
-                    _segment_bounds)
+from .sieve import MAX_SCAN_HI, PROGRESS_EVERY, _segment_bounds
 from .special import SpecialSetSpec, member, special_primes
 
 log = logging.getLogger("primestrings.search")
@@ -94,6 +96,34 @@ def _segment_census(args):
     """Residue counts mod q of one segment's set-primes. Picklable task."""
     spec, q, lo, hi = args
     return np.bincount(special_primes(spec, lo, hi) % q, minlength=q)
+
+
+def _ordered_results(task, jobs, workers):
+    """Yield (job, task(job)) in job order, optionally via a process pool.
+
+    Jobs are drawn lazily, at most 2 * workers ahead of the consumer, so
+    an early break leaves nothing queued. A one-job plan runs in-process.
+    """
+    jobs = iter(jobs)
+    head = list(islice(jobs, 2))
+    if workers <= 1 or len(head) <= 1:
+        for job in chain(head, jobs):
+            yield job, task(job)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        try:
+            for job in chain(head, jobs):
+                window.append((job, pool.submit(task, job)))
+                if len(window) >= 2 * workers:
+                    job, fut = window.popleft()
+                    yield job, fut.result()
+            while window:
+                job, fut = window.popleft()
+                yield job, fut.result()
+        finally:
+            for _job, fut in window:
+                fut.cancel()
 
 
 def _progress(hi, segment_size, n_set):
@@ -239,34 +269,21 @@ def count_primes_ap(X, q):
     return residue_census(SpecialSetSpec.all_primes(), X, q)
 
 
-def _trial_prime(n):
-    """Trial-division primality, independent of the sieve and BPSW paths."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def verify_hit(query, hit, check_index=False):
     """Re-verify a hit with independent arithmetic.
 
-    Checks primality by trial division, set membership by the exact
-    scalar criterion, congruences, and that no set-prime falls strictly
-    between consecutive members of the string. check_index recounts the
-    set-primes below the string with residue_census.
+    Checks primality by trial division (arith.prime_factors), set
+    membership by the exact scalar criterion, congruences, and that no
+    set-prime falls strictly between consecutive members of the string.
+    check_index recounts the set-primes below the string with
+    residue_census.
     """
     ps = hit.primes
     if len(ps) != query.k or any(p >= query.limit for p in ps):
         return False
     if any(p % query.q != query.a % query.q for p in ps):
         return False
-    if any(not _trial_prime(p) for p in ps):
+    if any(p < 2 or prime_factors(p) != [p] for p in ps):
         return False
     if any(not member(query.spec, p) for p in ps):
         return False
@@ -274,7 +291,7 @@ def verify_hit(query, hit, check_index=False):
         if nxt <= p:
             return False
         for m in range(p + 1, nxt):
-            if member(query.spec, m) and _trial_prime(m):
+            if member(query.spec, m) and prime_factors(m) == [m]:
                 return False
     if check_index:
         before = residue_census(query.spec, ps[0] - 1, 1).counts[0]

@@ -2,9 +2,10 @@
 
 The sieve works on a bitmap over odd integers >= 3 (2 is handled
 implicitly). Bit j covers the odd number 2j + 3 and is set when that
-number is composite. Segment size only controls working-set memory;
-the primes produced are identical for any segmentation and any worker
-count.
+number is composite. Segments run one after another in the calling
+process, and segment size only controls working-set memory: the primes
+produced are identical for any segmentation. Scans spread whole
+segments over worker processes in search.
 
 Every crossing-off in the package goes through one kernel, _strike,
 which sets flags[first::step] for many (first, step) pairs at once: in
@@ -21,9 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from itertools import chain, islice
 
 import numpy as np
 
@@ -75,8 +73,8 @@ def _strike(flags, first, step):
             flags[idx[idx < n]] = True
 
 
-def _sieve_segment(args):
-    """Composite flags for odd-index window [j_lo, j_hi). Picklable task.
+def _sieve_segment(j_lo, j_hi, base_odd):
+    """Composite flags for odd-index window [j_lo, j_hi).
 
     The window holds the odds m_lo <= m < m_hi. Each odd base prime p
     with p^2 < m_hi strikes its odd multiples k p for odd k >= p, which
@@ -85,7 +83,6 @@ def _sieve_segment(args):
     computed for all p in one int64 expression whose values stay below
     2^49 for m_hi <= MAX_SCAN_HI.
     """
-    j_lo, j_hi, base_odd = args
     comp = np.zeros(j_hi - j_lo, dtype=bool)
     m_lo = 2 * j_lo + 3
     m_hi = 2 * j_hi + 3
@@ -102,34 +99,6 @@ def _segment_bounds(lo, hi, size):
     return ((a, min(a + size, hi)) for a in range(lo, hi, size))
 
 
-def _ordered_results(task, jobs, workers):
-    """Yield (job, task(job)) in job order, optionally via a process pool.
-
-    Jobs are drawn lazily, at most 2 * workers ahead of the consumer, so
-    an early break leaves nothing queued. A one-job plan runs in-process.
-    """
-    jobs = iter(jobs)
-    head = list(islice(jobs, 2))
-    if workers <= 1 or len(head) <= 1:
-        for job in chain(head, jobs):
-            yield job, task(job)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        window = deque()
-        try:
-            for job in chain(head, jobs):
-                window.append((job, pool.submit(task, job)))
-                if len(window) >= 2 * workers:
-                    job, fut = window.popleft()
-                    yield job, fut.result()
-            while window:
-                job, fut = window.popleft()
-                yield job, fut.result()
-        finally:
-            for _job, fut in window:
-                fut.cancel()
-
-
 def _check_window(lo, hi):
     """Raise unless 0 <= lo <= hi <= MAX_SCAN_HI, hi - lo <= MAX_SCAN_SPAN."""
     if not 0 <= lo <= hi:
@@ -141,7 +110,7 @@ def _check_window(lo, hi):
                             f"{MAX_SCAN_SPAN}")
 
 
-def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
+def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES):
     """Ascending primes in [lo, hi) as an int64 array.
 
     Works for hi up to MAX_SCAN_HI and window width up to MAX_SCAN_SPAN.
@@ -153,10 +122,9 @@ def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES, workers=1):
     base_odd = sieve_range(0, math.isqrt(hi - 1) + 1)[1:]
     # the odds 2j + 3 in [lo, hi) are those with j_lo <= j < j_hi
     j_lo, j_hi = max(0, (lo - 2) // 2), (hi - 2) // 2
-    tasks = ((a, b, base_odd)
-             for a, b in _segment_bounds(j_lo, j_hi, segment_size))
     done = 0
-    for (a, b, _), comp in _ordered_results(_sieve_segment, tasks, workers):
+    for a, b in _segment_bounds(j_lo, j_hi, segment_size):
+        comp = _sieve_segment(a, b, base_odd)
         chunks.append(2 * (np.flatnonzero(~comp) + a) + 3)
         done += 2 * (b - a)
         if done // PROGRESS_EVERY != (done - 2 * (b - a)) // PROGRESS_EVERY:

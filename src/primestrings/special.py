@@ -21,7 +21,7 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .errors import (DomainError, GridTooSmall, InvalidRange,
+from .errors import (DomainError, GridTooSmall, InvalidQuery, InvalidRange,
                      PrecisionExhausted, RangeTooLarge)
 from .fixedpoint import IrrationalConstant
 from .sieve import MAX_SCAN_HI, _check_window, sieve_range
@@ -109,10 +109,6 @@ class GFamily:
         """(f, f', f'', f''') at x for f = x g: f^(k) = k g^(k-1) + x g^(k)."""
         d = self.derivs(x)
         return (x * d[0],) + tuple(k * d[k - 1] + x * d[k] for k in (1, 2, 3))
-
-    def value_np(self, x):
-        """g over a float array (domain not checked)."""
-        return self.at(x, np.log)
 
     def default_start_n(self):
         """Smallest integer where g is defined and positive."""
@@ -253,7 +249,7 @@ def _floorprod_mask(g, part):
     n_lo = max(g.default_start_n(), math.ceil(g.inverse(int(part[0]))) - 1)
     n_hi = math.ceil(g.inverse(int(part[-1]) + 1)) + 1
     n = np.arange(n_lo, n_hi, dtype=np.float64)
-    prod = n * g.value_np(n)
+    prod = n * g.at(n, np.log)
     vals = np.floor(prod).astype(np.int64)
     frac = prod - np.floor(prod)
     eps = prod * 2.0 ** -46 + 2.0 ** -40
@@ -311,8 +307,17 @@ def member(spec, m):
 
 
 def special_primes(spec, lo, hi, workers=1):
-    """Ascending primes in the carrier sequence, within [lo, hi)."""
-    primes = sieve_range(lo, hi, workers=workers)
+    """Ascending primes in the carrier sequence, within [lo, hi).
+
+    Runs in one process: workers is kept for callers that pass 1, and
+    any other value raises InvalidQuery.
+    """
+    if workers != 1:
+        raise InvalidQuery(
+            f"special_primes runs in one process, got workers={workers}; "
+            f"find_first_string, scan_all_strings and residue_census take "
+            f"workers")
+    primes = sieve_range(lo, hi)
     if spec.kind == "all":
         return primes
     return primes[_mask(spec, primes)]

@@ -1,5 +1,6 @@
 """String scanning: hits, runs, censuses, verification, determinism."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -17,7 +18,7 @@ from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
                           hit_record, named_constant, residue_census,
                           scan_all_strings, sieve_range, verify_hit)
 from primestrings.errors import InvalidQuery, InvalidRange, RangeTooLarge
-from primestrings.search import MAX_CENSUS_Q
+from primestrings.search import MAX_CENSUS_Q, _ordered_results
 from primestrings.sieve import MAX_SCAN_HI
 
 ALL = SpecialSetSpec.all_primes()
@@ -347,14 +348,30 @@ def test_one_and_two_workers_match_oracle(case):
     query = q(spec, 1, qq, a, limit)
     runs = _oracles.maximal_runs(set_primes, qq, a)
     counts = _oracles.ap_counts(set_primes, qq)
+    assert sieve_range(0, limit, segment_size=seg).tolist() == primes
     for workers in (1, 2):
         assert scan_all_strings(query, workers=workers,
                                 segment_size=seg).tolist() == runs
         census = residue_census(spec, limit - 1, qq, workers=workers,
                                 segment_size=seg)
         assert census.counts == counts
-        assert sieve_range(0, limit, segment_size=seg,
-                           workers=workers).tolist() == primes
+
+
+def test_ordered_results_draws_jobs_as_the_pool_has_room():
+    drawn = []
+
+    def jobs():                      # an endless plan
+        for j in itertools.count():
+            drawn.append(j)
+            yield j
+
+    results = _ordered_results(abs, jobs(), workers=2)
+    assert [next(results) for _ in range(3)] == [(0, 0), (1, 1), (2, 2)]
+    results.close()                  # an early break: the pool shuts down
+    assert len(drawn) <= 3 + 2 * 2
+    # a one-job plan runs in-process, so even a local task is fine
+    assert list(_ordered_results(lambda j: -j, iter([7]), workers=2)) \
+        == [(7, -7)]
 
 
 def test_first_string_stops_at_the_segment_it_reaches_k(monkeypatch):

@@ -1,6 +1,5 @@
 """Segmented sieve, AP counts, and primality."""
 
-import itertools
 import math
 import random
 import tracemalloc
@@ -16,8 +15,7 @@ from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
 from primestrings.search import MAX_CENSUS_Q
 from primestrings.sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _TINY_PRIMES,
-                                _ordered_results, _strike,
-                                _strong_lucas_prp, _strong_prp_base2,
+                                _strike, _strong_lucas_prp, _strong_prp_base2,
                                 primality_is_deterministic)
 
 # random 214-bit primes and pairs of 107-bit primes, found with
@@ -87,26 +85,26 @@ def test_sieve_range_high_window():
 def window_cases(draw):
     top = 1 << draw(st.integers(0, 12))      # log-uniform, 1 to 4096
     seg = draw(st.integers(max(1, top // 2), top))
-    # at most 40 segments of seg odds, so a pool round trip stays cheap
+    # at most 40 segments of seg odds, so a case stays cheap
     width = draw(st.integers(1, min(5000, 80 * seg)))
     lo = draw(st.integers(0, (1 << 36) - 1))
-    return lo, width, seg, draw(st.sampled_from([1, 2]))
+    return lo, width, seg
 
 
 @seed(20148)
 @settings(database=None, deadline=None, max_examples=60)
 @given(window_cases())
 # one-odd segments: every base prime strikes only its first index
-@example((10 ** 9 + 1, 200, 1, 1))
+@example((10 ** 9 + 1, 200, 1))
 # above 2^40, segments whose base primes fill the loop and every tier
-@example(((1 << 40) + 12_345, 5000, 4096, 1))
-@example(((1 << 46) + 1, 5000, 1000, 1))
-@example(((1 << 44) + 777, 3000, 640, 2))
+@example(((1 << 40) + 12_345, 5000, 4096))
+@example(((1 << 46) + 1, 5000, 1000))
+@example(((1 << 44) + 777, 3000, 640))
 def test_sieve_range_matches_window_oracle(case):
     # base primes p < ceil(seg/64) cross off in a loop, the others in
     # numpy tiers of at most 64, 32, ..., 2 indices, or one index
-    lo, width, seg, workers = case
-    got = sieve_range(lo, lo + width, segment_size=seg, workers=workers)
+    lo, width, seg = case
+    got = sieve_range(lo, lo + width, segment_size=seg)
     assert got.tolist() == _oracles.window_primes(lo, lo + width)
 
 
@@ -239,27 +237,6 @@ def test_bitmap_identical_across_segmentation():
     base = sieve_range(0, 100_000)
     for seg in (64, 1_000, 4_999, 1 << 16):
         assert np.array_equal(sieve_range(0, 100_000, segment_size=seg), base)
-    for workers in (2, 3):
-        assert np.array_equal(sieve_range(0, 100_000, workers=workers), base)
-        assert np.array_equal(sieve_range(0, 100_000, segment_size=4_999,
-                                          workers=workers), base)
-
-
-def test_ordered_results_draws_jobs_as_the_pool_has_room():
-    drawn = []
-
-    def jobs():                      # an endless plan
-        for j in itertools.count():
-            drawn.append(j)
-            yield j
-
-    results = _ordered_results(abs, jobs(), workers=2)
-    assert [next(results) for _ in range(3)] == [(0, 0), (1, 1), (2, 2)]
-    results.close()                  # an early break: the pool shuts down
-    assert len(drawn) <= 3 + 2 * 2
-    # a one-job plan runs in-process, so even a local task is fine
-    assert list(_ordered_results(lambda j: -j, iter([7]), workers=2)) \
-        == [(7, -7)]
 
 
 def test_count_primes_ap_examples():

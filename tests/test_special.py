@@ -13,7 +13,8 @@ import _oracles
 from primestrings import (GFamily, SpecialSetSpec, beatty_member,
                           enumerate_special, member, named_constant,
                           sieve_range, special_primes, validate_g)
-from primestrings.errors import DomainError, GridTooSmall, RangeTooLarge
+from primestrings.errors import (DomainError, GridTooSmall, InvalidQuery,
+                                 RangeTooLarge)
 from primestrings.fixedpoint import IrrationalConstant
 from primestrings.sieve import MAX_SCAN_SPAN
 from primestrings import special
@@ -365,7 +366,7 @@ def test_floorprod_primes_memory_is_one_span_past_the_sieve(monkeypatch):
     lo = 10 ** 10
     primes = sieve_range(lo, lo + 2 ** 23)
     monkeypatch.setattr(special, "sieve_range",
-                        lambda lo, hi, workers=1: primes)
+                        lambda lo, hi: primes)
     tracemalloc.start()
     try:
         got = special_primes(spec, lo, lo + 2 ** 23)
@@ -397,6 +398,21 @@ def test_special_primes_is_prime_intersection():
         want = [int(m) for m in enumerate_special(spec, 1, 5000)
                 if _oracles.trial_is_prime(int(m))]
         assert got == want
+
+
+def test_special_primes_takes_only_one_worker(monkeypatch):
+    spec = SpecialSetSpec.beatty(PI)
+    lo, hi = 10 ** 6, 10 ** 6 + 5000
+    want = special_primes(spec, lo, hi)
+    assert np.array_equal(special_primes(spec, lo, hi, workers=1), want)
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved before refusing workers")
+
+    monkeypatch.setattr(special, "sieve_range", no_sieve)
+    for workers in (0, 2):
+        with pytest.raises(InvalidQuery, match="scan_all_strings"):
+            special_primes(spec, lo, hi, workers=workers)
 
 
 # ------------------------------------------------------------ derivatives
