@@ -26,8 +26,8 @@ from .arith import euler_phi, prime_factors, crt_pair
 from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
                      ParameterDomain, RangeExceeded, RangeTooLarge)
 from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _PRIMALITY_CEILING,
-                    _strike, is_prime, primality_is_deterministic,
-                    sieve_range)
+                    _base_primes, _strike, is_prime,
+                    primality_is_deterministic, sieve_range)
 from .search import _good_runs
 from .special import member, SpecialSetSpec
 
@@ -302,7 +302,7 @@ class MaierCensus:
 
 def _presieve_primes(Q, start):
     """Primes p <= _PRESIEVE_B not dividing Q, with Q and start mod p."""
-    ps = [p for p in sieve_range(0, _PRESIEVE_B + 1).tolist() if Q % p]
+    ps = [p for p in _base_primes(_PRESIEVE_B).tolist() if Q % p]
     return (np.array(ps, dtype=np.int64),
             np.array([Q % p for p in ps], dtype=np.int64),
             np.array([start % p for p in ps], dtype=np.int64))
@@ -318,7 +318,8 @@ def sample_rows_census(config, interval, rows, spec=None):
     S is one column mask, and a row's good runs are runs of S columns.
 
     Before any primality test, each row is presieved by the primes
-    p <= _PRESIEVE_B = 2^16 that do not divide Q: an entry c with
+    p <= _PRESIEVE_B = 2^16 that do not divide Q, read from the sieve's
+    per-process base-prime array: an entry c with
     p | c is composite unless c = p. Each p strikes every p-th column
     from the first one it divides, through sieve._strike, the kernel
     of the segment sieve; that start moves up by p when the entry
@@ -328,9 +329,10 @@ def sample_rows_census(config, interval, rows, spec=None):
     The order of the tests follows their cost: presieve, then Beatty
     membership, then is_prime (BPSW), then floor-product membership.
     beatty_member is two exact floor_div calls, 2-5 us at 45-208 bits,
-    against 14-160 us for the base-2 Miller-Rabin half of BPSW and
-    47-565 us for its strong Lucas half on a prime; over beatty:pi it
-    drops about two thirds of the entries BPSW would pass. The scalar
+    against 11-110 us for the base-2 Miller-Rabin half of BPSW and
+    28-283 us for its strong Lucas half on a prime (best of 7 over 200
+    primes each, 2-vCPU Xeon VM); over beatty:pi it drops about two
+    thirds of the entries BPSW would pass. The scalar
     floor-product member costs more than BPSW below 2^48, the only
     range where it is decided, so it stays last; a census whose largest
     entry reaches 2^48 is refused before any row. Since (p and m) =

@@ -20,7 +20,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .arith import euler_phi, prime_factors
+from .arith import euler_phi
 from .errors import InvalidModulus, InvalidQuery, InvalidRange, RangeTooLarge
 from .sieve import MAX_SCAN_HI, PROGRESS_EVERY, _segment_bounds
 from .special import SpecialSetSpec, member, special_primes
@@ -30,6 +30,7 @@ log = logging.getLogger("primestrings.search")
 DEFAULT_SCAN_SEGMENT = 1 << 21
 MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
 RUN_DTYPE = np.dtype([("start", np.int64), ("length", np.int64)])
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass(frozen=True)
@@ -269,21 +270,53 @@ def count_primes_ap(X, q):
     return residue_census(SpecialSetSpec.all_primes(), X, q)
 
 
-def verify_hit(query, hit, check_index=False):
+def _mr12_is_prime(n):
+    """Miller-Rabin on the first 12 prime bases, for verify_hit.
+
+    Exact for n < psi_12 = 318665857834031151167461, about 3.18e23, the
+    least strong pseudoprime to all 12 bases (Sorenson and Webster,
+    "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017),
+    so for every n below MAX_SCAN_HI. It shares no code with
+    sieve.is_prime, which runs BPSW.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def verify_hit(query, hit, check_index=False, workers=1):
     """Re-verify a hit with independent arithmetic.
 
-    Checks primality by trial division (arith.prime_factors), set
-    membership by the exact scalar criterion, congruences, and that no
-    set-prime falls strictly between consecutive members of the string.
-    check_index recounts the set-primes below the string with
-    residue_census.
+    Checks primality by Miller-Rabin on 12 fixed bases (_mr12_is_prime,
+    exact below 2^48), set membership by the exact scalar criterion,
+    congruences, and that no set-prime falls strictly between
+    consecutive members of the string. check_index recounts the
+    set-primes below the string with residue_census on workers
+    processes.
     """
     ps = hit.primes
     if len(ps) != query.k or any(p >= query.limit for p in ps):
         return False
     if any(p % query.q != query.a % query.q for p in ps):
         return False
-    if any(p < 2 or prime_factors(p) != [p] for p in ps):
+    if not all(map(_mr12_is_prime, ps)):
         return False
     if any(not member(query.spec, p) for p in ps):
         return False
@@ -291,10 +324,11 @@ def verify_hit(query, hit, check_index=False):
         if nxt <= p:
             return False
         for m in range(p + 1, nxt):
-            if member(query.spec, m) and prime_factors(m) == [m]:
+            if member(query.spec, m) and _mr12_is_prime(m):
                 return False
     if check_index:
-        before = residue_census(query.spec, ps[0] - 1, 1).counts[0]
+        before = residue_census(query.spec, ps[0] - 1, 1,
+                                workers=workers).counts[0]
         if before != hit.start_index:
             return False
     return True

@@ -14,8 +14,9 @@ column interval (coprimality to Q) in maier. A step s hits at most h
 indices of an n-long array once s >= ceil(n/h), so only the steps
 below ceil(n/64) cross off in a Python loop; the others cross off in
 numpy tiers of at most 64, 32, ..., 2 indices, or one index for s >= n.
-The base primes up to sqrt(hi) come from sieve_range itself, one level
-down; the recursion ends at hi <= 3.
+The base primes up to sqrt(hi) come from one ascending array per
+process (_base_primes), filled lazily and extended on demand, so a
+window lists no base prime that an earlier call already listed.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ PROGRESS_EVERY = 10 ** 7        # candidates between progress log lines
 
 # BPSW has no counterexample below 2^64 (Feitsma-Galway's list of
 # base-2 strong pseudoprimes, each of which fails the strong Lucas test).
+# _strong_lucas_prp's Q = 1 ladder gives Selfridge's verdicts exactly.
 _BPSW_DETERMINISTIC_LIMIT = 1 << 64
 _PRIMALITY_CEILING = 1 << 256
 
@@ -110,16 +112,9 @@ def _check_window(lo, hi):
                             f"{MAX_SCAN_SPAN}")
 
 
-def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES):
-    """Ascending primes in [lo, hi) as an int64 array.
-
-    Works for hi up to MAX_SCAN_HI and window width up to MAX_SCAN_SPAN.
-    """
-    _check_window(lo, hi)
+def _primes_in(lo, hi, base_odd, segment_size):
+    """Ascending primes in [lo, hi), given the odd primes <= isqrt(hi - 1)."""
     chunks = [np.array([2] if lo <= 2 < hi else [], dtype=np.int64)]
-    if hi <= 3:
-        return chunks[0]
-    base_odd = sieve_range(0, math.isqrt(hi - 1) + 1)[1:]
     # the odds 2j + 3 in [lo, hi) are those with j_lo <= j < j_hi
     j_lo, j_hi = max(0, (lo - 2) // 2), (hi - 2) // 2
     done = 0
@@ -130,6 +125,46 @@ def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES):
         if done // PROGRESS_EVERY != (done - 2 * (b - a)) // PROGRESS_EVERY:
             log.info("sieved %d candidates up to %d", done, 2 * b + 3)
     return np.concatenate(chunks)
+
+
+_BASE_CAP = math.isqrt(MAX_SCAN_HI) + 1    # 1,077,871 primes below, 8.6 MB
+_base = np.empty(0, dtype=np.int64)        # every prime below _base_hi
+_base_hi = 2
+
+
+def _base_primes(bound):
+    """Ascending primes <= bound, from this process's base-prime array.
+
+    The array holds every prime below _base_hi and only grows. A bound
+    at or past _base_hi extends it to max(bound + 1, 2 _base_hi), capped
+    at isqrt(MAX_SCAN_HI) + 1, the most any window needs. The new primes
+    are sieved by the array's own primes up to the square root of the
+    new end, which this call first extends the array to; that recursion
+    ends once the square root falls below _base_hi, at the latest when
+    it is 1. Nothing is sieved at import, and forked workers inherit
+    what the parent holds.
+    """
+    global _base, _base_hi
+    if bound >= _BASE_CAP:
+        raise RangeTooLarge(f"base primes up to {bound} exceed the sieve's "
+                            f"needs, isqrt(MAX_SCAN_HI) = {_BASE_CAP - 1}")
+    if bound >= _base_hi:
+        hi = min(max(bound + 1, 2 * _base_hi), _BASE_CAP)
+        base_odd = _base_primes(math.isqrt(hi - 1))[1:]
+        _base = np.concatenate([_base, _primes_in(_base_hi, hi, base_odd,
+                                                  DEFAULT_SEGMENT_BYTES)])
+        _base_hi = hi
+    return _base[:np.searchsorted(_base, bound, "right")]
+
+
+def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES):
+    """Ascending primes in [lo, hi) as an int64 array.
+
+    Works for hi up to MAX_SCAN_HI and window width up to MAX_SCAN_SPAN.
+    """
+    _check_window(lo, hi)
+    base_odd = _base_primes(math.isqrt(max(hi, 1) - 1))[1:]
+    return _primes_in(lo, hi, base_odd, segment_size)
 
 
 def _strong_prp_base2(n):
@@ -170,8 +205,25 @@ def _strong_lucas_prp(n):
     Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with
     (D/n) = -1, P = 1, Q = (1 - D)/4. A square n has no such D, so it
     is rejected first. With n + 1 = d 2^s, n passes when U_d = 0 or
-    V_(d 2^r) = 0 (mod n) for some 0 <= r < s. Only V is computed:
-    D U_d = 2 V_(d+1) - V_d, and D is invertible mod n.
+    V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+
+    The test is computed on a Q = 1 ladder, with the same verdict. If
+    a prime p divides both Q and n, x^2 - x + Q has the roots 0 and 1
+    mod p, so U_k = V_k = 1 (mod p) for k >= 1 and n fails; it is
+    rejected at once.
+    Else let a, b be the roots of x^2 - x + Q in Z_n[x]/(x^2 - x + Q),
+    and g = a/b (b is a unit, as ab = Q). Then g has norm 1 and trace
+    P' = (a^2 + b^2)/Q = 1/Q - 2, so g^k + g^-k = V'_k and g^k - g^-k =
+    U'_k (g - 1/g) for the Lucas sequences U', V' of (P', 1). Here
+    g - 1/g = (a - b)/Q and (a - b)^2 = D are units, as is 2 (n odd):
+      - U_d = 0 <=> a^d = b^d <=> g^d = 1 <=> U'_d = 0 and V'_d = 2;
+      - V_d = 0 <=> a^d = -b^d <=> g^d = -1 <=> U'_d = 0 and V'_d = -2;
+      - V_(2k) = a^2k + b^2k = Q^k V'_k, so for r >= 1, V_(d 2^r) = 0
+        <=> V'_(d 2^(r-1)) = 0.
+    So n passes iff U'_d = 0 and V'_d = +-2, or V'_(d 2^j) = 0 for some
+    0 <= j <= s - 2: the extra strong form, on a ladder of 2 products
+    per bit with no Q^k to carry. Only V' is computed: D' U'_d =
+    2 V'_(d+1) - P' V'_d, and D' = P'^2 - 4 = D/Q^2 is a unit.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -184,23 +236,25 @@ def _strong_lucas_prp(n):
             return False
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
+    if math.gcd(Q, n) != 1:
+        return False
+    P = (pow(Q, -1, n) - 2) % n
     d, s = n + 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    V, W, Qk = 2, 1, 1            # V_k, V_(k+1), Q^k from k = 0
+    V, W = 2, P                   # V'_k, V'_(k+1) from k = 0
     for bit in bin(d)[2:]:
         if bit == "1":            # k -> 2k + 1
-            V, W, Qk = ((V * W - Qk) % n, (W * W - 2 * Qk * Q) % n,
-                        Qk * Qk * Q % n)
+            V, W = (V * W - P) % n, (W * W - 2) % n
         else:                     # k -> 2k
-            V, W, Qk = (V * V - 2 * Qk) % n, (V * W - Qk) % n, Qk * Qk % n
-    if V == 0 or (2 * W - V) % n == 0:
+            V, W = (V * V - 2) % n, (V * W - P) % n
+    if (2 * W - P * V) % n == 0 and (V == 2 or V == n - 2):
         return True
     for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
         if V == 0:
             return True
+        V = (V * V - 2) % n
     return False
 
 

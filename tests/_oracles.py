@@ -7,7 +7,9 @@ floor-product floors are 60-digit mpmath at every index (the package
 keeps float floors away from integers), sieves are single-shot dense
 arrays (one array over the window itself at large offsets), primality
 is trial division (or, for large n, Miller-Rabin with 48 seeded random
-bases where the package runs BPSW), and the counting functions walk a
+bases where the package runs BPSW), the strong Lucas test reads U and
+V off powers of a 2x2 matrix (the package runs a V-only ladder on
+another sequence), and the counting functions walk a
 smallest-prime-factor table exhaustively.
 
 The decimal scale is safe for every n the tests use, up to about 1e14
@@ -141,6 +143,70 @@ def miller_rabin_48(n):
         else:
             return False
     return True
+
+
+def jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0; factors of 2 go all at once."""
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos % 2 and n % 8 in (3, 5):
+            sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _mat_mul(A, B, n):
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return (((a * e + b * g) % n, (a * f + b * h) % n),
+            ((c * e + d * g) % n, (c * f + d * h) % n))
+
+
+def _mat_pow(M, k, n):
+    R = ((1, 0), (0, 1))
+    while k:
+        if k & 1:
+            R = _mat_mul(R, M, n)
+        M = _mat_mul(M, M, n)
+        k >>= 1
+    return R
+
+
+def selfridge_strong_lucas(n, D=None):
+    """Selfridge's strong Lucas test of an odd n > 2, as defined.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1 (n fails if
+    one before it shares a factor with n, and a square n fails), unless
+    D is given; P = 1 and Q = (1 - D)/4. With n + 1 = d 2^s, n passes
+    iff U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s. The
+    powers M^k of M = [[P, -Q], [1, 0]] are [[U_(k+1), -Q U_k],
+    [U_k, -Q U_(k-1)]], and V_k = 2 U_(k+1) - P U_k.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    if D is None:
+        D = 5
+        while jacobi(D, n) != -1:
+            if math.gcd(D, n) > 1:
+                return False
+            D = -D - 2 if D > 0 else 2 - D
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    A = _mat_pow(((P, -Q % n), (1, 0)), d, n)
+    if A[1][0] == 0:
+        return True
+    for _ in range(s):
+        if (2 * A[0][0] - P * A[1][0]) % n == 0:
+            return True
+        A = _mat_mul(A, A, n)
+    return False
 
 
 def simple_sieve(limit):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 from functools import lru_cache
 
@@ -16,7 +17,8 @@ from primestrings import search
 from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
                           StringHit, StringQuery, find_first_string,
                           hit_record, named_constant, residue_census,
-                          scan_all_strings, sieve_range, verify_hit)
+                          scan_all_strings, sieve_range, special_primes,
+                          verify_hit)
 from primestrings.errors import InvalidQuery, InvalidRange, RangeTooLarge
 from primestrings.search import MAX_CENSUS_Q, _ordered_results
 from primestrings.sieve import MAX_SCAN_HI
@@ -421,3 +423,47 @@ def test_hit_record_not_found():
     rec = hit_record(query, find_first_string(query))
     assert rec["found"] is False
     assert rec["limit"] == 50 and rec["elapsed_ms"] == 0
+
+
+def test_verify_hit_index_check_takes_workers(b_pi, monkeypatch):
+    golden = [26402437, 26402507, 26402591, 26402843, 26402899, 26402927]
+    query = q(b_pi, 6, 7, 5, 30_000_000)
+    census = search.residue_census
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("workers"))
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(search, "residue_census", spy)
+    assert verify_hit(query, StringHit(golden, 523253), check_index=True,
+                      workers=2)
+    assert not verify_hit(query, StringHit(golden, 523254), check_index=True,
+                          workers=2)
+    assert seen == [2, 2]
+
+
+@pytest.mark.parametrize("spec", ["all", "beatty:pi"])
+def test_verify_hit_near_2_47_is_fast(spec, b_pi):
+    # primality by 12-base Miller-Rabin, not trial division (about 1 s
+    # per prime here), over the string and every gap member
+    spec = ALL if spec == "all" else b_pi
+    lo = 1 << 47
+    primes = special_primes(spec, lo, lo + 20_000).tolist()
+    query = q(spec, 3, 2, 1, MAX_SCAN_HI)
+    t = time.perf_counter()
+    ok = verify_hit(query, StringHit(primes[:3], 0))
+    assert time.perf_counter() - t < 0.1
+    assert ok
+    assert not verify_hit(query, StringHit([primes[0], *primes[2:4]], 0))
+
+
+def test_verify_hit_rejects_a_strong_pseudoprime_to_bases_2_to_7():
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to the bases
+    # 2, 3, 5 and 7; base 11 exposes it, in the string and in a gap
+    n = 3215031751
+    assert not verify_hit(q(ALL, 1, 1, 0, 1 << 32), StringHit([n], 0))
+    near = sieve_range(n - 1000, n + 1000).tolist()
+    before = max(p for p in near if p < n)
+    after = min(p for p in near if p > n)
+    assert verify_hit(q(ALL, 2, 2, 1, 1 << 32), StringHit([before, after], 0))

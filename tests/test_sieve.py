@@ -1,8 +1,13 @@
 """Segmented sieve, AP counts, and primality."""
 
+import hashlib
 import math
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,13 +15,14 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import _oracles
-from primestrings import SetCensus, count_primes_ap, is_prime, sieve_range
+from primestrings import (SetCensus, count_primes_ap, is_prime, sieve,
+                          sieve_range)
 from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
 from primestrings.search import MAX_CENSUS_Q
 from primestrings.sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _TINY_PRIMES,
-                                _strike, _strong_lucas_prp, _strong_prp_base2,
-                                primality_is_deterministic)
+                                _base_primes, _strike, _strong_lucas_prp,
+                                _strong_prp_base2, primality_is_deterministic)
 
 # random 214-bit primes and pairs of 107-bit primes, found with
 # _oracles.miller_rabin_48 from random.Random(214)
@@ -130,8 +136,8 @@ def test_sieve_range_window_from_first_large_prime_square(seg):
 
 
 def test_sieve_range_recursion_edges():
-    # the base primes come from sieve_range(0, isqrt(hi - 1) + 1): they
-    # gain p at hi = p^2 + 1, and the recursion bottoms out at hi <= 3
+    # the base primes are those <= isqrt(hi - 1): they gain p at
+    # hi = p^2 + 1, and the smallest windows need none
     primes = _oracles.simple_sieve(1000 ** 2 + 2)
     for hi in range(401):
         assert sieve_range(0, hi).tolist() == primes[primes < hi].tolist(), hi
@@ -142,6 +148,89 @@ def test_sieve_range_recursion_edges():
             lo = max(0, hi - 50)
             assert sieve_range(lo, hi).tolist() == \
                 _oracles.window_primes(lo, hi), hi
+
+
+@pytest.fixture
+def fresh_base(monkeypatch):
+    """The per-process base-prime array as a new process holds it."""
+    monkeypatch.setattr(sieve, "_base", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(sieve, "_base_hi", 2)
+
+
+ORDER_WINDOWS = [(1 << 46, 3000), (10 ** 12, 3000), (10 ** 6, 3000)]
+_FRESH_WINDOW = """
+import hashlib, sys
+from primestrings import sieve_range
+lo, width = map(int, sys.argv[1:])
+print(hashlib.sha256(sieve_range(lo, lo + width).tobytes()).hexdigest())
+"""
+
+
+def test_base_array_windows_match_fresh_process_in_any_order(fresh_base):
+    # one new interpreter per window, then every window in one process,
+    # descending and then ascending from an empty array
+    src = pathlib.Path(sieve.__file__).resolve().parents[1]
+    fresh = [subprocess.run([sys.executable, "-c", _FRESH_WINDOW,
+                             str(lo), str(width)], check=True, text=True,
+                            capture_output=True, env={"PYTHONPATH": str(src)}
+                            ).stdout.strip()
+             for lo, width in ORDER_WINDOWS]
+    want = [_oracles.window_primes(lo, lo + width)
+            for lo, width in ORDER_WINDOWS]
+    for order in (ORDER_WINDOWS, ORDER_WINDOWS[::-1]):
+        got = {w: sieve_range(w[0], w[0] + w[1]) for w in order}
+        assert [hashlib.sha256(got[w].tobytes()).hexdigest()
+                for w in ORDER_WINDOWS] == fresh
+        assert [got[w].tolist() for w in ORDER_WINDOWS] == want
+        sieve._base, sieve._base_hi = np.empty(0, dtype=np.int64), 2
+
+
+def test_second_window_at_a_height_lists_no_base_primes(fresh_base,
+                                                        monkeypatch):
+    calls = []
+    primes_in = sieve._primes_in
+
+    def counted(lo, hi, *rest):
+        calls.append((lo, hi))
+        return primes_in(lo, hi, *rest)
+
+    monkeypatch.setattr(sieve, "_primes_in", counted)
+    lo = 1 << 46
+    sieve_range(lo, lo + 1000)
+    assert len(calls) > 1                    # the window and its base
+    calls.clear()
+    sieve_range(lo + 5000, lo + 6000)
+    assert calls == [(lo + 5000, lo + 6000)]
+
+
+@seed(1077871)
+@settings(database=None, deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, 150_000), min_size=1, max_size=6))
+def test_base_primes_match_dense_sieve_for_any_bounds(bounds):
+    # every sequence of bounds, from an empty array: each call lists
+    # exactly the primes <= bound, and the array only grows
+    with mock.patch.object(sieve, "_base", np.empty(0, dtype=np.int64)), \
+            mock.patch.object(sieve, "_base_hi", 2):
+        held = 2
+        for bound in bounds:
+            got = _base_primes(bound)
+            assert got.tolist() == _oracles.simple_sieve(bound).tolist()
+            assert sieve._base_hi >= max(held, bound + 1)
+            held = sieve._base_hi
+            assert sieve._base.tolist() == \
+                _oracles.simple_sieve(held - 1).tolist()
+
+
+def test_base_array_never_passes_isqrt_of_the_scan_cap(fresh_base):
+    cap = math.isqrt(MAX_SCAN_HI) + 1
+    for hi in (10, 10 ** 6, 10 ** 12, 1 << 46, (1 << 47) + 1, MAX_SCAN_HI):
+        sieve_range(hi - 10, hi)
+        assert sieve._base_hi <= cap, hi
+    assert _base_primes(cap - 1)[-1] == 16_777_213
+    assert sieve._base_hi == cap
+    assert sieve._base.size == 1_077_871          # pi(2^24), 8.6 MB
+    with pytest.raises(RangeTooLarge):
+        _base_primes(cap)
 
 
 def _strike_by_index(flags, first, step):
@@ -325,6 +414,10 @@ def test_is_prime_bpsw():
     # half only
     for n in (5459, 5777, 10877, 16109, 18971):
         assert _strong_lucas_prp(n) and not is_prime(n), n
+    # extra strong Lucas pseudoprimes (Grantham's P = 3, 4, ..., Q = 1)
+    # that are not Selfridge ones: the Q = 1 ladder keeps Selfridge's test
+    for n in (3239, 27971, 29681, 30739):
+        assert not _strong_lucas_prp(n), n
     assert all(is_prime(n) for n in (2 ** 89 - 1, 2 ** 107 - 1,
                                      2 ** 127 - 1))
     assert not any(is_prime(n) for n in ((2 ** 61 - 1) * (2 ** 31 - 1),
@@ -347,3 +440,79 @@ def test_is_prime_range_ceiling():
         n += 2
     with pytest.raises(RangeExceeded):
         is_prime(n)
+
+
+def _no_tiny_factor(n):
+    return all(n % p for p in _TINY_PRIMES)
+
+
+def test_strong_lucas_matches_matrix_oracle_below_2e5():
+    # every odd n < 2e5 with no factor below 41, composites included
+    for n in range(41, 200_000, 2):
+        if _no_tiny_factor(n):
+            assert _strong_lucas_prp(n) == \
+                _oracles.selfridge_strong_lucas(n), n
+
+
+@st.composite
+def lucas_inputs(draw):
+    """Odd n with no factor below 41: random, or a probable prime, or a
+    product with a square or with a near-twin (the usual pseudoprime
+    shapes)."""
+    bits = draw(st.integers(12, 256))
+    n = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    shape = draw(st.sampled_from(["any", "prime", "p2q", "pq"]))
+    if shape != "any":
+        n = max(n >> (bits // 2), 41) | 1
+        while not _oracles.miller_rabin_48(n) or n < 41:
+            n += 2
+        if shape == "p2q":
+            n *= n * draw(st.sampled_from([41, 43, 47, 53, 59, 61]))
+        elif shape == "pq":
+            m = 2 * n - 1 + 2 * draw(st.integers(0, 30))
+            n *= m
+    if not _no_tiny_factor(n):
+        n = n * 41 * 43 | 1
+    return n
+
+
+@seed(5459)
+@settings(database=None, deadline=None, max_examples=300)
+@given(lucas_inputs())
+@example(5777)                           # Selfridge strong Lucas pseudoprime
+@example(1093 ** 2)                      # a square
+@example((2 ** 89 - 1) * (2 ** 107 - 1))
+# 43^2 * 461 and 71^2 * 179: V'_d = +-2 with U'_d != 0 (a nilpotent
+# g^d - 1 modulo p^2), so the U' check is needed
+@example(852389)
+@example(902339)
+def test_strong_lucas_matches_matrix_oracle(n):
+    if _no_tiny_factor(n):
+        assert _strong_lucas_prp(n) == _oracles.selfridge_strong_lucas(n)
+
+
+@seed(10877)
+@settings(database=None, deadline=None, max_examples=200)
+@given(lucas_inputs(), st.integers(0, 400), st.booleans())
+# D = 85 and 33: V'_(d 2^(s-1)) = 0 after every earlier check failed, so
+# the last squaring must stay unchecked (r < s)
+@example(3569, 40, False)
+@example(19109, 14, False)
+def test_strong_lucas_matches_oracle_for_any_selfridge_d(n, k, share_q):
+    # the ladder's equivalences need only D and Q to be units mod n, so
+    # they hold for every D of Selfridge's sequence 5, -7, 9, ..., not
+    # only the first with (D/n) = -1; forcing D reaches far beyond the
+    # |D| <= 59 that n < 3e6 ever use, and gcd(Q, n) > 1 (share_q)
+    D = (5 + 2 * k) * (-1) ** k
+    Q = (1 - D) // 4
+    if share_q:                  # n gains a factor of Q above 37
+        n *= next((p for p in range(41, abs(Q) + 1)
+                   if Q % p == 0 and _oracles.trial_is_prime(p)), 1)
+    if not _no_tiny_factor(n) or math.gcd(D, n) > 1:
+        return
+    with mock.patch.object(sieve, "_jacobi",
+                           lambda a, m: -1 if a == D else 1):
+        got = _strong_lucas_prp(n)
+    assert got == _oracles.selfridge_strong_lucas(n, D=D)
+    if math.gcd(Q, n) > 1:
+        assert not got
