@@ -301,15 +301,14 @@ def _mr12_is_prime(n):
     return True
 
 
-def verify_hit(query, hit, check_index=False, workers=1):
+def verify_hit(query, hit, check_index=False):
     """Re-verify a hit with independent arithmetic.
 
     Checks primality by Miller-Rabin on 12 fixed bases (_mr12_is_prime,
     exact below 2^48), set membership by the exact scalar criterion,
     congruences, and that no set-prime falls strictly between
     consecutive members of the string. check_index recounts the
-    set-primes below the string with residue_census on workers
-    processes.
+    set-primes below the string with residue_census.
     """
     ps = hit.primes
     if len(ps) != query.k or any(p >= query.limit for p in ps):
@@ -327,8 +326,7 @@ def verify_hit(query, hit, check_index=False, workers=1):
             if member(query.spec, m) and _mr12_is_prime(m):
                 return False
     if check_index:
-        before = residue_census(query.spec, ps[0] - 1, 1,
-                                workers=workers).counts[0]
+        before = residue_census(query.spec, ps[0] - 1, 1).counts[0]
         if before != hit.start_index:
             return False
     return True
