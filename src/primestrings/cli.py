@@ -23,8 +23,8 @@ from . import __version__
 from .errors import DomainError, PrimestringsError
 from .fixedpoint import IrrationalConstant, named_constant
 from .maier import census_json, count_psi, count_S_q, run_construction
-from .search import (NotFound, StringQuery, find_first_string, hit_record,
-                     residue_census, scan_all_strings)
+from .search import (MAX_WORKERS, NotFound, StringQuery, find_first_string,
+                     hit_record, residue_census, scan_all_strings)
 from .special import GFamily, SpecialSetSpec
 
 EXIT_OK = 0
@@ -57,14 +57,26 @@ def parse_count(text):
 
 
 def parse_workers(text):
-    """Worker count: an integer >= 1."""
+    """Worker count: an integer from 1 to search.MAX_WORKERS."""
     try:
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if v < 1:
         raise argparse.ArgumentTypeError(f"need at least 1 worker: {text!r}")
+    if v > MAX_WORKERS:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_WORKERS} workers: {text!r}")
     return v
+
+
+def default_workers():
+    """CPUs this process may run on, at most search.MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
 
 
 def _significant_digits(text):
@@ -217,9 +229,11 @@ def build_parser():
 
     one_process = "ignored: this command runs in one process"
 
-    def common(p, threads="worker processes for the scan (default: cores)"):
+    def common(p, threads="worker processes for the scan segments after "
+               "the first, which this process runs (default: the CPUs it "
+               f"may use, at most {MAX_WORKERS})"):
         p.add_argument("--threads", type=parse_workers,
-                       default=os.cpu_count() or 1, help=threads)
+                       default=default_workers(), help=threads)
         p.add_argument("--manifest", help="write a run manifest JSON here")
 
     p = sub.add_parser("strings", help="find the first k-string")

@@ -6,7 +6,10 @@ reports its runs of good primes as arrays plus its set-prime count,
 enough to splice runs across segment edges, and segments merge in
 ascending order. The merge is a pure function of the segment
 summaries, so results are identical for any worker count and any
-segment size. _ordered_results is the package's one process pool.
+segment size. _ordered_results is the package's one process pool:
+the calling process runs a scan's first segment, and only the segments
+after it go to worker processes, never more than MAX_WORKERS and never
+more than the segments they hold.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -29,6 +32,7 @@ log = logging.getLogger("primestrings.search")
 
 DEFAULT_SCAN_SEGMENT = 1 << 21
 MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
+MAX_WORKERS = 64                # a fork pool starts all its workers at once
 RUN_DTYPE = np.dtype([("start", np.int64), ("length", np.int64)])
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -100,27 +104,29 @@ def _segment_census(args):
 
 
 def _ordered_results(task, jobs, workers):
-    """Yield (job, task(job)) in job order, optionally via a process pool.
+    """Yield (job, task(job)) in job order.
 
-    Jobs are drawn lazily, at most 2 * workers ahead of the consumer, so
-    an early break leaves nothing queued. A one-job plan runs in-process.
+    The calling process runs the first job, and every job at one worker,
+    so a scan settled by its first segment starts no process. The jobs
+    after the first go to a process pool of min(workers, jobs drawn)
+    processes. Jobs are drawn lazily, at most 2 * workers ahead of the
+    consumer, so an early break leaves nothing queued.
     """
+    if not 1 <= workers <= MAX_WORKERS:
+        raise InvalidQuery(f"need 1 to {MAX_WORKERS} workers, got {workers}")
     jobs = iter(jobs)
-    head = list(islice(jobs, 2))
-    if workers <= 1 or len(head) <= 1:
-        for job in chain(head, jobs):
-            yield job, task(job)
+    for job in islice(jobs, 1 if workers > 1 else None):
+        yield job, task(job)
+    head = list(islice(jobs, 2 * workers - 1))
+    if not head:
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        window = deque()
+    with ProcessPoolExecutor(max_workers=min(workers, len(head))) as pool:
+        window = deque((job, pool.submit(task, job)) for job in head)
         try:
-            for job in chain(head, jobs):
-                window.append((job, pool.submit(task, job)))
-                if len(window) >= 2 * workers:
-                    job, fut = window.popleft()
-                    yield job, fut.result()
             while window:
                 job, fut = window.popleft()
+                window.extend((nxt, pool.submit(task, nxt))
+                              for nxt in islice(jobs, 1))
                 yield job, fut.result()
         finally:
             for _job, fut in window:

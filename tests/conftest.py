@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 import primestrings as ps
@@ -19,6 +21,14 @@ def primes_100k():
 @pytest.fixture(scope="session")
 def spf_100k():
     return _oracles.spf_sieve(100_000)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process running after it ends."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes still running: {left}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

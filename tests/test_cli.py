@@ -12,8 +12,8 @@ import pytest
 
 import _oracles
 from primestrings import __version__, maier, search
-from primestrings.cli import main, parse_set
-from primestrings.search import MAX_CENSUS_Q
+from primestrings.cli import build_parser, main, parse_set
+from primestrings.search import MAX_CENSUS_Q, MAX_WORKERS
 from primestrings.sieve import PROGRESS_EVERY
 
 GAMMA_40 = "0.5772156649015328606065120900824024310421"
@@ -169,6 +169,41 @@ def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_threads_above_the_bound_exit_2_naming_it(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned for a refused --threads")
+
+    for name in ("ProcessPoolExecutor", "_segment_runs", "_segment_census"):
+        monkeypatch.setattr(search, name, no_scan)
+    for argv in (["census", "--q", "3", "--limit", "1e8"],
+                 ["strings", "--k", "2", "--q", "3", "--a", "1",
+                  "--limit", "1e8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", str(MAX_WORKERS + 1)])
+        assert exc.value.code == 2
+        assert f"at most {MAX_WORKERS} workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus, want", [
+    ({0}, 1),
+    ({1, 3, 5}, 3),                             # not the host's count
+    (set(range(MAX_WORKERS + 8)), MAX_WORKERS),
+    (None, 5),                                  # no affinity: cpu_count
+])
+def test_threads_default_to_the_cpus_this_process_may_use(cpus, want,
+                                                          monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+    for argv in (["census", "--q", "3", "--limit", "100"],
+                 ["strings", "--k", "2", "--q", "3", "--a", "1",
+                  "--limit", "100"]):
+        assert build_parser().parse_args(argv).threads == want
 
 
 def test_domain_errors_exit_4(capsys):

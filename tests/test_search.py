@@ -371,13 +371,74 @@ def test_ordered_results_draws_jobs_as_the_pool_has_room():
     assert [next(results) for _ in range(3)] == [(0, 0), (1, 1), (2, 2)]
     results.close()                  # an early break: the pool shuts down
     assert len(drawn) <= 3 + 2 * 2
-    # a one-job plan runs in-process, so even a local task is fine
+    # the first job runs in-process, so even a local task is fine
     assert list(_ordered_results(lambda j: -j, iter([7]), workers=2)) \
         == [(7, -7)]
+    results = _ordered_results(lambda j: -j, itertools.count(5), workers=2)
+    assert next(results) == (5, -5)
+    results.close()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("started a pool or a segment the test forbids")
+
+
+def test_pool_is_no_larger_than_the_jobs_it_holds(b_pi, monkeypatch):
+    # three segments: the caller runs the first, two processes the rest
+    sizes = []
+    real = search.ProcessPoolExecutor
+
+    def sized(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", sized)
+    want = residue_census(b_pi, 59_999, 7, segment_size=20_000)
+    got = residue_census(b_pi, 59_999, 7, workers=8, segment_size=20_000)
+    assert got.counts == want.counts
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("segments", [1, 2, 3])
+def test_plans_of_one_to_three_segments_agree_at_1_2_and_8_workers(
+        b_pi, segments):
+    limit = 60_000
+    seg = -(-(limit - 1) // segments)        # [1, limit) in this many
+    hit_query = q(b_pi, 4, 5, 4, limit)      # its hit lies above 50,000
+    runs_query = q(b_pi, 1, 7, 1, limit)
+    results = []
+    for workers in (1, 2, 8):
+        hit = find_first_string(hit_query, workers=workers, segment_size=seg)
+        runs = scan_all_strings(runs_query, workers=workers,
+                                segment_size=seg)
+        census = residue_census(b_pi, limit - 1, 7, workers=workers,
+                                segment_size=seg)
+        results.append((hit, runs.tolist(), census.counts))
+    assert results[0][0].primes == [51829, 51839, 51899, 51949]
+    assert results[1:] == results[:1] * 2
+
+
+def test_worker_counts_outside_1_to_the_bound_are_refused(b_pi,
+                                                          monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _forbidden)
+    one_segment = q(b_pi, 2, 3, 1, 1000)
+    hit = find_first_string(one_segment, workers=search.MAX_WORKERS)
+    assert hit.primes == [31, 37]
+    for name in ("_segment_runs", "_segment_census"):
+        monkeypatch.setattr(search, name, _forbidden)
+    query = q(b_pi, 2, 3, 1, 10 ** 8)
+    for workers in (0, search.MAX_WORKERS + 1):
+        with pytest.raises(InvalidQuery, match=str(search.MAX_WORKERS)):
+            find_first_string(query, workers=workers)
+        with pytest.raises(InvalidQuery, match=str(search.MAX_WORKERS)):
+            scan_all_strings(query, workers=workers)
+        with pytest.raises(InvalidQuery, match=str(search.MAX_WORKERS)):
+            residue_census(b_pi, 10 ** 8, 3, workers=workers)
 
 
 def test_first_string_stops_at_the_segment_it_reaches_k(monkeypatch):
-    # the odd primes form one run that is still open at every segment end
+    # the odd primes form one run that is still open at every segment
+    # end; a hit in the first segment starts no process at any count
     calls = []
     real = search._segment_runs
 
@@ -386,9 +447,13 @@ def test_first_string_stops_at_the_segment_it_reaches_k(monkeypatch):
         return real(args)
 
     monkeypatch.setattr(search, "_segment_runs", counted)
-    hit = find_first_string(q(ALL, 3, 2, 1, 10 ** 6), segment_size=1000)
-    assert hit.primes == [3, 5, 7]
-    assert len(calls) == 1
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _forbidden)
+    for workers in (1, 2):
+        calls.clear()
+        hit = find_first_string(q(ALL, 3, 2, 1, 10 ** 6), workers=workers,
+                                segment_size=1000)
+        assert hit.primes == [3, 5, 7]
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seg", [0, -5])
