@@ -234,7 +234,9 @@ def build_parser():
                f"may use, at most {MAX_WORKERS})"):
         p.add_argument("--threads", type=parse_workers,
                        default=default_workers(), help=threads)
-        p.add_argument("--manifest", help="write a run manifest JSON here")
+        p.add_argument("--manifest", help="write a run manifest JSON here "
+                       "(workers: the --threads bound for strings and "
+                       "census, 1 for maier and counts)")
 
     p = sub.add_parser("strings", help="find the first k-string")
     p.add_argument("--set", type=parse_set, default=SpecialSetSpec.all_primes())

@@ -8,8 +8,10 @@ derivatives and family names). Both irrational carriers are decided by
 one exact mask over an ascending array, one _CHUNK-wide span at a time:
 a Beatty span tests floor((m+1)/alpha) - floor(m/alpha) = 1 in int64 on
 a bracket of 1/alpha, a floor-product span takes its n from
-GFamily.inverse and keeps a float floor only far from an integer; other
-floors are decided at _MP_DPS digits or raise PrecisionExhausted.
+GFamily.inverse and its floors from one _MP_DPS-digit anchor f(n0) plus
+float rises f(n) - f(n0) (GFamily.rise); only a floor whose float lies
+within the rise's proved error bound of an integer is decided at
+_MP_DPS digits, or raises PrecisionExhausted.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .sieve import MAX_SCAN_HI, _check_window, sieve_range
 _CHUNK = 1 << 18           # widest span of values one mask kernel takes
 _FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
 _MP_DPS = 50               # digits for floor-product floors near an integer
+_RISE_ERR = 2.0 ** -42     # GFamily.rise error bound / ((1 + B)(R + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +89,26 @@ class GFamily:
     def value(self, x):
         self._log(x)
         return self.at(x, math.log)
+
+    def rise(self, n0, i):
+        """(f(n0 + i) - f(n0), one bound on its float error at every i)
+        for f = x g, an integer n0 >= default_start_n() and an ascending
+        float64 array i >= 0.
+
+        Every term is a relative difference, so none cancels: each log
+        rises by log1p of its relative step, u^B by u0^B expm1(B log1p(
+        du / u0)) (du itself at B = 1), and then R = i (g0 + dg) + n0 dg.
+        The bound is _RISE_ERR (1 + B) (R + 1) at the last i, where R is
+        largest; _floorprod_mask proves it.
+        """
+        y0 = math.log(n0)
+        u0, du = y0, np.log1p(i / n0)
+        if self.family == "loglog":
+            u0, du = math.log(y0), np.log1p(du / y0)
+        g0 = u0 ** self.B
+        dg = du if self.B == 1.0 else g0 * np.expm1(self.B * np.log1p(du / u0))
+        r = i * (g0 + dg) + n0 * dg
+        return r, _RISE_ERR * (1.0 + self.B) * (r[-1] + 1.0)
 
     def derivs(self, x):
         """(g, g', g'', g''') at x, from one u, u', u'', u'''."""
@@ -228,9 +251,10 @@ def _beatty_mask(alpha, part):
 
 
 def _floorprod_floor(g, n):
-    """floor(n * g(n)) at _MP_DPS digits; PrecisionExhausted when n * g(n)
-    is within 10^(10 - _MP_DPS) of an integer, relative to its size (10
-    digits of margin for the rounding in the logs and the power)."""
+    """floor(n * g(n)) and the float of its fraction, at _MP_DPS digits;
+    PrecisionExhausted when n * g(n) is within 10^(10 - _MP_DPS) of an
+    integer, relative to its size (10 digits of margin for the rounding
+    in the logs and the power)."""
     with mpmath.workdps(_MP_DPS):
         v = n * g.at(n, mpmath.log)
         f = int(mpmath.nint(v))
@@ -238,23 +262,58 @@ def _floorprod_floor(g, n):
             raise PrecisionExhausted(
                 f"{g.label()}: n * g(n) at n = {n} cannot be told from "
                 f"the integer {f} at {_MP_DPS} digits")
-    return f if v > f else f - 1
+        f = f if v > f else f - 1
+        return f, float(v - f)
 
 
 def _floorprod_mask(g, part):
     """floorprod_member for each m of one span of _mask, from the floors
-    of f(n) = n g(n) over the n whose floors can reach the span."""
+    of f(n) = n g(n) over the n whose floors can reach the span.
+
+    The floors are A + floor(a + R(i)) for n = n0 + i: A + a = f(n0)
+    at _MP_DPS digits (A an integer, 0 <= a < 1), and the rise R(i) =
+    f(n0 + i) - f(n0) in float64 from GFamily.rise. Where a + R(i) is
+    within the rise's bound of an integer, the floor is taken at
+    _MP_DPS digits instead.
+
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 2-3). Say each math.log, np.log1p, np.expm1 and float power
+    result is within a relative eta = 2^-49 (8 ulp) of the exact value;
+    numpy's own accuracy tests hold its float64 log, log1p and expm1,
+    which it may compute with SIMD code in place of the C library's,
+    to 1 ulp. Each +, -, *, / is correctly rounded (relative 2^-53 <=
+    eta). log1p(x) for x >= 0 and expm1(v) for v >= 0 magnify the
+    relative error of their argument at most 1 and 1 + v times, and
+    log n0 >= log 3 > 1 makes u0 = log log n0 > 0.094, so to first
+    order in eta:
+      du                      relative 5 eta (2 eta for "log");
+      u0                      relative 12 eta (eta for "log");
+      g0 = u0^B               relative (12 B + 1) eta;
+      dg, B != 1              relative (20 (1 + v) + 12 B + 3) eta, v =
+                              B log(u(n0 + i) / u0) < 4 B, since
+                              u(2^48) / u(3) < e^4 for both families;
+      R = i (g0 + dg) + n0 dg adds 3 roundings to terms >= 0 (g rises),
+                              so relative 92 (1 + B) eta.
+    Rounding a once (the 50 digits add under 10^-25) and a + R once
+    more adds 3 (R + 1) 2^-53, so the float a + R is within 93 (1 + B)
+    eta (R + 1) of the exact one, and _RISE_ERR = 2^-42 = 128 eta
+    covers it, with R taken at the span's last index. The products of errors left out add under 1% for B <
+    2^30, and from B = 2^18 on no integer n has f(n) in [2, 2^48)
+    (|u(n) - 1| > 0.0037 at every integer n), so no floor is left to
+    decide there.
+    """
     # the float inverse can land one index off either way; it bisects
     # faster on Python ints than on numpy scalars
     n_lo = max(g.default_start_n(), math.ceil(g.inverse(int(part[0]))) - 1)
     n_hi = math.ceil(g.inverse(int(part[-1]) + 1)) + 1
-    n = np.arange(n_lo, n_hi, dtype=np.float64)
-    prod = n * g.at(n, np.log)
-    vals = np.floor(prod).astype(np.int64)
-    frac = prod - np.floor(prod)
-    eps = prod * 2.0 ** -46 + 2.0 ** -40
-    for i in np.flatnonzero((frac < eps) | (frac > 1.0 - eps)):
-        vals[i] = _floorprod_floor(g, n_lo + int(i))
+    A, a = _floorprod_floor(g, n_lo)
+    r, err = g.rise(n_lo, np.arange(n_hi - n_lo, dtype=np.float64))
+    s = a + r
+    whole = np.floor(s)
+    frac = s - whole
+    vals = A + whole.astype(np.int64)
+    for i in np.flatnonzero((frac < err) | (frac > 1.0 - err)):
+        vals[i] = _floorprod_floor(g, n_lo + int(i))[0]
     return np.isin(part, vals) & (part >= 2)
 
 

@@ -250,6 +250,9 @@ def _floorprod_spec(family, B):
     ("loglog", 3.0, 0),
     ("log", 0.2, 0),
     ("log", 3.0, 0),
+    ("loglog", 1.0, 10 ** 13),
+    ("loglog", 0.2, 2 ** 48 - 3000),
+    ("log", 2.0, 2 ** 48 - 3000),
 ])
 def test_floorprod_window_matches_mpmath_oracle(family, B, lo):
     spec = _floorprod_spec(family, B)
@@ -310,10 +313,10 @@ def test_floorprod_window_keeps_a_value_whose_float_inverse_is_one_low():
 @pytest.mark.parametrize("family,B,lo", [
     *((family, B, 0) for family in ("loglog", "log")
       for B in (0.2, 1.0, 1.5, 2.0)),
-    # near 2^48 every float floor is rechecked at _MP_DPS digits: a span
-    # takes 4-18 s there for loglog and log^0.2, 1.3 s for log^1 and
-    # under 0.6 s for these
-    *(("log", B, 2 ** 48 - _CHUNK - 5000) for B in (1.5, 2.0)),
+    # near 2^48 an ulp of a float f(n) is 1/32, so these floors must
+    # come from the 50-digit anchor plus float rises, not from f(n)
+    *(("log", B, 2 ** 48 - _CHUNK - 5000) for B in (0.2, 1.5, 2.0)),
+    *(("loglog", B, 2 ** 48 - _CHUNK - 5000) for B in (0.2, 1.0)),
 ])
 def test_floorprod_masks_match_oracle_across_span_edges(family, B, lo):
     # windows wider than _CHUNK, checked around the first value of the
@@ -330,6 +333,57 @@ def test_floorprod_masks_match_oracle_across_span_edges(family, B, lo):
         want = [v for v in _oracles.floorprod_values(family, B, a, b)
                 if sieved is None or v in sieved]
         assert got[(got >= a) & (got < b)].tolist() == want
+
+
+@pytest.mark.parametrize("family,B", [("loglog", 0.2), ("loglog", 1.0),
+                                      ("log", 1.5), ("log", 3.0)])
+def test_floorprod_rise_stays_within_its_bound(family, B):
+    # the error GFamily.rise reports covers its float rise against a
+    # 60-digit f(n0 + i) - f(n0), from the first index to 2^47
+    g = GFamily(family, B)
+    i = np.array([0, 1, 2, 7, 100, 1000, 10 ** 4, 10 ** 5], dtype=np.float64)
+    for n0 in (g.default_start_n(), 10 ** 7, 10 ** 13, 2 ** 47):
+        r, err = g.rise(n0, i)
+        with mp.workdps(60):
+            f0 = n0 * g.at(mp.mpf(n0), mp.log)
+            exact = [(n0 + k) * g.at(mp.mpf(n0 + k), mp.log) - f0
+                     for k in i.tolist()]
+            miss = [abs(mp.mpf(float(x)) - y) for x, y in zip(r, exact)]
+        assert max(miss) <= err, (n0, miss)
+
+
+def test_floorprod_window_at_1e13_needs_no_50_digit_floor(monkeypatch):
+    # one 50-digit anchor per span and no other 50-digit floor: the
+    # float rises decide every floor of this window
+    spans, floors = [], []
+    mask, floor = special._floorprod_mask, special._floorprod_floor
+    monkeypatch.setattr(special, "_floorprod_mask",
+                        lambda g, part: spans.append(part) or mask(g, part))
+    monkeypatch.setattr(special, "_floorprod_floor",
+                        lambda g, n: floors.append(n) or floor(g, n))
+    lo = 10 ** 13
+    got = special_primes(_floorprod_spec("loglog", 1.0), lo, lo + 10 ** 6)
+    assert got.size > 9000
+    assert len(spans) == 4 and len(floors) == len(spans)
+
+
+@pytest.mark.parametrize("family,B", [("loglog", 1.0), ("log", 1.5)])
+@pytest.mark.parametrize("lo", [0, 10 ** 10, 2 ** 48 - 3000])
+def test_floorprod_50_digit_floors_alone_give_the_same_sets(family, B, lo,
+                                                           monkeypatch):
+    # the float rises almost never come near an integer, so here every
+    # index takes the 50-digit fallback, and the sets must not change
+    spec, hi = _floorprod_spec(family, B), lo + 3000
+    want = (special_primes(spec, lo, hi), enumerate_special(spec, lo, hi))
+    floors, floor = [], special._floorprod_floor
+    monkeypatch.setattr(special, "_RISE_ERR", 1.0)
+    monkeypatch.setattr(special, "_floorprod_floor",
+                        lambda g, n: floors.append(n) or floor(g, n))
+    for fn, w in zip((special_primes, enumerate_special), want):
+        floors.clear()
+        assert np.array_equal(fn(spec, lo, hi), w)
+        # the anchor at n0, then each of n0, n0 + 1, ... again
+        assert floors == [floors[0]] + list(range(floors[0], floors[-1] + 1))
 
 
 @pytest.mark.parametrize("spec", [SpecialSetSpec.beatty(PI),
