@@ -200,9 +200,9 @@ def cmd_census(args, argv, t0):
 def cmd_maier(args, argv, t0):
     config, interval, census, bounds = run_construction(
         q=args.q, a=args.a, y=args.y, p0=args.p0, yz=args.yz,
-        rows=args.rows, spec=args.set, X=args.x)
+        rows=args.rows, spec=args.set, X=args.x, workers=args.threads)
     _emit(args, _dump(census_json(config, interval, census, bounds)),
-          argv, t0)
+          argv, t0, workers=args.threads)
     return EXIT_OK
 
 
@@ -228,15 +228,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     one_process = "ignored: this command runs in one process"
+    cpus = f"(default: the CPUs it may use, at most {MAX_WORKERS})"
 
     def common(p, threads="worker processes for the scan segments after "
-               "the first, which this process runs (default: the CPUs it "
-               f"may use, at most {MAX_WORKERS})"):
+               f"the first, which this process runs {cpus}"):
         p.add_argument("--threads", type=parse_workers,
                        default=default_workers(), help=threads)
         p.add_argument("--manifest", help="write a run manifest JSON here "
-                       "(workers: the --threads bound for strings and "
-                       "census, 1 for maier and counts)")
+                       "(workers: the --threads bound for strings, census "
+                       "and maier, 1 for counts)")
 
     p = sub.add_parser("strings", help="find the first k-string")
     p.add_argument("--set", type=parse_set, default=SpecialSetSpec.all_primes())
@@ -268,7 +268,8 @@ def build_parser():
     p.add_argument("--x", type=parse_count, default=10 ** 8,
                    help="scale X used for default parameters and bounds")
     p.add_argument("--set", type=parse_set, default=SpecialSetSpec.all_primes())
-    common(p, one_process)
+    common(p, "worker processes for the row blocks after the first, which "
+           f"this process runs {cpus}")
     p.set_defaults(func=cmd_maier)
 
     p = sub.add_parser("counts", help="counting functions")

@@ -28,13 +28,15 @@ from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
 from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _PRIMALITY_CEILING,
                     _base_primes, _strike, is_prime,
                     primality_is_deterministic, sieve_range)
-from .search import _good_runs
+from .search import _good_runs, _ordered_results
 from .special import member, SpecialSetSpec
 
 E_POW_E = math.exp(math.e)              # ~15.154, threshold for t
 X_FLOOR = math.exp(math.exp(math.e))    # loglog X must exceed e
 MAX_INTERVAL = 10 ** 8
 _PRESIEVE_B = 1 << 16                   # row presieve: primes up to this
+_BLOCKS_PER_WORKER = 8                  # row blocks per worker of a census
+_LIMB = (1 << 47) - 1                   # _residues takes n 47 bits at a time
 
 PHI_NOTE = ("k-bound exponents are evaluated with phi(q); the asymptotic "
             "statement they mirror uses phi(Q), which is far larger")
@@ -300,15 +302,55 @@ class MaierCensus:
     deterministic: bool      # primality testing stayed below 2^64
 
 
-def _presieve_primes(Q, start):
-    """Primes p <= _PRESIEVE_B not dividing Q, with Q and start mod p."""
-    ps = [p for p in _base_primes(_PRESIEVE_B).tolist() if Q % p]
-    return (np.array(ps, dtype=np.int64),
-            np.array([Q % p for p in ps], dtype=np.int64),
-            np.array([start % p for p in ps], dtype=np.int64))
+def _residues(n, ps):
+    """n mod p for each p of the int64 array ps (every p below 2^16), for
+    a nonnegative int n: Horner's rule over the 47-bit limbs of n, one
+    numpy pass per limb; r < 2^16 keeps r 2^47 + limb below 2^63."""
+    r = np.zeros(ps.size, dtype=np.int64)
+    for shift in range(n.bit_length() // 47 * 47, -1, -47):
+        r = ((r << 47) + ((n >> shift) & _LIMB)) % ps
+    return r
 
 
-def sample_rows_census(config, interval, rows, spec=None):
+def _row_block(job):
+    """per_row of rows r0..r1 of the matrix. Picklable task.
+
+    The column masks and the presieve residues are rebuilt for the
+    block; the rows before it enter only through the presieve's start
+    residue, (start + (r0 - 1) Q) mod p.
+    """
+    config, (start, length), spec, r0, r1 = job
+    mask = _coprime_mask(config, start, length)
+    s_mask = _s_mask(config, start, mask)
+    ps = _base_primes(_PRESIEVE_B)
+    q_mod = _residues(config.Q, ps)
+    ps, q_mod = ps[q_mod > 0], q_mod[q_mod > 0]     # p not dividing Q
+    res = _residues(start + (r0 - 1) * config.Q, ps)
+    if spec is not None and spec.kind == "beatty":
+        def passes(c):
+            return member(spec, c) and is_prime(c)
+    else:
+        def passes(c):
+            return is_prime(c) and (spec is None or member(spec, c))
+    per_row = []
+    for r in range(r0, r1 + 1):
+        base = r * config.Q + start
+        res = (res + q_mod) % ps                    # base mod p
+        first = (ps - res) % ps                     # first column p divides
+        if base <= _PRESIEVE_B:
+            keep = base + first == ps               # the entry c = p
+            first[keep] += ps[keep]
+        struck = np.zeros(length, dtype=bool)
+        _strike(struck, first, ps)
+        cols = [j for j in np.flatnonzero(mask & ~struck).tolist()
+                if passes(base + j)]
+        runs = _good_runs(s_mask[cols])[1]
+        good = int(runs.sum())
+        per_row.append((r, good, len(cols) - good, int(runs.max(initial=0))))
+    return per_row
+
+
+def sample_rows_census(config, interval, rows, spec=None, workers=1):
     """Scan rows r = 1..rows of the matrix for good and bad primes.
 
     A prime at column i is good when i = a (mod q). Only columns
@@ -317,9 +359,19 @@ def sample_rows_census(config, interval, rows, spec=None):
     residue i mod q, which holds for all rows exactly when q divides Q:
     S is one column mask, and a row's good runs are runs of S columns.
 
+    Rows are scanned in blocks of ceil(rows / (_BLOCKS_PER_WORKER *
+    workers)) through search._ordered_results, the package's one pool:
+    the calling process runs the first block, and every block at one
+    worker. Since q | Q, the column masks are the same in every row, so
+    a block r0..r1 needs only its presieve start, (start + (r0 - 1) Q)
+    mod p for each presieve prime p. per_row is the blocks' rows in
+    order, and every total derives from it, so the census does not
+    depend on the worker count.
+
     Before any primality test, each row is presieved by the primes
     p <= _PRESIEVE_B = 2^16 that do not divide Q, read from the sieve's
-    per-process base-prime array: an entry c with
+    per-process base-prime array, with Q and the block's start mod p
+    taken by _residues: an entry c with
     p | c is composite unless c = p. Each p strikes every p-th column
     from the first one it divides, through sieve._strike, the kernel
     of the segment sieve; that start moves up by p when the entry
@@ -362,33 +414,15 @@ def sample_rows_census(config, interval, rows, spec=None):
             f"y = {config.y} and rows = {rows} put entries up to {top} in "
             f"the matrix, but floor-product membership is decided only "
             f"below 2^48 = {MAX_SCAN_HI}; lower {knobs} or rows")
-    mask = _coprime_mask(config, start, length)
-    s_mask = _s_mask(config, start, mask)
-    ps, q_mod, res = _presieve_primes(config.Q, start)
-    if spec is not None and spec.kind == "beatty":
-        def passes(c):
-            return member(spec, c) and is_prime(c)
-    else:
-        def passes(c):
-            return is_prime(c) and (spec is None or member(spec, c))
-    per_row = []
-    for r in range(1, rows + 1):
-        base = r * config.Q + start
-        res = (res + q_mod) % ps                    # base mod p
-        first = (ps - res) % ps                     # first column p divides
-        if base <= _PRESIEVE_B:
-            keep = base + first == ps               # the entry c = p
-            first[keep] += ps[keep]
-        struck = np.zeros(length, dtype=bool)
-        _strike(struck, first, ps)
-        cols = [j for j in np.flatnonzero(mask & ~struck).tolist()
-                if passes(base + j)]
-        runs = _good_runs(s_mask[cols])[1]
-        good = int(runs.sum())
-        per_row.append((r, good, len(cols) - good, int(runs.max(initial=0))))
-    s_count = int(s_mask.sum())
+    size = -(-rows // (_BLOCKS_PER_WORKER * workers))
+    jobs = ((config, interval, spec, r0, min(r0 + size - 1, rows))
+            for r0 in range(1, rows + 1, size))
+    per_row = [row for _, block in _ordered_results(_row_block, jobs,
+                                                     workers)
+               for row in block]
+    columns = count_S_T(config, interval)
     _, goods, bads, bests = zip(*per_row)
-    return MaierCensus(S_count=s_count, T_count=int(mask.sum()) - s_count,
+    return MaierCensus(S_count=columns.S, T_count=columns.T,
                        rows_sampled=rows, per_row=per_row,
                        good_total=sum(goods), bad_total=sum(bads),
                        rows_with_bad=sum(map(bool, bads)),
@@ -549,13 +583,14 @@ def bound_report(config, X, spec):
 
 
 def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
-                     X=10.0 ** 8):
+                     X=10.0 ** 8, workers=1):
     """Assemble a full construction: parameters, Q, interval, row census.
 
     Explicit y/p0/yz win over the chosen defaults. The carrier density
     in z and the bounds follows the set (carrier_F): floor products
     use f^{-1}(X) / log X, all other sets X / log X. Returns (config,
-    interval, census, bounds).
+    interval, census, bounds). workers bounds the processes of the row
+    census (sample_rows_census).
     """
     spec = spec or SpecialSetSpec.all_primes()
     cls = classify_residue(a, q)
@@ -573,7 +608,8 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
     product = build_Q(q, a, y, p0, t=t, yz_over_t=yz / t if t else None)
     config = make_config(q, a, y, p0, t, z, product)
     anchors, interval = anchored_interval(config, yz)
-    census = sample_rows_census(config, interval, rows, spec=spec)
+    census = sample_rows_census(config, interval, rows, spec=spec,
+                                workers=workers)
     bounds = bound_report(config, X, spec)
     bounds["anchors"] = {k: str(v) for k, v in anchors.items()}
     return config, interval, census, bounds

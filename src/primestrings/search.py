@@ -6,10 +6,10 @@ reports its runs of good primes as arrays plus its set-prime count,
 enough to splice runs across segment edges, and segments merge in
 ascending order. The merge is a pure function of the segment
 summaries, so results are identical for any worker count and any
-segment size. _ordered_results is the package's one process pool:
-the calling process runs a scan's first segment, and only the segments
-after it go to worker processes, never more than MAX_WORKERS and never
-more than the segments they hold.
+segment size. _ordered_results is the package's one process pool,
+for scan segments and Maier row blocks alike: the calling process runs
+the first job, and only the jobs after it go to worker processes, never
+more than MAX_WORKERS and never more than the jobs they hold.
 """
 
 from __future__ import annotations

@@ -137,6 +137,14 @@ class GFamily:
         """Smallest integer where g is defined and positive."""
         return 3 if self.family == "loglog" else 2   # log x > 1, > 0
 
+    def below(self, x, X):
+        """Whether f(x) = x g(x) < X in float64. An f too large for a
+        float is not: at a large B, u^B overflows wherever u > 1."""
+        try:
+            return x * self.value(x) < X
+        except OverflowError:
+            return False
+
     def inverse(self, X):
         """f^{-1}(X) for f(x) = x g(x), as the float lo with
         f(lo) < X <= f(next float above lo); default_start_n() when
@@ -147,11 +155,11 @@ class GFamily:
         default_start_n(), where it is defined.
         """
         lo, hi = float(self.default_start_n()), 4.0
-        while hi * self.value(hi) < X:
+        while self.below(hi, X):
             lo, hi = hi, hi * 2
         mid = (lo + hi) / 2
         while lo < mid < hi:
-            if mid * self.value(mid) < X:
+            if self.below(mid, X):
                 lo = mid
             else:
                 hi = mid
@@ -306,6 +314,12 @@ def _floorprod_mask(g, part):
     # faster on Python ints than on numpy scalars
     n_lo = max(g.default_start_n(), math.ceil(g.inverse(int(part[0]))) - 1)
     n_hi = math.ceil(g.inverse(int(part[-1]) + 1)) + 1
+    # an n with f(n) >= 2 (m + 1) for the span's last m floors above it,
+    # whatever the float's rounding; at a large B the f of such an n can
+    # pass 2^63 or the largest float
+    top = 2.0 * (int(part[-1]) + 1)
+    while n_hi - 1 > n_lo and not g.below(n_hi - 1, top):
+        n_hi -= 1
     A, a = _floorprod_floor(g, n_lo)
     r, err = g.rise(n_lo, np.arange(n_hi - n_lo, dtype=np.float64))
     s = a + r

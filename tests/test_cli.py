@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -396,6 +397,33 @@ def test_maier_floorprod_refused_before_any_row(capsys, monkeypatch):
     assert tested and max(tested) < 100
 
 
+@pytest.mark.parametrize("desc", ["floorprod:loglog^262144",
+                                  "floorprod:log^1500",
+                                  "floorprod:loglog^5000"])
+def test_floorprod_at_a_huge_power_gives_empty_results(desc, capsys):
+    # every f(n) lies below 2 or beyond 2^48, so no member is below the
+    # scan cap: each command succeeds with nothing found, and neither an
+    # OverflowError nor a numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(["census", "--set", desc, "--q", "3",
+                                "--limit", "1e6", "--threads", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["counts"] == {"0": 0, "1": 0, "2": 0}
+        strings = ["strings", "--set", desc, "--k", "1", "--q", "3", "--a",
+                   "1", "--limit", "1e5", "--threads", "1"]
+        code, out, _ = run_cli(strings, capsys)
+        assert code == 3 and json.loads(out)["found"] is False
+        code, out, _ = run_cli(strings + ["--all-runs"], capsys)
+        assert code == 0 and json.loads(out)["runs"] == []
+        code, out, _ = run_cli(["maier", "--q", "5", "--a", "4", "--y", "10",
+                                "--yz", "100", "--rows", "3", "--set", desc,
+                                "--threads", "1"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["good"], doc["bad"]) == (0, 0)
+
+
 # ------------------------------------------------------------ manifest
 
 
@@ -431,6 +459,17 @@ def test_manifest_on_counts(tmp_path, capsys):
     assert doc["result_digest"] == hashlib.sha256(out.encode()).hexdigest()
     # counts runs in one process whatever --threads says
     assert doc["workers"] == 1
+
+
+def test_manifest_on_maier_records_the_threads_bound(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    argv = ["maier", "--q", "5", "--a", "4", "--yz", "30", "--rows", "5"]
+    code, serial, _ = run_cli(argv + ["--threads", "1"], capsys)
+    assert code == 0
+    code, out, _ = run_cli(argv + ["--threads", "2", "--manifest", str(m)],
+                           capsys)
+    assert code == 0 and out == serial
+    assert json.loads(m.read_text())["workers"] == 2
 
 
 # ------------------------------------------------------------- version

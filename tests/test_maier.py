@@ -19,7 +19,7 @@ from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
                           count_S_T, count_S_q, count_psi, crt_anchor,
                           estimate_string_bound, is_prime, log_y_t,
                           make_config, run_construction, sample_rows_census)
-from primestrings import maier
+from primestrings import maier, search
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
                                  InvalidQuery, ParameterDomain, RangeExceeded,
                                  RangeTooLarge)
@@ -404,6 +404,84 @@ def test_presieve_wide_Q(monkeypatch):
     assert struck
     for c in struck:
         assert any(c % p == 0 and c != p for p in small), c
+
+
+def _rows_by_trial_division(config, interval, rows, spec):
+    """per_row of a census from gcd, trial division and the set oracles."""
+    start, length = interval
+    want = []
+    for r in range(1, rows + 1):
+        good = bad = run = best = 0
+        for i in range(start, start + length):
+            c = r * config.Q + i
+            if math.gcd(i, config.Q) != 1 or not _oracles.trial_is_prime(c):
+                continue
+            if spec.kind == "beatty" and not _oracles.beatty_member_direct(c):
+                continue
+            if spec.kind == "floorprod" and not _oracles.floorprod_values(
+                    "loglog", 1.0, c, c + 1):
+                continue
+            if c % config.q == config.a % config.q:
+                good, run = good + 1, run + 1
+                best = max(best, run)
+            else:
+                bad, run = bad + 1, 0
+        want.append((r, good, bad, best))
+    return want
+
+
+@pytest.mark.parametrize("set_name", ["all", "beatty:pi", "floorprod:loglog"])
+@pytest.mark.parametrize("index", range(4))
+def test_one_two_and_three_workers_give_the_same_census(set_name, index,
+                                                        b_pi):
+    # the Maier twin of test_one_and_two_workers_match_oracle: 17 rows
+    # split into blocks of 3, 2 and 1 rows at 1, 2 and 3 workers, and each
+    # later block starts its presieve at (start + (r0 - 1) Q) mod p. The
+    # A_minus, A_plus and other configurations of _small_entry_configs
+    # keep their entries at or below 2^16 in every block, where an entry
+    # c = p must stay; the fourth, A_minus with Q = 293930, does not
+    configs = [(config, interval)
+               for config, interval, _ in _small_entry_configs()]
+    wide = make_config(5, 4, 20, 3, None, 3, build_Q(5, 4, 20, 3))
+    configs.append((wide, anchored_interval(wide, 60)[1]))
+    config, interval = configs[index]
+    spec = {"all": ALL, "beatty:pi": b_pi,
+            "floorprod:loglog": SpecialSetSpec.floor_product(
+                GFamily.loglog())}[set_name]
+    want = _rows_by_trial_division(config, interval, 17, spec)
+    for rows in (1, 7, 17):
+        docs = set()
+        for workers in (1, 2, 3):
+            census = sample_rows_census(config, interval, rows, spec=spec,
+                                        workers=workers)
+            assert census.per_row == want[:rows]
+            docs.add(json.dumps(census_json(config, interval, census),
+                                sort_keys=True))
+        assert len(docs) == 1
+
+
+def test_one_worker_census_starts_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    census = run_construction(5, 4, y=20, yz=200, rows=20, workers=1)[2]
+    assert len(census.per_row) == 20
+    # the patch is live: at 2 workers the blocks after the first go to it
+    with pytest.raises(AssertionError, match="a process pool was built"):
+        run_construction(5, 4, y=20, yz=200, rows=20, workers=2)
+
+
+@settings(database=None, max_examples=200)
+@given(st.one_of(
+    st.just(0), st.integers(1, 2 ** 16 - 1), st.integers(2 ** 16, 2 ** 100),
+    st.builds(operator.mul,
+              st.sampled_from(maier._base_primes(_PRESIEVE_B).tolist()),
+              st.integers(1, 2 ** 240)),
+    st.integers(2 ** 207, 2 ** 208 - 1), st.integers(2 ** 255, 2 ** 256)))
+def test_limb_residues_match_python_mod(n):
+    ps = maier._base_primes(_PRESIEVE_B)
+    assert maier._residues(n, ps).tolist() == [n % p for p in ps.tolist()]
 
 
 def test_sample_rows_census_guards():

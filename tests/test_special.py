@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,20 @@ def test_floorprod_50_digit_floors_alone_give_the_same_sets(family, B, lo,
         assert np.array_equal(fn(spec, lo, hi), w)
         # the anchor at n0, then each of n0, n0 + 1, ... again
         assert floors == [floors[0]] + list(range(floors[0], floors[-1] + 1))
+
+
+@pytest.mark.parametrize("family,B,n", [("log", 200, 3), ("log", 300, 3),
+                                         ("loglog", 700, 17)])
+def test_floorprod_large_power_keeps_its_members_below_2_48(family, B, n):
+    # f(n + 1) is past 2^63, so its floor fits no int64: the mask leaves
+    # out every index whose f is far above the span
+    spec, m = _floorprod_spec(family, B), _oracles.floorprod_floor(family,
+                                                                   B, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert enumerate_special(spec, m - 5, m + 3000).tolist() == [m]
+        assert floorprod_member(spec, m)
+        assert not floorprod_member(spec, m + 1)
 
 
 @pytest.mark.parametrize("spec", [SpecialSetSpec.beatty(PI),
