@@ -16,11 +16,12 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, PrimestringsError
+from .errors import DomainError, PrimestringsError, PrimestringsWarning
 from .fixedpoint import IrrationalConstant, named_constant
 from .maier import census_json, count_psi, count_S_q, run_construction
 from .search import (MAX_WORKERS, NotFound, StringQuery, find_first_string,
@@ -230,8 +231,12 @@ def build_parser():
     one_process = "ignored: this command runs in one process"
     cpus = f"(default: the CPUs it may use, at most {MAX_WORKERS})"
 
-    def common(p, threads="worker processes for the scan segments after "
-               f"the first, which this process runs {cpus}"):
+    def workers_for(jobs, when):
+        return (f"workers N for the {jobs}, this process among them: it "
+                f"runs the first and every N-th after it, and a pool of up "
+                f"to N - 1 processes, started {when}, runs the rest {cpus}")
+
+    def common(p, threads):
         p.add_argument("--threads", type=parse_workers,
                        default=default_workers(), help=threads)
         p.add_argument("--manifest", help="write a run manifest JSON here "
@@ -247,7 +252,8 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--all-runs", action="store_true",
                    help="emit every maximal run instead of the first hit")
-    common(p)
+    common(p, workers_for("scan segments", "after the first segment, or "
+                          "before it under --all-runs"))
     p.set_defaults(func=cmd_strings)
 
     p = sub.add_parser("census", help="residue census of set-primes")
@@ -255,7 +261,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--limit", type=parse_count, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p)
+    common(p, workers_for("scan segments", "before the first segment"))
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("maier", help="run a Maier-matrix construction")
@@ -268,8 +274,7 @@ def build_parser():
     p.add_argument("--x", type=parse_count, default=10 ** 8,
                    help="scale X used for default parameters and bounds")
     p.add_argument("--set", type=parse_set, default=SpecialSetSpec.all_primes())
-    common(p, "worker processes for the row blocks after the first, which "
-           f"this process runs {cpus}")
+    common(p, workers_for("row blocks", "before the first block"))
     p.set_defaults(func=cmd_maier)
 
     p = sub.add_parser("counts", help="counting functions")
@@ -288,6 +293,17 @@ def build_parser():
     return parser
 
 
+def _one_line_warning(show):
+    """A warnings.showwarning that prints a package warning as one
+    stderr line, "warning: <message>", and passes others to show."""
+    def one_line(message, category, *rest, **kwargs):
+        if issubclass(category, PrimestringsWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *rest, **kwargs)
+    return one_line
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -298,7 +314,9 @@ def main(argv=None):
         format="%(name)s: %(message)s")
     t0 = time.monotonic()
     try:
-        return args.func(args, argv, t0)
+        with warnings.catch_warnings():
+            warnings.showwarning = _one_line_warning(warnings.showwarning)
+            return args.func(args, argv, t0)
     except PrimestringsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -50,5 +50,9 @@ class RangeExceeded(PrimestringsError):
     """Candidate magnitude beyond the primality test range."""
 
 
-class EmptyProductWarning(UserWarning):
+class PrimestringsWarning(UserWarning):
+    """Base of the package's warnings, which the CLI prints as one line."""
+
+
+class EmptyProductWarning(PrimestringsWarning):
     """P_a came out empty; Q degenerates to q."""

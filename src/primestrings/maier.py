@@ -359,14 +359,16 @@ def sample_rows_census(config, interval, rows, spec=None, workers=1):
     residue i mod q, which holds for all rows exactly when q divides Q:
     S is one column mask, and a row's good runs are runs of S columns.
 
-    Rows are scanned in blocks of ceil(rows / (_BLOCKS_PER_WORKER *
-    workers)) through search._ordered_results, the package's one pool:
-    the calling process runs the first block, and every block at one
-    worker. Since q | Q, the column masks are the same in every row, so
-    a block r0..r1 needs only its presieve start, (start + (r0 - 1) Q)
-    mod p for each presieve prime p. per_row is the blocks' rows in
-    order, and every total derives from it, so the census does not
-    depend on the worker count.
+    Rows are scanned through search._ordered_results, the package's one
+    pool: in one block at one worker, which the calling process runs,
+    and else in blocks of ceil(rows / (_BLOCKS_PER_WORKER * workers)).
+    The calling process is one of the workers: it starts the pool, then
+    runs the first block and every workers-th block after it while the
+    pool's processes run the others. Since q | Q, the column masks are
+    the same in every row, so a block r0..r1 needs only its presieve
+    start, (start + (r0 - 1) Q) mod p for each presieve prime p.
+    per_row is the blocks' rows in order, and every total derives from
+    it, so the census does not depend on the worker count.
 
     Before any primality test, each row is presieved by the primes
     p <= _PRESIEVE_B = 2^16 that do not divide Q, read from the sieve's
@@ -414,11 +416,12 @@ def sample_rows_census(config, interval, rows, spec=None, workers=1):
             f"y = {config.y} and rows = {rows} put entries up to {top} in "
             f"the matrix, but floor-product membership is decided only "
             f"below 2^48 = {MAX_SCAN_HI}; lower {knobs} or rows")
-    size = -(-rows // (_BLOCKS_PER_WORKER * workers))
+    blocks = _BLOCKS_PER_WORKER * workers if workers > 1 else 1
+    size = -(-rows // blocks)
     jobs = ((config, interval, spec, r0, min(r0 + size - 1, rows))
             for r0 in range(1, rows + 1, size))
     per_row = [row for _, block in _ordered_results(_row_block, jobs,
-                                                     workers)
+                                                     workers, fork_first=True)
                for row in block]
     columns = count_S_T(config, interval)
     _, goods, bads, bests = zip(*per_row)
@@ -599,6 +602,12 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
     p0 = p0 if p0 is not None else chosen.p0
     t = chosen.t
     z = chosen.z if yz is None else max(1, -(-yz // y))
+    if yz is None and y * z > MAX_INTERVAL:
+        raise IntervalTooLarge(
+            f"the default yz = y z = {y} * {z} exceeds {MAX_INTERVAL}: z = "
+            f"ceil(max(F(X)^3, D^3)), where F(X) = {carrier_F(spec, X):.6g}"
+            f" is how much sparser {spec.descriptor()} is than the primes "
+            f"at X = {X}; give --yz, or a smaller --x")
     yz = yz if yz is not None else y * z
     if cls == "other" and t is None:
         raise ParameterDomain(

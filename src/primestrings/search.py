@@ -7,9 +7,13 @@ enough to splice runs across segment edges, and segments merge in
 ascending order. The merge is a pure function of the segment
 summaries, so results are identical for any worker count and any
 segment size. _ordered_results is the package's one process pool,
-for scan segments and Maier row blocks alike: the calling process runs
-the first job, and only the jobs after it go to worker processes, never
-more than MAX_WORKERS and never more than the jobs they hold.
+for scan segments and Maier row blocks alike. The calling process is
+one of the workers: it runs the first job and every workers-th job
+after it, and the others go to at most workers - 1 worker processes,
+never more than the jobs they hold. A first-hit scan runs its first
+segment before any process starts; the calls that read every job
+(scan_all_strings, residue_census and the Maier row census) start the
+pool first, so its fork overlaps the caller's first job.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
@@ -103,30 +107,68 @@ def _segment_census(args):
     return np.bincount(special_primes(spec, lo, hi) % q, minlength=q)
 
 
-def _ordered_results(task, jobs, workers):
-    """Yield (job, task(job)) in job order.
+def _run_into(task, fut, job):
+    """Run task(job) in this process and settle fut with its result, or
+    with its exception, which fut.result() raises in the job's turn."""
+    try:
+        fut.set_result(task(job))
+    except Exception as exc:
+        fut.set_exception(exc)
 
-    The calling process runs the first job, and every job at one worker,
-    so a scan settled by its first segment starts no process. The jobs
-    after the first go to a process pool of min(workers, jobs drawn)
-    processes. Jobs are drawn lazily, at most 2 * workers ahead of the
-    consumer, so an early break leaves nothing queued.
+
+def _ordered_results(task, jobs, workers, fork_first=False):
+    """Yield (job, task(job)) in job order, on workers processes of
+    which the calling process is one.
+
+    The caller runs job 1 and every workers-th job after it (1, 1 + w,
+    1 + 2w, ...), and every job at one worker. The other jobs go to a
+    process pool of at most workers - 1 processes, and no more than
+    the pool's jobs among those first drawn. Before it blocks on a pool
+    result, the caller runs its own jobs drawn so far. Jobs are drawn
+    lazily, at most 2 * workers ahead of the consumer, so an early
+    break leaves nothing queued; a job's exception is raised in its
+    turn, wherever the job ran.
+
+    By default job 1 runs before any later job is drawn, so a scan
+    settled by its first segment starts no process. fork_first, for the
+    callers that read every job, submits the pool's jobs before the
+    caller runs job 1, so the pool's fork overlaps that job.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise InvalidQuery(f"need 1 to {MAX_WORKERS} workers, got {workers}")
     jobs = iter(jobs)
-    for job in islice(jobs, 1 if workers > 1 else None):
-        yield job, task(job)
-    head = list(islice(jobs, 2 * workers - 1))
-    if not head:
+    if workers == 1:
+        for job in jobs:
+            yield job, task(job)
         return
-    with ProcessPoolExecutor(max_workers=min(workers, len(head))) as pool:
-        window = deque((job, pool.submit(task, job)) for job in head)
+    if not fork_first:
+        for job in islice(jobs, 1):
+            yield job, task(job)
+    # the caller's jobs are those drawn at index 0 (mod workers)
+    jobs = enumerate(jobs, 0 if fork_first else 1)
+    head = list(islice(jobs, 2 * workers - (not fork_first)))
+    n_pool = sum(i % workers > 0 for i, _ in head)
+    if not n_pool:                   # at most one job, the caller's
+        for _, job in head:
+            yield job, task(job)
+        return
+    with ProcessPoolExecutor(max_workers=min(workers - 1, n_pool)) as pool:
+        own = deque()                # the caller's jobs not yet run
+
+        def draw(i, job):
+            if i % workers:
+                return job, pool.submit(task, job)
+            fut = Future()
+            own.append((fut, job))
+            return job, fut
+
+        window = deque(draw(i, job) for i, job in head)
         try:
             while window:
                 job, fut = window.popleft()
-                window.extend((nxt, pool.submit(task, nxt))
-                              for nxt in islice(jobs, 1))
+                window.extend(draw(i, nxt) for i, nxt in islice(jobs, 1))
+                while own and (own[0][0] is fut or not fut.done()):
+                    _run_into(task, *own.popleft())
                 yield job, fut.result()
         finally:
             for _job, fut in window:
@@ -139,7 +181,7 @@ def _progress(hi, segment_size, n_set):
         log.info("scanned %d candidates, %d set-primes", hi - 1, n_set)
 
 
-def _runs(query, workers, segment_size):
+def _runs(query, workers, segment_size, fork_first=False):
     """Runs of good set-primes below the limit, spliced across segments.
 
     Yields (starts, lengths, ordinals, spliced) arrays for each segment
@@ -147,7 +189,8 @@ def _runs(query, workers, segment_size):
     set-primes before a run. Only a segment's first run can continue
     the run open at the end of the segments before: it then takes that
     run's start and ordinal and its length so far, and spliced is True,
-    as it supersedes the last run yielded.
+    as it supersedes the last run yielded. fork_first goes to
+    _ordered_results.
     """
     spec, q, a, limit = query.spec, query.q, query.a, query.limit
     jobs = ((spec, q, a, lo, hi)
@@ -155,7 +198,7 @@ def _runs(query, workers, segment_size):
     tail = None           # the run that reaches the last set-prime so far
     n_set = 0             # set-primes in the segments before this one
     for (*_, hi), (count, starts, lengths, ordinals) in _ordered_results(
-            _segment_runs, jobs, workers):
+            _segment_runs, jobs, workers, fork_first):
         if count:         # else no set-prime here, adjacency is preserved
             has_runs = lengths.size > 0
             spliced = has_runs and tail is not None and ordinals[0] == 0
@@ -178,10 +221,10 @@ def _collect_run_primes(spec, start, k, limit):
     block = 1 << 16
     while len(out) < k and lo < limit:
         hi = min(lo + block, limit)
-        out.extend(int(p) for p in special_primes(spec, lo, hi))
+        out += special_primes(spec, lo, hi)[:k - len(out)].tolist()
         lo = hi
         block *= 2
-    return out[:k]
+    return out
 
 
 def find_first_string(query, workers=1,
@@ -211,7 +254,8 @@ def scan_all_strings(query, workers=1,
     .tolist() gives the (start_prime, length) pairs.
     """
     parts = [np.empty(0, RUN_DTYPE)]
-    for starts, lengths, _, spliced in _runs(query, workers, segment_size):
+    for starts, lengths, _, spliced in _runs(query, workers, segment_size,
+                                            fork_first=True):
         if spliced:       # the run's last report was shorter
             parts[-1] = parts[-1][:-1]
         part = np.empty(starts.size, RUN_DTYPE)
@@ -255,7 +299,8 @@ def residue_census(spec, X, q, workers=1,
     jobs = ((spec, q, lo, hi)
             for lo, hi in _segment_bounds(1, X + 1, segment_size))
     total = np.zeros(q, dtype=np.int64)
-    for (*_, hi), counts in _ordered_results(_segment_census, jobs, workers):
+    for (*_, hi), counts in _ordered_results(_segment_census, jobs, workers,
+                                             fork_first=True):
         total += counts
         _progress(hi, segment_size, int(total.sum()))
     counts = {r: int(total[r]) for r in range(q)}

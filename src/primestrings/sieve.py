@@ -30,7 +30,7 @@ from .errors import InvalidRange, RangeExceeded, RangeTooLarge
 
 log = logging.getLogger("primestrings.sieve")
 
-DEFAULT_SEGMENT_BYTES = 262144  # odds per working segment (1 byte each)
+DEFAULT_SEGMENT_BYTES = 1 << 20  # odds per working segment (1 byte each)
 MAX_SCAN_HI = 1 << 48           # upper end of the supported scan range
 MAX_SCAN_SPAN = 1 << 31         # widest single [lo, hi) window
 PROGRESS_EVERY = 10 ** 7        # candidates between progress log lines
@@ -60,7 +60,7 @@ def _strike(flags, first, step):
     distinct steps holds at most n/h + 1 of them, so its index array
     has at most about n entries; the first indices are read from first
     itself, so the steps >= n (541,163 of 564,162 base primes in a
-    segment at 2^46) make no int64 temporary. Offsets may lie at or
+    2^18-odd segment at 2^46) make no int64 temporary. Offsets may lie at or
     beyond n; they set nothing.
     """
     n = flags.size

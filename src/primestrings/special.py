@@ -137,6 +137,26 @@ class GFamily:
         """Smallest integer where g is defined and positive."""
         return 3 if self.family == "loglog" else 2   # log x > 1, > 0
 
+    def least_power(self):
+        """Least B, rounded up to two digits, at which _floorprod_floor
+        tells every n g(n) from the integer n.
+
+        n g(n) = n e^(B log u(n)) lies within a relative B |log u(n)| of
+        n, and _floorprod_floor needs more than 10^(10 - _MP_DPS). u
+        rises through 1 at e^e ~ 15.15 (loglog) or e ~ 2.72 (log), so the
+        least |log u(n)| over the integers n >= default_start_n() falls
+        next to that point: at n = 15 for loglog (0.0038), at n = 3 for
+        log (0.094).
+        """
+        one = math.exp(math.e) if self.family == "loglog" else math.e
+        least = min(abs(math.log(GFamily(self.family).at(n, math.log)))
+                    for n in (math.floor(one), math.ceil(one))
+                    if n >= self.default_start_n())
+        bound = 10.0 ** (10 - _MP_DPS) / least
+        exp = math.floor(math.log10(bound)) - 1
+        # through a decimal string, so the bound as printed is accepted
+        return float(f"{math.ceil(bound / 10.0 ** exp)}e{exp}")
+
     def below(self, x, X):
         """Whether f(x) = x g(x) < X in float64. An f too large for a
         float is not: at a large B, u^B overflows wherever u > 1."""
@@ -196,6 +216,12 @@ class SpecialSetSpec:
         if not 0 < g.B < math.inf:
             raise DomainError(
                 f"floor products need a finite power B > 0, got {g.B}")
+        least = g.least_power()
+        if g.B < least:
+            raise DomainError(
+                f"floor products over {g.family} need a power B >= "
+                f"{least:g}, got {g.B:g}: below it n * g(n) "
+                f"cannot be told from the integer n at {_MP_DPS} digits")
         return SpecialSetSpec(kind="floorprod", g=g)
 
     def descriptor(self):

@@ -424,6 +424,45 @@ def test_floorprod_at_a_huge_power_gives_empty_results(desc, capsys):
         assert (doc["good"], doc["bad"]) == (0, 0)
 
 
+@pytest.mark.parametrize("desc, least", [("loglog^1e-300", "2.7e-38"),
+                                         ("log^1e-45", "1.1e-39")])
+def test_floorprod_power_too_small_to_decide_is_a_usage_error(desc, least,
+                                                              capsys):
+    strings = ["strings", "--k", "2", "--q", "3", "--a", "1", "--limit",
+               "1000", "--threads", "1", "--set"]
+    with pytest.raises(SystemExit) as exc:
+        main(strings + [f"floorprod:{desc}"])
+    assert exc.value.code == 2
+    family, _, power = desc.partition("^")
+    assert (f"floor products over {family} need a power B >= {least}, got "
+            f"{power}: below it n * g(n) cannot be told from the integer n "
+            f"at 50 digits") in capsys.readouterr().err
+    code, out, _ = run_cli(strings + [f"floorprod:{family}^{least}"], capsys)
+    assert code == 0 and json.loads(out)["primes"] == [31, 37]
+
+
+def test_default_yz_beyond_the_cap_names_its_origin(capsys):
+    code, out, err = run_cli(["maier", "--q", "5", "--a", "4", "--rows", "3",
+                              "--set", "floorprod:log^1500", "--threads",
+                              "1"], capsys)
+    assert code == 4 and out == ""
+    assert err == (
+        "error: the default yz = y z = 10 * 48073660663459716530176 exceeds "
+        "100000000: z = ceil(max(F(X)^3, D^3)), where F(X) = 3.6361e+07 is "
+        "how much sparser floorprod:log^1500 is than the primes at "
+        "X = 100000000; give --yz, or a smaller --x\n")
+
+
+@pytest.mark.parametrize("q, a", [(1, 0), (2, 1)])
+def test_package_warning_is_one_stderr_line(q, a, capsys):
+    # build_Q still warns (test_build_q_empty_product_warns); the CLI
+    # prints the warning as one line and exits as before
+    code, out, err = run_cli(["maier", "--q", str(q), "--a", str(a),
+                              "--rows", "2", "--threads", "1"], capsys)
+    assert code == 0 and json.loads(out)["Q"] == str(q)
+    assert err == f"warning: P_a is empty for a={a}, q={q}, y=10; Q = q\n"
+
+
 # ------------------------------------------------------------ manifest
 
 

@@ -435,11 +435,12 @@ def _rows_by_trial_division(config, interval, rows, spec):
 def test_one_two_and_three_workers_give_the_same_census(set_name, index,
                                                         b_pi):
     # the Maier twin of test_one_and_two_workers_match_oracle: 17 rows
-    # split into blocks of 3, 2 and 1 rows at 1, 2 and 3 workers, and each
-    # later block starts its presieve at (start + (r0 - 1) Q) mod p. The
-    # A_minus, A_plus and other configurations of _small_entry_configs
-    # keep their entries at or below 2^16 in every block, where an entry
-    # c = p must stay; the fourth, A_minus with Q = 293930, does not
+    # in one block at 1 worker and in blocks of 2 and 1 rows at 2 and 3
+    # workers, and each later block starts its presieve at
+    # (start + (r0 - 1) Q) mod p. The A_minus, A_plus and other
+    # configurations of _small_entry_configs keep their entries at or
+    # below 2^16 in every block, where an entry c = p must stay; the
+    # fourth, A_minus with Q = 293930, does not
     configs = [(config, interval)
                for config, interval, _ in _small_entry_configs()]
     wide = make_config(5, 4, 20, 3, None, 3, build_Q(5, 4, 20, 3))
@@ -467,9 +468,24 @@ def test_one_worker_census_starts_no_process(monkeypatch):
     monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
     census = run_construction(5, 4, y=20, yz=200, rows=20, workers=1)[2]
     assert len(census.per_row) == 20
-    # the patch is live: at 2 workers the blocks after the first go to it
+    # the patch is live: at 2 workers the pool is built before any block
     with pytest.raises(AssertionError, match="a process pool was built"):
         run_construction(5, 4, y=20, yz=200, rows=20, workers=2)
+
+
+def test_one_worker_census_runs_one_block(monkeypatch):
+    # one block builds the column masks and presieve residues once
+    blocks = []
+    real = maier._row_block
+
+    def spy(job):
+        blocks.append(job[3:])
+        return real(job)
+
+    monkeypatch.setattr(maier, "_row_block", spy)
+    census = run_construction(5, 4, y=20, yz=200, rows=20, workers=1)[2]
+    assert blocks == [(1, 20)]
+    assert [row[0] for row in census.per_row] == list(range(1, 21))
 
 
 @settings(database=None, max_examples=200)

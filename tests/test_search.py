@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import tracemalloc
 from functools import lru_cache
 
@@ -367,24 +369,44 @@ def test_ordered_results_draws_jobs_as_the_pool_has_room():
             drawn.append(j)
             yield j
 
-    results = _ordered_results(abs, jobs(), workers=2)
-    assert [next(results) for _ in range(3)] == [(0, 0), (1, 1), (2, 2)]
-    results.close()                  # an early break: the pool shuts down
-    assert len(drawn) <= 3 + 2 * 2
-    # the first job runs in-process, so even a local task is fine
-    assert list(_ordered_results(lambda j: -j, iter([7]), workers=2)) \
-        == [(7, -7)]
+    for fork_first in (False, True):
+        drawn.clear()
+        results = _ordered_results(abs, jobs(), 2, fork_first)
+        assert [next(results) for _ in range(3)] == [(0, 0), (1, 1), (2, 2)]
+        results.close()              # an early break: the pool shuts down
+        assert len(drawn) <= 3 + 2 * 2
+    # a plan of one job runs in-process, so even a local task is fine
+    for fork_first in (False, True):
+        assert list(_ordered_results(lambda j: -j, iter([7]), 2,
+                                     fork_first)) == [(7, -7)]
     results = _ordered_results(lambda j: -j, itertools.count(5), workers=2)
     assert next(results) == (5, -5)
     results.close()
+
+
+def test_collect_run_primes_takes_the_first_k_across_blocks():
+    # 4 set-primes in the first 2^16 block from 10^6, so k = 6 reads two
+    spec = SpecialSetSpec.floor_product(GFamily.log_pow(3.0))
+    want = special_primes(spec, 10 ** 6, 2 * 10 ** 6)[:6].tolist()
+    assert search._collect_run_primes(spec, 10 ** 6, 6, 2 * 10 ** 6) == want
 
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("started a pool or a segment the test forbids")
 
 
-def test_pool_is_no_larger_than_the_jobs_it_holds(b_pi, monkeypatch):
-    # three segments: the caller runs the first, two processes the rest
+def _pid(job):
+    return os.getpid()
+
+
+def _raise_at_two(job):
+    if job == 2:
+        raise ValueError(f"job 2 failed in {os.getpid()}")
+    return job
+
+
+def _sized_pools(monkeypatch):
+    """Record the size of each pool search builds, and build it."""
     sizes = []
     real = search.ProcessPoolExecutor
 
@@ -393,10 +415,95 @@ def test_pool_is_no_larger_than_the_jobs_it_holds(b_pi, monkeypatch):
         return real(max_workers=max_workers)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", sized)
-    want = residue_census(b_pi, 59_999, 7, segment_size=20_000)
-    got = residue_census(b_pi, 59_999, 7, workers=8, segment_size=20_000)
-    assert got.counts == want.counts
-    assert sizes == [2]
+    return sizes
+
+
+def test_pool_is_no_larger_than_the_jobs_it_holds(b_pi, monkeypatch):
+    # four segments: the caller runs the first and every workers-th
+    # after it, and the pool takes the rest, in at most workers - 1
+    # processes; so 1, 2 and 3 processes at 2, 3 and 8 workers
+    sizes = _sized_pools(monkeypatch)
+    want = residue_census(b_pi, 59_999, 7, segment_size=15_000)
+    for workers in (2, 3, 8):
+        got = residue_census(b_pi, 59_999, 7, workers=workers,
+                             segment_size=15_000)
+        assert got.counts == want.counts
+    assert sizes == [1, 2, 3]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_caller_runs_every_workers_th_job(workers, monkeypatch):
+    # a call that reads every job builds the pool before job 1 runs;
+    # by default job 1 runs first, and either way the caller runs the
+    # jobs 1, 1 + w, ... (here numbered from 0)
+    sizes = _sized_pools(monkeypatch)
+    caller = os.getpid()
+    for fork_first, built in ((True, [workers - 1]), (False, [])):
+        sizes.clear()
+        results = _ordered_results(_pid, range(12), workers, fork_first)
+        assert next(results) == (0, caller)
+        assert sizes == built
+        pids = dict(results)
+        assert sizes == [workers - 1]
+        assert [j for j in pids if pids[j] == caller] == list(
+            range(workers, 12, workers))
+
+
+_CALLER_SEGMENTS = []       # a pool process appends to its own copy
+
+
+def _noted_segment_runs(args):
+    _CALLER_SEGMENTS.append(args[3])
+    return _SEGMENT_RUNS(args)
+
+
+_SEGMENT_RUNS = search._segment_runs
+
+
+def test_first_string_runs_segment_1_before_any_fork(monkeypatch):
+    real = search.ProcessPoolExecutor
+
+    def noted_pool(max_workers):
+        _CALLER_SEGMENTS.append("fork")
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", noted_pool)
+    monkeypatch.setattr(search, "_segment_runs", _noted_segment_runs)
+    _CALLER_SEGMENTS.clear()
+    query = q(ALL, 1, 7, 6, 3_000)
+    # 13 is the first prime = 6 (mod 7), in the third segment, the
+    # caller's; the caller ran the first before the pool was built, and
+    # may run its next one (at 25) while it waits on the second
+    hit = find_first_string(query, workers=2, segment_size=6)
+    assert hit.primes == [13]
+    assert _CALLER_SEGMENTS[:3] == [1, "fork", 13]
+    # a scan that reads every segment builds the pool first
+    _CALLER_SEGMENTS.clear()
+    scan_all_strings(query, workers=2, segment_size=1_000)
+    assert _CALLER_SEGMENTS == ["fork", 1, 2_001]
+
+
+def test_read_every_job_call_of_one_job_starts_no_process(b_pi,
+                                                          monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _forbidden)
+    query = q(b_pi, 1, 7, 1, 50_000)
+    for workers in (2, 8):
+        assert scan_all_strings(query, workers=workers).tolist() == \
+            scan_all_strings(query).tolist()
+        assert residue_census(b_pi, 49_999, 7, workers=workers).counts == \
+            residue_census(b_pi, 49_999, 7).counts
+
+
+def test_a_callers_job_raises_in_its_turn_and_leaves_no_process():
+    # at 2 workers job 2 is the caller's; it may run while job 1 is in
+    # the pool, but its error comes after job 1's result
+    got = []
+    with pytest.raises(ValueError, match=f"failed in {os.getpid()}$"):
+        for job, result in _ordered_results(_raise_at_two, range(8), 2,
+                                            fork_first=True):
+            got.append(result)
+    assert got == [0, 1]
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("segments", [1, 2, 3])
@@ -416,6 +523,23 @@ def test_plans_of_one_to_three_segments_agree_at_1_2_and_8_workers(
         results.append((hit, runs.tolist(), census.counts))
     assert results[0][0].primes == [51829, 51839, 51899, 51949]
     assert results[1:] == results[:1] * 2
+
+
+def test_seven_segments_agree_at_1_2_3_and_8_workers(b_pi):
+    # at 3 workers the caller scans segments 1, 4 and 7 and the pool the
+    # rest; at 8 it scans only segment 1
+    limit, seg = 70_000, 10_000
+    results = []
+    for workers in (1, 2, 3, 8):
+        hit = find_first_string(q(b_pi, 4, 5, 4, limit), workers=workers,
+                                segment_size=seg)
+        runs = scan_all_strings(q(b_pi, 1, 7, 1, limit), workers=workers,
+                                segment_size=seg)
+        census = residue_census(b_pi, limit - 1, 7, workers=workers,
+                                segment_size=seg)
+        results.append((hit, runs.tolist(), census.counts))
+    assert results[0][0].primes == [51829, 51839, 51899, 51949]
+    assert results[1:] == results[:1] * 3
 
 
 def test_worker_counts_outside_1_to_the_bound_are_refused(b_pi,

@@ -15,7 +15,7 @@ from primestrings import (GFamily, SpecialSetSpec, beatty_member,
                           enumerate_special, member, named_constant,
                           sieve_range, special_primes, validate_g)
 from primestrings.errors import (DomainError, GridTooSmall, InvalidQuery,
-                                 RangeTooLarge)
+                                 PrecisionExhausted, RangeTooLarge)
 from primestrings.fixedpoint import IrrationalConstant
 from primestrings.sieve import MAX_SCAN_SPAN
 from primestrings import special
@@ -334,6 +334,23 @@ def test_floorprod_masks_match_oracle_across_span_edges(family, B, lo):
         want = [v for v in _oracles.floorprod_values(family, B, a, b)
                 if sieved is None or v in sieved]
         assert got[(got >= a) & (got < b)].tolist() == want
+
+
+@pytest.mark.parametrize("family,n,least,below", [
+    ("loglog", 15, 2.7e-38, 2.6e-38), ("log", 3, 1.1e-39, 1e-39)])
+def test_floorprod_least_power_is_where_the_50_digit_floor_decides(
+        family, n, least, below):
+    # n is where |log u(n)| is least; just below the bound the floor
+    # there is undecided, and at the bound it is decided
+    assert GFamily(family).least_power() == least
+    with pytest.raises(DomainError, match=f"B >= {least:g}, got {below:g}"):
+        SpecialSetSpec.floor_product(GFamily(family, below))
+    with pytest.raises(PrecisionExhausted, match=f"at n = {n} "):
+        special._floorprod_floor(GFamily(family, below), n)
+    g = SpecialSetSpec.floor_product(GFamily(family, least)).g
+    # u(15) < 1 < u(3) for loglog and log: n g(n) falls just below n or
+    # lies just above it
+    assert special._floorprod_floor(g, n)[0] == (14 if n == 15 else 3)
 
 
 @pytest.mark.parametrize("family,B", [("loglog", 0.2), ("loglog", 1.0),
