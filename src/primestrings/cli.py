@@ -231,10 +231,10 @@ def build_parser():
     one_process = "ignored: this command runs in one process"
     cpus = f"(default: the CPUs it may use, at most {MAX_WORKERS})"
 
-    def workers_for(jobs, when):
+    def workers_for(jobs, pool, when):
         return (f"workers N for the {jobs}, this process among them: it "
                 f"runs the first and every N-th after it, and a pool of up "
-                f"to N - 1 processes, started {when}, runs the rest {cpus}")
+                f"to N - 1 {pool}, started {when}, runs the rest {cpus}")
 
     def common(p, threads):
         p.add_argument("--threads", type=parse_workers,
@@ -252,8 +252,8 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--all-runs", action="store_true",
                    help="emit every maximal run instead of the first hit")
-    common(p, workers_for("scan segments", "after the first segment, or "
-                          "before it under --all-runs"))
+    common(p, workers_for("scan segments", "threads", "after the first "
+                          "segment, or before it under --all-runs"))
     p.set_defaults(func=cmd_strings)
 
     p = sub.add_parser("census", help="residue census of set-primes")
@@ -261,7 +261,8 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--limit", type=parse_count, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p, workers_for("scan segments", "before the first segment"))
+    common(p, workers_for("scan segments", "threads",
+                          "before the first segment"))
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("maier", help="run a Maier-matrix construction")
@@ -274,7 +275,8 @@ def build_parser():
     p.add_argument("--x", type=parse_count, default=10 ** 8,
                    help="scale X used for default parameters and bounds")
     p.add_argument("--set", type=parse_set, default=SpecialSetSpec.all_primes())
-    common(p, workers_for("row blocks", "before the first block"))
+    common(p, workers_for("row blocks", "processes",
+                          "before the first block"))
     p.set_defaults(func=cmd_maier)
 
     p = sub.add_parser("counts", help="counting functions")
@@ -317,7 +319,8 @@ def main(argv=None):
         with warnings.catch_warnings():
             warnings.showwarning = _one_line_warning(warnings.showwarning)
             return args.func(args, argv, t0)
-    except PrimestringsError as exc:
+    except (PrimestringsError, PrimestringsWarning) as exc:
+        # a package warning is raised here only under -W error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (ValueError, OverflowError, OSError) as exc:

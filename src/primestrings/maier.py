@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -364,7 +365,9 @@ def sample_rows_census(config, interval, rows, spec=None, workers=1):
     and else in blocks of ceil(rows / (_BLOCKS_PER_WORKER * workers)).
     The calling process is one of the workers: it starts the pool, then
     runs the first block and every workers-th block after it while the
-    pool's processes run the others. Since q | Q, the column masks are
+    pool's processes run the others. The pool is a ProcessPoolExecutor,
+    not the scans' threads, since a block's BPSW tests on Python ints
+    hold the GIL. Since q | Q, the column masks are
     the same in every row, so a block r0..r1 needs only its presieve
     start, (start + (r0 - 1) Q) mod p for each presieve prime p.
     per_row is the blocks' rows in order, and every total derives from
@@ -420,9 +423,9 @@ def sample_rows_census(config, interval, rows, spec=None, workers=1):
     size = -(-rows // blocks)
     jobs = ((config, interval, spec, r0, min(r0 + size - 1, rows))
             for r0 in range(1, rows + 1, size))
-    per_row = [row for _, block in _ordered_results(_row_block, jobs,
-                                                     workers, fork_first=True)
-               for row in block]
+    results = _ordered_results(_row_block, jobs, workers, fork_first=True,
+                               executor=ProcessPoolExecutor)
+    per_row = [row for _, block in results for row in block]
     columns = count_S_T(config, interval)
     _, goods, bads, bests = zip(*per_row)
     return MaierCensus(S_count=columns.S, T_count=columns.T,

@@ -6,14 +6,17 @@ reports its runs of good primes as arrays plus its set-prime count,
 enough to splice runs across segment edges, and segments merge in
 ascending order. The merge is a pure function of the segment
 summaries, so results are identical for any worker count and any
-segment size. _ordered_results is the package's one process pool,
-for scan segments and Maier row blocks alike. The calling process is
-one of the workers: it runs the first job and every workers-th job
-after it, and the others go to at most workers - 1 worker processes,
-never more than the jobs they hold. A first-hit scan runs its first
-segment before any process starts; the calls that read every job
-(scan_all_strings, residue_census and the Maier row census) start the
-pool first, so its fork overlaps the caller's first job.
+segment size. _ordered_results is the package's one worker pool, for
+scan segments and Maier row blocks alike. The calling thread is one of
+the workers: it runs the first job and every workers-th job after it,
+and the others go to a pool of at most workers - 1 workers, never more
+than the jobs they hold. Scan segments run on threads: the sieve and
+the set masks are numpy work that releases the GIL, so a pool costs no
+fork. Maier row blocks run on processes, since their BPSW tests on
+Python ints hold it. A first-hit scan runs its first segment before any
+pool starts; the calls that read every job (scan_all_strings,
+residue_census and the Maier row census) start the pool first, so its
+start overlaps the caller's first job.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
@@ -36,7 +39,7 @@ log = logging.getLogger("primestrings.search")
 
 DEFAULT_SCAN_SEGMENT = 1 << 21
 MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
-MAX_WORKERS = 64                # a fork pool starts all its workers at once
+MAX_WORKERS = 64                # a process pool starts all its workers at once
 RUN_DTYPE = np.dtype([("start", np.int64), ("length", np.int64)])
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -93,7 +96,7 @@ def _segment_runs(args):
     """Set-prime count and runs of good primes of one segment.
 
     The runs are three arrays: first prime, length, and ordinal of the
-    first prime within the segment. Picklable worker task.
+    first prime within the segment. Worker task.
     """
     spec, q, a, lo, hi = args
     sp = special_primes(spec, lo, hi)
@@ -102,13 +105,13 @@ def _segment_runs(args):
 
 
 def _segment_census(args):
-    """Residue counts mod q of one segment's set-primes. Picklable task."""
+    """Residue counts mod q of one segment's set-primes. Worker task."""
     spec, q, lo, hi = args
     return np.bincount(special_primes(spec, lo, hi) % q, minlength=q)
 
 
 def _run_into(task, fut, job):
-    """Run task(job) in this process and settle fut with its result, or
+    """Run task(job) in the calling thread and settle fut with its result, or
     with its exception, which fut.result() raises in the job's turn."""
     try:
         fut.set_result(task(job))
@@ -116,23 +119,25 @@ def _run_into(task, fut, job):
         fut.set_exception(exc)
 
 
-def _ordered_results(task, jobs, workers, fork_first=False):
-    """Yield (job, task(job)) in job order, on workers processes of
-    which the calling process is one.
+def _ordered_results(task, jobs, workers, fork_first=False, executor=None):
+    """Yield (job, task(job)) in job order, on workers workers of which
+    the calling thread is one.
 
     The caller runs job 1 and every workers-th job after it (1, 1 + w,
     1 + 2w, ...), and every job at one worker. The other jobs go to a
-    process pool of at most workers - 1 processes, and no more than
-    the pool's jobs among those first drawn. Before it blocks on a pool
-    result, the caller runs its own jobs drawn so far. Jobs are drawn
-    lazily, at most 2 * workers ahead of the consumer, so an early
-    break leaves nothing queued; a job's exception is raised in its
-    turn, wherever the job ran.
+    pool of at most workers - 1 workers, and no more than the pool's
+    jobs among those first drawn. The pool is an executor, a
+    ThreadPoolExecutor when None: a task that holds the GIL, such as
+    the Maier row blocks, passes ProcessPoolExecutor, and its jobs must
+    pickle. Before it blocks on a pool result, the caller runs its own
+    jobs drawn so far. Jobs are drawn lazily, at most 2 * workers ahead
+    of the consumer, so an early break leaves nothing queued; a job's
+    exception is raised in its turn, wherever the job ran.
 
     By default job 1 runs before any later job is drawn, so a scan
-    settled by its first segment starts no process. fork_first, for the
+    settled by its first segment starts no pool. fork_first, for the
     callers that read every job, submits the pool's jobs before the
-    caller runs job 1, so the pool's fork overlaps that job.
+    caller runs job 1, so the pool's start overlaps that job.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise InvalidQuery(f"need 1 to {MAX_WORKERS} workers, got {workers}")
@@ -152,7 +157,8 @@ def _ordered_results(task, jobs, workers, fork_first=False):
         for _, job in head:
             yield job, task(job)
         return
-    with ProcessPoolExecutor(max_workers=min(workers - 1, n_pool)) as pool:
+    executor = executor or ThreadPoolExecutor
+    with executor(max_workers=min(workers - 1, n_pool)) as pool:
         own = deque()                # the caller's jobs not yet run
 
         def draw(i, job):

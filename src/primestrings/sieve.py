@@ -3,9 +3,10 @@
 The sieve works on a bitmap over odd integers >= 3 (2 is handled
 implicitly). Bit j covers the odd number 2j + 3 and is set when that
 number is composite. Segments run one after another in the calling
-process, and segment size only controls working-set memory: the primes
+thread, and segment size only controls working-set memory: the primes
 produced are identical for any segmentation. Scans spread whole
-segments over worker processes in search.
+segments over worker threads in search; most of a segment's work is
+numpy calls that release the GIL, so the threads mostly sieve at once.
 
 Every crossing-off in the package goes through one kernel, _strike,
 which sets flags[first::step] for many (first, step) pairs at once: in
@@ -15,14 +16,16 @@ indices of an n-long array once s >= ceil(n/h), so only the steps
 below ceil(n/64) cross off in a Python loop; the others cross off in
 numpy tiers of at most 64, 32, ..., 2 indices, or one index for s >= n.
 The base primes up to sqrt(hi) come from one ascending array per
-process (_base_primes), filled lazily and extended on demand, so a
-window lists no base prime that an earlier call already listed.
+process (_base_primes), filled lazily and extended on demand under a
+lock, so a window lists no base prime that an earlier call, in any
+thread, already listed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
 
 import numpy as np
 
@@ -130,6 +133,7 @@ def _primes_in(lo, hi, base_odd, segment_size):
 _BASE_CAP = math.isqrt(MAX_SCAN_HI) + 1    # 1,077,871 primes below, 8.6 MB
 _base = np.empty(0, dtype=np.int64)        # every prime below _base_hi
 _base_hi = 2
+_base_lock = threading.RLock()             # _base_primes recurses under it
 
 
 def _base_primes(bound):
@@ -141,20 +145,24 @@ def _base_primes(bound):
     are sieved by the array's own primes up to the square root of the
     new end, which this call first extends the array to; that recursion
     ends once the square root falls below _base_hi, at the latest when
-    it is 1. Nothing is sieved at import, and forked workers inherit
-    what the parent holds.
+    it is 1. Nothing is sieved at import. Scan threads share the array:
+    the check and the extension run under _base_lock, so one thread
+    extends it while the others wait, and the sieve inside, which
+    releases the GIL, never runs twice for one range. Forked Maier
+    workers inherit what the parent holds.
     """
     global _base, _base_hi
     if bound >= _BASE_CAP:
         raise RangeTooLarge(f"base primes up to {bound} exceed the sieve's "
                             f"needs, isqrt(MAX_SCAN_HI) = {_BASE_CAP - 1}")
-    if bound >= _base_hi:
-        hi = min(max(bound + 1, 2 * _base_hi), _BASE_CAP)
-        base_odd = _base_primes(math.isqrt(hi - 1))[1:]
-        _base = np.concatenate([_base, _primes_in(_base_hi, hi, base_odd,
-                                                  DEFAULT_SEGMENT_BYTES)])
-        _base_hi = hi
-    return _base[:np.searchsorted(_base, bound, "right")]
+    with _base_lock:
+        if bound >= _base_hi:
+            hi = min(max(bound + 1, 2 * _base_hi), _BASE_CAP)
+            base_odd = _base_primes(math.isqrt(hi - 1))[1:]
+            _base = np.concatenate([_base, _primes_in(
+                _base_hi, hi, base_odd, DEFAULT_SEGMENT_BYTES)])
+            _base_hi = hi
+        return _base[:np.searchsorted(_base, bound, "right")]
 
 
 def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES):

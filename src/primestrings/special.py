@@ -17,10 +17,10 @@ _MP_DPS digits, or raises PrecisionExhausted.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .errors import (DomainError, GridTooSmall, InvalidQuery, InvalidRange,
@@ -32,6 +32,7 @@ _CHUNK = 1 << 18           # widest span of values one mask kernel takes
 _FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
 _MP_DPS = 50               # digits for floor-product floors near an integer
 _RISE_ERR = 2.0 ** -42     # GFamily.rise error bound / ((1 + B)(R + 1))
+_MP_LOCK = threading.Lock()  # mpmath's precision is one per process
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +289,23 @@ def _floorprod_floor(g, n):
     """floor(n * g(n)) and the float of its fraction, at _MP_DPS digits;
     PrecisionExhausted when n * g(n) is within 10^(10 - _MP_DPS) of an
     integer, relative to its size (10 digits of margin for the rounding
-    in the logs and the power)."""
-    with mpmath.workdps(_MP_DPS):
-        v = n * g.at(n, mpmath.log)
-        f = int(mpmath.nint(v))
-        if abs(v - f) <= v * mpmath.mpf(10) ** (10 - _MP_DPS):
-            raise PrecisionExhausted(
-                f"{g.label()}: n * g(n) at n = {n} cannot be told from "
-                f"the integer {f} at {_MP_DPS} digits")
-        f = f if v > f else f - 1
-        return f, float(v - f)
+    in the logs and the power).
+
+    mpmath's working precision is global, and a thread that leaves
+    workdps resets it under any other thread still inside, so scan
+    threads take the floors one at a time, under _MP_LOCK. mpmath is
+    imported here, its only use, so the other sets never load it."""
+    with _MP_LOCK:
+        import mpmath
+        with mpmath.workdps(_MP_DPS):
+            v = n * g.at(n, mpmath.log)
+            f = int(mpmath.nint(v))
+            if abs(v - f) <= v * mpmath.mpf(10) ** (10 - _MP_DPS):
+                raise PrecisionExhausted(
+                    f"{g.label()}: n * g(n) at n = {n} cannot be told from "
+                    f"the integer {f} at {_MP_DPS} digits")
+            f = f if v > f else f - 1
+            return f, float(v - f)
 
 
 def _floorprod_mask(g, part):

@@ -1,4 +1,5 @@
 import multiprocessing
+import threading
 
 import pytest
 
@@ -24,11 +25,15 @@ def spf_100k():
 
 
 @pytest.fixture(autouse=True)
-def no_process_left_running():
-    """Fail a test that leaves a child process running after it ends."""
+def no_process_or_thread_left_running():
+    """Fail a test that leaves a child process, or a thread that was not
+    running before it, still running after it ends."""
+    before = set(threading.enumerate())
     yield
     left = multiprocessing.active_children()
     assert not left, f"child processes still running: {left}"
+    threads = [t for t in threading.enumerate() if t not in before]
+    assert not threads, f"threads still running: {threads}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -26,14 +26,19 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
-def run_module(argv):
-    """Run `python -m primestrings argv` in a child that imports src/."""
+def run_python(args):
+    """Run `python args` in a child that imports src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"),
         env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "primestrings", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def run_module(argv):
+    """Run `python -m primestrings argv` in a child that imports src/."""
+    return run_python(["-m", "primestrings", *argv])
 
 
 # ------------------------------------------------------------- strings
@@ -176,7 +181,7 @@ def test_threads_above_the_bound_exit_2_naming_it(capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned for a refused --threads")
 
-    for name in ("ProcessPoolExecutor", "_segment_runs", "_segment_census"):
+    for name in ("ThreadPoolExecutor", "_segment_runs", "_segment_census"):
         monkeypatch.setattr(search, name, no_scan)
     for argv in (["census", "--q", "3", "--limit", "1e8"],
                  ["strings", "--k", "2", "--q", "3", "--a", "1",
@@ -461,6 +466,30 @@ def test_package_warning_is_one_stderr_line(q, a, capsys):
                               "--rows", "2", "--threads", "1"], capsys)
     assert code == 0 and json.loads(out)["Q"] == str(q)
     assert err == f"warning: P_a is empty for a={a}, q={q}, y=10; Q = q\n"
+
+
+def test_package_warning_raised_as_an_error_exits_4_in_one_line(capsys):
+    # under python -W error the warning is an exception: one error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["maier", "--q", "1", "--a", "0", "--rows",
+                                  "2", "--threads", "1"], capsys)
+    assert code == 4 and out == ""
+    assert err == "error: P_a is empty for a=0, q=1, y=10; Q = q\n"
+
+
+@pytest.mark.parametrize("desc, loads", [("beatty:pi", False),
+                                         ("floorprod:loglog", True)])
+def test_mpmath_is_loaded_only_for_floor_products(desc, loads):
+    # a fresh interpreter: only a floor-product floor imports mpmath
+    code = ("import sys; import primestrings.cli as cli; "
+            "before = 'mpmath' in sys.modules; "
+            f"cli.main(['census', '--set', '{desc}', '--q', '3', "
+            "'--limit', '1e5', '--threads', '1']); "
+            "print(before, 'mpmath' in sys.modules)")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"False {loads}"
 
 
 # ------------------------------------------------------------ manifest

@@ -19,7 +19,7 @@ from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
                           count_S_T, count_S_q, count_psi, crt_anchor,
                           estimate_string_bound, is_prime, log_y_t,
                           make_config, run_construction, sample_rows_census)
-from primestrings import maier, search
+from primestrings import maier
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
                                  InvalidQuery, ParameterDomain, RangeExceeded,
                                  RangeTooLarge)
@@ -465,7 +465,7 @@ def test_one_worker_census_starts_no_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was built")
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(maier, "ProcessPoolExecutor", no_pool)
     census = run_construction(5, 4, y=20, yz=200, rows=20, workers=1)[2]
     assert len(census.per_row) == 20
     # the patch is live: at 2 workers the pool is built before any block

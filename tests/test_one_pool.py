@@ -1,8 +1,18 @@
-"""One place for each shared resource: the package builds its one process
-pool in search, and lists base primes only through sieve._base_primes."""
+"""One place for each shared resource: the package builds its one worker
+pool in search, and lists base primes only through sieve._base_primes.
+The state that scan threads share is taken by one thread at a time."""
 
 import ast
+import contextlib
 import pathlib
+import sys
+import threading
+import time
+
+import mpmath
+import numpy as np
+
+from primestrings import GFamily, sieve, special
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "primestrings"
 
@@ -14,14 +24,22 @@ def _callee(call):
                                                               None)
 
 
+# what starts workers: both executor classes, the name search binds the
+# class its caller chose to, and the bare thread and process classes
+_POOL_BUILDERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "executor",
+                  "Thread", "Process", "Pool"}
+
+
 def test_process_pool_is_built_only_in_search():
+    # thread and process pools alike: maier names ProcessPoolExecutor
+    # for search to build, and builds nothing itself
     sources = sorted(SRC.glob("*.py"))
     assert sources
     found = [f"{path.name}:{node.lineno}"
              for path in sources
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Call)
-             and _callee(node) == "ProcessPoolExecutor"]
+             and _callee(node) in _POOL_BUILDERS]
     assert [site.split(":")[0] for site in found] == ["search.py"], found
 
 
@@ -41,3 +59,92 @@ def test_base_primes_are_listed_only_by_the_array():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if lists_base_primes(node)]
     assert found == []
+
+
+class _Occupancy:
+    """Counts the threads inside a guarded region; each sleeps there, so
+    threads that are let in together overlap."""
+
+    def __init__(self):
+        self.inside = self.most = 0
+        self._lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def enter(self):
+        with self._lock:
+            self.inside += 1
+            self.most = max(self.most, self.inside)
+        try:
+            time.sleep(0.02)
+            yield
+        finally:
+            with self._lock:
+                self.inside -= 1
+
+
+def _in_threads(fn, args):
+    """fn(arg) for each arg, started together on one thread each (more
+    threads than cores), switching threads as often as the interpreter
+    allows."""
+    results = [None] * len(args)
+    start = threading.Barrier(len(args))
+
+    def run(i):
+        start.wait(timeout=10)
+        results[i] = fn(args[i])
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(args))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def _cold_base(monkeypatch):
+    monkeypatch.setattr(sieve, "_base", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(sieve, "_base_hi", 2)
+
+
+def test_cold_base_primes_are_extended_by_one_thread_at_a_time(monkeypatch):
+    bound = 10 ** 6
+    _cold_base(monkeypatch)
+    want = sieve._base_primes(bound)
+    _cold_base(monkeypatch)
+    occupancy, real = _Occupancy(), sieve._primes_in
+
+    def spy(*args):
+        with occupancy.enter():
+            return real(*args)
+
+    monkeypatch.setattr(sieve, "_primes_in", spy)
+    got = _in_threads(sieve._base_primes, [bound] * 4)
+    assert occupancy.most == 1
+    for primes in got:
+        np.testing.assert_array_equal(primes, want)
+    np.testing.assert_array_equal(sieve._base, want)
+
+
+def test_floorprod_floors_take_mpmath_precision_one_thread_at_a_time(
+        monkeypatch):
+    g = GFamily.loglog()
+    ns = [10 ** 6 + 7 * i for i in range(4)]
+    want = [special._floorprod_floor(g, n) for n in ns]
+    occupancy, real = _Occupancy(), mpmath.workdps
+
+    @contextlib.contextmanager
+    def spy(dps):
+        with occupancy.enter(), real(dps):
+            yield
+
+    monkeypatch.setattr(mpmath, "workdps", spy)
+    got = _in_threads(lambda n: special._floorprod_floor(g, n), ns)
+    assert occupancy.most == 1
+    assert got == want

@@ -3,8 +3,7 @@
 import itertools
 import json
 import math
-import multiprocessing
-import os
+import threading
 import tracemalloc
 from functools import lru_cache
 
@@ -375,7 +374,7 @@ def test_ordered_results_draws_jobs_as_the_pool_has_room():
         assert [next(results) for _ in range(3)] == [(0, 0), (1, 1), (2, 2)]
         results.close()              # an early break: the pool shuts down
         assert len(drawn) <= 3 + 2 * 2
-    # a plan of one job runs in-process, so even a local task is fine
+    # a plan of one job starts no pool
     for fork_first in (False, True):
         assert list(_ordered_results(lambda j: -j, iter([7]), 2,
                                      fork_first)) == [(7, -7)]
@@ -395,33 +394,33 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("started a pool or a segment the test forbids")
 
 
-def _pid(job):
-    return os.getpid()
+def _thread(job):
+    return threading.get_ident()
 
 
 def _raise_at_two(job):
     if job == 2:
-        raise ValueError(f"job 2 failed in {os.getpid()}")
+        raise ValueError(f"job 2 failed in {threading.get_ident()}")
     return job
 
 
 def _sized_pools(monkeypatch):
-    """Record the size of each pool search builds, and build it."""
+    """Record the size of each thread pool search builds, and build it."""
     sizes = []
-    real = search.ProcessPoolExecutor
+    real = search.ThreadPoolExecutor
 
     def sized(max_workers):
         sizes.append(max_workers)
         return real(max_workers=max_workers)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", sized)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", sized)
     return sizes
 
 
 def test_pool_is_no_larger_than_the_jobs_it_holds(b_pi, monkeypatch):
     # four segments: the caller runs the first and every workers-th
     # after it, and the pool takes the rest, in at most workers - 1
-    # processes; so 1, 2 and 3 processes at 2, 3 and 8 workers
+    # threads; so 1, 2 and 3 threads at 2, 3 and 8 workers
     sizes = _sized_pools(monkeypatch)
     want = residue_census(b_pi, 59_999, 7, segment_size=15_000)
     for workers in (2, 3, 8):
@@ -437,55 +436,50 @@ def test_caller_runs_every_workers_th_job(workers, monkeypatch):
     # by default job 1 runs first, and either way the caller runs the
     # jobs 1, 1 + w, ... (here numbered from 0)
     sizes = _sized_pools(monkeypatch)
-    caller = os.getpid()
+    caller = threading.get_ident()
     for fork_first, built in ((True, [workers - 1]), (False, [])):
         sizes.clear()
-        results = _ordered_results(_pid, range(12), workers, fork_first)
+        results = _ordered_results(_thread, range(12), workers, fork_first)
         assert next(results) == (0, caller)
         assert sizes == built
-        pids = dict(results)
+        threads = dict(results)
         assert sizes == [workers - 1]
-        assert [j for j in pids if pids[j] == caller] == list(
+        assert [j for j in threads if threads[j] == caller] == list(
             range(workers, 12, workers))
 
 
-_CALLER_SEGMENTS = []       # a pool process appends to its own copy
-
-
-def _noted_segment_runs(args):
-    _CALLER_SEGMENTS.append(args[3])
-    return _SEGMENT_RUNS(args)
-
-
-_SEGMENT_RUNS = search._segment_runs
-
-
 def test_first_string_runs_segment_1_before_any_fork(monkeypatch):
-    real = search.ProcessPoolExecutor
+    # the caller's segments and the pool's start, in the caller's order
+    caller, noted = threading.get_ident(), []
+    real_pool, real_runs = search.ThreadPoolExecutor, search._segment_runs
 
     def noted_pool(max_workers):
-        _CALLER_SEGMENTS.append("fork")
-        return real(max_workers=max_workers)
+        noted.append("pool")
+        return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", noted_pool)
-    monkeypatch.setattr(search, "_segment_runs", _noted_segment_runs)
-    _CALLER_SEGMENTS.clear()
+    def noted_runs(args):
+        if threading.get_ident() == caller:
+            noted.append(args[3])
+        return real_runs(args)
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", noted_pool)
+    monkeypatch.setattr(search, "_segment_runs", noted_runs)
     query = q(ALL, 1, 7, 6, 3_000)
     # 13 is the first prime = 6 (mod 7), in the third segment, the
     # caller's; the caller ran the first before the pool was built, and
     # may run its next one (at 25) while it waits on the second
     hit = find_first_string(query, workers=2, segment_size=6)
     assert hit.primes == [13]
-    assert _CALLER_SEGMENTS[:3] == [1, "fork", 13]
+    assert noted[:3] == [1, "pool", 13]
     # a scan that reads every segment builds the pool first
-    _CALLER_SEGMENTS.clear()
+    noted.clear()
     scan_all_strings(query, workers=2, segment_size=1_000)
-    assert _CALLER_SEGMENTS == ["fork", 1, 2_001]
+    assert noted == ["pool", 1, 2_001]
 
 
 def test_read_every_job_call_of_one_job_starts_no_process(b_pi,
                                                           monkeypatch):
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _forbidden)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", _forbidden)
     query = q(b_pi, 1, 7, 1, 50_000)
     for workers in (2, 8):
         assert scan_all_strings(query, workers=workers).tolist() == \
@@ -497,13 +491,14 @@ def test_read_every_job_call_of_one_job_starts_no_process(b_pi,
 def test_a_callers_job_raises_in_its_turn_and_leaves_no_process():
     # at 2 workers job 2 is the caller's; it may run while job 1 is in
     # the pool, but its error comes after job 1's result
-    got = []
-    with pytest.raises(ValueError, match=f"failed in {os.getpid()}$"):
+    got, before = [], threading.enumerate()
+    with pytest.raises(ValueError,
+                       match=f"failed in {threading.get_ident()}$"):
         for job, result in _ordered_results(_raise_at_two, range(8), 2,
                                             fork_first=True):
             got.append(result)
     assert got == [0, 1]
-    assert not multiprocessing.active_children()
+    assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("segments", [1, 2, 3])
@@ -544,7 +539,7 @@ def test_seven_segments_agree_at_1_2_3_and_8_workers(b_pi):
 
 def test_worker_counts_outside_1_to_the_bound_are_refused(b_pi,
                                                           monkeypatch):
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _forbidden)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", _forbidden)
     one_segment = q(b_pi, 2, 3, 1, 1000)
     hit = find_first_string(one_segment, workers=search.MAX_WORKERS)
     assert hit.primes == [31, 37]
@@ -562,7 +557,7 @@ def test_worker_counts_outside_1_to_the_bound_are_refused(b_pi,
 
 def test_first_string_stops_at_the_segment_it_reaches_k(monkeypatch):
     # the odd primes form one run that is still open at every segment
-    # end; a hit in the first segment starts no process at any count
+    # end; a hit in the first segment starts no pool at any count
     calls = []
     real = search._segment_runs
 
@@ -571,7 +566,7 @@ def test_first_string_stops_at_the_segment_it_reaches_k(monkeypatch):
         return real(args)
 
     monkeypatch.setattr(search, "_segment_runs", counted)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _forbidden)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", _forbidden)
     for workers in (1, 2):
         calls.clear()
         hit = find_first_string(q(ALL, 3, 2, 1, 10 ** 6), workers=workers,
