@@ -36,7 +36,6 @@ E_POW_E = math.exp(math.e)              # ~15.154, threshold for t
 X_FLOOR = math.exp(math.exp(math.e))    # loglog X must exceed e
 MAX_INTERVAL = 10 ** 8
 _PRESIEVE_B = 1 << 16                   # row presieve: primes up to this
-_BLOCKS_PER_WORKER = 8                  # row blocks per worker of a census
 _LIMB = (1 << 47) - 1                   # _residues takes n 47 bits at a time
 
 PHI_NOTE = ("k-bound exponents are evaluated with phi(q); the asymptotic "
@@ -361,43 +360,33 @@ def sample_rows_census(config, interval, rows, spec=None, workers=1):
     S is one column mask, and a row's good runs are runs of S columns.
 
     Rows are scanned through search._ordered_results, the package's one
-    pool: in one block at one worker, which the calling process runs,
-    and else in blocks of ceil(rows / (_BLOCKS_PER_WORKER * workers)).
-    The calling process is one of the workers: it starts the pool, then
-    runs the first block and every workers-th block after it while the
-    pool's processes run the others. The pool is a ProcessPoolExecutor,
-    not the scans' threads, since a block's BPSW tests on Python ints
-    hold the GIL. Since q | Q, the column masks are
-    the same in every row, so a block r0..r1 needs only its presieve
-    start, (start + (r0 - 1) Q) mod p for each presieve prime p.
-    per_row is the blocks' rows in order, and every total derives from
-    it, so the census does not depend on the worker count.
+    pool, in one block per worker: blocks of ceil(rows / workers) rows,
+    so one block at one worker. The calling process runs the first
+    block and the pool's processes the others. The pool is a
+    ProcessPoolExecutor, not the scans' threads, since a block's BPSW
+    tests on Python ints hold the GIL. Since q | Q, the column masks
+    are the same in every row, so a block r0..r1 needs only its
+    presieve start, (start + (r0 - 1) Q) mod p for each presieve prime
+    p. per_row is the blocks' rows in order, and every total derives
+    from it, so the census does not depend on the worker count.
 
     Before any primality test, each row is presieved by the primes
     p <= _PRESIEVE_B = 2^16 that do not divide Q, read from the sieve's
     per-process base-prime array, with Q and the block's start mod p
-    taken by _residues: an entry c with
-    p | c is composite unless c = p. Each p strikes every p-th column
-    from the first one it divides, through sieve._strike, the kernel
-    of the segment sieve; that start moves up by p when the entry
-    there is p itself (entries fall below the bound when Q is small).
-    Only the unstruck coprime entries reach is_prime and the set filter.
+    taken by _residues: an entry c with p | c is composite unless
+    c = p. Each p strikes every p-th column from the first one it
+    divides, through sieve._strike, the kernel of the segment sieve;
+    that start moves up by p when the entry there is p itself (entries
+    fall below the bound when Q is small). Only the unstruck coprime
+    entries reach is_prime and the set filter.
 
-    The order of the tests follows their cost: presieve, then Beatty
-    membership, then is_prime (BPSW), then floor-product membership.
-    beatty_member is two exact floor_div calls, 2-5 us at 45-208 bits,
-    against 11-110 us for the base-2 Miller-Rabin half of BPSW and
-    28-283 us for its strong Lucas half on a prime (best of 7 over 200
-    primes each, 2-vCPU Xeon VM); over beatty:pi it drops about two
-    thirds of the entries BPSW would pass. The scalar
-    floor-product member costs more than BPSW below 2^48, the only
-    range where it is decided, so it stays last; a census whose largest
-    entry reaches 2^48 is refused before any row. Since (p and m) =
-    (m and p), no per_row tuple changes. One thing does: on a composite
-    entry, beatty_member may now raise PrecisionExhausted where no
-    membership was asked before. That needs m/alpha within about
-    m 2^-bits of an integer, 2^-148 or less at 256 bits for the
-    built-in constants (bits = 404).
+    The tests run cheapest first: presieve, then Beatty membership,
+    then is_prime (BPSW), then floor-product membership, which costs
+    more than BPSW below 2^48, the only range where it is decided; a
+    census whose largest entry reaches 2^48 is refused before any row.
+    Since (p and m) = (m and p), the order changes no per_row tuple,
+    but beatty_member may raise PrecisionExhausted on a composite
+    entry, which needs m/alpha within about m 2^-bits of an integer.
     """
     if rows < 1:
         raise InvalidQuery(f"rows must be >= 1, got {rows}")
@@ -419,8 +408,7 @@ def sample_rows_census(config, interval, rows, spec=None, workers=1):
             f"y = {config.y} and rows = {rows} put entries up to {top} in "
             f"the matrix, but floor-product membership is decided only "
             f"below 2^48 = {MAX_SCAN_HI}; lower {knobs} or rows")
-    blocks = _BLOCKS_PER_WORKER * workers if workers > 1 else 1
-    size = -(-rows // blocks)
+    size = -(-rows // workers)
     jobs = ((config, interval, spec, r0, min(r0 + size - 1, rows))
             for r0 in range(1, rows + 1, size))
     results = _ordered_results(_row_block, jobs, workers, fork_first=True,

@@ -12,11 +12,12 @@ the workers: it runs the first job and every workers-th job after it,
 and the others go to a pool of at most workers - 1 workers, never more
 than the jobs they hold. Scan segments run on threads: the sieve and
 the set masks are numpy work that releases the GIL, so a pool costs no
-fork. Maier row blocks run on processes, since their BPSW tests on
-Python ints hold it. A first-hit scan runs its first segment before any
-pool starts; the calls that read every job (scan_all_strings,
-residue_census and the Maier row census) start the pool first, so its
-start overlaps the caller's first job.
+fork. Maier row blocks, one per worker, run on processes, since their
+BPSW tests on Python ints hold it. The one lock the threads meet is
+the sieve's, on its base-prime array. A first-hit scan runs its first
+segment before any pool starts; the calls that read every job
+(scan_all_strings, residue_census and the Maier row census) start the
+pool first, so its start overlaps the caller's first job.
 """
 
 from __future__ import annotations
@@ -119,15 +120,16 @@ def _run_into(task, fut, job):
         fut.set_exception(exc)
 
 
-def _ordered_results(task, jobs, workers, fork_first=False, executor=None):
+def _ordered_results(task, jobs, workers, fork_first=False, *,
+                     executor=ThreadPoolExecutor):
     """Yield (job, task(job)) in job order, on workers workers of which
     the calling thread is one.
 
     The caller runs job 1 and every workers-th job after it (1, 1 + w,
     1 + 2w, ...), and every job at one worker. The other jobs go to a
     pool of at most workers - 1 workers, and no more than the pool's
-    jobs among those first drawn. The pool is an executor, a
-    ThreadPoolExecutor when None: a task that holds the GIL, such as
+    jobs among those first drawn. The pool is an executor class, by
+    default ThreadPoolExecutor: a task that holds the GIL, such as
     the Maier row blocks, passes ProcessPoolExecutor, and its jobs must
     pickle. Before it blocks on a pool result, the caller runs its own
     jobs drawn so far. Jobs are drawn lazily, at most 2 * workers ahead
@@ -157,7 +159,6 @@ def _ordered_results(task, jobs, workers, fork_first=False, executor=None):
         for _, job in head:
             yield job, task(job)
         return
-    executor = executor or ThreadPoolExecutor
     with executor(max_workers=min(workers - 1, n_pool)) as pool:
         own = deque()                # the caller's jobs not yet run
 

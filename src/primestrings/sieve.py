@@ -16,9 +16,9 @@ indices of an n-long array once s >= ceil(n/h), so only the steps
 below ceil(n/64) cross off in a Python loop; the others cross off in
 numpy tiers of at most 64, 32, ..., 2 indices, or one index for s >= n.
 The base primes up to sqrt(hi) come from one ascending array per
-process (_base_primes), filled lazily and extended on demand under a
-lock, so a window lists no base prime that an earlier call, in any
-thread, already listed.
+process (_base_primes), filled lazily and extended on demand under
+the package's one lock, so a window lists no base prime that an
+earlier call, in any thread, already listed.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def _check_window(lo, hi):
 
 
 def _primes_in(lo, hi, base_odd, segment_size):
-    """Ascending primes in [lo, hi), given the odd primes <= isqrt(hi - 1)."""
+    """Ascending primes in [lo, hi), given ascending odd primes that
+    include every one <= isqrt(hi - 1)."""
     chunks = [np.array([2] if lo <= 2 < hi else [], dtype=np.int64)]
     # the odds 2j + 3 in [lo, hi) are those with j_lo <= j < j_hi
     j_lo, j_hi = max(0, (lo - 2) // 2), (hi - 2) // 2
@@ -133,20 +134,20 @@ def _primes_in(lo, hi, base_odd, segment_size):
 _BASE_CAP = math.isqrt(MAX_SCAN_HI) + 1    # 1,077,871 primes below, 8.6 MB
 _base = np.empty(0, dtype=np.int64)        # every prime below _base_hi
 _base_hi = 2
-_base_lock = threading.RLock()             # _base_primes recurses under it
+_base_lock = threading.Lock()              # the package's one lock
 
 
 def _base_primes(bound):
     """Ascending primes <= bound, from this process's base-prime array.
 
-    The array holds every prime below _base_hi and only grows. A bound
-    at or past _base_hi extends it to max(bound + 1, 2 _base_hi), capped
-    at isqrt(MAX_SCAN_HI) + 1, the most any window needs. The new primes
-    are sieved by the array's own primes up to the square root of the
-    new end, which this call first extends the array to; that recursion
-    ends once the square root falls below _base_hi, at the latest when
-    it is 1. Nothing is sieved at import. Scan threads share the array:
-    the check and the extension run under _base_lock, so one thread
+    The array holds every prime below _base_hi and only grows. While a
+    bound is at or past _base_hi, the array is extended to min(max(
+    bound + 1, 2 _base_hi), _base_hi^2, isqrt(MAX_SCAN_HI) + 1), the
+    last being the most any window needs. A composite below _base_hi^2
+    has a prime factor below _base_hi, so each step is sieved by the
+    primes the array already holds.
+    Nothing is sieved at import. Scan threads share the array: the
+    check and the extension run under _base_lock, so one thread
     extends it while the others wait, and the sieve inside, which
     releases the GIL, never runs twice for one range. Forked Maier
     workers inherit what the parent holds.
@@ -156,11 +157,10 @@ def _base_primes(bound):
         raise RangeTooLarge(f"base primes up to {bound} exceed the sieve's "
                             f"needs, isqrt(MAX_SCAN_HI) = {_BASE_CAP - 1}")
     with _base_lock:
-        if bound >= _base_hi:
-            hi = min(max(bound + 1, 2 * _base_hi), _BASE_CAP)
-            base_odd = _base_primes(math.isqrt(hi - 1))[1:]
+        while bound >= _base_hi:
+            hi = min(max(bound + 1, 2 * _base_hi), _base_hi ** 2, _BASE_CAP)
             _base = np.concatenate([_base, _primes_in(
-                _base_hi, hi, base_odd, DEFAULT_SEGMENT_BYTES)])
+                _base_hi, hi, _base[1:], DEFAULT_SEGMENT_BYTES)])
             _base_hi = hi
         return _base[:np.searchsorted(_base, bound, "right")]
 

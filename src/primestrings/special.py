@@ -11,13 +11,14 @@ a bracket of 1/alpha, a floor-product span takes its n from
 GFamily.inverse and its floors from one _MP_DPS-digit anchor f(n0) plus
 float rises f(n) - f(n0) (GFamily.rise); only a floor whose float lies
 within the rise's proved error bound of an integer is decided at
-_MP_DPS digits, or raises PrecisionExhausted.
+_MP_DPS digits, or raises PrecisionExhausted. Those floors run in a
+private mpmath context, so scan threads take them with no lock.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +33,6 @@ _CHUNK = 1 << 18           # widest span of values one mask kernel takes
 _FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
 _MP_DPS = 50               # digits for floor-product floors near an integer
 _RISE_ERR = 2.0 ** -42     # GFamily.rise error bound / ((1 + B)(R + 1))
-_MP_LOCK = threading.Lock()  # mpmath's precision is one per process
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +48,8 @@ class GFamily:
 
     The formula is written once, in at(), and evaluated with the log
     function the caller passes: math.log for a float, np.log for an
-    array, mpmath.log at high precision. derivs() applies one chain rule
-    for u^B to the analytic u', u'', u''' of the family.
+    array, the log of a _MP_DPS-digit mpmath context. derivs() applies
+    one chain rule for u^B to the analytic u', u'', u''' of the family.
     """
 
     family: str
@@ -192,6 +192,16 @@ class GFamily:
 # set specifications
 
 
+def _check_slope(alpha):
+    """DomainError unless alpha's bracket lies above 1."""
+    one = 1 << alpha.bits
+    if alpha.hi <= one:
+        raise DomainError(f"Beatty slope must exceed 1, got {alpha.name}")
+    if alpha.lo <= one:
+        raise DomainError(f"Beatty slope {alpha.name} cannot be told from "
+                          f"1 at {alpha.bits} bits")
+
+
 @dataclass(frozen=True)
 class SpecialSetSpec:
     """Carrier sequence whose prime members form the special set."""
@@ -206,9 +216,7 @@ class SpecialSetSpec:
 
     @staticmethod
     def beatty(alpha):
-        if float(alpha) <= 1.0:
-            raise DomainError(
-                f"Beatty slope must exceed 1, got {float(alpha)}")
+        _check_slope(alpha)
         return SpecialSetSpec(kind="beatty", alpha=alpha)
 
     @staticmethod
@@ -242,8 +250,7 @@ def beatty_member(alpha, m):
     """
     if m < 1:
         raise InvalidRange(f"membership defined for m >= 1, got {m}")
-    if float(alpha) <= 1.0:
-        raise DomainError("Beatty slope must exceed 1")
+    _check_slope(alpha)
     return alpha.floor_div(m + 1) - alpha.floor_div(m) == 1
 
 
@@ -285,27 +292,35 @@ def _beatty_mask(alpha, part):
     return keep
 
 
+@functools.cache
+def _mp_context():
+    """This module's own mpmath context, at _MP_DPS digits. Made on
+    first use, so the other sets never load mpmath."""
+    import mpmath
+    ctx = mpmath.MPContext()
+    ctx.dps = _MP_DPS
+    return ctx
+
+
 def _floorprod_floor(g, n):
     """floor(n * g(n)) and the float of its fraction, at _MP_DPS digits;
     PrecisionExhausted when n * g(n) is within 10^(10 - _MP_DPS) of an
     integer, relative to its size (10 digits of margin for the rounding
     in the logs and the power).
 
-    mpmath's working precision is global, and a thread that leaves
-    workdps resets it under any other thread still inside, so scan
-    threads take the floors one at a time, under _MP_LOCK. mpmath is
-    imported here, its only use, so the other sets never load it."""
-    with _MP_LOCK:
-        import mpmath
-        with mpmath.workdps(_MP_DPS):
-            v = n * g.at(n, mpmath.log)
-            f = int(mpmath.nint(v))
-            if abs(v - f) <= v * mpmath.mpf(10) ** (10 - _MP_DPS):
-                raise PrecisionExhausted(
-                    f"{g.label()}: n * g(n) at n = {n} cannot be told from "
-                    f"the integer {f} at {_MP_DPS} digits")
-            f = f if v > f else f - 1
-            return f, float(v - f)
+    The floors are taken in _mp_context(), whose precision nothing
+    changes, so scan threads take them at once; a precision set in
+    mpmath's global context, by any thread, neither reaches them nor is
+    reset by them."""
+    mp = _mp_context()
+    v = n * g.at(n, mp.log)
+    f = int(mp.nint(v))
+    if abs(v - f) <= v * mp.mpf(10) ** (10 - _MP_DPS):
+        raise PrecisionExhausted(
+            f"{g.label()}: n * g(n) at n = {n} cannot be told from "
+            f"the integer {f} at {_MP_DPS} digits")
+    f = f if v > f else f - 1
+    return f, float(v - f)
 
 
 def _floorprod_mask(g, part):

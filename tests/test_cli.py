@@ -13,7 +13,9 @@ import pytest
 
 import _oracles
 from primestrings import __version__, maier, search
-from primestrings.cli import build_parser, main, parse_set
+from primestrings.cli import (_one_line_warning, build_parser, main,
+                              parse_set)
+from primestrings.errors import EmptyProductWarning
 from primestrings.search import MAX_CENSUS_Q, MAX_WORKERS
 from primestrings.sieve import PROGRESS_EVERY
 
@@ -168,6 +170,7 @@ def test_all_runs_keeps_runs_of_length_k_in_the_format_asked(desc, fmt, k,
     ["counts", "psi", "--x", "100", "--t", "nan"],
     ["census", "--q", "3", "--limit", "100", "--threads", "0"],
     ["census", "--q", "3", "--limit", "100", "--threads", "-1"],
+    ["census", "--q", "3", "--limit", "100", "--threads", "abc"],
     ["nonsense"],
     ["cache", "path"],                                     # no such command
 ])
@@ -181,7 +184,9 @@ def test_threads_above_the_bound_exit_2_naming_it(capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned for a refused --threads")
 
-    for name in ("ThreadPoolExecutor", "_segment_runs", "_segment_census"):
+    monkeypatch.setitem(search._ordered_results.__kwdefaults__, "executor",
+                        no_scan)
+    for name in ("_segment_runs", "_segment_census"):
         monkeypatch.setattr(search, name, no_scan)
     for argv in (["census", "--q", "3", "--limit", "1e8"],
                  ["strings", "--k", "2", "--q", "3", "--a", "1",
@@ -190,6 +195,26 @@ def test_threads_above_the_bound_exit_2_naming_it(capsys, monkeypatch):
             main(argv + ["--threads", str(MAX_WORKERS + 1)])
         assert exc.value.code == 2
         assert f"at most {MAX_WORKERS} workers" in capsys.readouterr().err
+
+
+def test_beatty_slopes_are_compared_with_1_on_their_brackets(capsys):
+    argv = ["--k", "2", "--q", "3", "--a", "2", "--limit", "100",
+            "--threads", "1"]
+    huge = "9" * 400 + "." + "1" * 45               # beyond any float
+    code, out, err = run_cli(["strings", "--set", f"beatty:{huge}", *argv],
+                             capsys)
+    assert code == 3 and err == ""
+    assert json.loads(out)["found"] is False
+    just_above = "1." + "0" * 19 + "1" + "0" * 40   # 1 + 10^-20, float 1.0
+    code, out, _ = run_cli(["strings", "--set", f"beatty:{just_above}",
+                            *argv], capsys)
+    assert code == 0 and json.loads(out)["primes"] == [23, 29]
+    for slope, says in (("1." + "0" * 60, "cannot be told from 1 at 192 bits"),
+                        ("0." + "9" * 60, "must exceed 1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["strings", "--set", f"beatty:{slope}", *argv])
+        assert exc.value.code == 2
+        assert says in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cpus, want", [
@@ -478,6 +503,16 @@ def test_package_warning_raised_as_an_error_exits_4_in_one_line(capsys):
     assert err == "error: P_a is empty for a=0, q=1, y=10; Q = q\n"
 
 
+def test_other_warnings_reach_the_original_showwarning(capsys):
+    shown = []
+    one_line = _one_line_warning(lambda *args: shown.append(args))
+    one_line("not ours", RuntimeWarning, "f.py", 3)
+    assert shown == [("not ours", RuntimeWarning, "f.py", 3)]
+    one_line("ours", EmptyProductWarning, "f.py", 3)
+    assert shown == [("not ours", RuntimeWarning, "f.py", 3)]
+    assert capsys.readouterr().err == "warning: ours\n"
+
+
 @pytest.mark.parametrize("desc, loads", [("beatty:pi", False),
                                          ("floorprod:loglog", True)])
 def test_mpmath_is_loaded_only_for_floor_products(desc, loads):
@@ -538,6 +573,18 @@ def test_manifest_on_maier_records_the_threads_bound(tmp_path, capsys):
                            capsys)
     assert code == 0 and out == serial
     assert json.loads(m.read_text())["workers"] == 2
+
+
+def test_manifest_into_a_missing_directory_exits_4_after_the_result(
+        tmp_path, capsys):
+    argv = ["census", "--set", "beatty:pi", "--q", "7", "--limit", "100",
+            "--threads", "1"]
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, out, err = run_cli(
+        argv + ["--manifest", str(tmp_path / "missing" / "m.json")], capsys)
+    assert code == 4 and out == want
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------- version

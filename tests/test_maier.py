@@ -435,8 +435,8 @@ def _rows_by_trial_division(config, interval, rows, spec):
 def test_one_two_and_three_workers_give_the_same_census(set_name, index,
                                                         b_pi):
     # the Maier twin of test_one_and_two_workers_match_oracle: 17 rows
-    # in one block at 1 worker and in blocks of 2 and 1 rows at 2 and 3
-    # workers, and each later block starts its presieve at
+    # in one block at 1 worker, in blocks of 9 + 8 rows at 2 workers and
+    # 6 + 6 + 5 at 3, and each later block starts its presieve at
     # (start + (r0 - 1) Q) mod p. The A_minus, A_plus and other
     # configurations of _small_entry_configs keep their entries at or
     # below 2^16 in every block, where an entry c = p must stay; the
@@ -486,6 +486,30 @@ def test_one_worker_census_runs_one_block(monkeypatch):
     census = run_construction(5, 4, y=20, yz=200, rows=20, workers=1)[2]
     assert blocks == [(1, 20)]
     assert [row[0] for row in census.per_row] == list(range(1, 21))
+
+
+@pytest.mark.parametrize("workers, blocks", [
+    (2, [(1, 9), (10, 17)]),
+    (3, [(1, 6), (7, 12), (13, 17)]),
+    (17, [(r, r) for r in range(1, 18)]),
+    (20, [(r, r) for r in range(1, 18)]),
+])
+def test_a_census_runs_one_block_per_worker(workers, blocks, monkeypatch):
+    # blocks of ceil(rows / workers) rows (one worker: the test above);
+    # the spy runs them in the caller, so no process starts
+    seen = []
+    real = maier._ordered_results
+
+    def spy(task, jobs, n, **kwargs):
+        jobs = list(jobs)
+        seen.extend(job[3:] for job in jobs)
+        return real(task, jobs, 1)
+
+    monkeypatch.setattr(maier, "_ordered_results", spy)
+    census = run_construction(5, 4, y=20, yz=200, rows=17,
+                              workers=workers)[2]
+    assert seen == blocks
+    assert [row[0] for row in census.per_row] == list(range(1, 18))
 
 
 @settings(database=None, max_examples=200)

@@ -1,6 +1,8 @@
 """One place for each shared resource: the package builds its one worker
-pool in search, and lists base primes only through sieve._base_primes.
-The state that scan threads share is taken by one thread at a time."""
+pool in search, and lists base primes only through sieve._base_primes,
+which scan threads extend one at a time. Floor-product floors use no
+state that threads share: the package never sets mpmath's global
+precision."""
 
 import ast
 import contextlib
@@ -12,16 +14,21 @@ import time
 import mpmath
 import numpy as np
 
+import _oracles
 from primestrings import GFamily, sieve, special
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "primestrings"
 
 
+def _name(expr):
+    """f for the expression f or m.f; None for any other."""
+    return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr",
+                                                              None)
+
+
 def _callee(call):
     """Name of the called function: f for f(...) and m.f(...)."""
-    func = call.func
-    return func.id if isinstance(func, ast.Name) else getattr(func, "attr",
-                                                              None)
+    return _name(call.func)
 
 
 # what starts workers: both executor classes, the name search binds the
@@ -132,19 +139,81 @@ def test_cold_base_primes_are_extended_by_one_thread_at_a_time(monkeypatch):
     np.testing.assert_array_equal(sieve._base, want)
 
 
-def test_floorprod_floors_take_mpmath_precision_one_thread_at_a_time(
+def test_cold_base_primes_equal_a_plain_sieve(monkeypatch):
+    # grown from empty in steps, each sieved by the array's own primes
+    _cold_base(monkeypatch)
+    np.testing.assert_array_equal(sieve._base_primes(10 ** 6),
+                                  _oracles.simple_sieve(10 ** 6))
+
+
+def test_floorprod_floors_from_threads_leave_mpmath_precision_alone(
         monkeypatch):
+    # a fresh private context, so a first use that set the global
+    # precision would show here
+    special._mp_context.cache_clear()
+    prec = mpmath.mp.prec
     g = GFamily.loglog()
     ns = [10 ** 6 + 7 * i for i in range(4)]
     want = [special._floorprod_floor(g, n) for n in ns]
-    occupancy, real = _Occupancy(), mpmath.workdps
 
-    @contextlib.contextmanager
-    def spy(dps):
-        with occupancy.enter(), real(dps):
-            yield
+    def no_workdps(*args, **kwargs):
+        raise AssertionError("mpmath.workdps entered")
 
-    monkeypatch.setattr(mpmath, "workdps", spy)
+    monkeypatch.setattr(mpmath, "workdps", no_workdps)
     got = _in_threads(lambda n: special._floorprod_floor(g, n), ns)
-    assert occupancy.most == 1
     assert got == want
+    assert mpmath.mp.prec == prec
+
+
+def test_a_global_precision_set_during_a_floor_does_not_reach_it(
+        monkeypatch):
+    n = 10 ** 12 + 5
+    with mpmath.workdps(60):
+        v = n * mpmath.log(mpmath.log(n))
+        floor = int(mpmath.floor(v))
+        want = floor, float(v - floor)
+    calls, real = [], GFamily.at
+
+    def lowering(self, x, log):
+        # another thread could do this at any moment
+        calls.append(x)
+        mpmath.mp.dps = 15
+        return real(self, x, log)
+
+    monkeypatch.setattr(GFamily, "at", lowering)
+    dps = mpmath.mp.dps
+    try:
+        got = special._floorprod_floor(GFamily.loglog(), n)
+    finally:
+        mpmath.mp.dps = dps
+    assert calls == [n]
+    assert got == want
+
+
+# what changes mpmath's global precision, for a while or for good
+_PRECISION_SETTERS = {"workdps", "workprec", "extradps", "extraprec"}
+
+
+def _sets_global_precision(node):
+    """A call to a precision context manager, or an assignment to
+    mp.dps or mp.prec (mpmath.mp.dps too)."""
+    if isinstance(node, ast.Call):
+        return _callee(node) in _PRECISION_SETTERS
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AugAssign)
+               else [])
+    return any(isinstance(t, ast.Attribute) and t.attr in ("dps", "prec")
+               and _name(t.value) == "mp"
+               for t in targets)
+
+
+def test_src_never_sets_mpmath_global_precision():
+    # special's floors run in a private context whose precision is set
+    # once; a global one is shared with every thread in the process
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{node.lineno}"
+             for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _sets_global_precision(node)]
+    assert found == []

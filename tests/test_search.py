@@ -213,6 +213,8 @@ def test_verify_hit_rejects_tampering():
     assert not verify_hit(query, wrong_index, check_index=True)
     over_limit = StringHit(primes=[89, 97, 101], start_index=23)
     assert not verify_hit(q(ALL, 3, 4, 1, 100), over_limit)
+    for not_ascending in ([101, 97, 89], [89, 89, 97]):
+        assert not verify_hit(query, StringHit(not_ascending, 23))
 
 
 def test_verify_hit_checks_membership(b_pi):
@@ -404,6 +406,13 @@ def _raise_at_two(job):
     return job
 
 
+def _pool_class(monkeypatch, cls):
+    """Have _ordered_results build the pools it builds by default with
+    cls, in place of ThreadPoolExecutor."""
+    monkeypatch.setitem(search._ordered_results.__kwdefaults__, "executor",
+                        cls)
+
+
 def _sized_pools(monkeypatch):
     """Record the size of each thread pool search builds, and build it."""
     sizes = []
@@ -413,7 +422,7 @@ def _sized_pools(monkeypatch):
         sizes.append(max_workers)
         return real(max_workers=max_workers)
 
-    monkeypatch.setattr(search, "ThreadPoolExecutor", sized)
+    _pool_class(monkeypatch, sized)
     return sizes
 
 
@@ -462,7 +471,7 @@ def test_first_string_runs_segment_1_before_any_fork(monkeypatch):
             noted.append(args[3])
         return real_runs(args)
 
-    monkeypatch.setattr(search, "ThreadPoolExecutor", noted_pool)
+    _pool_class(monkeypatch, noted_pool)
     monkeypatch.setattr(search, "_segment_runs", noted_runs)
     query = q(ALL, 1, 7, 6, 3_000)
     # 13 is the first prime = 6 (mod 7), in the third segment, the
@@ -479,7 +488,7 @@ def test_first_string_runs_segment_1_before_any_fork(monkeypatch):
 
 def test_read_every_job_call_of_one_job_starts_no_process(b_pi,
                                                           monkeypatch):
-    monkeypatch.setattr(search, "ThreadPoolExecutor", _forbidden)
+    _pool_class(monkeypatch, _forbidden)
     query = q(b_pi, 1, 7, 1, 50_000)
     for workers in (2, 8):
         assert scan_all_strings(query, workers=workers).tolist() == \
@@ -539,7 +548,7 @@ def test_seven_segments_agree_at_1_2_3_and_8_workers(b_pi):
 
 def test_worker_counts_outside_1_to_the_bound_are_refused(b_pi,
                                                           monkeypatch):
-    monkeypatch.setattr(search, "ThreadPoolExecutor", _forbidden)
+    _pool_class(monkeypatch, _forbidden)
     one_segment = q(b_pi, 2, 3, 1, 1000)
     hit = find_first_string(one_segment, workers=search.MAX_WORKERS)
     assert hit.primes == [31, 37]
@@ -566,7 +575,7 @@ def test_first_string_stops_at_the_segment_it_reaches_k(monkeypatch):
         return real(args)
 
     monkeypatch.setattr(search, "_segment_runs", counted)
-    monkeypatch.setattr(search, "ThreadPoolExecutor", _forbidden)
+    _pool_class(monkeypatch, _forbidden)
     for workers in (1, 2):
         calls.clear()
         hit = find_first_string(q(ALL, 3, 2, 1, 10 ** 6), workers=workers,

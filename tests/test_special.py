@@ -15,7 +15,8 @@ from primestrings import (GFamily, SpecialSetSpec, beatty_member,
                           enumerate_special, member, named_constant,
                           sieve_range, special_primes, validate_g)
 from primestrings.errors import (DomainError, GridTooSmall, InvalidQuery,
-                                 PrecisionExhausted, RangeTooLarge)
+                                 InvalidRange, PrecisionExhausted,
+                                 RangeTooLarge)
 from primestrings.fixedpoint import IrrationalConstant
 from primestrings.sieve import MAX_SCAN_SPAN
 from primestrings import special
@@ -173,6 +174,38 @@ def test_beatty_rejects_alpha_at_most_one():
         "small", "0.577215664901532860606512090082402431042")
     with pytest.raises(DomainError):
         SpecialSetSpec.beatty(small)
+
+
+def _decimal(text):
+    return IrrationalConstant.from_decimal(text, text)
+
+
+def test_beatty_slope_is_compared_with_1_on_its_bracket():
+    # 1 + 10^-20 to 60 decimals lies above 1 on its 192-bit bracket,
+    # though its float is 1.0: floor(n alpha) = n for n < 10^20
+    just_above = _decimal("1." + "0" * 19 + "1" + "0" * 40)
+    assert float(just_above) == 1.0
+    spec = SpecialSetSpec.beatty(just_above)
+    assert enumerate_special(spec, 1, 100).tolist() == list(range(1, 100))
+    # a slope too large for a float: no m below it is a member
+    huge = _decimal("9" * 400 + "." + "1" * 45)
+    assert not member(SpecialSetSpec.beatty(huge), 10 ** 6)
+    # a 60-decimal text t stands for a value within 10^-60 of t, so its
+    # bracket holds 1 for t = 1 and t = 1 + 10^-60, and lies below 1
+    # for t = 1 - 10^-60
+    for text, says in (("1." + "0" * 60, "cannot be told from 1 at 192 bits"),
+                       ("1." + "0" * 59 + "1", "cannot be told from 1"),
+                       ("0." + "9" * 60, "must exceed 1")):
+        with pytest.raises(DomainError, match=says):
+            SpecialSetSpec.beatty(_decimal(text))
+        with pytest.raises(DomainError, match=says):
+            beatty_member(_decimal(text), 5)
+
+
+def test_beatty_membership_starts_at_1():
+    with pytest.raises(InvalidRange):
+        beatty_member(PI, 0)
+    assert beatty_member(PI, 3)
 
 
 def test_descriptors():
