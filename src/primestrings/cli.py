@@ -319,11 +319,9 @@ def main(argv=None):
         with warnings.catch_warnings():
             warnings.showwarning = _one_line_warning(warnings.showwarning)
             return args.func(args, argv, t0)
-    except (PrimestringsError, PrimestringsWarning) as exc:
+    except (PrimestringsError, PrimestringsWarning, ValueError,
+            OverflowError, OSError) as exc:
         # a package warning is raised here only under -W error
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

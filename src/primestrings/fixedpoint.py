@@ -70,9 +70,6 @@ class IrrationalConstant:
         num = int(whole + frac) if (whole + frac) else 0
         return cls(name=name, num=num, den=10 ** len(frac))
 
-    def __float__(self):
-        return self.num / self.den
-
     def floor_mul(self, n):
         """Exact floor(n * value) for integer n >= 0."""
         f = (n * self.lo) >> self.bits
@@ -98,7 +95,3 @@ def named_constant(name):
         raise KeyError(f"unknown constant {name!r}; have "
                        f"{sorted(_REFERENCE_DIGITS)}") from None
     return IrrationalConstant.from_decimal(name, text)
-
-
-def reference_decimal(name):
-    return _REFERENCE_DIGITS[name]

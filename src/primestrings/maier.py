@@ -78,7 +78,7 @@ def classify_residue(a, q):
         raise InvalidQuery(f"q must be >= 1, got {q}")
     if math.gcd(a, q) != 1:
         raise InvalidQuery(f"need gcd(a, q) = 1, got gcd({a}, {q})")
-    ps = prime_factors(q) if q > 1 else []
+    ps = prime_factors(q)
     plus = all(a % p == 1 % p for p in ps)
     minus = all(a % p == (p - 1) % p for p in ps)
     if plus and minus:
@@ -121,7 +121,7 @@ def choose_parameters(X, q, spec, y_override=None):
             f"X must exceed e^(e^e) ~ {X_FLOOR:.0f} so loglog X > e")
     if y_override is not None and y_override < 7:
         raise ParameterDomain(f"y override must be >= 7, got {y_override}")
-    z = max(1, math.ceil(max(carrier_F(spec, X) ** 3, D ** 3)))
+    z = math.ceil(max(carrier_F(spec, X) ** 3, D ** 3))
     y = int(y_override) if y_override is not None else \
         math.ceil(math.log(X) / D)
     if y > E_POW_E:
@@ -263,8 +263,7 @@ def _coprime_mask(config, start, length):
     """Coprimality to Q over the interval, via the prime support of Q."""
     if length > MAX_INTERVAL:
         raise IntervalTooLarge(f"interval length {length} > {MAX_INTERVAL}")
-    support = sorted(set(prime_factors(config.q)) | set(config.P_a)) \
-        if config.q > 1 else sorted(config.P_a)
+    support = sorted(set(prime_factors(config.q)) | set(config.P_a))
     shared = np.zeros(length, dtype=bool)
     first = np.array([(-start) % p for p in support], dtype=np.int64)
     _strike(shared, first, np.array(support, dtype=np.int64))
@@ -326,12 +325,12 @@ def _row_block(job):
     q_mod = _residues(config.Q, ps)
     ps, q_mod = ps[q_mod > 0], q_mod[q_mod > 0]     # p not dividing Q
     res = _residues(start + (r0 - 1) * config.Q, ps)
-    if spec is not None and spec.kind == "beatty":
+    if spec.kind == "beatty":
         def passes(c):
             return member(spec, c) and is_prime(c)
     else:
         def passes(c):
-            return is_prime(c) and (spec is None or member(spec, c))
+            return is_prime(c) and member(spec, c)
     per_row = []
     for r in range(r0, r1 + 1):
         base = r * config.Q + start
@@ -350,8 +349,10 @@ def _row_block(job):
     return per_row
 
 
-def sample_rows_census(config, interval, rows, spec=None, workers=1):
-    """Scan rows r = 1..rows of the matrix for good and bad primes.
+def sample_rows_census(config, interval, rows,
+                       spec=SpecialSetSpec.all_primes(), workers=1):
+    """Scan rows r = 1..rows of the matrix for good and bad primes of
+    spec's set, by default every prime.
 
     A prime at column i is good when i = a (mod q). Only columns
     coprime to Q can contribute primes beyond Q's own support, so the
@@ -403,7 +404,7 @@ def sample_rows_census(config, interval, rows, spec=None, workers=1):
             f"y = {config.y} and rows = {rows} put {top.bit_length()}-bit "
             f"entries in the matrix, beyond the supported primality range "
             f"(2^256); lower {knobs} or rows")
-    if spec is not None and spec.kind == "floorprod" and top >= MAX_SCAN_HI:
+    if spec.kind == "floorprod" and top >= MAX_SCAN_HI:
         raise RangeTooLarge(
             f"y = {config.y} and rows = {rows} put entries up to {top} in "
             f"the matrix, but floor-product membership is decided only "
@@ -576,17 +577,17 @@ def bound_report(config, X, spec):
 # end-to-end construction
 
 
-def run_construction(q, a, y=None, p0=None, yz=None, rows=1000, spec=None,
-                     X=10.0 ** 8, workers=1):
+def run_construction(q, a, y=None, p0=None, yz=None, rows=1000,
+                     spec=SpecialSetSpec.all_primes(), X=10.0 ** 8,
+                     workers=1):
     """Assemble a full construction: parameters, Q, interval, row census.
 
     Explicit y/p0/yz win over the chosen defaults. The carrier density
     in z and the bounds follows the set (carrier_F): floor products
     use f^{-1}(X) / log X, all other sets X / log X. Returns (config,
-    interval, census, bounds). workers bounds the processes of the row
-    census (sample_rows_census).
+    interval, census, bounds). spec defaults to every prime. workers
+    bounds the processes of the row census (sample_rows_census).
     """
-    spec = spec or SpecialSetSpec.all_primes()
     cls = classify_residue(a, q)
     chosen = choose_parameters(X, q, spec, y_override=y)
     y = chosen.y

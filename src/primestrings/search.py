@@ -10,8 +10,9 @@ segment size. _ordered_results is the package's one worker pool, for
 scan segments and Maier row blocks alike. The calling thread is one of
 the workers: it runs the first job and every workers-th job after it,
 and the others go to a pool of at most workers - 1 workers, never more
-than the jobs they hold. Scan segments run on threads: the sieve and
-the set masks are numpy work that releases the GIL, so a pool costs no
+than the jobs they hold, so at one worker the caller runs every job
+and no pool starts. Scan segments run on threads: the sieve and the
+set masks are numpy work that releases the GIL, so a pool costs no
 fork. Maier row blocks, one per worker, run on processes, since their
 BPSW tests on Python ints hold it. The one lock the threads meet is
 the sieve's, on its base-prime array. A first-hit scan runs its first
@@ -27,18 +28,19 @@ import math
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
 from .arith import euler_phi
 from .errors import InvalidModulus, InvalidQuery, InvalidRange, RangeTooLarge
-from .sieve import MAX_SCAN_HI, PROGRESS_EVERY, _segment_bounds
+from .sieve import (DEFAULT_SEGMENT_BYTES, MAX_SCAN_HI, PROGRESS_EVERY,
+                    _segment_bounds)
 from .special import SpecialSetSpec, member, special_primes
 
 log = logging.getLogger("primestrings.search")
 
-DEFAULT_SCAN_SEGMENT = 1 << 21
+DEFAULT_SCAN_SEGMENT = 2 * DEFAULT_SEGMENT_BYTES  # spans one sieve segment
 MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
 MAX_WORKERS = 64                # a process pool starts all its workers at once
 RUN_DTYPE = np.dtype([("start", np.int64), ("length", np.int64)])
@@ -126,15 +128,16 @@ def _ordered_results(task, jobs, workers, fork_first=False, *,
     the calling thread is one.
 
     The caller runs job 1 and every workers-th job after it (1, 1 + w,
-    1 + 2w, ...), and every job at one worker. The other jobs go to a
-    pool of at most workers - 1 workers, and no more than the pool's
-    jobs among those first drawn. The pool is an executor class, by
-    default ThreadPoolExecutor: a task that holds the GIL, such as
-    the Maier row blocks, passes ProcessPoolExecutor, and its jobs must
-    pickle. Before it blocks on a pool result, the caller runs its own
-    jobs drawn so far. Jobs are drawn lazily, at most 2 * workers ahead
-    of the consumer, so an early break leaves nothing queued; a job's
-    exception is raised in its turn, wherever the job ran.
+    1 + 2w, ...), which at one worker is every job. The other jobs go
+    to a pool of at most workers - 1 workers, and no more than the
+    pool's jobs among those first drawn, so one worker builds no pool.
+    The pool is an executor class, by default ThreadPoolExecutor: a
+    task that holds the GIL, such as the Maier row blocks, passes
+    ProcessPoolExecutor, and its jobs must pickle. Before it blocks on
+    a pool result, the caller runs its own jobs drawn so far. Jobs are
+    drawn lazily, at most 2 * workers ahead of the consumer, so an
+    early break leaves nothing queued; a job's exception is raised in
+    its turn, wherever the job ran.
 
     By default job 1 runs before any later job is drawn, so a scan
     settled by its first segment starts no pool. fork_first, for the
@@ -144,10 +147,6 @@ def _ordered_results(task, jobs, workers, fork_first=False, *,
     if not 1 <= workers <= MAX_WORKERS:
         raise InvalidQuery(f"need 1 to {MAX_WORKERS} workers, got {workers}")
     jobs = iter(jobs)
-    if workers == 1:
-        for job in jobs:
-            yield job, task(job)
-        return
     if not fork_first:
         for job in islice(jobs, 1):
             yield job, task(job)
@@ -155,8 +154,8 @@ def _ordered_results(task, jobs, workers, fork_first=False, *,
     jobs = enumerate(jobs, 0 if fork_first else 1)
     head = list(islice(jobs, 2 * workers - (not fork_first)))
     n_pool = sum(i % workers > 0 for i, _ in head)
-    if not n_pool:                   # at most one job, the caller's
-        for _, job in head:
+    if not n_pool:                   # one worker, or a one-job plan
+        for _, job in chain(head, jobs):
             yield job, task(job)
         return
     with executor(max_workers=min(workers - 1, n_pool)) as pool:
@@ -312,7 +311,7 @@ def residue_census(spec, X, q, workers=1,
         _progress(hi, segment_size, int(total.sum()))
     counts = {r: int(total[r]) for r in range(q)}
     coprime = [counts[r] for r in range(q) if math.gcd(r, q) == 1]
-    mean = sum(coprime) / len(coprime) if coprime else 0.0
+    mean = sum(coprime) / len(coprime)
     if mean > 0:
         max_ratio = max(coprime) / mean
         min_ratio = min(coprime) / mean

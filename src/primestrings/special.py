@@ -33,6 +33,7 @@ _CHUNK = 1 << 18           # widest span of values one mask kernel takes
 _FRAC_BITS = 40            # fraction bits kept in the int64 Beatty floors
 _MP_DPS = 50               # digits for floor-product floors near an integer
 _RISE_ERR = 2.0 ** -42     # GFamily.rise error bound / ((1 + B)(R + 1))
+_FLAG_TOL = 0.05           # validate_g's margin on each alpha condition
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +489,13 @@ def _log_growth_trend(samples):
     return len(ratios) > 1 and all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
-def validate_g(g, grid, tolerance=0.05):
+def validate_g(g, grid):
     """Fit growth exponents and evaluate the class conditions numerically.
 
     Requires at least 5 grid points spanning at least 3 decades. The
     derivative ratios are evaluated pointwise; headline estimates come
-    from the largest grid point.
+    from the largest grid point. The flags compare them with a margin of
+    _FLAG_TOL = 0.05, which the report records as its tolerance.
     """
     grid = sorted(float(x) for x in grid)
     if len(grid) < 5:
@@ -507,7 +509,7 @@ def validate_g(g, grid, tolerance=0.05):
         samples.append({"x": x, "alpha_g": a_g, "alpha_f": _fits(x, f),
                         "g": d[0], "dg": d[1], "second_order": f[2]})
     a1, a2, a3 = samples[-1]["alpha_g"]
-    tol = tolerance
+    tol = _FLAG_TOL
     flags = {
         "alpha1_positive": a1 > tol,
         "alpha2_nonnegative": a2 > -tol,

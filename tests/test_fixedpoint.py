@@ -1,26 +1,25 @@
 """Directed fixed-point constants: brackets and exact floors."""
 
-import math
-
 import pytest
 from mpmath import mp
 
 import _oracles
 from primestrings import IrrationalConstant, named_constant
 from primestrings.errors import PrecisionExhausted
-from primestrings.fixedpoint import reference_decimal
 
 NAMES = ("pi", "sqrt2", "e")
 _TRUE = {"pi": lambda: mp.pi, "sqrt2": lambda: mp.sqrt(2), "e": lambda: mp.e}
 
 
 def test_reference_digits_match_mpmath():
-    # every stored digit string agrees with mpmath to its full length
+    # every stored digit string agrees with mpmath to its full length:
+    # num/den is the string, one digit before the point
     with mp.workdps(140):
         for name in NAMES:
-            digits = reference_decimal(name).replace(".", "")
-            scaled = int(mp.floor(_TRUE[name]() * mp.mpf(10) ** (len(digits) - 1)))
-            assert int(digits) in (scaled, scaled + 1)  # truncated or rounded
+            c = named_constant(name)
+            assert c.den == 10 ** (len(str(c.num)) - 1)
+            scaled = int(mp.floor(_TRUE[name]() * c.den))
+            assert c.num in (scaled, scaled + 1)  # truncated or rounded
 
 
 def test_stored_value_within_declared_precision():
@@ -29,11 +28,6 @@ def test_stored_value_within_declared_precision():
             c = named_constant(name)
             err = abs(mp.mpf(c.num) / c.den - _TRUE[name]())
             assert err < mp.mpf(2) ** (-c.bits + 1)
-
-
-def test_float_view():
-    assert float(named_constant("pi")) == pytest.approx(math.pi, abs=1e-15)
-    assert float(named_constant("sqrt2")) == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
 def test_bounds_bracket_true_value():

@@ -512,6 +512,20 @@ def test_a_census_runs_one_block_per_worker(workers, blocks, monkeypatch):
     assert [row[0] for row in census.per_row] == list(range(1, 18))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_census_with_no_set_is_a_census_of_every_prime(workers):
+    # the default set is SpecialSetSpec.all_primes(), as everywhere else
+    kwargs = dict(y=20, yz=200, rows=6, workers=workers)
+    default = run_construction(5, 4, **kwargs)
+    assert json.dumps(census_json(*default)) == json.dumps(
+        census_json(*run_construction(5, 4, spec=ALL, **kwargs)))
+    config, interval = default[:2]
+    docs = {json.dumps(census_json(config, interval, sample_rows_census(
+                config, interval, 6, workers=workers, **spec)))
+            for spec in ({}, {"spec": ALL})}
+    assert len(docs) == 1
+
+
 @settings(database=None, max_examples=200)
 @given(st.one_of(
     st.just(0), st.integers(1, 2 ** 16 - 1), st.integers(2 ** 16, 2 ** 100),

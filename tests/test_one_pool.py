@@ -1,8 +1,8 @@
 """One place for each shared resource: the package builds its one worker
 pool in search, and lists base primes only through sieve._base_primes,
-which scan threads extend one at a time. Floor-product floors use no
-state that threads share: the package never sets mpmath's global
-precision."""
+which scan threads extend one at a time under the package's one lock.
+Floor-product floors use no state that threads share: the package
+never sets mpmath's global precision."""
 
 import ast
 import contextlib
@@ -31,6 +31,17 @@ def _callee(call):
     return _name(call.func)
 
 
+def _sites(found):
+    """file:line of every node of the package's sources that found
+    accepts, in file order."""
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    return [f"{path.name}:{node.lineno}"
+            for path in sources
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if found(node)]
+
+
 # what starts workers: both executor classes, the name search binds the
 # class its caller chose to, and the bare thread and process classes
 _POOL_BUILDERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "executor",
@@ -40,14 +51,23 @@ _POOL_BUILDERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "executor",
 def test_process_pool_is_built_only_in_search():
     # thread and process pools alike: maier names ProcessPoolExecutor
     # for search to build, and builds nothing itself
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
-    found = [f"{path.name}:{node.lineno}"
-             for path in sources
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Call)
-             and _callee(node) in _POOL_BUILDERS]
+    found = _sites(lambda node: isinstance(node, ast.Call)
+                   and _callee(node) in _POOL_BUILDERS)
     assert [site.split(":")[0] for site in found] == ["search.py"], found
+
+
+# what makes a synchronisation object, in threading and multiprocessing
+_SYNC_BUILDERS = {"Lock", "RLock", "Semaphore", "BoundedSemaphore",
+                  "Condition", "Event", "Barrier"}
+
+
+def test_src_makes_one_lock_in_sieve():
+    # the base-prime array's lock is the package's one synchronisation
+    # object: the pools settle results through futures, and the floors
+    # use a private mpmath context
+    found = _sites(lambda node: isinstance(node, ast.Call)
+                   and _callee(node) in _SYNC_BUILDERS)
+    assert [site.split(":")[0] for site in found] == ["sieve.py"], found
 
 
 def test_base_primes_are_listed_only_by_the_array():
@@ -61,11 +81,7 @@ def test_base_primes_are_listed_only_by_the_array():
                 and any(isinstance(sub, ast.Call) and _callee(sub) == "isqrt"
                         for sub in ast.walk(node.args[1])))
 
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if lists_base_primes(node)]
-    assert found == []
+    assert _sites(lists_base_primes) == []
 
 
 class _Occupancy:
@@ -210,10 +226,4 @@ def _sets_global_precision(node):
 def test_src_never_sets_mpmath_global_precision():
     # special's floors run in a private context whose precision is set
     # once; a global one is shared with every thread in the process
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
-    found = [f"{path.name}:{node.lineno}"
-             for path in sources
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if _sets_global_precision(node)]
-    assert found == []
+    assert _sites(_sets_global_precision) == []

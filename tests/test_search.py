@@ -13,7 +13,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import _oracles
-from primestrings import arith, search
+from primestrings import arith, search, sieve
 from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
                           StringHit, StringQuery, find_first_string,
                           hit_record, named_constant, residue_census,
@@ -194,6 +194,31 @@ def test_scan_plans_its_segments_lazily(monkeypatch):
         tracemalloc.stop()
     assert hit == StringHit(primes=[2, 3, 5], start_index=0)
     assert peak < 1 << 20
+
+
+def test_a_default_scan_segment_sieves_as_one_segment(b_pi, monkeypatch):
+    # a default scan segment spans the odds of one default sieve
+    # segment, so each set's primes there take one _sieve_segment call;
+    # so does a 10^6 window at 2^46
+    seg = search.DEFAULT_SCAN_SEGMENT
+    k = 10 ** 8 // seg
+    windows = [(1 + k * seg, 1 + (k + 1) * seg),
+               (1 << 46, (1 << 46) + 10 ** 6)]
+    for _, hi in windows:            # base primes grow in their own calls
+        sieve._base_primes(math.isqrt(hi - 1))
+    calls, real = [], sieve._sieve_segment
+
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(sieve, "_sieve_segment", counted)
+    floorprod = SpecialSetSpec.floor_product(GFamily.loglog())
+    for lo, hi in windows:
+        for spec in (ALL, b_pi, floorprod):
+            calls.clear()
+            special_primes(spec, lo, hi)
+            assert len(calls) == 1, (spec.descriptor(), lo, calls)
 
 
 # ----------------------------------------------------------- verification
@@ -383,6 +408,27 @@ def test_ordered_results_draws_jobs_as_the_pool_has_room():
     results = _ordered_results(lambda j: -j, itertools.count(5), workers=2)
     assert next(results) == (5, -5)
     results.close()
+
+
+def test_one_worker_runs_every_job_in_order_with_no_pool(monkeypatch):
+    # the caller's share, job 1 and every workers-th after it, is every
+    # job at one worker, so no pool is built; an endless plan is drawn
+    # at most 2 jobs ahead of the consumer
+    _pool_class(monkeypatch, _forbidden)
+    caller, drawn = threading.get_ident(), []
+
+    def jobs():
+        for j in itertools.count():
+            drawn.append(j)
+            yield j
+
+    for fork_first in (False, True):
+        drawn.clear()
+        results = _ordered_results(_thread, jobs(), 1, fork_first)
+        for j in range(6):
+            assert next(results) == (j, caller)
+            assert len(drawn) <= j + 1 + 2
+        results.close()
 
 
 def test_collect_run_primes_takes_the_first_k_across_blocks():

@@ -184,7 +184,7 @@ def test_beatty_slope_is_compared_with_1_on_its_bracket():
     # 1 + 10^-20 to 60 decimals lies above 1 on its 192-bit bracket,
     # though its float is 1.0: floor(n alpha) = n for n < 10^20
     just_above = _decimal("1." + "0" * 19 + "1" + "0" * 40)
-    assert float(just_above) == 1.0
+    assert just_above.num / just_above.den == 1.0
     spec = SpecialSetSpec.beatty(just_above)
     assert enumerate_special(spec, 1, 100).tolist() == list(range(1, 100))
     # a slope too large for a float: no m below it is a member
