@@ -275,8 +275,10 @@ def build_parser():
     p.add_argument("--x", type=parse_count, default=10 ** 8,
                    help="scale X used for default parameters and bounds")
     p.add_argument("--set", type=parse_set, default=SpecialSetSpec.all_primes())
-    common(p, workers_for("row blocks", "processes",
-                          "before the first block"))
+    common(p, f"workers N for the rows, split into up to N blocks, this "
+              f"process among them: it runs the first block, and a child "
+              f"forked before it (POSIX os.fork) runs each other block "
+              f"{cpus}")
     p.set_defaults(func=cmd_maier)
 
     p = sub.add_parser("counts", help="counting functions")

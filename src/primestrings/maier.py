@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +28,7 @@ from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
 from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _PRIMALITY_CEILING,
                     _base_primes, _strike, is_prime,
                     primality_is_deterministic, sieve_range)
-from .search import _good_runs, _ordered_results
+from .search import _ForkPool, _good_runs, _ordered_results
 from .special import member, SpecialSetSpec
 
 E_POW_E = math.exp(math.e)              # ~15.154, threshold for t
@@ -162,6 +161,12 @@ def build_Q(q, a, y, p0, t=None, yz_over_t=None):
     p <= y*z/t with p = a, again excluding p0 and divisors of q; t and
     yz_over_t are read only in that case.
     """
+    pa, tag = _prime_support(q, a, y, p0, t, yz_over_t)
+    return QProduct(Q=_product([q] + pa), P_a=tuple(pa), case=tag)
+
+
+def _prime_support(q, a, y, p0, t, yz_over_t):
+    """P_a, sorted, and the case tag of build_Q, before Q is built."""
     cls = classify_residue(a, q)
     if y < 2:
         raise ParameterDomain(f"y must be >= 2, got {y}")
@@ -187,8 +192,7 @@ def build_Q(q, a, y, p0, t=None, yz_over_t=None):
     if not pa:
         warnings.warn(f"P_a is empty for a={a}, q={q}, y={y}; Q = q",
                       EmptyProductWarning)
-    tag = "A_plus" if cls == "both" else cls
-    return QProduct(Q=_product([q] + pa), P_a=tuple(pa), case=tag)
+    return pa, "A_plus" if cls == "both" else cls
 
 
 @dataclass(frozen=True)
@@ -349,6 +353,20 @@ def _row_block(job):
     return per_row
 
 
+def _knobs(case_tag):
+    """The parameters that set Q's size: outside A±, Q also holds the
+    primes = a (mod q) up to yz/t."""
+    return "--yz, y" if case_tag == "other" else "y"
+
+
+def _beyond_primality(y, rows, bits, case_tag):
+    """The refusal of a matrix with bits-bit entries, past is_prime."""
+    return RangeExceeded(
+        f"y = {y} and rows = {rows} put {bits}-bit entries in the matrix, "
+        f"beyond the supported primality range (2^256); lower "
+        f"{_knobs(case_tag)} or rows")
+
+
 def sample_rows_census(config, interval, rows,
                        spec=SpecialSetSpec.all_primes(), workers=1):
     """Scan rows r = 1..rows of the matrix for good and bad primes of
@@ -363,12 +381,12 @@ def sample_rows_census(config, interval, rows,
     Rows are scanned through search._ordered_results, the package's one
     pool, in one block per worker: blocks of ceil(rows / workers) rows,
     so one block at one worker. The calling process runs the first
-    block and the pool's processes the others. The pool is a
-    ProcessPoolExecutor, not the scans' threads, since a block's BPSW
-    tests on Python ints hold the GIL. Since q | Q, the column masks
-    are the same in every row, so a block r0..r1 needs only its
-    presieve start, (start + (r0 - 1) Q) mod p for each presieve prime
-    p. per_row is the blocks' rows in order, and every total derives
+    block, and the pool forks one child for each other block
+    (search._ForkPool, POSIX os.fork), not the scans' threads, since a
+    block's BPSW tests on Python ints hold the GIL. Since q | Q, the
+    column masks are the same in every row, so a block r0..r1 needs
+    only its presieve start, (start + (r0 - 1) Q) mod p for each
+    presieve prime p. per_row is the blocks' rows in order, and every total derives
     from it, so the census does not depend on the worker count.
 
     Before any primality test, each row is presieved by the primes
@@ -397,23 +415,20 @@ def sample_rows_census(config, interval, rows,
             f"do not keep the column residues mod q")
     start, length = interval
     top = rows * config.Q + start + length - 1          # the largest entry
-    # outside A±, Q also holds the primes = a (mod q) up to yz/t
-    knobs = "--yz, y" if config.case_tag == "other" else "y"
     if top > _PRIMALITY_CEILING:
-        raise RangeExceeded(
-            f"y = {config.y} and rows = {rows} put {top.bit_length()}-bit "
-            f"entries in the matrix, beyond the supported primality range "
-            f"(2^256); lower {knobs} or rows")
+        raise _beyond_primality(config.y, rows, top.bit_length(),
+                                config.case_tag)
     if spec.kind == "floorprod" and top >= MAX_SCAN_HI:
         raise RangeTooLarge(
             f"y = {config.y} and rows = {rows} put entries up to {top} in "
             f"the matrix, but floor-product membership is decided only "
-            f"below 2^48 = {MAX_SCAN_HI}; lower {knobs} or rows")
+            f"below 2^48 = {MAX_SCAN_HI}; lower {_knobs(config.case_tag)} "
+            f"or rows")
     size = -(-rows // workers)
     jobs = ((config, interval, spec, r0, min(r0 + size - 1, rows))
             for r0 in range(1, rows + 1, size))
     results = _ordered_results(_row_block, jobs, workers, fork_first=True,
-                               executor=ProcessPoolExecutor)
+                               executor=_ForkPool)
     per_row = [row for _, block in results for row in block]
     columns = count_S_T(config, interval)
     _, goods, bads, bests = zip(*per_row)
@@ -588,6 +603,8 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000,
     interval, census, bounds). spec defaults to every prime. workers
     bounds the processes of the row census (sample_rows_census).
     """
+    if rows < 1:        # before the refusal below, which reads rows
+        raise InvalidQuery(f"rows must be >= 1, got {rows}")
     cls = classify_residue(a, q)
     chosen = choose_parameters(X, q, spec, y_override=y)
     y = chosen.y
@@ -606,7 +623,15 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000,
             f"a = {a} is not an A± residue mod {q}, so t is needed and y "
             f"must exceed e^e ~ {E_POW_E:.2f}; got y = {y}, use "
             f"--y {math.floor(E_POW_E) + 1} or more")
-    product = build_Q(q, a, y, p0, t=t, yz_over_t=yz / t if t else None)
+    pa, tag = _prime_support(q, a, y, p0, t, yz / t if t else None)
+    # each p is at least 2^(bit_length - 1), so the entries, all >= rows Q,
+    # have at least bits + rows.bit_length() bits: a Q past 2^256 is
+    # refused before it is multiplied out (sample_rows_census refuses
+    # the rest, with the exact count)
+    bits = sum(p.bit_length() - 1 for p in pa)
+    if bits >= 256:
+        raise _beyond_primality(y, rows, bits + rows.bit_length(), tag)
+    product = QProduct(Q=_product([q] + pa), P_a=tuple(pa), case=tag)
     config = make_config(q, a, y, p0, t, z, product)
     anchors, interval = anchored_interval(config, yz)
     census = sample_rows_census(config, interval, rows, spec=spec,

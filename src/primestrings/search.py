@@ -13,8 +13,10 @@ and the others go to a pool of at most workers - 1 workers, never more
 than the jobs they hold, so at one worker the caller runs every job
 and no pool starts. Scan segments run on threads: the sieve and the
 set masks are numpy work that releases the GIL, so a pool costs no
-fork. Maier row blocks, one per worker, run on processes, since their
-BPSW tests on Python ints hold it. The one lock the threads meet is
+fork. Maier row blocks, one per worker, run in processes, since their
+BPSW tests on Python ints hold it: _ForkPool forks one child per block
+(POSIX os.fork), so no process outlives the call and the package never
+loads multiprocessing. The one lock the threads meet is
 the sieve's, on its base-prime array. A first-hit scan runs its first
 segment before any pool starts; the calls that read every job
 (scan_all_strings, residue_census and the Maier row census) start the
@@ -25,6 +27,10 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import pickle
+import select
+import signal
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +39,8 @@ from itertools import chain, islice
 import numpy as np
 
 from .arith import euler_phi
-from .errors import InvalidModulus, InvalidQuery, InvalidRange, RangeTooLarge
+from .errors import (InvalidModulus, InvalidQuery, InvalidRange,
+                     PrimestringsError, RangeTooLarge)
 from .sieve import (DEFAULT_SEGMENT_BYTES, MAX_SCAN_HI, PROGRESS_EVERY,
                     _segment_bounds)
 from .special import SpecialSetSpec, member, special_primes
@@ -122,6 +129,96 @@ def _run_into(task, fut, job):
         fut.set_exception(exc)
 
 
+class _Forked:
+    """The future of one forked job: its child's pid and the read end of
+    its result pipe, both released by result() or cancel()."""
+
+    def __init__(self, pid, fd):
+        self._pid, self._pipe = pid, open(fd, "rb")
+
+    def done(self):
+        """Whether result() would not block: the child has written its
+        result, or closed the pipe without one."""
+        poll = select.poll()
+        poll.register(self._pipe, select.POLLIN)
+        return bool(poll.poll(0))
+
+    def result(self):
+        """Read the child's result and reap the child, then return the
+        result or raise the task's exception. A child that ends with no
+        result raises PrimestringsError with its exit status (negative:
+        the signal that ended it)."""
+        data = self._pipe.read()
+        status = self._reap()
+        if status or not data:
+            raise PrimestringsError(f"a forked worker ended with exit status "
+                                    f"{status} and no result")
+        ok, value = pickle.loads(data)
+        if ok:
+            return value
+        raise value
+
+    def cancel(self):
+        """Kill and reap the child, unless result() has reaped it."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self):
+        self._pipe.close()
+        status = os.waitpid(self._pid, 0)[1]
+        self._pid = None
+        return os.waitstatus_to_exitcode(status)
+
+
+class _ForkPool:
+    """An executor that runs each job in a child forked for it, for
+    tasks that hold the GIL. Job and task need not pickle; the result
+    and any exception must.
+
+    No child is reused and none waits for work, so the pool needs no
+    queue and no thread; max_workers is the executor signature's, and
+    submit forks at once. So it suits a plan of one job per worker, as
+    the Maier census is: _ordered_results then submits workers - 1
+    jobs. Leaving the pool kills and reaps every child whose result
+    was not read, so no process outlives it.
+    """
+
+    def __init__(self, max_workers):
+        self._children = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for child in self._children:
+            child.cancel()
+
+    def submit(self, task, job):
+        fd, child_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # the child pickles (True, result) or (False, exception) into
+            # the pipe and leaves by os._exit, which runs no atexit
+            # handler and flushes no stdio buffer copied from the parent;
+            # status 1 if it sent nothing (say, a result that won't pickle)
+            status = 1
+            try:
+                os.close(fd)
+                try:
+                    out = True, task(job)
+                except BaseException as exc:
+                    out = False, exc
+                with open(child_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(out))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(child_fd)
+        self._children.append(_Forked(pid, fd))
+        return self._children[-1]
+
+
 def _ordered_results(task, jobs, workers, fork_first=False, *,
                      executor=ThreadPoolExecutor):
     """Yield (job, task(job)) in job order, on workers workers of which
@@ -133,7 +230,7 @@ def _ordered_results(task, jobs, workers, fork_first=False, *,
     pool's jobs among those first drawn, so one worker builds no pool.
     The pool is an executor class, by default ThreadPoolExecutor: a
     task that holds the GIL, such as the Maier row blocks, passes
-    ProcessPoolExecutor, and its jobs must pickle. Before it blocks on
+    _ForkPool, and its results must pickle. Before it blocks on
     a pool result, the caller runs its own jobs drawn so far. Jobs are
     drawn lazily, at most 2 * workers ahead of the consumer, so an
     early break leaves nothing queued; a job's exception is raised in

@@ -382,6 +382,34 @@ def test_maier_non_a_pm_refusal_names_yz(capsys):
     assert "2^256); lower --yz, y or rows" in err
 
 
+def test_maier_refuses_a_q_past_2_256_before_it_is_multiplied_out(
+        capsys, monkeypatch):
+    # each p in P_a is at least 2^(bit_length - 1), so those exponents
+    # sum to less than log2 Q; at y = 1e7 they pass 256 and Q would
+    # have about 10^7 bits
+    products, real = [], maier._product
+
+    def spy(factors):
+        products.append(len(factors))
+        return real(factors)
+
+    monkeypatch.setattr(maier, "_product", spy)
+    code, out, err = run_cli(["maier", "--q", "5", "--a", "4", "--y", "1e7",
+                              "--yz", "1000", "--rows", "1",
+                              "--threads", "1"], capsys)
+    assert code == 4 and out == ""
+    assert re.fullmatch(r"error: y = 10000000 and rows = 1 put \d+-bit "
+                        r"entries in the matrix, beyond the supported "
+                        r"primality range \(2\^256\); lower y or rows\n",
+                        err)
+    assert products == []
+    # the spy is live: a Q below 2^256 is multiplied out
+    code, _, _ = run_cli(["maier", "--q", "5", "--a", "4", "--y", "20",
+                          "--yz", "200", "--rows", "2", "--threads", "1"],
+                         capsys)
+    assert code == 0 and len(products) == 1
+
+
 def test_maier_q_zero_exits_4(capsys):
     code, out, err = run_cli(["maier", "--q", "0", "--a", "1",
                               "--threads", "1"], capsys)
@@ -525,6 +553,38 @@ def test_mpmath_is_loaded_only_for_floor_products(desc, loads):
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"False {loads}"
+
+
+def test_cli_import_and_a_pooled_census_load_no_multiprocessing():
+    # the Maier row census forks its children itself, and scans use
+    # threads: concurrent.futures.process and multiprocessing stay out
+    code = ("import sys; import primestrings.cli as cli; "
+            "mods = ('multiprocessing', 'concurrent.futures.process'); "
+            "before = [m in sys.modules for m in mods]; "
+            "cli.main(['maier', '--q', '5', '--a', '4', '--y', '20', "
+            "'--yz', '200', '--rows', '4', '--threads', '2']); "
+            "print(before, [m in sys.modules for m in mods])")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False] [False, False]"
+
+
+def test_a_forked_worker_that_dies_exits_4(capsys, monkeypatch):
+    # a child that ends without a result names its exit status
+    real = maier._row_block
+
+    def dying(job):
+        if job[3] > 1:
+            os._exit(3)
+        return real(job)
+
+    monkeypatch.setattr(maier, "_row_block", dying)
+    code, out, err = run_cli(["maier", "--q", "5", "--a", "4", "--y", "20",
+                              "--yz", "200", "--rows", "4", "--threads",
+                              "2"], capsys)
+    assert code == 4 and out == ""
+    assert err == ("error: a forked worker ended with exit status 3 and "
+                   "no result\n")
 
 
 # ------------------------------------------------------------ manifest

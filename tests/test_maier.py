@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import operator
+import os
 import random
 import warnings
 
@@ -462,15 +463,26 @@ def test_one_two_and_three_workers_give_the_same_census(set_name, index,
 
 
 def test_one_worker_census_starts_no_process(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was built")
+    def no_fork():
+        raise AssertionError("a process was forked")
 
-    monkeypatch.setattr(maier, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     census = run_construction(5, 4, y=20, yz=200, rows=20, workers=1)[2]
     assert len(census.per_row) == 20
-    # the patch is live: at 2 workers the pool is built before any block
-    with pytest.raises(AssertionError, match="a process pool was built"):
+    # the patch is live: at 2 workers the pool forks before any block
+    with pytest.raises(AssertionError, match="a process was forked"):
         run_construction(5, 4, y=20, yz=200, rows=20, workers=2)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_census_forks_one_child_per_block_but_the_callers(workers,
+                                                            forked_pids):
+    # one block per worker: the caller runs the first, and one child
+    # forked for it runs each of the others (one worker: the test above)
+    census = run_construction(5, 4, y=20, yz=200, rows=20,
+                              workers=workers)[2]
+    assert len(forked_pids) == workers - 1
+    assert [row[0] for row in census.per_row] == list(range(1, 21))
 
 
 def test_one_worker_census_runs_one_block(monkeypatch):
@@ -550,7 +562,8 @@ def test_sample_rows_census_guards():
 def test_sample_rows_census_rejects_entries_beyond_primality_range(
         monkeypatch):
     # y = 300 makes Q a 296-bit product, so no entry can reach
-    # is_prime: the census stops before it builds the coprime mask
+    # is_prime: run_construction refuses it from P_a before it builds Q,
+    # so before the coprime mask, naming a lower bound on the bits
     masks = []
     mask = maier._coprime_mask
     monkeypatch.setattr(maier, "_coprime_mask",
@@ -566,6 +579,13 @@ def test_sample_rows_census_rejects_entries_beyond_primality_range(
     assert sample_rows_census(config, (2, 30), 1).rows_sampled == 1
     with pytest.raises(RangeExceeded, match="rows = 1"):
         sample_rows_census(config, (3, 30), 1)
+
+
+def test_a_construction_of_no_rows_is_refused_before_its_size():
+    # y = 300 puts Q past 2^256, which run_construction refuses before
+    # it builds Q, and with the row count in its message
+    with pytest.raises(InvalidQuery, match="^rows must be >= 1, got 0$"):
+        run_construction(5, 4, y=300, yz=2000, rows=0)
 
 
 def test_sample_rows_census_refuses_floorprod_entries_from_2_48():

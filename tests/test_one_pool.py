@@ -43,17 +43,19 @@ def _sites(found):
 
 
 # what starts workers: both executor classes, the name search binds the
-# class its caller chose to, and the bare thread and process classes
+# class its caller chose to, the bare thread and process classes, and
+# os.fork
 _POOL_BUILDERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "executor",
-                  "Thread", "Process", "Pool"}
+                  "Thread", "Process", "Pool", "fork"}
 
 
 def test_process_pool_is_built_only_in_search():
-    # thread and process pools alike: maier names ProcessPoolExecutor
-    # for search to build, and builds nothing itself
+    # thread pools and forks alike: maier names search._ForkPool for
+    # search to build, and builds nothing itself; search calls the
+    # executor class once and os.fork once, in _ForkPool.submit
     found = _sites(lambda node: isinstance(node, ast.Call)
                    and _callee(node) in _POOL_BUILDERS)
-    assert [site.split(":")[0] for site in found] == ["search.py"], found
+    assert [site.split(":")[0] for site in found] == ["search.py"] * 2, found
 
 
 # what makes a synchronisation object, in threading and multiprocessing

@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import signal
 import threading
+import time
 import tracemalloc
 from functools import lru_cache
 
@@ -13,13 +17,15 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import _oracles
+import conftest
 from primestrings import arith, search, sieve
 from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
                           StringHit, StringQuery, find_first_string,
                           hit_record, named_constant, residue_census,
                           scan_all_strings, sieve_range, special_primes,
                           verify_hit)
-from primestrings.errors import InvalidQuery, InvalidRange, RangeTooLarge
+from primestrings.errors import (InvalidQuery, InvalidRange, PrimestringsError,
+                                 RangeTooLarge)
 from primestrings.search import MAX_CENSUS_Q, _ordered_results
 from primestrings.sieve import MAX_SCAN_HI
 from primestrings.special import member
@@ -554,6 +560,114 @@ def test_a_callers_job_raises_in_its_turn_and_leaves_no_process():
             got.append(result)
     assert got == [0, 1]
     assert threading.enumerate() == before
+
+
+def _forked_results(task, workers):
+    """_ordered_results of task over one job per worker, as in a Maier
+    census: the caller runs job 0 and a forked child each other job."""
+    return _ordered_results(task, range(workers), workers, fork_first=True,
+                            executor=search._ForkPool)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_forked_jobs_error_is_raised_in_its_turn(workers, forked_pids):
+    # the last job fails in its child, after every earlier result
+    def task(job):
+        if job == workers - 1:
+            raise ValueError(f"job {job} failed in {os.getpid()}")
+        return os.getpid()
+
+    got = []
+    with pytest.raises(ValueError, match=f"job {workers - 1} failed") as err:
+        for job, pid in _forked_results(task, workers):
+            got.append(pid)
+    assert got == [os.getpid()] + forked_pids[:-1]
+    assert err.match(f"in {forked_pids[-1]}$")
+    assert not conftest.has_child()
+
+
+@pytest.mark.parametrize("end, status", [
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+])
+def test_a_child_that_ends_with_no_result_raises_its_status(end, status):
+    def task(job):
+        if job:
+            end()
+        return job
+
+    with pytest.raises(PrimestringsError,
+                       match=f"exit status {status} and no result$"):
+        list(_forked_results(task, 2))
+    assert not conftest.has_child()
+
+
+def test_an_error_in_the_callers_job_kills_the_children_at_once(
+        forked_pids):
+    # the children's jobs would take a minute: they are killed and
+    # reaped as the error leaves the pool, not waited for
+    def task(job):
+        if job == 0:
+            raise ValueError("the caller's job failed")
+        time.sleep(60)
+
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="caller's job failed"):
+        list(_forked_results(task, 3))
+    assert time.monotonic() - t0 < 30
+    assert len(forked_pids) == 2 and not conftest.has_child()
+
+
+def test_a_failed_fork_kills_the_children_forked_before_it(monkeypatch):
+    # the pool's exit, not _ordered_results, reaps a child whose future
+    # was never handed out: job 1's child, when job 2's fork fails
+    real = os.fork
+
+    def first_only():
+        monkeypatch.setattr(os, "fork", no_fork)
+        return real()
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    def task(job):
+        time.sleep(60)
+
+    monkeypatch.setattr(os, "fork", first_only)
+    t0 = time.monotonic()
+    with pytest.raises(OSError, match="fork refused"):
+        list(_forked_results(task, 3))
+    assert time.monotonic() - t0 < 30
+    assert not conftest.has_child()
+
+
+def test_the_leftover_check_sees_a_forked_child():
+    # the autouse fixture's check fails on a child that is running or
+    # has exited unreaped; multiprocessing.active_children() lists none
+    before = conftest.has_child(), set(threading.enumerate())
+    wait, release = os.pipe()
+    pid = os.fork()
+    if pid == 0:                     # runs until the parent releases it
+        try:
+            os.close(release)
+            os.read(wait, 1)
+        finally:
+            os._exit(0)
+    os.close(wait)
+    try:
+        assert multiprocessing.active_children() == []
+        with pytest.raises(AssertionError, match="still running or not "
+                                                 "reaped"):
+            conftest.check_none_left(*before)
+        os.close(release)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)    # not reaped
+        with pytest.raises(AssertionError, match="still running or not "
+                                                 "reaped"):
+            conftest.check_none_left(*before)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    conftest.check_none_left(*before)
 
 
 @pytest.mark.parametrize("segments", [1, 2, 3])
