@@ -277,8 +277,8 @@ def build_parser():
     p.add_argument("--set", type=parse_set, default=SpecialSetSpec.all_primes())
     common(p, f"workers N for the rows, split into up to N blocks, this "
               f"process among them: it runs the first block, and a child "
-              f"forked before it (POSIX os.fork) runs each other block "
-              f"{cpus}")
+              f"forked before it runs each other block (all of them here "
+              f"where os.fork is missing) {cpus}")
     p.set_defaults(func=cmd_maier)
 
     p = sub.add_parser("counts", help="counting functions")

@@ -28,7 +28,7 @@ from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
 from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _PRIMALITY_CEILING,
                     _base_primes, _strike, is_prime,
                     primality_is_deterministic, sieve_range)
-from .search import _ForkPool, _good_runs, _ordered_results
+from .search import _forked_results, _good_runs, check_workers
 from .special import member, SpecialSetSpec
 
 E_POW_E = math.exp(math.e)              # ~15.154, threshold for t
@@ -162,20 +162,23 @@ def build_Q(q, a, y, p0, t=None, yz_over_t=None):
     yz_over_t are read only in that case.
     """
     pa, tag = _prime_support(q, a, y, p0, t, yz_over_t)
+    pa = pa.tolist()
     return QProduct(Q=_product([q] + pa), P_a=tuple(pa), case=tag)
 
 
 def _prime_support(q, a, y, p0, t, yz_over_t):
-    """P_a, sorted, and the case tag of build_Q, before Q is built."""
+    """P_a as an ascending int64 array, and the case tag of build_Q."""
     cls = classify_residue(a, q)
     if y < 2:
         raise ParameterDomain(f"y must be >= 2, got {y}")
     if not is_prime(p0) or q % p0 == 0:
         raise ParameterDomain(f"p0 = {p0} must be a prime not dividing q")
-    a_mod = a % q
-    small = [int(p) for p in sieve_range(0, y + 1)]
+    one, a_mod = 1 % q, a % q
+    q_int64 = min(q, 1 << 62)           # p < 2^48, so p mod this is p mod q
+    small = sieve_range(0, y + 1)
+    res = small % q_int64
     if cls != "other":
-        pa = [p for p in small if p % q != 1 % q]
+        pa = small[res != one]
     else:
         if t is None:
             raise ParameterDomain("non-A± case needs t (y too small?)")
@@ -184,12 +187,13 @@ def _prime_support(q, a, y, p0, t, yz_over_t):
         if t > yz_over_t:
             raise ParameterDomain(
                 f"need t <= sqrt(y z): t = {t}, yz/t = {yz_over_t}")
-        pa = [p for p in small if p % q not in (1 % q, a_mod)]
-        pa += [p for p in small if p >= t and p % q == 1 % q]
-        wide = [int(p) for p in sieve_range(0, math.floor(yz_over_t) + 1)]
-        pa += [p for p in wide if p % q == a_mod]
-    pa = sorted({p for p in pa if p != p0 and q % p != 0})
-    if not pa:
+        wide = sieve_range(0, math.floor(yz_over_t) + 1)
+        pa = np.sort(np.concatenate([      # blocks of disjoint residues
+            small[(res != one) & (res != a_mod)],
+            small[(small >= t) & (res == one)],
+            wide[wide % q_int64 == a_mod]]))
+    pa = pa[(pa != p0) & ~np.isin(pa, prime_factors(q))]
+    if not pa.size:
         warnings.warn(f"P_a is empty for a={a}, q={q}, y={y}; Q = q",
                       EmptyProductWarning)
     return pa, "A_plus" if cls == "both" else cls
@@ -378,16 +382,14 @@ def sample_rows_census(config, interval, rows,
     residue i mod q, which holds for all rows exactly when q divides Q:
     S is one column mask, and a row's good runs are runs of S columns.
 
-    Rows are scanned through search._ordered_results, the package's one
-    pool, in one block per worker: blocks of ceil(rows / workers) rows,
-    so one block at one worker. The calling process runs the first
-    block, and the pool forks one child for each other block
-    (search._ForkPool, POSIX os.fork), not the scans' threads, since a
-    block's BPSW tests on Python ints hold the GIL. Since q | Q, the
+    Rows run in one block per worker, blocks of ceil(rows / workers)
+    rows, through search._forked_results: the calling process runs the
+    first block and a forked child each other one. Since q | Q, the
     column masks are the same in every row, so a block r0..r1 needs
     only its presieve start, (start + (r0 - 1) Q) mod p for each
-    presieve prime p. per_row is the blocks' rows in order, and every total derives
-    from it, so the census does not depend on the worker count.
+    presieve prime p. per_row is the blocks' rows in order, and every
+    total derives from it, so the census does not depend on the worker
+    count.
 
     Before any primality test, each row is presieved by the primes
     p <= _PRESIEVE_B = 2^16 that do not divide Q, read from the sieve's
@@ -409,6 +411,7 @@ def sample_rows_census(config, interval, rows,
     """
     if rows < 1:
         raise InvalidQuery(f"rows must be >= 1, got {rows}")
+    check_workers(workers)
     if config.Q % config.q != 0:
         raise ParameterDomain(
             f"Q = {config.Q} is not a multiple of q = {config.q}, so rows "
@@ -425,11 +428,10 @@ def sample_rows_census(config, interval, rows,
             f"below 2^48 = {MAX_SCAN_HI}; lower {_knobs(config.case_tag)} "
             f"or rows")
     size = -(-rows // workers)
-    jobs = ((config, interval, spec, r0, min(r0 + size - 1, rows))
-            for r0 in range(1, rows + 1, size))
-    results = _ordered_results(_row_block, jobs, workers, fork_first=True,
-                               executor=_ForkPool)
-    per_row = [row for _, block in results for row in block]
+    jobs = [(config, interval, spec, r0, min(r0 + size - 1, rows))
+            for r0 in range(1, rows + 1, size)]
+    per_row = [row for block in _forked_results(_row_block, jobs)
+               for row in block]
     columns = count_S_T(config, interval)
     _, goods, bads, bests = zip(*per_row)
     return MaierCensus(S_count=columns.S, T_count=columns.T,
@@ -624,13 +626,14 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000,
             f"must exceed e^e ~ {E_POW_E:.2f}; got y = {y}, use "
             f"--y {math.floor(E_POW_E) + 1} or more")
     pa, tag = _prime_support(q, a, y, p0, t, yz / t if t else None)
-    # each p is at least 2^(bit_length - 1), so the entries, all >= rows Q,
-    # have at least bits + rows.bit_length() bits: a Q past 2^256 is
-    # refused before it is multiplied out (sample_rows_census refuses
-    # the rest, with the exact count)
-    bits = sum(p.bit_length() - 1 for p in pa)
+    # each p is at least 2^(bit_length - 1), frexp's exponent of p, so
+    # the entries, all >= rows Q, have at least bits + rows.bit_length()
+    # bits: a Q past 2^256 is refused before P_a is listed and multiplied
+    # out (sample_rows_census refuses the rest, with the exact count)
+    bits = int((np.frexp(pa)[1] - 1).sum())
     if bits >= 256:
         raise _beyond_primality(y, rows, bits + rows.bit_length(), tag)
+    pa = pa.tolist()
     product = QProduct(Q=_product([q] + pa), P_a=tuple(pa), case=tag)
     config = make_config(q, a, y, p0, t, z, product)
     anchors, interval = anchored_interval(config, yz)

@@ -6,21 +6,15 @@ reports its runs of good primes as arrays plus its set-prime count,
 enough to splice runs across segment edges, and segments merge in
 ascending order. The merge is a pure function of the segment
 summaries, so results are identical for any worker count and any
-segment size. _ordered_results is the package's one worker pool, for
-scan segments and Maier row blocks alike. The calling thread is one of
-the workers: it runs the first job and every workers-th job after it,
-and the others go to a pool of at most workers - 1 workers, never more
-than the jobs they hold, so at one worker the caller runs every job
-and no pool starts. Scan segments run on threads: the sieve and the
-set masks are numpy work that releases the GIL, so a pool costs no
-fork. Maier row blocks, one per worker, run in processes, since their
-BPSW tests on Python ints hold it: _ForkPool forks one child per block
-(POSIX os.fork), so no process outlives the call and the package never
-loads multiprocessing. The one lock the threads meet is
-the sieve's, on its base-prime array. A first-hit scan runs its first
-segment before any pool starts; the calls that read every job
-(scan_all_strings, residue_census and the Maier row census) start the
-pool first, so its start overlaps the caller's first job.
+segment size. Workers run here in two forms, the caller one of
+them in each, and check_workers bounds both. Scan segments run on
+_ordered_results' thread pool: the sieve and the set masks are numpy
+work that releases the GIL, so threads cost no fork; the one lock they
+meet is the sieve's, on its base-prime array. Maier row blocks, one
+per worker, hold the GIL in their BPSW tests on Python ints, so
+_forked_results forks a child for each block but the caller's first:
+no process outlives the call, and the package never loads
+multiprocessing.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ import logging
 import math
 import os
 import pickle
-import select
 import signal
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -49,7 +42,7 @@ log = logging.getLogger("primestrings.search")
 
 DEFAULT_SCAN_SEGMENT = 2 * DEFAULT_SEGMENT_BYTES  # spans one sieve segment
 MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
-MAX_WORKERS = 64                # a process pool starts all its workers at once
+MAX_WORKERS = 64                # threads of a scan, children of a Maier census
 RUN_DTYPE = np.dtype([("start", np.int64), ("length", np.int64)])
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -129,120 +122,96 @@ def _run_into(task, fut, job):
         fut.set_exception(exc)
 
 
-class _Forked:
-    """The future of one forked job: its child's pid and the read end of
-    its result pipe, both released by result() or cancel()."""
-
-    def __init__(self, pid, fd):
-        self._pid, self._pipe = pid, open(fd, "rb")
-
-    def done(self):
-        """Whether result() would not block: the child has written its
-        result, or closed the pipe without one."""
-        poll = select.poll()
-        poll.register(self._pipe, select.POLLIN)
-        return bool(poll.poll(0))
-
-    def result(self):
-        """Read the child's result and reap the child, then return the
-        result or raise the task's exception. A child that ends with no
-        result raises PrimestringsError with its exit status (negative:
-        the signal that ended it)."""
-        data = self._pipe.read()
-        status = self._reap()
-        if status or not data:
-            raise PrimestringsError(f"a forked worker ended with exit status "
-                                    f"{status} and no result")
-        ok, value = pickle.loads(data)
-        if ok:
-            return value
-        raise value
-
-    def cancel(self):
-        """Kill and reap the child, unless result() has reaped it."""
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            self._reap()
-
-    def _reap(self):
-        self._pipe.close()
-        status = os.waitpid(self._pid, 0)[1]
-        self._pid = None
-        return os.waitstatus_to_exitcode(status)
+def check_workers(workers):
+    """Refuse a worker count outside 1..MAX_WORKERS, before any job runs."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise InvalidQuery(f"need 1 to {MAX_WORKERS} workers, got {workers}")
 
 
-class _ForkPool:
-    """An executor that runs each job in a child forked for it, for
-    tasks that hold the GIL. Job and task need not pickle; the result
-    and any exception must.
+def _forked_results(task, jobs):
+    """Yield task(job) for each of a list of jobs, in job order, for
+    tasks that hold the GIL; results and exceptions must pickle.
 
-    No child is reused and none waits for work, so the pool needs no
-    queue and no thread; max_workers is the executor signature's, and
-    submit forks at once. So it suits a plan of one job per worker, as
-    the Maier census is: _ordered_results then submits workers - 1
-    jobs. Leaving the pool kills and reaps every child whose result
-    was not read, so no process outlives it.
+    A child forked for each job after the first runs it, and then the
+    caller runs the first; where os.fork is missing, the caller runs
+    every job. In its turn the caller reads a child's result and reaps
+    it, then yields the result or raises the task's exception; a child
+    that exits nonzero or sends nothing raises PrimestringsError with
+    its exit status (negative: the signal that ended it). Leaving the
+    generator kills and reaps every child whose result was not read.
     """
-
-    def __init__(self, max_workers):
-        self._children = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        for child in self._children:
-            child.cancel()
-
-    def submit(self, task, job):
-        fd, child_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            # the child pickles (True, result) or (False, exception) into
-            # the pipe and leaves by os._exit, which runs no atexit
-            # handler and flushes no stdio buffer copied from the parent;
-            # status 1 if it sent nothing (say, a result that won't pickle)
-            status = 1
+    own = jobs[:1] if hasattr(os, "fork") else jobs
+    children = deque()               # (pid, pipe) of each child not reaped
+    try:
+        for job in jobs[len(own):]:
+            fd, child_fd = os.pipe()
             try:
+                pid = os.fork()
+            except OSError:
                 os.close(fd)
+                os.close(child_fd)
+                raise
+            if pid == 0:
+                # the child pickles (True, result) or (False, exception)
+                # into the pipe and leaves by os._exit, which runs no
+                # atexit handler and flushes no stdio buffer copied from
+                # the parent; status 1 if it sent nothing (say, a result
+                # that won't pickle)
+                status = 1
                 try:
-                    out = True, task(job)
-                except BaseException as exc:
-                    out = False, exc
-                with open(child_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(out))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(child_fd)
-        self._children.append(_Forked(pid, fd))
-        return self._children[-1]
+                    os.close(fd)
+                    try:
+                        out = True, task(job)
+                    except BaseException as exc:
+                        out = False, exc
+                    with open(child_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(out))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(child_fd)
+            children.append((pid, open(fd, "rb")))
+        for job in own:
+            yield task(job)
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.popleft()
+            pipe.close()
+            if status or not data:
+                raise PrimestringsError(f"a forked worker ended with exit "
+                                        f"status {status} and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
-def _ordered_results(task, jobs, workers, fork_first=False, *,
-                     executor=ThreadPoolExecutor):
+def _ordered_results(task, jobs, workers, fork_first=False):
     """Yield (job, task(job)) in job order, on workers workers of which
     the calling thread is one.
 
     The caller runs job 1 and every workers-th job after it (1, 1 + w,
     1 + 2w, ...), which at one worker is every job. The other jobs go
-    to a pool of at most workers - 1 workers, and no more than the
+    to a pool of at most workers - 1 threads, and no more than the
     pool's jobs among those first drawn, so one worker builds no pool.
-    The pool is an executor class, by default ThreadPoolExecutor: a
-    task that holds the GIL, such as the Maier row blocks, passes
-    _ForkPool, and its results must pickle. Before it blocks on
-    a pool result, the caller runs its own jobs drawn so far. Jobs are
-    drawn lazily, at most 2 * workers ahead of the consumer, so an
-    early break leaves nothing queued; a job's exception is raised in
-    its turn, wherever the job ran.
+    Before it blocks on a pool result, the caller runs its own jobs
+    drawn so far. Jobs are drawn lazily, at most 2 * workers ahead of
+    the consumer, so an early break leaves nothing queued; a job's
+    exception is raised in its turn, wherever the job ran.
 
     By default job 1 runs before any later job is drawn, so a scan
     settled by its first segment starts no pool. fork_first, for the
     callers that read every job, submits the pool's jobs before the
     caller runs job 1, so the pool's start overlaps that job.
     """
-    if not 1 <= workers <= MAX_WORKERS:
-        raise InvalidQuery(f"need 1 to {MAX_WORKERS} workers, got {workers}")
+    check_workers(workers)
     jobs = iter(jobs)
     if not fork_first:
         for job in islice(jobs, 1):
@@ -255,7 +224,7 @@ def _ordered_results(task, jobs, workers, fork_first=False, *,
         for _, job in chain(head, jobs):
             yield job, task(job)
         return
-    with executor(max_workers=min(workers - 1, n_pool)) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers - 1, n_pool)) as pool:
         own = deque()                # the caller's jobs not yet run
 
         def draw(i, job):

@@ -28,7 +28,10 @@ def has_child():
     """Whether this process has a child, running or exited and not yet
     reaped. os.waitid with WNOWAIT reaps nothing, and sees children
     started by os.fork, which multiprocessing.active_children() does
-    not list."""
+    not list. Where os.waitid is missing (macOS, Windows), False: there
+    the leftover check sees threads only."""
+    if not hasattr(os, "waitid"):
+        return False
     try:
         os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
     except ChildProcessError:

@@ -184,9 +184,7 @@ def test_threads_above_the_bound_exit_2_naming_it(capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned for a refused --threads")
 
-    monkeypatch.setitem(search._ordered_results.__kwdefaults__, "executor",
-                        no_scan)
-    for name in ("_segment_runs", "_segment_census"):
+    for name in ("ThreadPoolExecutor", "_segment_runs", "_segment_census"):
         monkeypatch.setattr(search, name, no_scan)
     for argv in (["census", "--q", "3", "--limit", "1e8"],
                  ["strings", "--k", "2", "--q", "3", "--a", "1",
@@ -567,6 +565,18 @@ def test_cli_import_and_a_pooled_census_load_no_multiprocessing():
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[False, False] [False, False]"
+
+
+def test_maier_without_os_fork_runs_every_block_in_this_process(
+        capsys, monkeypatch):
+    # where os.fork is missing the census runs its blocks in the caller,
+    # and the output does not depend on the worker count
+    argv = ["maier", "--q", "5", "--a", "4", "--y", "20", "--yz", "200",
+            "--rows", "4", "--threads"]
+    want = run_cli(argv + ["1"], capsys)
+    assert want[0] == 0 and want[2] == ""
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(argv + ["2"], capsys) == want
 
 
 def test_a_forked_worker_that_dies_exits_4(capsys, monkeypatch):

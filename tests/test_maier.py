@@ -9,6 +9,7 @@ import os
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
                                  InvalidQuery, ParameterDomain, RangeExceeded,
                                  RangeTooLarge)
 from primestrings.maier import _PRESIEVE_B, PHI_NOTE, X_FLOOR
+from primestrings.search import MAX_WORKERS
 from primestrings.sieve import MAX_SCAN_SPAN
 
 ALL = SpecialSetSpec.all_primes()
@@ -74,7 +76,15 @@ def test_build_q_empty_product_warns():
 
 
 def test_build_q_other_case_structure():
-    qq, a, y, p0, t, yzt = 5, 2, 20, 3, 7, 50
+    _check_other_case(5, 2, 20, 3, 7, 50)
+
+
+def test_build_q_other_case_structure_past_2_64():
+    # q and a past 2^64: P_a's residues and divisors of q stay exact
+    _check_other_case(15 << 70, (15 << 70) - 7, 40, 7, 7, 50)
+
+
+def _check_other_case(qq, a, y, p0, t, yzt):
     got = build_Q(qq, a, y, p0, t=t, yz_over_t=yzt)
     small = [int(p) for p in _oracles.simple_sieve(y)]
     wide = [int(p) for p in _oracles.simple_sieve(yzt)]
@@ -82,7 +92,7 @@ def test_build_q_other_case_structure():
     want |= {p for p in small if p >= t and p % qq == 1}
     want |= {p for p in wide if p % qq == a}
     want = {p for p in want if p != p0 and qq % p != 0}
-    assert set(got.P_a) == want
+    assert got.P_a == tuple(sorted(want))
     expect_q = qq
     for p in sorted(want):
         expect_q *= p
@@ -485,6 +495,17 @@ def test_a_census_forks_one_child_per_block_but_the_callers(workers,
     assert [row[0] for row in census.per_row] == list(range(1, 21))
 
 
+@pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
+def test_a_census_refuses_a_worker_count_out_of_bounds(workers,
+                                                       forked_pids):
+    # one row, so a census that missed the refusal would fork nothing
+    with pytest.raises(InvalidQuery,
+                       match=f"^need 1 to {MAX_WORKERS} workers, got "
+                             f"{workers}$"):
+        run_construction(5, 4, y=20, yz=200, rows=1, workers=workers)
+    assert forked_pids == []
+
+
 def test_one_worker_census_runs_one_block(monkeypatch):
     # one block builds the column masks and presieve residues once
     blocks = []
@@ -510,14 +531,12 @@ def test_a_census_runs_one_block_per_worker(workers, blocks, monkeypatch):
     # blocks of ceil(rows / workers) rows (one worker: the test above);
     # the spy runs them in the caller, so no process starts
     seen = []
-    real = maier._ordered_results
 
-    def spy(task, jobs, n, **kwargs):
-        jobs = list(jobs)
+    def spy(task, jobs):
         seen.extend(job[3:] for job in jobs)
-        return real(task, jobs, 1)
+        return [task(job) for job in jobs]
 
-    monkeypatch.setattr(maier, "_ordered_results", spy)
+    monkeypatch.setattr(maier, "_forked_results", spy)
     census = run_construction(5, 4, y=20, yz=200, rows=17,
                               workers=workers)[2]
     assert seen == blocks
@@ -579,6 +598,34 @@ def test_sample_rows_census_rejects_entries_beyond_primality_range(
     assert sample_rows_census(config, (2, 30), 1).rows_sampled == 1
     with pytest.raises(RangeExceeded, match="rows = 1"):
         sample_rows_census(config, (3, 30), 1)
+
+
+class _Unlisted(np.ndarray):
+    """An array that fails the test once it is listed or iterated over."""
+
+    def tolist(self):
+        raise AssertionError("a sieve output was listed")
+
+    def __iter__(self):
+        raise AssertionError("a sieve output was iterated over")
+
+
+def test_a_q_past_2_256_is_refused_while_p_a_is_an_array(monkeypatch):
+    # y = 1e7 sieves 664,579 primes: the bit sum over P_a is taken in
+    # numpy, so the refusal lists none of them as Python ints, and
+    # builds no Q
+    def no_product(factors):
+        raise AssertionError("Q was multiplied out")
+
+    real = maier.sieve_range
+    monkeypatch.setattr(maier, "sieve_range",
+                        lambda lo, hi: real(lo, hi).view(_Unlisted))
+    monkeypatch.setattr(maier, "_product", no_product)
+    with pytest.raises(RangeExceeded, match="^y = 10000000 and rows = 1 "):
+        run_construction(5, 4, y=10 ** 7, yz=1000, rows=1)
+    # the spy is live: a Q below 2^256 lists P_a, then builds Q
+    with pytest.raises(AssertionError, match="listed"):
+        run_construction(5, 4, y=20, yz=200, rows=1)
 
 
 def test_a_construction_of_no_rows_is_refused_before_its_size():

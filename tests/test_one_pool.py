@@ -42,17 +42,16 @@ def _sites(found):
             if found(node)]
 
 
-# what starts workers: both executor classes, the name search binds the
-# class its caller chose to, the bare thread and process classes, and
-# os.fork
-_POOL_BUILDERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "executor",
-                  "Thread", "Process", "Pool", "fork"}
+# what starts workers: both executor classes, the bare thread and
+# process classes, and os.fork
+_POOL_BUILDERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread",
+                  "Process", "Pool", "fork"}
 
 
 def test_process_pool_is_built_only_in_search():
-    # thread pools and forks alike: maier names search._ForkPool for
-    # search to build, and builds nothing itself; search calls the
-    # executor class once and os.fork once, in _ForkPool.submit
+    # thread pools and forks alike: maier calls search._forked_results
+    # and builds nothing itself; search builds ThreadPoolExecutor once,
+    # in _ordered_results, and calls os.fork once, in _forked_results
     found = _sites(lambda node: isinstance(node, ast.Call)
                    and _callee(node) in _POOL_BUILDERS)
     assert [site.split(":")[0] for site in found] == ["search.py"] * 2, found

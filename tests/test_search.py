@@ -459,10 +459,9 @@ def _raise_at_two(job):
 
 
 def _pool_class(monkeypatch, cls):
-    """Have _ordered_results build the pools it builds by default with
-    cls, in place of ThreadPoolExecutor."""
-    monkeypatch.setitem(search._ordered_results.__kwdefaults__, "executor",
-                        cls)
+    """Have _ordered_results build its pools with cls, in place of
+    ThreadPoolExecutor."""
+    monkeypatch.setattr(search, "ThreadPoolExecutor", cls)
 
 
 def _sized_pools(monkeypatch):
@@ -563,10 +562,10 @@ def test_a_callers_job_raises_in_its_turn_and_leaves_no_process():
 
 
 def _forked_results(task, workers):
-    """_ordered_results of task over one job per worker, as in a Maier
-    census: the caller runs job 0 and a forked child each other job."""
-    return _ordered_results(task, range(workers), workers, fork_first=True,
-                            executor=search._ForkPool)
+    """search._forked_results of task over one job per worker, as in a
+    Maier census: the caller runs job 0 and a forked child each other
+    job."""
+    return search._forked_results(task, range(workers))
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -579,7 +578,7 @@ def test_a_forked_jobs_error_is_raised_in_its_turn(workers, forked_pids):
 
     got = []
     with pytest.raises(ValueError, match=f"job {workers - 1} failed") as err:
-        for job, pid in _forked_results(task, workers):
+        for pid in _forked_results(task, workers):
             got.append(pid)
     assert got == [os.getpid()] + forked_pids[:-1]
     assert err.match(f"in {forked_pids[-1]}$")
@@ -602,6 +601,17 @@ def test_a_child_that_ends_with_no_result_raises_its_status(end, status):
     assert not conftest.has_child()
 
 
+def test_a_child_that_sends_its_result_but_exits_nonzero_raises(
+        monkeypatch):
+    # the child writes its whole result, then leaves with status 5: the
+    # child inherits the patched os._exit, which the parent never calls
+    real = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: real(5))
+    with pytest.raises(PrimestringsError, match="exit status 5 "):
+        list(_forked_results(lambda job: job, 2))
+    assert not conftest.has_child()
+
+
 def test_an_error_in_the_callers_job_kills_the_children_at_once(
         forked_pids):
     # the children's jobs would take a minute: they are killed and
@@ -619,8 +629,8 @@ def test_an_error_in_the_callers_job_kills_the_children_at_once(
 
 
 def test_a_failed_fork_kills_the_children_forked_before_it(monkeypatch):
-    # the pool's exit, not _ordered_results, reaps a child whose future
-    # was never handed out: job 1's child, when job 2's fork fails
+    # leaving the generator reaps a child whose result it never read:
+    # job 1's child, when job 2's fork fails
     real = os.fork
 
     def first_only():
@@ -639,6 +649,26 @@ def test_a_failed_fork_kills_the_children_forked_before_it(monkeypatch):
         list(_forked_results(task, 3))
     assert time.monotonic() - t0 < 30
     assert not conftest.has_child()
+
+
+def test_a_failed_fork_closes_its_pipe(monkeypatch):
+    pipes, real = [], os.pipe
+
+    def recorded():
+        pipes.extend(real())
+        return pipes[-2:]
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "pipe", recorded)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(OSError, match="fork refused"):
+        list(_forked_results(lambda job: job, 2))
+    assert len(pipes) == 2
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_the_leftover_check_sees_a_forked_child():
