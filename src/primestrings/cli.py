@@ -262,7 +262,8 @@ def build_parser():
     p.add_argument("--limit", type=parse_count, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p, workers_for("scan segments", "threads",
-                          "before the first segment"))
+                          "before the first segment") + "; a --set all "
+           "census that Lucy's programme counts runs in this process alone")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("maier", help="run a Maier-matrix construction")

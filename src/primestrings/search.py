@@ -14,7 +14,8 @@ meet is the sieve's, on its base-prime array. Maier row blocks, one
 per worker, hold the GIL in their BPSW tests on Python ints, so
 _forked_results forks a child for each block but the caller's first:
 no process outlives the call, and the package never loads
-multiprocessing.
+multiprocessing. A census of all primes within _prime_census's
+bounds is no scan: the caller counts it by Lucy's programme.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import os
 import pickle
 import signal
+import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,13 +37,15 @@ from .arith import euler_phi
 from .errors import (InvalidModulus, InvalidQuery, InvalidRange,
                      PrimestringsError, RangeTooLarge)
 from .sieve import (DEFAULT_SEGMENT_BYTES, MAX_SCAN_HI, PROGRESS_EVERY,
-                    _segment_bounds)
+                    _segment_bounds, sieve_range)
 from .special import SpecialSetSpec, member, special_primes
 
 log = logging.getLogger("primestrings.search")
 
 DEFAULT_SCAN_SEGMENT = 2 * DEFAULT_SEGMENT_BYTES  # spans one sieve segment
 MAX_CENSUS_Q = 10 ** 6          # largest modulus of a residue count
+# _prime_census's table cap: at q = 1 and X = 2^38 - 1 it took 2.5 s
+_CENSUS_CELLS = 1 << 20         # and peaked at 107 MB RSS (29 MB before)
 MAX_WORKERS = 64                # threads of a scan, children of a Maier census
 RUN_DTYPE = np.dtype([("start", np.int64), ("length", np.int64)])
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -137,8 +141,9 @@ def _forked_results(task, jobs):
     every job. In its turn the caller reads a child's result and reaps
     it, then yields the result or raises the task's exception; a child
     that exits nonzero or sends nothing raises PrimestringsError with
-    its exit status (negative: the signal that ended it). Leaving the
-    generator kills and reaps every child whose result was not read.
+    its exit status (negative: the signal that ended it) and whether it
+    sent its result. Leaving the generator kills and reaps every child
+    whose result was not read.
     """
     own = jobs[:1] if hasattr(os, "fork") else jobs
     children = deque()               # (pid, pipe) of each child not reaped
@@ -180,8 +185,9 @@ def _forked_results(task, jobs):
             children.popleft()
             pipe.close()
             if status or not data:
+                sent = "after sending its result" if data else "and no result"
                 raise PrimestringsError(f"a forked worker ended with exit "
-                                        f"status {status} and no result")
+                                        f"status {status} {sent}")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
@@ -355,9 +361,60 @@ class SetCensus:
         return "\n".join(lines) + "\n"
 
 
+def _prime_census(X, q):
+    """Counts of the primes <= X in each class mod q, as an int64 array.
+
+    Lucy's programme (Lagarias, Miller and Odlyzko, Math. Comp. 44,
+    1985): row v, for v = 0..isqrt(X) and v = X // i, counts per class
+    the n in [2, v] that are prime or have no prime factor below p, as p
+    runs over the primes <= y = floor(X^(1/3)). Left beside the primes
+    are the products p p' <= X of primes y < p <= p' (Deleglise and
+    Rivat, Math. Comp. 65, 1996), counted from one sieve to X // (y + 1).
+    """
+    r = math.isqrt(X)
+    y = round(X ** (1 / 3))
+    y -= y ** 3 > X                     # the float cube root, floored
+    vals = np.concatenate([np.arange(r + 1), X // np.arange(r, 0, -1)])
+    cls = np.arange(q)
+    table = (vals[:, None] + q - np.where(cls, cls, q)) // q
+    table[1:, 1 % q] -= 1               # n = 1, in every row but v = 0
+    big = X // (y + 1) + 1
+    primes = sieve_range(0, big)
+    top = 2 * r + 1                     # row v = X // i is top - i
+    for p in primes[:np.searchsorted(primes, y, "right")].tolist():
+        # n = p m, m in [p, v // p] free of primes below p, leave the rows
+        # v >= p^2, the table's last (v = p^2..r, then X // i, i = n..1):
+        # row v loses row v // p less row p - 1, class c' as class p c'
+        n = min(r, X // (p * p))
+        m = min(n, r // p)              # the rows X // i with i p <= r
+        src = np.concatenate([np.arange(p * p, r + 1) // p,
+                              X // (np.arange(n, m, -1) * p),
+                              np.arange(top - p * m, top, p)])
+        d = table.take(src, axis=0)     # faster here than table[src]
+        d -= table[p - 1]
+        if q % p:
+            table[top - src.size:] -= d[:, cls * pow(p, -1, q) % q]
+        else:
+            table[top - src.size:, ::p] -= d.reshape(-1, p, q // p).sum(1)
+    lo, hi = np.searchsorted(primes, [y, r], "right")
+    ps = primes[lo:hi]
+    keys = np.sort(primes % q * big + primes)
+    c = cls * big
+    n_pp = (np.searchsorted(keys, c + (X // ps)[:, None], "right")
+            - np.searchsorted(keys, c + ps[:, None], "left"))
+    pp = np.bincount((ps[:, None] * cls % q).ravel(), n_pp.ravel(), q)
+    return table[-1] - pp.astype(np.int64)
+
+
 def residue_census(spec, X, q, workers=1,
                    segment_size=DEFAULT_SCAN_SEGMENT):
-    """Count set-primes <= X in every residue class mod q <= MAX_CENSUS_Q."""
+    """Count set-primes <= X in every residue class mod q <= MAX_CENSUS_Q.
+
+    _prime_census counts the set all in the caller where its table fits
+    in _CENSUS_CELLS and (3 q)^4 <= X (its work grows as q X^(3/4); the
+    sieve at 2 workers was faster from q of about 16 at X = 1e6, 60 at
+    1e9). Every other census sieves its segments on workers workers.
+    """
     if q < 1:
         raise InvalidModulus(f"q must be >= 1, got {q}")
     if q > MAX_CENSUS_Q:
@@ -368,13 +425,21 @@ def residue_census(spec, X, q, workers=1,
     if X + 1 > MAX_SCAN_HI:
         raise RangeTooLarge(f"X = {X} must be below "
                             f"sieve.MAX_SCAN_HI = 2^48 = {MAX_SCAN_HI}")
-    jobs = ((spec, q, lo, hi)
-            for lo, hi in _segment_bounds(1, X + 1, segment_size))
-    total = np.zeros(q, dtype=np.int64)
-    for (*_, hi), counts in _ordered_results(_segment_census, jobs, workers,
-                                             fork_first=True):
-        total += counts
-        _progress(hi, segment_size, int(total.sum()))
+    check_workers(workers)
+    segments = _segment_bounds(1, X + 1, segment_size)  # refuses a bad size
+    if (spec.kind == "all" and (3 * q) ** 4 <= X
+            and q * (2 * math.isqrt(X) + 1) <= _CENSUS_CELLS):
+        t0 = time.perf_counter()
+        total = _prime_census(X, q)
+        log.info("counted primes <= %d mod %d by Lucy's programme and "
+                 "P2 in %.3f s", X, q, time.perf_counter() - t0)
+    else:
+        jobs = ((spec, q, lo, hi) for lo, hi in segments)
+        total = np.zeros(q, dtype=np.int64)
+        for (*_, hi), counts in _ordered_results(
+                _segment_census, jobs, workers, fork_first=True):
+            total += counts
+            _progress(hi, segment_size, int(total.sum()))
     counts = {r: int(total[r]) for r in range(q)}
     coprime = [counts[r] for r in range(q) if math.gcd(r, q) == 1]
     mean = sum(coprime) / len(coprime)
@@ -389,7 +454,8 @@ def residue_census(spec, X, q, workers=1,
 
 
 def count_primes_ap(X, q):
-    """Count primes p <= X in each residue class mod q <= MAX_CENSUS_Q."""
+    """Count primes p <= X in each residue class mod q <= MAX_CENSUS_Q,
+    by _prime_census wherever residue_census takes it."""
     return residue_census(SpecialSetSpec.all_primes(), X, q)
 
 

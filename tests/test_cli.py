@@ -184,7 +184,8 @@ def test_threads_above_the_bound_exit_2_naming_it(capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned for a refused --threads")
 
-    for name in ("ThreadPoolExecutor", "_segment_runs", "_segment_census"):
+    for name in ("ThreadPoolExecutor", "_segment_runs", "_segment_census",
+                 "_prime_census"):
         monkeypatch.setattr(search, name, no_scan)
     for argv in (["census", "--q", "3", "--limit", "1e8"],
                  ["strings", "--k", "2", "--q", "3", "--a", "1",
@@ -645,6 +646,21 @@ def test_manifest_on_maier_records_the_threads_bound(tmp_path, capsys):
     assert json.loads(m.read_text())["workers"] == 2
 
 
+def test_manifest_on_an_all_census_records_the_threads_bound(
+        tmp_path, capsys, monkeypatch):
+    # Lucy's programme counts it in this thread, and starts no pool
+    monkeypatch.setattr(search, "ThreadPoolExecutor", None)
+    m = tmp_path / "m.json"
+    argv = ["census", "--q", "7", "--limit", "1e7"]
+    code, serial, _ = run_cli(argv + ["--threads", "1"], capsys)
+    assert code == 0
+    code, out, _ = run_cli(argv + ["--threads", "2", "--manifest", str(m)],
+                           capsys)
+    assert code == 0 and out == serial
+    assert json.loads(out)["counts"]["0"] == 1
+    assert json.loads(m.read_text())["workers"] == 2
+
+
 def test_manifest_into_a_missing_directory_exits_4_after_the_result(
         tmp_path, capsys):
     argv = ["census", "--set", "beatty:pi", "--q", "7", "--limit", "100",
@@ -678,10 +694,20 @@ def test_census_verbose_logs_progress():
     # a child process: under pytest the root logger already has handlers,
     # so main's logging.basicConfig would not route INFO to stderr
     limit = PROGRESS_EVERY + 10 ** 6
+    proc = run_module(["--verbose", "census", "--set", "beatty:pi", "--q",
+                       "3", "--limit", str(limit), "--threads", "1"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["counts"] == {"0": 1, "1": 115_395,
+                                                 "2": 115_342}
+    assert (f"primestrings.search: scanned {limit} candidates, "
+            f"230738 set-primes") in proc.stderr.splitlines()
+    # the primes are counted by Lucy's programme, in one line and no scan
     proc = run_module(["--verbose", "census", "--q", "3", "--limit",
                        str(limit), "--threads", "1"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["counts"] == {"0": 1, "1": 363_181,
                                                  "2": 363_335}
-    assert (f"primestrings.search: scanned {limit} candidates, "
-            f"726517 set-primes") in proc.stderr.splitlines()
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(rf"primestrings\.search: counted primes <= {limit} "
+                        r"mod 3 by Lucy's programme and P2 in \d+\.\d{3} s",
+                        line), line

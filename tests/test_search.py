@@ -20,10 +20,10 @@ import _oracles
 import conftest
 from primestrings import arith, search, sieve
 from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
-                          StringHit, StringQuery, find_first_string,
-                          hit_record, named_constant, residue_census,
-                          scan_all_strings, sieve_range, special_primes,
-                          verify_hit)
+                          StringHit, StringQuery, count_primes_ap,
+                          find_first_string, hit_record, named_constant,
+                          residue_census, scan_all_strings, sieve_range,
+                          special_primes, verify_hit)
 from primestrings.errors import (InvalidQuery, InvalidRange, PrimestringsError,
                                  RangeTooLarge)
 from primestrings.search import MAX_CENSUS_Q, _ordered_results
@@ -185,6 +185,109 @@ def test_census_rejects_limits_outside_the_scan_range(b_pi, monkeypatch):
         residue_census(b_pi, MAX_SCAN_HI, 3)      # scans [1, X + 1)
 
 
+def sieve_census(X, qq, workers=1):
+    """Counts of the primes <= X mod qq by the segmented sieve census,
+    which a table cap of 0 cells leaves to every census."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_CENSUS_CELLS", 0)
+        census = residue_census(ALL, X, qq, workers=workers)
+    return [census.counts[r] for r in range(qq)]
+
+
+PRIMES_1500K = _oracles.simple_sieve(1_500_000)
+
+
+@st.composite
+def prime_census_cases(draw):
+    """X in [0, 3e6 + 1], most of them within 1 of an edge of the
+    programme: X < 8, p^2, p^3 or p p' for primes p <= p'."""
+    kind = draw(st.sampled_from(("small", "p^2", "p^3", "pp'", "any")))
+    if kind == "small":
+        X = draw(st.integers(0, 7))
+    elif kind == "any":
+        X = draw(st.integers(0, 3 * 10 ** 6))
+    else:
+        # the 34th prime is 139, 139^3 < 3e6; the 269th is 1723 < sqrt(3e6)
+        p = int(PRIMES_1500K[draw(st.integers(0, 33 if kind == "p^3"
+                                              else 268))])
+        lo, hi = np.searchsorted(PRIMES_1500K, [p, 3 * 10 ** 6 // p],
+                                 "right")
+        p2 = int(PRIMES_1500K[draw(st.integers(lo - 1, hi - 1))])
+        X = {"p^2": p * p, "p^3": p ** 3, "pp'": p * p2}[kind]
+        X = max(0, X + draw(st.integers(-1, 1)))
+    qq = draw(st.one_of(st.sampled_from((1, 2, 3, 4, 6, 7, 9, 30, 210)),
+                        st.integers(1, 64)))
+    return X, qq
+
+
+@seed(20144)
+@settings(database=None, deadline=None, max_examples=60)
+@given(prime_census_cases())
+@example((0, 1))
+@example((2_685_619, 210))           # 139^3, the largest q listed
+def test_prime_census_matches_the_sieve_census(case):
+    X, qq = case
+    assert search._prime_census(X, qq).tolist() == sieve_census(X, qq)
+
+
+def test_prime_census_at_1e9_matches_the_sieve_and_pi():
+    # pi(10^9) = 50,847,534 (published); the sieve census at 2 workers
+    # takes most of this test's 3 s, the programme 30 ms
+    assert count_primes_ap(10 ** 9, 1).counts == {0: 50_847_534}
+    got = search._prime_census(10 ** 9, 7).tolist()
+    assert sum(got) == 50_847_534
+    assert got == sieve_census(10 ** 9, 7, workers=2)
+
+
+def test_the_programme_counts_an_all_census_within_both_bounds(
+        b_pi, monkeypatch):
+    # (3 q)^4 <= X and q (2 isqrt(X) + 1) <= _CENSUS_CELLS, each at its
+    # edge: X = 81 * 7^4 = 441^2, and the table of that X fills the cap
+    calls = []
+    real = search._prime_census
+
+    def spy(X, qq):
+        calls.append((X, qq))
+        return real(X, qq)
+
+    monkeypatch.setattr(search, "_prime_census", spy)
+    X = 81 * 7 ** 4
+    cells = 7 * (2 * 441 + 1)
+    for spec, XX, cap, taken in ((ALL, X, cells, True),
+                                 (ALL, X - 1, cells, False),
+                                 (ALL, X, cells - 1, False),
+                                 (b_pi, X, cells, False),
+                                 (SpecialSetSpec.floor_product(
+                                     FLOORPROD["loglog"]), X, cells, False)):
+        calls.clear()
+        monkeypatch.setattr(search, "_CENSUS_CELLS", cap)
+        census = residue_census(spec, XX, 7)
+        assert calls == ([(XX, 7)] if taken else [])
+        if spec is ALL:
+            assert [census.counts[r] for r in range(7)] == \
+                sieve_census(XX, 7)
+
+
+def test_a_census_past_the_table_cap_never_builds_it(monkeypatch):
+    # at q = MAX_CENSUS_Q the table would take 2e9 cells at X = 1e6,
+    # and at q = 1 near 2^48, 2^25: both censuses sieve
+    def no_table(X, qq):
+        raise AssertionError("built a table past _CENSUS_CELLS")
+
+    class Sieved(Exception):
+        pass
+
+    def first_segment(args):
+        raise Sieved
+
+    monkeypatch.setattr(search, "_prime_census", no_table)
+    census = residue_census(ALL, 10 ** 6, MAX_CENSUS_Q)
+    assert sum(census.counts.values()) == 78_498
+    monkeypatch.setattr(search, "_segment_census", first_segment)
+    with pytest.raises(Sieved):
+        residue_census(ALL, MAX_SCAN_HI - 2, 1)
+
+
 def test_scan_plans_its_segments_lazily(monkeypatch):
     # limit 2^40 is 2^19 segments; a hit in the first one ends the scan
     # before the rest of the plan exists
@@ -274,6 +377,27 @@ def test_verify_hit_index_check_walks_segments(b_pi):
         tracemalloc.stop()
     assert ok
     assert peak < 12 * 2 ** 20
+
+
+def test_verify_hit_recounts_an_all_hit_by_lucys_programme(monkeypatch):
+    # 10^9 + 7 and 10^9 + 9 are twin primes, and pi(10^9 + 6) = pi(10^9)
+    # = 50,847,534: the recount takes the programme (30 ms), where the
+    # sieve census took 2.7 s at 2 workers
+    calls = []
+    real = search._prime_census
+
+    def spy(X, qq):
+        calls.append((X, qq))
+        return real(X, qq)
+
+    monkeypatch.setattr(search, "_prime_census", spy)
+    monkeypatch.setattr(search, "_segment_census", _forbidden)
+    query = q(ALL, 2, 2, 1, 10 ** 9 + 10)
+    twins = [10 ** 9 + 7, 10 ** 9 + 9]
+    assert verify_hit(query, StringHit(twins, 50_847_534), check_index=True)
+    assert not verify_hit(query, StringHit(twins, 50_847_535),
+                          check_index=True)
+    assert calls == [(10 ** 9 + 6, 1)] * 2
 
 
 # ------------------------------------------------------------ determinism
@@ -607,7 +731,9 @@ def test_a_child_that_sends_its_result_but_exits_nonzero_raises(
     # child inherits the patched os._exit, which the parent never calls
     real = os._exit
     monkeypatch.setattr(os, "_exit", lambda status: real(5))
-    with pytest.raises(PrimestringsError, match="exit status 5 "):
+    with pytest.raises(PrimestringsError,
+                       match="^a forked worker ended with exit status 5 "
+                             "after sending its result$"):
         list(_forked_results(lambda job: job, 2))
     assert not conftest.has_child()
 
@@ -742,10 +868,12 @@ def test_worker_counts_outside_1_to_the_bound_are_refused(b_pi,
     one_segment = q(b_pi, 2, 3, 1, 1000)
     hit = find_first_string(one_segment, workers=search.MAX_WORKERS)
     assert hit.primes == [31, 37]
-    for name in ("_segment_runs", "_segment_census"):
+    for name in ("_segment_runs", "_segment_census", "_prime_census"):
         monkeypatch.setattr(search, name, _forbidden)
     query = q(b_pi, 2, 3, 1, 10 ** 8)
     for workers in (0, search.MAX_WORKERS + 1):
+        with pytest.raises(InvalidQuery, match=str(search.MAX_WORKERS)):
+            residue_census(ALL, 10 ** 8, 3, workers=workers)
         with pytest.raises(InvalidQuery, match=str(search.MAX_WORKERS)):
             find_first_string(query, workers=workers)
         with pytest.raises(InvalidQuery, match=str(search.MAX_WORKERS)):
@@ -785,6 +913,8 @@ def test_segment_size_must_be_positive(b_pi, seg):
         scan_all_strings(query, segment_size=seg)
     with pytest.raises(InvalidRange):
         residue_census(b_pi, 1000, 3, segment_size=seg)
+    with pytest.raises(InvalidRange):
+        residue_census(ALL, 10 ** 6, 3, segment_size=seg)   # no segments
 
 
 # ---------------------------------------------------------------- records

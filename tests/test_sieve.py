@@ -15,8 +15,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import _oracles
-from primestrings import (SetCensus, count_primes_ap, is_prime, sieve,
-                          sieve_range)
+from primestrings import (SetCensus, count_primes_ap, is_prime, search,
+                          sieve, sieve_range)
 from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
 from primestrings.search import MAX_CENSUS_Q
@@ -362,18 +362,31 @@ def test_count_primes_ap_modulus_cap():
     assert peak < MAX_CENSUS_Q       # one int64 per residue is 8x that
 
 
-def test_count_primes_ap_walks_segments():
-    # the census holds one 2^21-wide segment at a time, not every prime
-    # up to X (a one-window sieve peaked at 10 MiB here)
-    tracemalloc.start()
-    try:
-        got = count_primes_ap(10 ** 7, 7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(got.counts.values()) == 664_579
-    assert got.counts[0] == 1            # 7 itself
-    assert peak < 6 * 2 ** 20
+def test_count_primes_ap_walks_segments(monkeypatch):
+    # at q = 60, past Lucy's programme ((3 q)^4 > X), the census holds one
+    # 2^21-wide segment at a time, not every prime up to X (a one-window
+    # sieve peaked at 10 MiB here); at q = 7 the programme sieves to
+    # X // 216 only and walks no segment
+    segments = []
+    real = search._segment_census
+
+    def spy(args):
+        segments.append(args)
+        return real(args)
+
+    monkeypatch.setattr(search, "_segment_census", spy)
+    for q, small, walks in ((60, (2, 3, 5), True), (7, (0,), False)):
+        segments.clear()
+        tracemalloc.start()
+        try:
+            got = count_primes_ap(10 ** 7, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(got.counts.values()) == 664_579
+        assert all(got.counts[r] == 1 for r in small)     # 2, 3, 5 or 7
+        assert peak < 6 * 2 ** 20
+        assert bool(segments) == walks
 
 
 def test_is_prime_small_agrees_with_trial_division():
