@@ -319,35 +319,22 @@ def _residues(n, ps):
     return r
 
 
-def _row_block(job):
-    """per_row of rows r0..r1 of the matrix. Picklable task.
-
-    The column masks and the presieve residues are rebuilt for the
-    block; the rows before it enter only through the presieve's start
-    residue, (start + (r0 - 1) Q) mod p.
+def _row_block(matrix, r0, r1):
+    """per_row of rows r0..r1, from the setup sample_rows_census builds
+    once, matrix = (Q, start, mask, s_mask, ps, q_mod, passes); earlier
+    rows enter only through the presieve start (start + (r0 - 1) Q) mod p.
     """
-    config, (start, length), spec, r0, r1 = job
-    mask = _coprime_mask(config, start, length)
-    s_mask = _s_mask(config, start, mask)
-    ps = _base_primes(_PRESIEVE_B)
-    q_mod = _residues(config.Q, ps)
-    ps, q_mod = ps[q_mod > 0], q_mod[q_mod > 0]     # p not dividing Q
-    res = _residues(start + (r0 - 1) * config.Q, ps)
-    if spec.kind == "beatty":
-        def passes(c):
-            return member(spec, c) and is_prime(c)
-    else:
-        def passes(c):
-            return is_prime(c) and member(spec, c)
+    Q, start, mask, s_mask, ps, q_mod, passes = matrix
+    res = _residues(start + (r0 - 1) * Q, ps)
     per_row = []
     for r in range(r0, r1 + 1):
-        base = r * config.Q + start
+        base = r * Q + start
         res = (res + q_mod) % ps                    # base mod p
         first = (ps - res) % ps                     # first column p divides
         if base <= _PRESIEVE_B:
             keep = base + first == ps               # the entry c = p
             first[keep] += ps[keep]
-        struck = np.zeros(length, dtype=bool)
+        struck = np.zeros(mask.size, dtype=bool)
         _strike(struck, first, ps)
         cols = [j for j in np.flatnonzero(mask & ~struck).tolist()
                 if passes(base + j)]
@@ -363,12 +350,11 @@ def _knobs(case_tag):
     return "--yz, y" if case_tag == "other" else "y"
 
 
-def _beyond_primality(y, rows, bits, case_tag):
+def _beyond_primality(y, rows, bits, lower):
     """The refusal of a matrix with bits-bit entries, past is_prime."""
     return RangeExceeded(
         f"y = {y} and rows = {rows} put {bits}-bit entries in the matrix, "
-        f"beyond the supported primality range (2^256); lower "
-        f"{_knobs(case_tag)} or rows")
+        f"beyond the supported primality range (2^256); lower {lower}")
 
 
 def sample_rows_census(config, interval, rows,
@@ -382,14 +368,15 @@ def sample_rows_census(config, interval, rows,
     residue i mod q, which holds for all rows exactly when q divides Q:
     S is one column mask, and a row's good runs are runs of S columns.
 
-    Rows run in one block per worker, blocks of ceil(rows / workers)
-    rows, through search._forked_results: the calling process runs the
-    first block and a forked child each other one. Since q | Q, the
-    column masks are the same in every row, so a block r0..r1 needs
-    only its presieve start, (start + (r0 - 1) Q) mod p for each
-    presieve prime p. per_row is the blocks' rows in order, and every
-    total derives from it, so the census does not depend on the worker
-    count.
+    The column masks, the presieve primes with Q mod p and the test
+    order are the same in every row, so they are built once, here.
+    Rows then run in one block per worker, blocks of ceil(rows /
+    workers) rows, through search._forked_results: the calling process
+    runs the first block and a forked child, which inherits the setup,
+    each other one. A block r0..r1 computes only its presieve start,
+    (start + (r0 - 1) Q) mod p for each presieve prime p. per_row is
+    the blocks' rows in order, and every total derives from it, so the
+    census does not depend on the worker count.
 
     Before any primality test, each row is presieved by the primes
     p <= _PRESIEVE_B = 2^16 that do not divide Q, read from the sieve's
@@ -418,23 +405,34 @@ def sample_rows_census(config, interval, rows,
             f"do not keep the column residues mod q")
     start, length = interval
     top = rows * config.Q + start + length - 1          # the largest entry
+    lower = f"{_knobs(config.case_tag)} or rows"
     if top > _PRIMALITY_CEILING:
-        raise _beyond_primality(config.y, rows, top.bit_length(),
-                                config.case_tag)
+        raise _beyond_primality(config.y, rows, top.bit_length(), lower)
     if spec.kind == "floorprod" and top >= MAX_SCAN_HI:
         raise RangeTooLarge(
             f"y = {config.y} and rows = {rows} put entries up to {top} in "
             f"the matrix, but floor-product membership is decided only "
-            f"below 2^48 = {MAX_SCAN_HI}; lower {_knobs(config.case_tag)} "
-            f"or rows")
+            f"below 2^48 = {MAX_SCAN_HI}; lower {lower}")
+    mask = _coprime_mask(config, start, length)
+    s_mask = _s_mask(config, start, mask)
+    ps = _base_primes(_PRESIEVE_B)
+    q_mod = _residues(config.Q, ps)
+    ps, q_mod = ps[q_mod > 0], q_mod[q_mod > 0]     # p not dividing Q
+    if spec.kind == "beatty":
+        def passes(c):
+            return member(spec, c) and is_prime(c)
+    else:
+        def passes(c):
+            return is_prime(c) and member(spec, c)
+    matrix = config.Q, start, mask, s_mask, ps, q_mod, passes
     size = -(-rows // workers)
-    jobs = [(config, interval, spec, r0, min(r0 + size - 1, rows))
-            for r0 in range(1, rows + 1, size)]
-    per_row = [row for block in _forked_results(_row_block, jobs)
-               for row in block]
-    columns = count_S_T(config, interval)
+    blocks = [(r0, min(r0 + size - 1, rows))
+              for r0 in range(1, rows + 1, size)]
+    results = _forked_results(lambda rs: _row_block(matrix, *rs), blocks)
+    per_row = [row for block in results for row in block]
+    s_count = int(s_mask.sum())
     _, goods, bads, bests = zip(*per_row)
-    return MaierCensus(S_count=columns.S, T_count=columns.T,
+    return MaierCensus(S_count=s_count, T_count=int(mask.sum()) - s_count,
                        rows_sampled=rows, per_row=per_row,
                        good_total=sum(goods), bad_total=sum(bads),
                        rows_with_bad=sum(map(bool, bads)),
@@ -629,10 +627,11 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000,
     # each p is at least 2^(bit_length - 1), frexp's exponent of p, so
     # the entries, all >= rows Q, have at least bits + rows.bit_length()
     # bits: a Q past 2^256 is refused before P_a is listed and multiplied
-    # out (sample_rows_census refuses the rest, with the exact count)
+    # out, and no row count helps (sample_rows_census refuses the rest)
     bits = int((np.frexp(pa)[1] - 1).sum())
     if bits >= 256:
-        raise _beyond_primality(y, rows, bits + rows.bit_length(), tag)
+        raise _beyond_primality(y, rows, bits + rows.bit_length(),
+                                _knobs(tag))
     pa = pa.tolist()
     product = QProduct(Q=_product([q] + pa), P_a=tuple(pa), case=tag)
     config = make_config(q, a, y, p0, t, z, product)

@@ -440,16 +440,16 @@ def residue_census(spec, X, q, workers=1,
                 _segment_census, jobs, workers, fork_first=True):
             total += counts
             _progress(hi, segment_size, int(total.sum()))
-    counts = {r: int(total[r]) for r in range(q)}
-    coprime = [counts[r] for r in range(q) if math.gcd(r, q) == 1]
-    mean = sum(coprime) / len(coprime)
+    coprime = total[np.gcd(np.arange(q), q) == 1]
+    mean = int(coprime.sum()) / coprime.size    # Python ints: one rounding
     if mean > 0:
-        max_ratio = max(coprime) / mean
-        min_ratio = min(coprime) / mean
+        max_ratio = int(coprime.max()) / mean
+        min_ratio = int(coprime.min()) / mean
     else:
         max_ratio = min_ratio = 0.0
     return SetCensus(set_descriptor=spec.descriptor(), X=X, q=q,
-                     counts=counts, phi=euler_phi(q), coprime_mean=mean,
+                     counts=dict(enumerate(total.tolist())),
+                     phi=euler_phi(q), coprime_mean=mean,
                      max_ratio=max_ratio, min_ratio=min_ratio)
 
 

@@ -24,6 +24,13 @@ def spf_100k():
     return _oracles.spf_sieve(100_000)
 
 
+# a test that forks a child, or watches one through os.waitid, runs
+# only where the platform has both
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "waitid")),
+    reason="needs os.fork and os.waitid")
+
+
 def has_child():
     """Whether this process has a child, running or exited and not yet
     reaped. os.waitid with WNOWAIT reaps nothing, and sees children
@@ -50,7 +57,8 @@ def check_none_left(had_child, threads):
 
 @pytest.fixture
 def forked_pids(monkeypatch):
-    """The pids of the children os.fork makes while the test runs."""
+    """The pids of the children os.fork makes while the test runs; a
+    test that takes it is marked needs_fork."""
     pids, real = [], os.fork
 
     def recorded():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import _oracles
+from conftest import needs_fork
 from primestrings import __version__, maier, search
 from primestrings.cli import (_one_line_warning, build_parser, main,
                               parse_set)
@@ -373,12 +374,13 @@ def test_maier_non_a_pm_needs_y_16(capsys):
 
 def test_maier_non_a_pm_refusal_names_yz(capsys):
     # outside A±, Q's size is set by the primes = a (mod q) up to yz/t,
-    # so at the least y = 16 and one row only a smaller --yz helps
+    # so at the least y = 16 only a smaller --yz helps; no row count
+    # brings an entry >= Q under 2^256
     code, out, err = run_cli(["maier", "--q", "7", "--a", "3", "--y", "16",
                               "--yz", "2000", "--rows", "1",
                               "--threads", "1"], capsys)
     assert code == 4 and out == ""
-    assert "2^256); lower --yz, y or rows" in err
+    assert err.endswith("2^256); lower --yz, y\n")
 
 
 def test_maier_refuses_a_q_past_2_256_before_it_is_multiplied_out(
@@ -399,7 +401,7 @@ def test_maier_refuses_a_q_past_2_256_before_it_is_multiplied_out(
     assert code == 4 and out == ""
     assert re.fullmatch(r"error: y = 10000000 and rows = 1 put \d+-bit "
                         r"entries in the matrix, beyond the supported "
-                        r"primality range \(2\^256\); lower y or rows\n",
+                        r"primality range \(2\^256\); lower y\n",
                         err)
     assert products == []
     # the spy is live: a Q below 2^256 is multiplied out
@@ -576,18 +578,19 @@ def test_maier_without_os_fork_runs_every_block_in_this_process(
             "--rows", "4", "--threads"]
     want = run_cli(argv + ["1"], capsys)
     assert want[0] == 0 and want[2] == ""
-    monkeypatch.delattr(os, "fork")
+    monkeypatch.delattr(os, "fork", raising=False)
     assert run_cli(argv + ["2"], capsys) == want
 
 
+@needs_fork
 def test_a_forked_worker_that_dies_exits_4(capsys, monkeypatch):
     # a child that ends without a result names its exit status
     real = maier._row_block
 
-    def dying(job):
-        if job[3] > 1:
+    def dying(matrix, r0, r1):
+        if r0 > 1:
             os._exit(3)
-        return real(job)
+        return real(matrix, r0, r1)
 
     monkeypatch.setattr(maier, "_row_block", dying)
     code, out, err = run_cli(["maier", "--q", "5", "--a", "4", "--y", "20",

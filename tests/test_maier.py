@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from conftest import needs_fork
 from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
                           bound_report, build_Q, carrier_F, case1_proxy,
                           census_json, choose_parameters, classify_residue,
@@ -472,6 +473,7 @@ def test_one_two_and_three_workers_give_the_same_census(set_name, index,
         assert len(docs) == 1
 
 
+@needs_fork
 def test_one_worker_census_starts_no_process(monkeypatch):
     def no_fork():
         raise AssertionError("a process was forked")
@@ -484,6 +486,7 @@ def test_one_worker_census_starts_no_process(monkeypatch):
         run_construction(5, 4, y=20, yz=200, rows=20, workers=2)
 
 
+@needs_fork
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_census_forks_one_child_per_block_but_the_callers(workers,
                                                             forked_pids):
@@ -495,6 +498,7 @@ def test_a_census_forks_one_child_per_block_but_the_callers(workers,
     assert [row[0] for row in census.per_row] == list(range(1, 21))
 
 
+@needs_fork
 @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
 def test_a_census_refuses_a_worker_count_out_of_bounds(workers,
                                                        forked_pids):
@@ -507,13 +511,13 @@ def test_a_census_refuses_a_worker_count_out_of_bounds(workers,
 
 
 def test_one_worker_census_runs_one_block(monkeypatch):
-    # one block builds the column masks and presieve residues once
+    # one block computes its presieve start residue once
     blocks = []
     real = maier._row_block
 
-    def spy(job):
-        blocks.append(job[3:])
-        return real(job)
+    def spy(matrix, r0, r1):
+        blocks.append((r0, r1))
+        return real(matrix, r0, r1)
 
     monkeypatch.setattr(maier, "_row_block", spy)
     census = run_construction(5, 4, y=20, yz=200, rows=20, workers=1)[2]
@@ -533,7 +537,7 @@ def test_a_census_runs_one_block_per_worker(workers, blocks, monkeypatch):
     seen = []
 
     def spy(task, jobs):
-        seen.extend(job[3:] for job in jobs)
+        seen.extend(jobs)
         return [task(job) for job in jobs]
 
     monkeypatch.setattr(maier, "_forked_results", spy)
@@ -541,6 +545,40 @@ def test_a_census_runs_one_block_per_worker(workers, blocks, monkeypatch):
                               workers=workers)[2]
     assert seen == blocks
     assert [row[0] for row in census.per_row] == list(range(1, 18))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_census_builds_its_setup_once(workers, monkeypatch):
+    # the caller builds the coprime mask and Q mod the presieve primes
+    # before any block runs; each block takes only its start residue.
+    # The blocks run here in the caller, so every call is seen
+    masks, residues = [], []
+    mask, res = maier._coprime_mask, maier._residues
+    monkeypatch.setattr(maier, "_coprime_mask",
+                        lambda *args: masks.append(args) or mask(*args))
+    monkeypatch.setattr(maier, "_residues",
+                        lambda n, ps: residues.append(n) or res(n, ps))
+    monkeypatch.setattr(maier, "_forked_results",
+                        lambda task, jobs: [task(job) for job in jobs])
+    config, (start, _), census, _ = run_construction(
+        5, 4, y=20, yz=200, rows=17, workers=workers)
+    size = -(-17 // workers)
+    assert len(masks) == 1
+    assert residues == [config.Q] + [start + (r0 - 1) * config.Q
+                                     for r0 in range(1, 18, size)]
+    assert len(census.per_row) == 17
+
+
+@pytest.mark.parametrize("q, a, case", [
+    (7, 1, "A_plus"), (5, 4, "A_minus"), (5, 2, "other")])
+def test_census_columns_equal_count_s_t(q, a, case):
+    # S_count and T_count are sums over the census's own column masks
+    config, interval, census, _ = run_construction(q, a, y=20, yz=200,
+                                                   rows=2)
+    st = count_S_T(config, interval)
+    assert config.case_tag == case
+    assert (census.S_count, census.T_count) == (st.S, st.T)
+    assert st.S > 0 and st.T > 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -582,14 +620,15 @@ def test_sample_rows_census_rejects_entries_beyond_primality_range(
         monkeypatch):
     # y = 300 makes Q a 296-bit product, so no entry can reach
     # is_prime: run_construction refuses it from P_a before it builds Q,
-    # so before the coprime mask, naming a lower bound on the bits
+    # so before the coprime mask, naming a lower bound on the bits and
+    # only y, since every entry is at least Q whatever the row count
     masks = []
     mask = maier._coprime_mask
     monkeypatch.setattr(maier, "_coprime_mask",
                         lambda *args: masks.append(args) or mask(*args))
     with pytest.raises(RangeExceeded, match=r"^y = 300 and rows = 1 put "
                        r"\d+-bit entries in the matrix, beyond the supported"
-                       r" primality range \(2\^256\); lower y or rows$"):
+                       r" primality range \(2\^256\); lower y$"):
         run_construction(5, 4, y=300, yz=2000, rows=1)
     assert masks == []
     # the largest entry rows*Q + start + length - 1 may be 2^256 itself

@@ -153,6 +153,21 @@ def test_census_modulus_cap(b_pi):
     assert peak < MAX_CENSUS_Q       # one int64 per residue is 8x that
 
 
+def test_census_statistics_at_the_largest_modulus():
+    # taken from the count array, the statistics equal the formulas on
+    # the counts dict to the last bit: a Python int mean, int max / min
+    census = residue_census(ALL, 3 * 10 ** 6, MAX_CENSUS_Q)
+    assert list(census.counts) == list(range(MAX_CENSUS_Q))
+    assert {type(c) for c in census.counts.values()} == {int}
+    coprime = [census.counts[r] for r in range(MAX_CENSUS_Q)
+               if math.gcd(r, MAX_CENSUS_Q) == 1]
+    mean = sum(coprime) / len(coprime)
+    got = census.coprime_mean, census.max_ratio, census.min_ratio
+    assert [type(x) for x in got] == [float] * 3
+    assert got == (mean, max(coprime) / mean, min(coprime) / mean)
+    assert census.max_ratio > 1 > census.min_ratio
+
+
 def test_census_csv():
     census = residue_census(ALL, 10, 3)
     text = census.to_csv()
@@ -692,6 +707,7 @@ def _forked_results(task, workers):
     return search._forked_results(task, range(workers))
 
 
+@conftest.needs_fork
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_forked_jobs_error_is_raised_in_its_turn(workers, forked_pids):
     # the last job fails in its child, after every earlier result
@@ -709,6 +725,7 @@ def test_a_forked_jobs_error_is_raised_in_its_turn(workers, forked_pids):
     assert not conftest.has_child()
 
 
+@conftest.needs_fork
 @pytest.mark.parametrize("end, status", [
     (lambda: os._exit(3), 3),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
@@ -725,6 +742,7 @@ def test_a_child_that_ends_with_no_result_raises_its_status(end, status):
     assert not conftest.has_child()
 
 
+@conftest.needs_fork
 def test_a_child_that_sends_its_result_but_exits_nonzero_raises(
         monkeypatch):
     # the child writes its whole result, then leaves with status 5: the
@@ -738,6 +756,7 @@ def test_a_child_that_sends_its_result_but_exits_nonzero_raises(
     assert not conftest.has_child()
 
 
+@conftest.needs_fork
 def test_an_error_in_the_callers_job_kills_the_children_at_once(
         forked_pids):
     # the children's jobs would take a minute: they are killed and
@@ -754,6 +773,7 @@ def test_an_error_in_the_callers_job_kills_the_children_at_once(
     assert len(forked_pids) == 2 and not conftest.has_child()
 
 
+@conftest.needs_fork
 def test_a_failed_fork_kills_the_children_forked_before_it(monkeypatch):
     # leaving the generator reaps a child whose result it never read:
     # job 1's child, when job 2's fork fails
@@ -777,6 +797,7 @@ def test_a_failed_fork_kills_the_children_forked_before_it(monkeypatch):
     assert not conftest.has_child()
 
 
+@conftest.needs_fork
 def test_a_failed_fork_closes_its_pipe(monkeypatch):
     pipes, real = [], os.pipe
 
@@ -797,6 +818,7 @@ def test_a_failed_fork_closes_its_pipe(monkeypatch):
             os.fstat(fd)
 
 
+@conftest.needs_fork
 def test_the_leftover_check_sees_a_forked_child():
     # the autouse fixture's check fails on a child that is running or
     # has exited unreaped; multiprocessing.active_children() lists none
