@@ -252,8 +252,9 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--all-runs", action="store_true",
                    help="emit every maximal run instead of the first hit")
-    common(p, workers_for("scan segments", "threads", "after the first "
-                          "segment, or before it under --all-runs"))
+    common(p, workers_for("scan segments", "threads", "before the first "
+                          "of them") + "; without --all-runs, this process "
+           "first walks segment 1 alone, in growing pieces, then the rest")
     p.set_defaults(func=cmd_strings)
 
     p = sub.add_parser("census", help="residue census of set-primes")

@@ -4,17 +4,17 @@ A string of length k is k consecutive members of the special-prime
 sequence, all congruent to a mod q. Scans are segmented: each segment
 reports its runs of good primes as arrays plus its set-prime count,
 enough to splice runs across segment edges, and segments merge in
-ascending order. The merge is a pure function of the segment
-summaries, so results are identical for any worker count and any
-segment size. Workers run here in two forms, the caller one of
-them in each, and check_workers bounds both. Scan segments run on
-_ordered_results' thread pool: the sieve and the set masks are numpy
-work that releases the GIL, so threads cost no fork; the one lock they
-meet is the sieve's, on its base-prime array. Maier row blocks, one
-per worker, hold the GIL in their BPSW tests on Python ints, so
-_forked_results forks a child for each block but the caller's first:
-no process outlives the call, and the package never loads
-multiprocessing. A census of all primes within _prime_census's
+ascending order. The merge is a pure function of the segment summaries,
+so results are identical for any worker count and any segment size. A
+first-hit scan walks its first segment in pieces. Workers run here in
+two forms, the caller one of them in each, and check_workers bounds
+both. Scan segments run on _ordered_results' thread pool: the sieve and
+the set masks are numpy work that releases the GIL, so threads cost no
+fork; the one lock they meet is the sieve's, on its base-prime array.
+Maier row blocks, one per worker, hold the GIL in their BPSW tests on
+Python ints, so _forked_results forks a child for each block but the
+caller's first: no process outlives the call, and the package never
+loads multiprocessing. A census of all primes within _prime_census's
 bounds is no scan: the caller counts it by Lucy's programme.
 """
 
@@ -33,7 +33,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import euler_phi, prime_factors
 from .errors import (InvalidModulus, InvalidQuery, InvalidRange,
                      PrimestringsError, RangeTooLarge)
 from .sieve import (DEFAULT_SEGMENT_BYTES, MAX_SCAN_HI, PROGRESS_EVERY,
@@ -199,7 +199,7 @@ def _forked_results(task, jobs):
             pipe.close()
 
 
-def _ordered_results(task, jobs, workers, fork_first=False):
+def _ordered_results(task, jobs, workers):
     """Yield (job, task(job)) in job order, on workers workers of which
     the calling thread is one.
 
@@ -207,24 +207,16 @@ def _ordered_results(task, jobs, workers, fork_first=False):
     1 + 2w, ...), which at one worker is every job. The other jobs go
     to a pool of at most workers - 1 threads, and no more than the
     pool's jobs among those first drawn, so one worker builds no pool.
-    Before it blocks on a pool result, the caller runs its own jobs
+    The pool's jobs are submitted before the caller runs job 1, and
+    before it blocks on a pool result the caller runs its own jobs
     drawn so far. Jobs are drawn lazily, at most 2 * workers ahead of
     the consumer, so an early break leaves nothing queued; a job's
     exception is raised in its turn, wherever the job ran.
-
-    By default job 1 runs before any later job is drawn, so a scan
-    settled by its first segment starts no pool. fork_first, for the
-    callers that read every job, submits the pool's jobs before the
-    caller runs job 1, so the pool's start overlaps that job.
     """
     check_workers(workers)
-    jobs = iter(jobs)
-    if not fork_first:
-        for job in islice(jobs, 1):
-            yield job, task(job)
     # the caller's jobs are those drawn at index 0 (mod workers)
-    jobs = enumerate(jobs, 0 if fork_first else 1)
-    head = list(islice(jobs, 2 * workers - (not fork_first)))
+    jobs = enumerate(jobs)
+    head = list(islice(jobs, 2 * workers))
     n_pool = sum(i % workers > 0 for i, _ in head)
     if not n_pool:                   # one worker, or a one-job plan
         for _, job in chain(head, jobs):
@@ -253,30 +245,41 @@ def _ordered_results(task, jobs, workers, fork_first=False):
                 fut.cancel()
 
 
-def _progress(hi, segment_size, n_set):
-    """Log about every PROGRESS_EVERY candidates: n_set set-primes < hi."""
-    if (hi - 1) % PROGRESS_EVERY < segment_size:
+def _progress(lo, hi, end, n_set):
+    """Log n_set set-primes < hi at each PROGRESS_EVERY and at end."""
+    if (lo - 1) // PROGRESS_EVERY < (hi - 1) // PROGRESS_EVERY or hi == end:
         log.info("scanned %d candidates, %d set-primes", hi - 1, n_set)
 
 
-def _runs(query, workers, segment_size, fork_first=False):
-    """Runs of good set-primes below the limit, spliced across segments.
+def _growing_bounds(lo, hi):
+    """Windows covering [lo, hi): 2^16 long, then each twice the last."""
+    size = 1 << 16
+    while lo < hi:
+        yield lo, min(lo + size, hi)
+        lo, size = lo + size, 2 * size
 
-    Yields (starts, lengths, ordinals, spliced) arrays for each segment
-    that holds set-primes, in ascending start order; ordinal counts the
-    set-primes before a run. Only a segment's first run can continue
-    the run open at the end of the segments before: it then takes that
-    run's start and ordinal and its length so far, and spliced is True,
-    as it supersedes the last run yielded. fork_first goes to
-    _ordered_results.
+
+def _runs(query, workers, pieces, segments):
+    """Runs of good set-primes below the limit, spliced across windows.
+
+    The windows run from 1 to the limit: pieces, which the caller walks
+    one by one, then segments, on _ordered_results' workers. Yields
+    (starts, lengths, ordinals, spliced) arrays for each window that
+    holds set-primes, in ascending start order; ordinal counts the
+    set-primes before a run. Only a window's first run can continue the
+    run open at the end of the windows before: it then takes that run's
+    start and ordinal and its length so far, and spliced is True, as it
+    supersedes the last run yielded.
     """
-    spec, q, a, limit = query.spec, query.q, query.a, query.limit
-    jobs = ((spec, q, a, lo, hi)
-            for lo, hi in _segment_bounds(1, limit, segment_size))
+    check_workers(workers)          # before the first piece
+    args = (query.spec, query.q, query.a)
+    walked = ((job, _segment_runs(job)) for job in (args + w for w in pieces))
+    pooled = _ordered_results(_segment_runs, (args + w for w in segments),
+                              workers)
     tail = None           # the run that reaches the last set-prime so far
-    n_set = 0             # set-primes in the segments before this one
-    for (*_, hi), (count, starts, lengths, ordinals) in _ordered_results(
-            _segment_runs, jobs, workers, fork_first):
+    n_set = 0             # set-primes in the windows before this one
+    for (*_, lo, hi), (count, starts, lengths, ordinals) in chain(
+            walked, pooled):
         if count:         # else no set-prime here, adjacency is preserved
             has_runs = lengths.size > 0
             spliced = has_runs and tail is not None and ordinals[0] == 0
@@ -289,20 +292,14 @@ def _runs(query, workers, segment_size, fork_first=False):
                 else None
             n_set += count
             yield starts, lengths, ordinals, spliced
-        _progress(hi, segment_size, n_set)
+        _progress(lo, hi, query.limit, n_set)
 
 
 def _collect_run_primes(spec, start, k, limit):
     """First k set-primes at/after start (they belong to one run)."""
-    out = []
-    lo = start
-    block = 1 << 16
-    while len(out) < k and lo < limit:
-        hi = min(lo + block, limit)
-        out += special_primes(spec, lo, hi)[:k - len(out)].tolist()
-        lo = hi
-        block *= 2
-    return out
+    blocks = (special_primes(spec, lo, hi).tolist()
+              for lo, hi in _growing_bounds(start, limit))
+    return list(islice(chain.from_iterable(blocks), k))
 
 
 def find_first_string(query, workers=1,
@@ -311,9 +308,13 @@ def find_first_string(query, workers=1,
 
     Ties and overlaps resolve to the smallest starting prime. Returns
     NotFound (a normal result, not an error) when the scan completes
-    without a hit.
+    without a hit. The first segment runs in _growing_bounds pieces: a
+    hit whose last prime p lies there sieves < 2 p + 2^16 integers.
     """
-    for starts, lengths, ordinals, _ in _runs(query, workers, segment_size):
+    first_end = min(query.limit, 1 + segment_size)
+    segments = _segment_bounds(first_end, query.limit, segment_size)
+    for starts, lengths, ordinals, _ in _runs(
+            query, workers, _growing_bounds(1, first_end), segments):
         hits = np.flatnonzero(lengths >= query.k)
         if hits.size:
             primes = _collect_run_primes(query.spec, int(starts[hits[0]]),
@@ -332,8 +333,8 @@ def scan_all_strings(query, workers=1,
     .tolist() gives the (start_prime, length) pairs.
     """
     parts = [np.empty(0, RUN_DTYPE)]
-    for starts, lengths, _, spliced in _runs(query, workers, segment_size,
-                                            fork_first=True):
+    segments = _segment_bounds(1, query.limit, segment_size)
+    for starts, lengths, _, spliced in _runs(query, workers, (), segments):
         if spliced:       # the run's last report was shorter
             parts[-1] = parts[-1][:-1]
         part = np.empty(starts.size, RUN_DTYPE)
@@ -406,6 +407,14 @@ def _prime_census(X, q):
     return table[-1] - pp.astype(np.int64)
 
 
+def _coprime_classes(q):
+    """Mask of the classes mod q prime to q: q's primes strike theirs."""
+    mask = np.ones(q, dtype=bool)
+    for p in prime_factors(q):
+        mask[::p] = False
+    return mask
+
+
 def residue_census(spec, X, q, workers=1,
                    segment_size=DEFAULT_SCAN_SEGMENT):
     """Count set-primes <= X in every residue class mod q <= MAX_CENSUS_Q.
@@ -436,11 +445,11 @@ def residue_census(spec, X, q, workers=1,
     else:
         jobs = ((spec, q, lo, hi) for lo, hi in segments)
         total = np.zeros(q, dtype=np.int64)
-        for (*_, hi), counts in _ordered_results(
-                _segment_census, jobs, workers, fork_first=True):
+        for (*_, lo, hi), counts in _ordered_results(
+                _segment_census, jobs, workers):
             total += counts
-            _progress(hi, segment_size, int(total.sum()))
-    coprime = total[np.gcd(np.arange(q), q) == 1]
+            _progress(lo, hi, X + 1, int(total.sum()))
+    coprime = total[_coprime_classes(q)]
     mean = int(coprime.sum()) / coprime.size    # Python ints: one rounding
     if mean > 0:
         max_ratio = int(coprime.max()) / mean

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -166,6 +167,12 @@ def test_census_statistics_at_the_largest_modulus():
     assert [type(x) for x in got] == [float] * 3
     assert got == (mean, max(coprime) / mean, min(coprime) / mean)
     assert census.max_ratio > 1 > census.min_ratio
+
+
+def test_coprime_classes_equal_the_gcd_mask():
+    for qq in [*range(1, 301), 999_983, 10 ** 6]:
+        want = np.gcd(np.arange(qq), qq) == 1
+        assert np.array_equal(search._coprime_classes(qq), want), qq
 
 
 def test_census_csv():
@@ -540,16 +547,12 @@ def test_ordered_results_draws_jobs_as_the_pool_has_room():
             drawn.append(j)
             yield j
 
-    for fork_first in (False, True):
-        drawn.clear()
-        results = _ordered_results(abs, jobs(), 2, fork_first)
-        assert [next(results) for _ in range(3)] == [(0, 0), (1, 1), (2, 2)]
-        results.close()              # an early break: the pool shuts down
-        assert len(drawn) <= 3 + 2 * 2
+    results = _ordered_results(abs, jobs(), 2)
+    assert [next(results) for _ in range(3)] == [(0, 0), (1, 1), (2, 2)]
+    results.close()                  # an early break: the pool shuts down
+    assert len(drawn) <= 3 + 2 * 2
     # a plan of one job starts no pool
-    for fork_first in (False, True):
-        assert list(_ordered_results(lambda j: -j, iter([7]), 2,
-                                     fork_first)) == [(7, -7)]
+    assert list(_ordered_results(lambda j: -j, iter([7]), 2)) == [(7, -7)]
     results = _ordered_results(lambda j: -j, itertools.count(5), workers=2)
     assert next(results) == (5, -5)
     results.close()
@@ -567,13 +570,11 @@ def test_one_worker_runs_every_job_in_order_with_no_pool(monkeypatch):
             drawn.append(j)
             yield j
 
-    for fork_first in (False, True):
-        drawn.clear()
-        results = _ordered_results(_thread, jobs(), 1, fork_first)
-        for j in range(6):
-            assert next(results) == (j, caller)
-            assert len(drawn) <= j + 1 + 2
-        results.close()
+    results = _ordered_results(_thread, jobs(), 1)
+    for j in range(6):
+        assert next(results) == (j, caller)
+        assert len(drawn) <= j + 1 + 2
+    results.close()
 
 
 def test_collect_run_primes_takes_the_first_k_across_blocks():
@@ -631,24 +632,21 @@ def test_pool_is_no_larger_than_the_jobs_it_holds(b_pi, monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_caller_runs_every_workers_th_job(workers, monkeypatch):
-    # a call that reads every job builds the pool before job 1 runs;
-    # by default job 1 runs first, and either way the caller runs the
+    # the pool is built before job 1 runs, and the caller runs the
     # jobs 1, 1 + w, ... (here numbered from 0)
     sizes = _sized_pools(monkeypatch)
     caller = threading.get_ident()
-    for fork_first, built in ((True, [workers - 1]), (False, [])):
-        sizes.clear()
-        results = _ordered_results(_thread, range(12), workers, fork_first)
-        assert next(results) == (0, caller)
-        assert sizes == built
-        threads = dict(results)
-        assert sizes == [workers - 1]
-        assert [j for j in threads if threads[j] == caller] == list(
-            range(workers, 12, workers))
+    results = _ordered_results(_thread, range(12), workers)
+    assert next(results) == (0, caller)
+    assert sizes == [workers - 1]
+    threads = dict(results)
+    assert sizes == [workers - 1]
+    assert [j for j in threads if threads[j] == caller] == list(
+        range(workers, 12, workers))
 
 
 def test_first_string_runs_segment_1_before_any_fork(monkeypatch):
-    # the caller's segments and the pool's start, in the caller's order
+    # the caller's windows and the pool's start, in the caller's order
     caller, noted = threading.get_ident(), []
     real_pool, real_runs = search.ThreadPoolExecutor, search._segment_runs
 
@@ -664,12 +662,14 @@ def test_first_string_runs_segment_1_before_any_fork(monkeypatch):
     _pool_class(monkeypatch, noted_pool)
     monkeypatch.setattr(search, "_segment_runs", noted_runs)
     query = q(ALL, 1, 7, 6, 3_000)
-    # 13 is the first prime = 6 (mod 7), in the third segment, the
-    # caller's; the caller ran the first before the pool was built, and
-    # may run its next one (at 25) while it waits on the second
+    # 13 is the first prime = 6 (mod 7), in the third segment; the
+    # caller walked the first before the pool was built, the pool was
+    # built before the caller's first pooled job, the second segment
+    # (at 7), and the third is the pool's
     hit = find_first_string(query, workers=2, segment_size=6)
     assert hit.primes == [13]
-    assert noted[:3] == [1, "pool", 13]
+    assert noted[:3] == [1, "pool", 7]
+    assert 13 not in noted
     # a scan that reads every segment builds the pool first
     noted.clear()
     scan_all_strings(query, workers=2, segment_size=1_000)
@@ -693,8 +693,7 @@ def test_a_callers_job_raises_in_its_turn_and_leaves_no_process():
     got, before = [], threading.enumerate()
     with pytest.raises(ValueError,
                        match=f"failed in {threading.get_ident()}$"):
-        for job, result in _ordered_results(_raise_at_two, range(8), 2,
-                                            fork_first=True):
+        for job, result in _ordered_results(_raise_at_two, range(8), 2):
             got.append(result)
     assert got == [0, 1]
     assert threading.enumerate() == before
@@ -922,6 +921,99 @@ def test_first_string_stops_at_the_segment_it_reaches_k(monkeypatch):
                                 segment_size=1000)
         assert hit.primes == [3, 5, 7]
         assert len(calls) == 1
+
+
+def _windows_scanned(monkeypatch):
+    """Record the window (lo, hi) of each _segment_runs call, and run it."""
+    windows = []
+    real = search._segment_runs
+
+    def noted(args):
+        windows.append(tuple(args[3:]))
+        return real(args)
+
+    monkeypatch.setattr(search, "_segment_runs", noted)
+    return windows
+
+
+@pytest.mark.parametrize("seg, limit", [
+    (1, 2), (1, 50), (7, 5), (7, 8), (7, 9), (7, 100),
+    (2 ** 16 - 1, 1_000), (2 ** 16 - 1, 3 * 2 ** 16),
+    (2 ** 16, 2 ** 16 + 1), (2 ** 16, 2 ** 16 + 2), (2 ** 16, 3 * 2 ** 16),
+    (2 ** 16 + 1, 2 ** 16 + 2), (2 ** 16 + 1, 2 ** 16 + 3),
+    (2 ** 16 + 1, 5 * 2 ** 16), (2 ** 18, 2 ** 17 + 5),
+    (2 ** 18, 2 ** 18 + 1), (2 ** 18, 5 * 2 ** 17),
+    (search.DEFAULT_SCAN_SEGMENT, 10 ** 6),
+    (search.DEFAULT_SCAN_SEGMENT, search.DEFAULT_SCAN_SEGMENT + 1),
+    (search.DEFAULT_SCAN_SEGMENT, search.DEFAULT_SCAN_SEGMENT + 10 ** 5)])
+def test_first_hit_windows_tile_the_range(seg, limit, monkeypatch):
+    # the odd primes form one run, too short for k, so the scan reads
+    # every window: pieces of the first segment [1, 1 + seg), the first
+    # 2^16 long and each next twice the one before but the last, which
+    # ends the segment; then the segments after it, as a scan of every
+    # segment reads them
+    windows = _windows_scanned(monkeypatch)
+    hit = find_first_string(q(ALL, 10 ** 6, 2, 1, limit), segment_size=seg)
+    assert isinstance(hit, NotFound)
+    end = min(limit, 1 + seg)
+    pieces = [w for w in windows if w[1] <= end]
+    sizes = [hi - lo for lo, hi in pieces]
+    assert pieces[0][0] == 1 and pieces[-1][1] == end
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    assert sizes[0] == min(2 ** 16, end - 1)
+    assert sizes[1:-1] == [2 * size for size in sizes[:-2]]
+    assert len(sizes) == 1 or 0 < sizes[-1] <= 2 * sizes[-2]
+    assert windows[len(pieces):] == [(lo, min(lo + seg, limit))
+                                     for lo in range(1 + seg, limit, seg)]
+
+
+@pytest.mark.parametrize("name, k, qq, a", [
+    # hits in each piece of a 2^18 segment, past it, spliced runs of odd
+    # primes across pieces and segments, and no hit
+    ("all", 3, 3, 2), ("all", 3, 7, 5), ("all", 3, 11, 5), ("all", 3, 11, 1),
+    ("all", 8_000, 2, 1), ("all", 30_000, 2, 1), ("all", 4, 11, 4),
+    ("pi", 2_000, 2, 1), ("pi", 3, 7, 5), ("pi", 8_000, 2, 1),
+    ("pi", 4, 7, 3), ("pi", 5, 7, 1)])
+def test_first_hit_over_growing_pieces_matches_oracle(name, k, qq, a):
+    limit = 10 ** 6
+    spec, set_primes = spec_and_oracle_primes(name, limit)
+    want = _oracles.first_k_run(set_primes, k, qq, a)
+    for workers in (1, 2, 3):
+        hit = find_first_string(q(spec, k, qq, a, limit), workers=workers,
+                                segment_size=2 ** 18)
+        if want is None:
+            assert isinstance(hit, NotFound)
+        else:
+            assert (hit.start_index, hit.primes) == want
+
+
+@pytest.mark.parametrize("k, qq, a", [(3, 3, 2), (3, 7, 5), (3, 11, 5),
+                                      (3, 11, 6), (3, 11, 2), (4, 11, 2)])
+def test_a_hit_in_segment_1_sieves_about_twice_its_last_prime(
+        k, qq, a, monkeypatch):
+    # hits whose last prime p lies in each piece of the default first
+    # segment: the piece holding p is at most 2^16 longer than twice
+    # the pieces before it, which end at or below p, so the walk sieves
+    # fewer than 2 p + 2^16 integers, and builds no pool
+    windows = _windows_scanned(monkeypatch)
+    _pool_class(monkeypatch, _forbidden)
+    hit = find_first_string(q(ALL, k, qq, a, 10 ** 7), workers=2)
+    p = hit.primes[-1]
+    assert p < 1 + search.DEFAULT_SCAN_SEGMENT
+    assert sum(hi - lo for lo, hi in windows) < 2 * p + 2 ** 16
+
+
+def test_a_first_hit_scan_logs_each_ten_millionth_candidate(b_pi, caplog):
+    # the golden string lies past 2 * 10^7: one line for each window
+    # that holds a multiple of PROGRESS_EVERY, none for the first
+    # segment's pieces and none for the window of the hit
+    caplog.set_level(logging.INFO, logger="primestrings.search")
+    hit = find_first_string(q(b_pi, 6, 7, 5, 30_000_000), workers=2)
+    assert hit.primes[0] == 26402437
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "primestrings.search"] == [
+        "scanned 10485760 candidates, 220660 set-primes",
+        "scanned 20971520 candidates, 421516 set-primes"]
 
 
 @pytest.mark.parametrize("seg", [0, -5])
