@@ -17,6 +17,7 @@ import os
 import sys
 import time
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +33,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_FOUND = 3
 EXIT_ERROR = 4
+
+_CHUNK_ROWS = 1 << 15  # rows of --all-runs text built at once: cache-sized
 
 
 def parse_finite(text):
@@ -116,10 +119,14 @@ def parse_set(text):
 
 
 def _emit(args, text, argv, t0, workers=1):
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-    if getattr(args, "manifest", None):
+    """Write text, one str or an iterable of str pieces, to stdout."""
+    path = getattr(args, "manifest", None)
+    digest = hashlib.sha256()
+    for piece in [text] if isinstance(text, str) else text:
+        sys.stdout.write(piece)
+        if path:
+            digest.update(piece.encode())
+    if path:
         params = {k: repr(v) for k, v in sorted(vars(args).items())
                   if k not in ("func", "manifest")}
         manifest = {
@@ -129,15 +136,42 @@ def _emit(args, text, argv, t0, workers=1):
             "tool_version": __version__,
             "wall_time_ms": int((time.monotonic() - t0) * 1000),
             "workers": workers,
-            "result_digest": hashlib.sha256(text.encode()).hexdigest(),
+            "result_digest": digest.hexdigest(),
         }
-        with open(args.manifest, "w") as fh:
+        with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
 def _dump(doc):
     return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _rows_text(pieces):
+    """Yield the text of rows, at most _CHUNK_ROWS rows per str. A piece
+    is bytes, the same in every row, or an int64 column of values >= 0,
+    one per row, written in decimal; the columns are of one length."""
+    n = next(len(piece) for piece in pieces if not isinstance(piece, bytes))
+    for lo in range(0, n, _CHUNK_ROWS):
+        m = min(n - lo, _CHUNK_ROWS)
+        blocks = []
+        for piece in pieces:
+            if isinstance(piece, bytes):
+                blocks.append(np.broadcast_to(
+                    np.frombuffer(piece, np.uint8)[:, None], (len(piece), m)))
+                continue
+            # one place per line, right-aligned, NUL above the leading digit
+            v = piece[lo:lo + m]
+            block = np.empty((len(str(v.max())), m), np.uint8)
+            for place in block[::-1]:
+                q = v // 10
+                np.subtract(v, 10 * q, out=place, casting="unsafe")
+                np.add(place, 48, out=place, where=v > 0)
+                v = q
+            block[-1] |= 48                     # the units digit of 0 is "0"
+            blocks.append(block)
+        yield np.concatenate(blocks).T.tobytes().translate(
+            None, b"\0").decode("ascii")
 
 
 def cmd_strings(args, argv, t0):
@@ -147,21 +181,19 @@ def cmd_strings(args, argv, t0):
     if args.all_runs:
         runs = scan_all_strings(query, workers=args.threads)
         runs = runs[runs["length"] >= args.k]
-        if args.format == "csv":        # RUN_DTYPE rows are (start, length)
-            text = "start,length\n" + "%d,%d\n" * runs.size % tuple(
-                runs.view(np.int64).tolist())
-            _emit(args, text, argv, t0, workers=args.threads)
-            return EXIT_OK
-        fields = {"set": args.set.descriptor(), "q": args.q, "a": args.a,
-                  "limit": args.limit,
-                  "elapsed_ms": int((time.monotonic() - start) * 1000)}
-        fields = {key: json.dumps(value) for key, value in fields.items()}
-        # the bytes json.dumps gives the runs as {"start", "length"} dicts
-        pairs = np.column_stack((runs["length"], runs["start"])).ravel()
-        rows = ", ".join(['{"length": %d, "start": %d}'] * runs.size)
-        fields["runs"] = "[%s]" % (rows % tuple(pairs.tolist()))
-        text = "{%s}\n" % ", ".join(f"{json.dumps(key)}: {value}"
-                                     for key, value in sorted(fields.items()))
+        if args.format == "csv":
+            text = chain(["start,length\n"], _rows_text(
+                [runs["start"], b",", runs["length"], b"\n"]))
+        else:   # the bytes json.dumps gives the runs as {"start", ...} dicts
+            head, _, tail = _dump({
+                "set": args.set.descriptor(), "q": args.q, "a": args.a,
+                "limit": args.limit, "runs": [],
+                "elapsed_ms": int((time.monotonic() - start) * 1000),
+            }).partition("[]")                  # the only list is the runs
+            rows = _rows_text([b', {"length": ', runs["length"],
+                               b', "start": ', runs["start"], b"}"])
+            # no ", " before the first row
+            text = chain([head, "[", next(rows, ", ")[2:]], rows, ["]", tail])
         _emit(args, text, argv, t0, workers=args.threads)
         return EXIT_OK
     result = find_first_string(query, workers=args.threads)

@@ -1,6 +1,7 @@
 """Command line front end: subcommands, formats, exit codes, manifests."""
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,18 +10,31 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from conftest import needs_fork
 from primestrings import __version__, maier, search
-from primestrings.cli import (_one_line_warning, build_parser, main,
-                              parse_set)
+from primestrings.cli import (_CHUNK_ROWS, _one_line_warning, _rows_text,
+                              build_parser, main, parse_set)
 from primestrings.errors import EmptyProductWarning
 from primestrings.search import MAX_CENSUS_Q, MAX_WORKERS
 from primestrings.sieve import PROGRESS_EVERY
 
 GAMMA_40 = "0.5772156649015328606065120900824024310421"
+
+
+def assert_same_text(got, want):
+    """got == want; on a mismatch, show where the texts part, not the
+    diff pytest would build of a whole multi-megabyte text."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts part at offset {i} of {len(got)} and "
+                    f"{len(want)}: got {got[i - 40:i + 40]!r}, want "
+                    f"{want[i - 40:i + 40]!r}")
 
 
 def run_cli(argv, capsys):
@@ -93,14 +107,17 @@ def test_strings_all_runs(capsys):
     assert doc["set"] == "all" and doc["q"] == 4
 
 
-@pytest.mark.parametrize("desc, qq, a, limit, threads", [
+ALL_RUNS_CASES = [
     ("all", 3, 1, 2, 1),                        # no set-prime, no run
     ("all", 2, 1, 4, 1),                        # one run, at 3
     ("all", 3, 1, 5_000_000, 2),
     ("beatty:pi", 4, 1, 5_000_000, 1),
     ("beatty:pi", 2, 1, 5_000_000, 2),          # long runs across segments
     ("floorprod:loglog", 3, 2, 5_000_000, 2),
-])
+]
+
+
+@pytest.mark.parametrize("desc, qq, a, limit, threads", ALL_RUNS_CASES)
 def test_all_runs_bytes_match_json_dumps_of_run_dicts(desc, qq, a, limit,
                                                       threads, capsys):
     code, out, _ = run_cli(["strings", "--set", desc, "--k", "1", "--q",
@@ -113,8 +130,81 @@ def test_all_runs_bytes_match_json_dumps_of_run_dicts(desc, qq, a, limit,
     doc = {"set": desc, "q": qq, "a": a, "limit": limit,
            "runs": [{"start": s, "length": n} for s, n in runs],
            "elapsed_ms": 0}
-    assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == \
-        json.dumps(doc, sort_keys=True) + "\n"
+    assert_same_text(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out),
+                     json.dumps(doc, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("desc, qq, a, limit, threads", ALL_RUNS_CASES)
+def test_all_runs_csv_bytes_match_one_row_per_run(desc, qq, a, limit,
+                                                  threads, capsys):
+    code, out, _ = run_cli(["strings", "--set", desc, "--k", "1", "--q",
+                            str(qq), "--a", str(a), "--limit", str(limit),
+                            "--all-runs", "--format", "csv", "--threads",
+                            str(threads)], capsys)
+    assert code == 0
+    query = search.StringQuery(spec=parse_set(desc), k=1, q=qq, a=a,
+                               limit=limit)
+    runs = search.scan_all_strings(query).tolist()
+    assert_same_text(out, "start,length\n" + "".join(f"{s},{n}\n"
+                                                   for s, n in runs))
+
+
+# values that end or start a run of digits, and the largest scan value
+EDGE_VALUES = sorted({0, 9, 10, 2 ** 48 - 1} | {10 ** j - 1 for j in range(
+    1, 15)} | {10 ** j for j in range(1, 15)})
+row_values = st.one_of(st.sampled_from(EDGE_VALUES),
+                       st.integers(0, 2 ** 48 - 1))
+
+
+@settings(database=None, deadline=None, max_examples=30)
+@given(n=st.sampled_from([0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                          _CHUNK_ROWS + 1]),
+       fill=st.tuples(row_values, row_values),
+       cells=st.lists(st.tuples(st.one_of(
+           st.sampled_from([_CHUNK_ROWS - 1, _CHUNK_ROWS]),
+           st.integers(0, 2 * _CHUNK_ROWS)), row_values, row_values),
+           max_size=8))
+# the second chunk needs more digits than the first
+@example(n=_CHUNK_ROWS + 1, fill=(9, 0), cells=[(_CHUNK_ROWS, 10, 10 ** 14)])
+def test_rows_text_matches_percent_d(n, fill, cells):
+    # two strided int64 columns, each one value but for a few cells, so
+    # that a chunk's widths can differ from its neighbour's
+    cols = np.empty((n, 2), np.int64)
+    cols[:] = fill
+    for i, x, y in cells:
+        if n:
+            cols[i % n] = x, y
+    pieces = list(_rows_text([b"<", cols[:, 0], b",", cols[:, 1], b">\n"]))
+    assert len(pieces) == -(-n // _CHUNK_ROWS)
+    assert all(piece.count("\n") <= _CHUNK_ROWS for piece in pieces)
+    assert_same_text("".join(pieces), "".join("<%d,%d>\n" % (x, y)
+                                              for x, y in cols.tolist()))
+
+
+class WriteSpy(io.StringIO):
+    """A stdout that keeps each str written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt, row_mark", [("json", '{"length": '),
+                                           ("csv", "\n")])
+def test_all_runs_text_is_written_one_chunk_at_a_time(fmt, row_mark,
+                                                      monkeypatch):
+    spy = WriteSpy()
+    monkeypatch.setattr(sys, "stdout", spy)
+    assert main(["strings", "--k", "1", "--q", "3", "--a", "1", "--limit",
+                 "5e6", "--all-runs", "--format", fmt, "--threads",
+                 "2"]) == 0
+    rows = [write.count(row_mark) for write in spy.writes]
+    assert sum(rows) > 2 * _CHUNK_ROWS + 1
+    assert max(rows) <= _CHUNK_ROWS
 
 
 @pytest.mark.parametrize("desc, fmt, k, limit", [
@@ -625,6 +715,20 @@ def test_manifest_reproducible(tmp_path, capsys):
     assert doc1["result_digest"] == doc2["result_digest"]
     # manifest destination is not part of the configuration identity
     assert doc1["config_hash"] == doc2["config_hash"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_manifest_digest_of_all_runs_is_the_digest_of_stdout(fmt, tmp_path,
+                                                             capsys):
+    # the text goes out in more than two chunks; the digest covers them all
+    m = tmp_path / "m.json"
+    code, out, _ = run_cli(["strings", "--k", "1", "--q", "3", "--a", "1",
+                            "--limit", "5e6", "--all-runs", "--format", fmt,
+                            "--threads", "2", "--manifest", str(m)], capsys)
+    assert code == 0 and out.count("\n" if fmt == "csv" else "{") > \
+        2 * _CHUNK_ROWS
+    doc = json.loads(m.read_text())
+    assert doc["result_digest"] == hashlib.sha256(out.encode()).hexdigest()
 
 
 def test_manifest_on_counts(tmp_path, capsys):
