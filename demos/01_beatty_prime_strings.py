@@ -42,4 +42,4 @@ verify_hit(query, hit, check_index=True)
 print("re-verified: primality, membership, congruence, adjacency")
 
 print()
-print("record:", hit_record(query, hit, elapsed_ms=0))
+print("record:", hit_record(query, hit))

@@ -36,6 +36,8 @@ EXIT_ERROR = 4
 
 _CHUNK_ROWS = 1 << 15  # rows of --all-runs text built at once: cache-sized
 
+log = logging.getLogger("primestrings.cli")
+
 
 def parse_finite(text):
     """Finite float literal; inf and nan are usage errors."""
@@ -180,6 +182,7 @@ def cmd_strings(args, argv, t0):
     start = time.monotonic()
     if args.all_runs:
         runs = scan_all_strings(query, workers=args.threads)
+        log.info("scan: %d ms", (time.monotonic() - start) * 1000)
         runs = runs[runs["length"] >= args.k]
         if args.format == "csv":
             text = chain(["start,length\n"], _rows_text(
@@ -188,7 +191,6 @@ def cmd_strings(args, argv, t0):
             head, _, tail = _dump({
                 "set": args.set.descriptor(), "q": args.q, "a": args.a,
                 "limit": args.limit, "runs": [],
-                "elapsed_ms": int((time.monotonic() - start) * 1000),
             }).partition("[]")                  # the only list is the runs
             rows = _rows_text([b', {"length": ', runs["length"],
                                b', "start": ', runs["start"], b"}"])
@@ -197,11 +199,11 @@ def cmd_strings(args, argv, t0):
         _emit(args, text, argv, t0, workers=args.threads)
         return EXIT_OK
     result = find_first_string(query, workers=args.threads)
-    elapsed = int((time.monotonic() - start) * 1000)
-    record = hit_record(query, result, elapsed_ms=elapsed)
+    log.info("scan: %d ms", (time.monotonic() - start) * 1000)
+    record = hit_record(query, result)
     if args.format == "csv":
         cols = ["set", "k", "q", "a", "limit", "found", "start_index",
-                "primes", "elapsed_ms"]
+                "primes"]
         row = dict(record)
         row.setdefault("found", True)
         row["primes"] = ";".join(str(p) for p in row.get("primes", []))

@@ -530,7 +530,7 @@ def verify_hit(query, hit, check_index=False):
     return True
 
 
-def hit_record(query, result, elapsed_ms=0):
+def hit_record(query, result):
     """JSON-ready dict for a scan result."""
     base = {
         "set": query.spec.descriptor(),
@@ -538,7 +538,6 @@ def hit_record(query, result, elapsed_ms=0):
         "q": query.q,
         "a": query.a,
         "limit": query.limit,
-        "elapsed_ms": elapsed_ms,
     }
     if isinstance(result, StringHit):
         base["start_index"] = result.start_index

@@ -6,11 +6,11 @@ irrational alpha > 1, and floor-product sequences floor(n * g(n)) for
 g = (log log n)^B or (log n)^B, defined once by GFamily (formula,
 derivatives and family names). Both irrational carriers are decided by
 one exact mask over an ascending array, one _CHUNK-wide span at a time:
-a Beatty span tests floor((m+1)/alpha) - floor(m/alpha) = 1 in int64 on
-a bracket of 1/alpha, a floor-product span takes its n from
-GFamily.inverse and its floors from one _MP_DPS-digit anchor f(n0) plus
-float rises f(n) - f(n0) (GFamily.rise); only a floor whose float lies
-within the rise's proved error bound of an integer is decided at
+a Beatty span tests frac((m+1)/alpha) < 1/alpha on one int64 fraction
+from each end of a bracket of 1/alpha, a floor-product span sets in a
+bitmap the floors of f(n) = n g(n) from one _MP_DPS-digit anchor f(n0)
+plus float rises f(n) - f(n0) (GFamily.rise); only a floor whose float
+lies within the rise's proved error bound of an integer is decided at
 _MP_DPS digits, or raises PrecisionExhausted. Those floors run in a
 private mpmath context, so scan threads take them with no lock.
 """
@@ -99,17 +99,23 @@ class GFamily:
 
         Every term is a relative difference, so none cancels: each log
         rises by log1p of its relative step, u^B by u0^B expm1(B log1p(
-        du / u0)) (du itself at B = 1), and then R = i (g0 + dg) + n0 dg.
-        The bound is _RISE_ERR (1 + B) (R + 1) at the last i, where R is
-        largest; _floorprod_mask proves it.
+        du / u0)) (du itself at B = 1), and then R = i (g0 + dg) + n0 dg,
+        each in this order, in place. The bound is _RISE_ERR (1 + B) (R
+        + 1) at the last i, where R is largest; _floorprod_mask proves it.
         """
-        y0 = math.log(n0)
-        u0, du = y0, np.log1p(i / n0)
+        u0, dg = math.log(n0), np.empty_like(i)     # du, then dg
+        np.log1p(np.divide(i, n0, out=dg), out=dg)
         if self.family == "loglog":
-            u0, du = math.log(y0), np.log1p(du / y0)
+            np.log1p(np.divide(dg, u0, out=dg), out=dg)
+            u0 = math.log(u0)
         g0 = u0 ** self.B
-        dg = du if self.B == 1.0 else g0 * np.expm1(self.B * np.log1p(du / u0))
-        r = i * (g0 + dg) + n0 * dg
+        if self.B != 1.0:
+            np.log1p(np.divide(dg, u0, out=dg), out=dg)
+            np.expm1(np.multiply(dg, self.B, out=dg), out=dg)
+            dg *= g0
+        r = dg + g0
+        r *= i
+        r += np.multiply(dg, n0, out=dg)
         return r, _RISE_ERR * (1.0 + self.B) * (r[-1] + 1.0)
 
     def derivs(self, x):
@@ -255,40 +261,34 @@ def beatty_member(alpha, m):
     return alpha.floor_div(m + 1) - alpha.floor_div(m) == 1
 
 
-def _side_floors(n0, c, bits, i, pad):
-    """floor((n0 + i) * c / 2^bits) for an end c < 2^bits of the bracket
-    of 1/alpha, from below (pad 0) or above.
-
-    n0 * c splits once into whole and fractional parts. The fraction
-    and c keep _FRAC_BITS bits, rounded down, or up when pad is
-    2^(bits - _FRAC_BITS) - 1, so i * step <= 2^58 for i <= _CHUNK.
-    """
-    whole, frac = divmod(n0 * c, 1 << bits)
-    shift = bits - _FRAC_BITS
-    frac, step = (frac + pad) >> shift, (c + pad) >> shift
-    return whole + ((i * step + frac) >> _FRAC_BITS)
-
-
 def _beatty_mask(alpha, part):
     """beatty_member(alpha, m) for each m of one span of _mask.
 
+    With beta = 1/alpha < 1, m is a member iff frac((m+1) beta) < beta.
     alpha's bracket lo/2^b <= alpha <= hi/2^b (b = alpha.bits) gives
-    rlo/2^b <= 1/alpha <= rhi/2^b, rlo = floor(2^(2b)/hi), rhi =
-    ceil(2^(2b)/lo). floor(m/alpha) and floor((m+1)/alpha) are taken
-    from both sides in int64 at offsets up to _CHUNK from the span's
-    start m0, widened by at most _CHUNK * 2^-_FRAC_BITS = 2^-22
-    (_side_floors). Where a floor's sides differ, beatty_member decides.
+    rlo/2^b <= beta <= rhi/2^b, rlo = floor(2^(2b)/hi), rhi =
+    ceil(2^(2b)/lo). From each end, (m+1) beta less its whole part W0
+    at the span's start m0 is one int64 in 2^-_FRAC_BITS units, rounded
+    down from rlo and up from rhi (i * step <= 2^58 for i < _CHUNK), so
+    the two sides bound it. Above the lower side's whole part, an upper
+    side below beta rounded down (blo) puts frac((m+1) beta) below beta:
+    a member. Above the upper side's whole part, a lower side at or above
+    beta rounded up (bhi) puts it at or above beta (a tie is impossible
+    for irrational beta): not a member. beatty_member decides the rest,
+    such as sides of unequal whole parts.
     """
-    bits = alpha.bits
+    bits, m0 = alpha.bits, int(part[0])
+    shift = bits - _FRAC_BITS
     rlo = (1 << 2 * bits) // alpha.hi
     rhi = -(-(1 << 2 * bits) // alpha.lo)
-    pad = (1 << (bits - _FRAC_BITS)) - 1
-    m0 = int(part[0])
-    i = part - m0 + np.arange(2)[:, None]          # rows m and m + 1
-    lo = _side_floors(m0, rlo, bits, i, 0)
-    hi = _side_floors(m0, rhi, bits, i, pad)
-    keep = lo[1] - lo[0] == 1
-    for j in np.flatnonzero((lo != hi).any(axis=0)):
+    blo, bhi = rlo >> shift, -(-rhi >> shift)           # also the steps
+    w0 = (m0 + 1) * rlo >> bits << bits
+    i = part - m0
+    lo = i * blo + (((m0 + 1) * rlo - w0) >> shift)
+    hi = i * bhi - ((w0 - (m0 + 1) * rhi) >> shift)     # rounded up
+    whole = -1 << _FRAC_BITS                    # clears the fraction bits
+    keep = hi - (lo & whole) < blo
+    for j in np.flatnonzero(~keep & (lo - (hi & whole) < bhi)):
         keep[j] = beatty_member(alpha, int(part[j]))
     return keep
 
@@ -307,12 +307,8 @@ def _floorprod_floor(g, n):
     """floor(n * g(n)) and the float of its fraction, at _MP_DPS digits;
     PrecisionExhausted when n * g(n) is within 10^(10 - _MP_DPS) of an
     integer, relative to its size (10 digits of margin for the rounding
-    in the logs and the power).
-
-    The floors are taken in _mp_context(), whose precision nothing
-    changes, so scan threads take them at once; a precision set in
-    mpmath's global context, by any thread, neither reaches them nor is
-    reset by them."""
+    in the logs and the power). They run in _mp_context(), apart from
+    mpmath's global precision, so scan threads take them with no lock."""
     mp = _mp_context()
     v = n * g.at(n, mp.log)
     f = int(mp.nint(v))
@@ -328,11 +324,11 @@ def _floorprod_mask(g, part):
     """floorprod_member for each m of one span of _mask, from the floors
     of f(n) = n g(n) over the n whose floors can reach the span.
 
-    The floors are A + floor(a + R(i)) for n = n0 + i: A + a = f(n0)
-    at _MP_DPS digits (A an integer, 0 <= a < 1), and the rise R(i) =
-    f(n0 + i) - f(n0) in float64 from GFamily.rise. Where a + R(i) is
-    within the rise's bound of an integer, the floor is taken at
-    _MP_DPS digits instead.
+    The floors are A + floor(a + R(i)) for n = n0 + i: A + a = f(n0) at
+    _MP_DPS digits (A an integer, 0 <= a < 1) and R(i) = f(n0 + i) -
+    f(n0) in float64 (GFamily.rise), or _MP_DPS-digit floors where a +
+    R(i) is within the rise's bound of an integer. Exact, they ascend
+    with n: those in the span are one slice, set in a bitmap m reads.
 
     The bound (Higham, Accuracy and Stability of Numerical Algorithms,
     ch. 2-3). Say each math.log, np.log1p, np.expm1 and float power
@@ -355,30 +351,34 @@ def _floorprod_mask(g, part):
     Rounding a once (the 50 digits add under 10^-25) and a + R once
     more adds 3 (R + 1) 2^-53, so the float a + R is within 93 (1 + B)
     eta (R + 1) of the exact one, and _RISE_ERR = 2^-42 = 128 eta
-    covers it, with R taken at the span's last index. The products of errors left out add under 1% for B <
-    2^30, and from B = 2^18 on no integer n has f(n) in [2, 2^48)
-    (|u(n) - 1| > 0.0037 at every integer n), so no floor is left to
-    decide there.
+    covers it, with R taken at the span's last index. The products of
+    errors left out add under 1% for B < 2^30, and from B = 2^18 on no
+    integer n has f(n) in [2, 2^48) (|u(n) - 1| > 0.0037 at every
+    integer n), so no floor is left to decide there.
     """
-    # the float inverse can land one index off either way; it bisects
-    # faster on Python ints than on numpy scalars
-    n_lo = max(g.default_start_n(), math.ceil(g.inverse(int(part[0]))) - 1)
-    n_hi = math.ceil(g.inverse(int(part[-1]) + 1)) + 1
-    # an n with f(n) >= 2 (m + 1) for the span's last m floors above it,
-    # whatever the float's rounding; at a large B the f of such an n can
-    # pass 2^63 or the largest float
-    top = 2.0 * (int(part[-1]) + 1)
-    while n_hi - 1 > n_lo and not g.below(n_hi - 1, top):
-        n_hi -= 1
+    m0, w = int(part[0]), int(part[-1] - part[0]) + 1
+    # the float inverse can land one index off either way; below an n_lo
+    # whose floor A is at most m0, every n floors at most to A
+    n_lo = max(g.default_start_n(), math.ceil(g.inverse(m0)) - 1)
     A, a = _floorprod_floor(g, n_lo)
-    r, err = g.rise(n_lo, np.arange(n_hi - n_lo, dtype=np.float64))
-    s = a + r
-    whole = np.floor(s)
-    frac = s - whole
-    vals = A + whole.astype(np.int64)
-    for i in np.flatnonzero((frac < err) | (frac > 1.0 - err)):
-        vals[i] = _floorprod_floor(g, n_lo + int(i))[0]
-    return np.isin(part, vals) & (part >= 2)
+    while A > m0 and n_lo > g.default_start_n():
+        n_lo -= 1
+        A, a = _floorprod_floor(g, n_lo)
+    # an n with f(n) >= 2 (m + 1) for the span's last m floors above it,
+    # whatever the float's rounding; at a large B its f can pass 2^63
+    n_hi = math.ceil(g.inverse(m0 + w)) + 1
+    while n_hi - 1 > n_lo and not g.below(n_hi - 1, 2.0 * (m0 + w)):
+        n_hi -= 1
+    s, err = g.rise(n_lo, np.arange(n_hi - n_lo, dtype=np.float64))
+    s += a
+    whole = s.astype(np.int64)              # floor(a + R), as a + R >= 0
+    s -= whole
+    for i in np.flatnonzero((s < err) | (s > 1.0 - err)):
+        whole[i] = _floorprod_floor(g, n_lo + int(i))[0] - A
+    lo, hi = np.searchsorted(whole, (max(m0, 2) - A, m0 + w - A))
+    hit = np.zeros(w, dtype=bool)
+    hit[whole[lo:hi] - (m0 - A)] = True
+    return hit[part - m0]
 
 
 def _mask(spec, m):

@@ -75,6 +75,23 @@ def floorprod_floor(family, B, n):
         return int(mp.floor(n * x ** B))
 
 
+def floorprod_rise(family, B, n0, i):
+    """GFamily.rise as one float64 expression, with its error bound.
+
+    The one entry here that repeats the package on purpose: the error
+    proof in _floorprod_mask analyses the rounding of this form, so the
+    package's in-place steps must give it bit for bit.
+    """
+    y0 = math.log(n0)
+    u0, du = y0, np.log1p(i / n0)
+    if family == "loglog":
+        u0, du = math.log(y0), np.log1p(du / y0)
+    g0 = u0 ** B
+    dg = du if B == 1.0 else g0 * np.expm1(B * np.log1p(du / u0))
+    r = i * (g0 + dg) + n0 * dg
+    return r, 2.0 ** -42 * (1.0 + B) * (r[-1] + 1.0)
+
+
 def floorprod_values(family, B, lo, hi):
     """Distinct floor(n * g(n)) in [lo, hi) over n from the first n where
     g > 0 (3 for "loglog", 2 for "log"); values below 2 are skipped.
@@ -99,6 +116,25 @@ def floorprod_values(family, B, lo, hi):
     values = (floorprod_floor(family, B, n)
               for n in range(first_n(max(lo, 2)), first_n(hi)))
     return sorted(set(values))
+
+
+def first_multiple_in(A, M, L, R):
+    """Smallest x >= 0 with L <= A x mod M <= R (0 <= L <= R < M), or None.
+
+    If no multiple of A lands in [L, R] directly, A x = M y + t with t
+    in [L, R] needs M y mod A in [-R, -L] mod A: the same question for
+    (M mod A, A), so the moduli shrink as in Euclid's algorithm.
+    """
+    A %= M
+    if L == 0:
+        return 0
+    if A == 0:
+        return None
+    x = -(-L // A)
+    if A * x <= R:
+        return x
+    y = first_multiple_in(M % A, A, (-R) % A, (-L) % A)
+    return None if y is None else -(-(L + M * y) // A)
 
 
 def beatty_member_direct(m, name="pi"):

@@ -62,28 +62,25 @@ def run_module(argv):
 
 
 def test_strings_json(capsys):
-    code, out, _ = run_cli(["strings", "--set", "beatty:pi", "--k", "2",
-                            "--q", "3", "--a", "1", "--limit", "100",
-                            "--threads", "1"], capsys)
+    argv = ["strings", "--set", "beatty:pi", "--k", "2", "--q", "3", "--a",
+            "1", "--limit", "100", "--threads", "1"]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
+    assert run_cli(argv, capsys) == (code, out, "")    # no timer on stdout
     doc = json.loads(out)
-    assert doc.pop("elapsed_ms") >= 0
     assert doc == {"set": "beatty:pi", "k": 2, "q": 3, "a": 1, "limit": 100,
                    "start_index": 1, "primes": [31, 37],
                    "first_occurrence": True}
 
 
 def test_strings_csv(capsys):
-    code, out, _ = run_cli(["strings", "--set", "beatty:pi", "--k", "2",
-                            "--q", "3", "--a", "1", "--limit", "100",
-                            "--threads", "1", "--format", "csv"], capsys)
+    argv = ["strings", "--set", "beatty:pi", "--k", "2", "--q", "3", "--a",
+            "1", "--limit", "100", "--threads", "1", "--format", "csv"]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    header, row = out.splitlines()
-    assert header == "set,k,q,a,limit,found,start_index,primes,elapsed_ms"
-    fields = row.split(",")
-    assert fields[:8] == ["beatty:pi", "2", "3", "1", "100", "True", "1",
-                          "31;37"]
-    assert int(fields[8]) >= 0
+    assert run_cli(argv, capsys) == (code, out, "")    # no timer on stdout
+    assert out == ("set,k,q,a,limit,found,start_index,primes\n"
+                   "beatty:pi,2,3,1,100,True,1,31;37\n")
 
 
 def test_strings_not_found_exits_3(capsys):
@@ -92,7 +89,7 @@ def test_strings_not_found_exits_3(capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["found"] is False
-    assert set(doc) == {"set", "k", "q", "a", "limit", "found", "elapsed_ms"}
+    assert set(doc) == {"set", "k", "q", "a", "limit", "found"}
 
 
 def test_strings_all_runs(capsys):
@@ -128,10 +125,8 @@ def test_all_runs_bytes_match_json_dumps_of_run_dicts(desc, qq, a, limit,
                                limit=limit)
     runs = search.scan_all_strings(query).tolist()
     doc = {"set": desc, "q": qq, "a": a, "limit": limit,
-           "runs": [{"start": s, "length": n} for s, n in runs],
-           "elapsed_ms": 0}
-    assert_same_text(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out),
-                     json.dumps(doc, sort_keys=True) + "\n")
+           "runs": [{"start": s, "length": n} for s, n in runs]}
+    assert_same_text(out, json.dumps(doc, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("desc, qq, a, limit, threads", ALL_RUNS_CASES)
@@ -795,6 +790,17 @@ def test_module_entry_point():
     proc = run_module(["--version"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+def test_strings_verbose_logs_the_scan_time():
+    # the scan's time goes to stderr under --verbose, never to stdout
+    for extra in ([], ["--all-runs"]):
+        proc = run_module(["--verbose", "strings", "--k", "2", "--q", "4",
+                           "--a", "1", "--limit", "1000", "--threads", "1",
+                           *extra])
+        assert proc.returncode == 0 and "elapsed" not in proc.stdout
+        line = proc.stderr.splitlines()[-1]
+        assert re.fullmatch(r"primestrings\.cli: scan: \d+ ms", line), line
 
 
 def test_census_verbose_logs_progress():

@@ -169,6 +169,37 @@ def test_beatty_mask_matches_oracle(name, at_top, data):
             _oracles.beatty_member_direct(x, name), x
 
 
+@pytest.mark.parametrize("name", _NAMES)
+def test_beatty_mask_sides_exactly_on_rounded_beta(name, monkeypatch):
+    # blo and bhi are beta rounded down and up to 2^-_FRAC_BITS. An m
+    # whose upper side rounds up to exactly blo is not decided a member
+    # (beatty_member decides it), and one whose lower side rounds down
+    # to exactly bhi is decided a non-member: the comparisons of
+    # _beatty_mask's docstring, at their ties
+    alpha = named_constant(name)
+    bits, M = alpha.bits, 1 << alpha.bits
+    shift = bits - special._FRAC_BITS
+    rlo, rhi = (1 << 2 * bits) // alpha.hi, -(-(1 << 2 * bits) // alpha.lo)
+    blo, bhi = rlo >> shift, -(-rhi >> shift)
+    n_blo = _oracles.first_multiple_in(rhi, M, ((blo - 1) << shift) + 1,
+                                       blo << shift)
+    n_bhi = _oracles.first_multiple_in(rlo, M, bhi << shift,
+                                       ((bhi + 1) << shift) - 1)
+    assert -(-(n_blo * rhi % M) >> shift) == blo
+    assert (n_bhi * rlo % M) >> shift == bhi
+    calls, fallback = [], special.beatty_member
+    monkeypatch.setattr(special, "beatty_member",
+                        lambda a, m: calls.append(m) or fallback(a, m))
+    spec = SpecialSetSpec.beatty(alpha)
+    for n, sent in ((n_blo, True), (n_bhi, False)):
+        m = n - 1                       # the kernel takes (m + 1) beta
+        assert 1 <= m < 2 ** 48 and n * rlo // M == n * rhi // M
+        calls.clear()
+        assert special._mask(spec, np.array([m])).tolist() == [
+            _oracles.beatty_member_direct(m, name)]
+        assert calls == ([m] if sent else [])
+
+
 def test_beatty_rejects_alpha_at_most_one():
     small = IrrationalConstant.from_decimal(
         "small", "0.577215664901532860606512090082402431042")
@@ -403,6 +434,30 @@ def test_floorprod_rise_stays_within_its_bound(family, B):
         assert max(miss) <= err, (n0, miss)
 
 
+@pytest.mark.parametrize("family", ["loglog", "log"])
+@pytest.mark.parametrize("B", [0.2, 1.0, 1.5, 3.0, 300.0])
+def test_floorprod_rise_is_its_expression_form_bit_for_bit(family, B):
+    # the error bound is proved for the expression form the oracle keeps,
+    # so the in-place steps must round exactly as it does, and leave i
+    g = GFamily(family, B)
+    sparse = np.array([0, 1, 2, 7, 100, 1000, 10 ** 4, 10 ** 5], np.float64)
+    for n0 in (g.default_start_n(), 10, 10 ** 7, 10 ** 13, 2 ** 47):
+        for i in (*(np.arange(k, dtype=np.float64)
+                    for k in (1, 2, 1000, 2 ** 17)), sparse):
+            before = i.copy()
+            with np.errstate(all="ignore"):
+                try:
+                    want, want_err = _oracles.floorprod_rise(family, B, n0, i)
+                except OverflowError:       # u0^B past the largest float
+                    with pytest.raises(OverflowError):
+                        g.rise(n0, i)
+                    continue
+                r, err = g.rise(n0, i)
+            assert np.array_equal(r, want, equal_nan=True), (n0, i.size)
+            assert np.array_equal(err, want_err, equal_nan=True)
+            assert np.array_equal(i, before)
+
+
 def test_floorprod_window_at_1e13_needs_no_50_digit_floor(monkeypatch):
     # one 50-digit anchor per span and no other 50-digit floor: the
     # float rises decide every floor of this window
@@ -424,10 +479,17 @@ def test_floorprod_50_digit_floors_alone_give_the_same_sets(family, B, lo,
                                                            monkeypatch):
     # the float rises almost never come near an integer, so here every
     # index takes the 50-digit fallback, and the sets must not change
+    # though every float rise is half a unit off
     spec, hi = _floorprod_spec(family, B), lo + 3000
     want = (special_primes(spec, lo, hi), enumerate_special(spec, lo, hi))
-    floors, floor = [], special._floorprod_floor
+    floors, floor, rise = [], special._floorprod_floor, GFamily.rise
+
+    def half_off(g, n0, i):
+        r, err = rise(g, n0, i)
+        return r + 0.5, err
+
     monkeypatch.setattr(special, "_RISE_ERR", 1.0)
+    monkeypatch.setattr(GFamily, "rise", half_off)
     monkeypatch.setattr(special, "_floorprod_floor",
                         lambda g, n: floors.append(n) or floor(g, n))
     for fn, w in zip((special_primes, enumerate_special), want):
@@ -435,6 +497,27 @@ def test_floorprod_50_digit_floors_alone_give_the_same_sets(family, B, lo,
         assert np.array_equal(fn(spec, lo, hi), w)
         # the anchor at n0, then each of n0, n0 + 1, ... again
         assert floors == [floors[0]] + list(range(floors[0], floors[-1] + 1))
+
+
+@pytest.mark.parametrize("family,B,lo", [
+    ("loglog", 1.0, 10 ** 7), ("log", 1.5, 10 ** 12), ("loglog", 0.2, 2 ** 47),
+    # one member, f(17); f(22) is near 1e38, so the last index is trimmed
+    # only after the step down
+    ("loglog", 700.0, _oracles.floorprod_floor("loglog", 700, 17) - 5)])
+def test_floorprod_span_steps_down_past_an_inverse_that_lands_high(
+        family, B, lo, monkeypatch):
+    # a span's first n is stepped down until it floors at or below the
+    # span's first value, so an inverse 5 indices high costs 50-digit
+    # anchors, never members, even for a span of one value
+    spec, hi = _floorprod_spec(family, B), lo + 5000
+    want = (special_primes(spec, lo, hi), enumerate_special(spec, lo, hi))
+    inverse = GFamily.inverse
+    monkeypatch.setattr(GFamily, "inverse", lambda g, X: inverse(g, X) + 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, w in zip((special_primes, enumerate_special), want):
+            assert np.array_equal(fn(spec, lo, hi), w)
+        assert all(floorprod_member(spec, m) for m in want[1][:3].tolist())
 
 
 @pytest.mark.parametrize("family,B,n", [("log", 200, 3), ("log", 300, 3),
