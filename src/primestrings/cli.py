@@ -183,7 +183,7 @@ def cmd_strings(args, argv, t0):
     if args.all_runs:
         runs = scan_all_strings(query, workers=args.threads)
         log.info("scan: %d ms", (time.monotonic() - start) * 1000)
-        runs = runs[runs["length"] >= args.k]
+        runs = np.compress(runs["length"] >= args.k, runs)
         if args.format == "csv":
             text = chain(["start,length\n"], _rows_text(
                 [runs["start"], b",", runs["length"], b"\n"]))

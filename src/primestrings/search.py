@@ -10,7 +10,8 @@ first-hit scan walks its first segment in pieces. Workers run here in
 two forms, the caller one of them in each, and check_workers bounds
 both. Scan segments run on _ordered_results' thread pool: the sieve and
 the set masks are numpy work that releases the GIL, so threads cost no
-fork; the one lock they meet is the sieve's, on its base-prime array.
+fork (though the sieve's short strided fills scale poorly, see sieve);
+the one lock they meet is the sieve's, on its base-prime array.
 Maier row blocks, one per worker, hold the GIL in their BPSW tests on
 Python ints, so _forked_results forks a child for each block but the
 caller's first: no process outlives the call, and the package never
@@ -107,14 +108,15 @@ def _segment_runs(args):
     """
     spec, q, a, lo, hi = args
     sp = special_primes(spec, lo, hi)
-    first, length = _good_runs(sp % q == a % q)
+    first, length = _good_runs(sp - sp // q * q == a % q)
     return sp.size, sp[first], length, first
 
 
 def _segment_census(args):
     """Residue counts mod q of one segment's set-primes. Worker task."""
     spec, q, lo, hi = args
-    return np.bincount(special_primes(spec, lo, hi) % q, minlength=q)
+    sp = special_primes(spec, lo, hi)
+    return np.bincount(sp - sp // q * q, minlength=q)
 
 
 def _run_into(task, fut, job):
@@ -366,9 +368,10 @@ def _prime_census(X, q):
     """Counts of the primes <= X in each class mod q, as an int64 array.
 
     Lucy's programme (Lagarias, Miller and Odlyzko, Math. Comp. 44,
-    1985): row v, for v = 0..isqrt(X) and v = X // i, counts per class
-    the n in [2, v] that are prime or have no prime factor below p, as p
-    runs over the primes <= y = floor(X^(1/3)). Left beside the primes
+    1985): in a class-major table, row c, column v (v = 0..isqrt(X) and
+    v = X // i) counts the n = c (mod q) in [2, v] that are prime or
+    have no prime factor below p, as p runs over the primes <= y =
+    floor(X^(1/3)), so each p moves whole rows. Left beside the primes
     are the products p p' <= X of primes y < p <= p' (Deleglise and
     Rivat, Math. Comp. 65, 1996), counted from one sieve to X // (y + 1).
     """
@@ -377,26 +380,26 @@ def _prime_census(X, q):
     y -= y ** 3 > X                     # the float cube root, floored
     vals = np.concatenate([np.arange(r + 1), X // np.arange(r, 0, -1)])
     cls = np.arange(q)
-    table = (vals[:, None] + q - np.where(cls, cls, q)) // q
-    table[1:, 1 % q] -= 1               # n = 1, in every row but v = 0
+    table = (vals + q - np.where(cls, cls, q)[:, None]) // q
+    table[1 % q, 1:] -= 1               # n = 1, in every column but v = 0
     big = X // (y + 1) + 1
     primes = sieve_range(0, big)
-    top = 2 * r + 1                     # row v = X // i is top - i
+    top = 2 * r + 1                     # column v = X // i is top - i
     for p in primes[:np.searchsorted(primes, y, "right")].tolist():
-        # n = p m, m in [p, v // p] free of primes below p, leave the rows
+        # n = p m, m in [p, v // p] free of primes below p, leave columns
         # v >= p^2, the table's last (v = p^2..r, then X // i, i = n..1):
-        # row v loses row v // p less row p - 1, class c' as class p c'
+        # v loses column v // p less column p - 1, class c' as class p c'
         n = min(r, X // (p * p))
-        m = min(n, r // p)              # the rows X // i with i p <= r
+        m = min(n, r // p)              # the columns X // i with i p <= r
         src = np.concatenate([np.arange(p * p, r + 1) // p,
                               X // (np.arange(n, m, -1) * p),
                               np.arange(top - p * m, top, p)])
-        d = table.take(src, axis=0)     # faster here than table[src]
-        d -= table[p - 1]
+        d = table.take(src, axis=1)     # faster here than table[:, src]
+        d -= table[:, p - 1, None]
         if q % p:
-            table[top - src.size:] -= d[:, cls * pow(p, -1, q) % q]
+            table[:, top - src.size:] -= d[cls * pow(p, -1, q) % q]
         else:
-            table[top - src.size:, ::p] -= d.reshape(-1, p, q // p).sum(1)
+            table[::p, top - src.size:] -= d.reshape(p, q // p, -1).sum(0)
     lo, hi = np.searchsorted(primes, [y, r], "right")
     ps = primes[lo:hi]
     keys = np.sort(primes % q * big + primes)
@@ -404,7 +407,7 @@ def _prime_census(X, q):
     n_pp = (np.searchsorted(keys, c + (X // ps)[:, None], "right")
             - np.searchsorted(keys, c + ps[:, None], "left"))
     pp = np.bincount((ps[:, None] * cls % q).ravel(), n_pp.ravel(), q)
-    return table[-1] - pp.astype(np.int64)
+    return table[:, -1] - pp.astype(np.int64)
 
 
 def _coprime_classes(q):

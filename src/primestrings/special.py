@@ -367,14 +367,21 @@ def _floorprod_mask(g, part):
     # an n with f(n) >= 2 (m + 1) for the span's last m floors above it,
     # whatever the float's rounding; at a large B its f can pass 2^63
     n_hi = math.ceil(g.inverse(m0 + w)) + 1
+    cut = False
     while n_hi - 1 > n_lo and not g.below(n_hi - 1, 2.0 * (m0 + w)):
-        n_hi -= 1
+        n_hi, cut = n_hi - 1, True
     s, err = g.rise(n_lo, np.arange(n_hi - n_lo, dtype=np.float64))
     s += a
     whole = s.astype(np.int64)              # floor(a + R), as a + R >= 0
     s -= whole
     for i in np.flatnonzero((s < err) | (s > 1.0 - err)):
         whole[i] = _floorprod_floor(g, n_lo + int(i))[0] - A
+    # unless the trim cut an n above the span, step n_hi up until its floor
+    # reaches the span's last value; one past it is kept as m0 + w (int64)
+    while not cut and A + whole[-1] < m0 + w - 1:
+        F = _floorprod_floor(g, n_hi)[0]
+        whole = np.append(whole, min(F, m0 + w) - A)
+        n_hi += 1
     lo, hi = np.searchsorted(whole, (max(m0, 2) - A, m0 + w - A))
     hit = np.zeros(w, dtype=bool)
     hit[whole[lo:hi] - (m0 - A)] = True
@@ -408,7 +415,7 @@ def enumerate_special(spec, lo, hi):
     parts = [np.empty(0, dtype=np.int64)]
     for s in range(lo, hi, _CHUNK):
         m = np.arange(s, min(s + _CHUNK, hi), dtype=np.int64)
-        parts.append(m[_mask(spec, m)])
+        parts.append(np.compress(_mask(spec, m), m))
     return np.concatenate(parts)
 
 
@@ -443,7 +450,7 @@ def special_primes(spec, lo, hi, workers=1):
     primes = sieve_range(lo, hi)
     if spec.kind == "all":
         return primes
-    return primes[_mask(spec, primes)]
+    return np.compress(_mask(spec, primes), primes)
 
 
 # ---------------------------------------------------------------------------

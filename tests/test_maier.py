@@ -21,14 +21,15 @@ from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
                           census_json, choose_parameters, classify_residue,
                           count_S_T, count_S_q, count_psi, crt_anchor,
                           estimate_string_bound, is_prime, log_y_t,
-                          make_config, run_construction, sample_rows_census)
+                          make_config, run_construction, sample_rows_census,
+                          special_primes)
 from primestrings import maier
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
                                  InvalidQuery, ParameterDomain, RangeExceeded,
                                  RangeTooLarge)
 from primestrings.maier import _PRESIEVE_B, PHI_NOTE, X_FLOOR
-from primestrings.search import MAX_WORKERS
-from primestrings.sieve import MAX_SCAN_SPAN
+from primestrings.search import MAX_WORKERS, _good_runs
+from primestrings.sieve import MAX_SCAN_HI, MAX_SCAN_SPAN
 
 ALL = SpecialSetSpec.all_primes()
 
@@ -440,6 +441,34 @@ def _rows_by_trial_division(config, interval, rows, spec):
                 bad, run = bad + 1, 0
         want.append((r, good, bad, best))
     return want
+
+
+@pytest.mark.parametrize("set_name,args", [
+    ("all", dict(q=4, a=1, y=40, yz=2000, rows=40)),           # A_plus
+    ("beatty:pi", dict(q=4, a=3, y=47, yz=1470, rows=30)),     # A_plus
+    ("floorprod:loglog", dict(q=5, a=4, y=30, yz=601, rows=12))])
+def test_rows_below_2_48_match_a_recount_of_their_windows(set_name, args,
+                                                          b_pi):
+    # each row r Q + I, recounted as the set-primes of its window by the
+    # scan's special_primes and _good_runs: the segment sieve and the
+    # set masks against the presieve, BPSW and the scalar membership
+    spec = {"all": ALL, "beatty:pi": b_pi,
+            "floorprod:loglog": SpecialSetSpec.floor_product(
+                GFamily.loglog())}[set_name]
+    config, (start, length), census, _ = run_construction(spec=spec, **args)
+    assert args["rows"] * config.Q + start + length < MAX_SCAN_HI
+    want = []
+    for r in range(1, args["rows"] + 1):
+        lo = r * config.Q + start
+        sp = special_primes(spec, lo, lo + length)
+        good = sp % config.q == config.a % config.q
+        runs = _good_runs(good)[1]
+        want.append((r, int(good.sum()), int((~good).sum()),
+                     int(runs.max(initial=0))))
+    assert census.per_row == want
+    assert census.good_total > 0 and census.bad_total > 0
+    assert sample_rows_census(config, (start, length), args["rows"],
+                              spec=spec, workers=2).per_row == want
 
 
 @pytest.mark.parametrize("set_name", ["all", "beatty:pi", "floorprod:loglog"])

@@ -22,9 +22,9 @@ import conftest
 from primestrings import arith, search, sieve
 from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
                           StringHit, StringQuery, count_primes_ap,
-                          find_first_string, hit_record, named_constant,
-                          residue_census, scan_all_strings, sieve_range,
-                          special_primes, verify_hit)
+                          find_first_string, hit_record, is_prime,
+                          named_constant, residue_census, scan_all_strings,
+                          sieve_range, special_primes, verify_hit)
 from primestrings.errors import (InvalidQuery, InvalidRange, PrimestringsError,
                                  RangeTooLarge)
 from primestrings.search import MAX_CENSUS_Q, _ordered_results
@@ -247,6 +247,7 @@ def prime_census_cases(draw):
 @given(prime_census_cases())
 @example((0, 1))
 @example((2_685_619, 210))           # 139^3, the largest q listed
+@example((99_252_847, 30))           # 463^3: 2, 3 and 5 fold the classes
 def test_prime_census_matches_the_sieve_census(case):
     X, qq = case
     assert search._prime_census(X, qq).tolist() == sieve_census(X, qq)
@@ -259,6 +260,45 @@ def test_prime_census_at_1e9_matches_the_sieve_and_pi():
     got = search._prime_census(10 ** 9, 7).tolist()
     assert sum(got) == 50_847_534
     assert got == sieve_census(10 ** 9, 7, workers=2)
+
+
+@st.composite
+def segment_tasks(draw):
+    """A window [lo, hi) at most 2^21 wide in [0, 2^48), lo <= 2 < hi
+    for some, a set, a census modulus and a residue."""
+    top = MAX_SCAN_HI - (1 << 21)
+    lo = draw(st.one_of(st.integers(0, 2), st.integers(0, top),
+                        st.integers(top - (1 << 21), top)))
+    hi = lo + draw(st.integers(0, 1 << 21))
+    spec = draw(st.sampled_from((ALL, SpecialSetSpec.beatty(
+        named_constant("pi")))))
+    qq = draw(st.sampled_from((1, 2, 7, 30, 999_983, MAX_CENSUS_Q)))
+    return spec, lo, hi, qq, draw(st.integers(0, qq - 1))
+
+
+@seed(37)
+@settings(database=None, deadline=None, max_examples=25)
+@given(segment_tasks())
+@example((ALL, 0, 1 << 16, 30, 7))
+@example((ALL, MAX_SCAN_HI - (1 << 21), MAX_SCAN_HI - (1 << 20), 999_983, 1))
+def test_segment_tasks_match_a_remainder_and_boolean_index_oracle(task):
+    # the set-primes by a boolean index of scalar membership, classes by %
+    spec, lo, hi, qq, a = task
+    sp = sieve_range(lo, hi)
+    # the sieve's first and last prime against BPSW
+    ends = [next((n for n in ns if is_prime(n)), None)
+            for ns in (range(lo, hi), range(hi - 1, lo - 1, -1))]
+    assert ends == (sp[[0, -1]].tolist() if sp.size else [None, None])
+    if spec.kind == "beatty":
+        sp = sp[[member(spec, p) for p in sp.tolist()]]
+    census = search._segment_census((spec, qq, lo, hi))
+    assert census.tolist() == np.bincount(sp % qq, minlength=qq).tolist()
+    count, starts, lengths, ordinals = search._segment_runs(
+        (spec, qq, a, lo, hi))
+    runs = _oracles.maximal_runs(sp.tolist(), qq, a)
+    assert count == sp.size
+    assert list(zip(starts.tolist(), lengths.tolist())) == runs
+    assert ordinals.tolist() == np.searchsorted(sp, starts).tolist()
 
 
 def test_the_programme_counts_an_all_census_within_both_bounds(

@@ -499,25 +499,48 @@ def test_floorprod_50_digit_floors_alone_give_the_same_sets(family, B, lo,
         assert floors == [floors[0]] + list(range(floors[0], floors[-1] + 1))
 
 
-@pytest.mark.parametrize("family,B,lo", [
+SHIFTED_INVERSE_SPANS = [
     ("loglog", 1.0, 10 ** 7), ("log", 1.5, 10 ** 12), ("loglog", 0.2, 2 ** 47),
     # one member, f(17); f(22) is near 1e38, so the last index is trimmed
-    # only after the step down
-    ("loglog", 700.0, _oracles.floorprod_floor("loglog", 700, 17) - 5)])
+    # only after the step down, and f(18) is past 2^63, where a step up
+    # stops
+    ("loglog", 700.0, _oracles.floorprod_floor("loglog", 700, 17) - 5)]
+
+
+def _spans_hold_under_a_shifted_inverse(family, B, lo, shift, monkeypatch):
+    """The members in [lo, lo + 5000) are the same with GFamily.inverse
+    moved shift indices, whatever the float inverse costs."""
+    spec, hi = _floorprod_spec(family, B), lo + 5000
+    want = (special_primes(spec, lo, hi), enumerate_special(spec, lo, hi))
+    inverse = GFamily.inverse
+    monkeypatch.setattr(GFamily, "inverse",
+                        lambda g, X: inverse(g, X) + shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, w in zip((special_primes, enumerate_special), want):
+            assert np.array_equal(fn(spec, lo, hi), w)
+        members = want[1].tolist()
+        assert all(floorprod_member(spec, m)
+                   for m in members[:3] + members[-3:])
+
+
+@pytest.mark.parametrize("family,B,lo", SHIFTED_INVERSE_SPANS)
 def test_floorprod_span_steps_down_past_an_inverse_that_lands_high(
         family, B, lo, monkeypatch):
     # a span's first n is stepped down until it floors at or below the
     # span's first value, so an inverse 5 indices high costs 50-digit
     # anchors, never members, even for a span of one value
-    spec, hi = _floorprod_spec(family, B), lo + 5000
-    want = (special_primes(spec, lo, hi), enumerate_special(spec, lo, hi))
-    inverse = GFamily.inverse
-    monkeypatch.setattr(GFamily, "inverse", lambda g, X: inverse(g, X) + 5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for fn, w in zip((special_primes, enumerate_special), want):
-            assert np.array_equal(fn(spec, lo, hi), w)
-        assert all(floorprod_member(spec, m) for m in want[1][:3].tolist())
+    _spans_hold_under_a_shifted_inverse(family, B, lo, 5, monkeypatch)
+
+
+@pytest.mark.parametrize("family,B,lo", SHIFTED_INVERSE_SPANS)
+def test_floorprod_span_steps_up_past_an_inverse_that_lands_low(
+        family, B, lo, monkeypatch):
+    # the mirror: a span's last n is stepped up until it floors at or
+    # above the span's last value, unless the trim cut the span (without
+    # that step, an inverse 5 indices low lost 4 of 1,798 members at 1e7
+    # and 4 of 42 at 1e12)
+    _spans_hold_under_a_shifted_inverse(family, B, lo, -5, monkeypatch)
 
 
 @pytest.mark.parametrize("family,B,n", [("log", 200, 3), ("log", 300, 3),
