@@ -9,6 +9,8 @@ the search engine for runs of *consecutive* B_pi primes that all land
 in the same residue class.
 """
 
+import sys
+
 from primestrings import (StringQuery, beatty_member, enumerate_special,
                           find_first_string, hit_record, named_constant,
                           special_primes, verify_hit, SpecialSetSpec)
@@ -38,7 +40,8 @@ for p in hit.primes:
 print("starts at set-prime ordinal", hit.start_index)
 
 # every reported hit can be re-checked independently of the scanner
-verify_hit(query, hit, check_index=True)
+if not verify_hit(query, hit, check_index=True):
+    sys.exit("the hit failed its independent re-check")
 print("re-verified: primality, membership, congruence, adjacency")
 
 print()

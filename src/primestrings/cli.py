@@ -51,15 +51,17 @@ def parse_finite(text):
 
 
 def parse_count(text):
-    """Integer-valued numeric literal; scientific notation accepted."""
+    """Integer-valued numeric literal; scientific notation read exactly."""
     try:
         return int(text)
     except ValueError:
         pass
-    f = parse_finite(text)
-    if f != int(f):
+    parse_finite(text)
+    from decimal import Decimal     # loaded only for what int() refuses
+    d = Decimal(text)
+    if d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(f)
+    return int(d)
 
 
 def parse_workers(text):

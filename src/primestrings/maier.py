@@ -136,20 +136,17 @@ def choose_parameters(X, q, spec, y_override=None):
 # the product Q and the column interval
 
 
-def _product(factors):
-    """Product of a nonempty int list by a balanced tree of pairwise
-    products (one factor at a time is quadratic in the bit length)."""
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2])
-                   for i in range(0, len(factors), 2)]
-    return factors[0]
-
-
 @dataclass(frozen=True)
 class QProduct:
     Q: int
     P_a: tuple
     case: str
+
+
+def _knobs(case_tag):
+    """The parameters that set Q's size: outside A±, Q also holds the
+    primes = a (mod q) up to yz/t."""
+    return "--yz, y" if case_tag == "other" else "y"
 
 
 def build_Q(q, a, y, p0, t=None, yz_over_t=None):
@@ -160,19 +157,31 @@ def build_Q(q, a, y, p0, t=None, yz_over_t=None):
     joined: p <= y with p != 1, a; t <= p <= y with p = 1; and
     p <= y*z/t with p = a, again excluding p0 and divisors of q; t and
     yz_over_t are read only in that case.
+
+    y must lie below MAX_SCAN_SPAN = 2^31, the widest sieve_range
+    window. A Q past 2^256 leaves every matrix entry beyond is_prime, so
+    it is refused before P_a is listed: each p is at least 2^(e - 1),
+    for frexp's exponent e of p.
     """
-    pa, tag = _prime_support(q, a, y, p0, t, yz_over_t)
-    pa = pa.tolist()
-    return QProduct(Q=_product([q] + pa), P_a=tuple(pa), case=tag)
-
-
-def _prime_support(q, a, y, p0, t, yz_over_t):
-    """P_a as an ascending int64 array, and the case tag of build_Q."""
     cls = classify_residue(a, q)
     if y < 2:
         raise ParameterDomain(f"y must be >= 2, got {y}")
+    if y >= MAX_SCAN_SPAN:
+        raise RangeTooLarge(f"y = {y} must be below MAX_SCAN_SPAN = "
+                            f"{MAX_SCAN_SPAN}")
     if not is_prime(p0) or q % p0 == 0:
         raise ParameterDomain(f"p0 = {p0} must be a prime not dividing q")
+    if cls == "other":
+        if t is None:
+            raise ParameterDomain(
+                f"a = {a} is not an A± residue mod {q}, so t is needed and "
+                f"y must exceed e^e ~ {E_POW_E:.2f}; got y = {y}, use "
+                f"--y {math.floor(E_POW_E) + 1} or more")
+        if yz_over_t is None:
+            raise ParameterDomain("non-A± case needs yz/t")
+        if t > yz_over_t:
+            raise ParameterDomain(
+                f"need t <= sqrt(y z): t = {t}, yz/t = {yz_over_t}")
     one, a_mod = 1 % q, a % q
     q_int64 = min(q, 1 << 62)           # p < 2^48, so p mod this is p mod q
     small = sieve_range(0, y + 1)
@@ -180,13 +189,6 @@ def _prime_support(q, a, y, p0, t, yz_over_t):
     if cls != "other":
         pa = small[res != one]
     else:
-        if t is None:
-            raise ParameterDomain("non-A± case needs t (y too small?)")
-        if yz_over_t is None:
-            raise ParameterDomain("non-A± case needs yz/t")
-        if t > yz_over_t:
-            raise ParameterDomain(
-                f"need t <= sqrt(y z): t = {t}, yz/t = {yz_over_t}")
         wide = sieve_range(0, math.floor(yz_over_t) + 1)
         pa = np.sort(np.concatenate([      # blocks of disjoint residues
             small[(res != one) & (res != a_mod)],
@@ -196,7 +198,15 @@ def _prime_support(q, a, y, p0, t, yz_over_t):
     if not pa.size:
         warnings.warn(f"P_a is empty for a={a}, q={q}, y={y}; Q = q",
                       EmptyProductWarning)
-    return pa, "A_plus" if cls == "both" else cls
+    bits = int((np.frexp(pa)[1] - 1).sum())
+    if bits >= 256:
+        raise RangeExceeded(
+            f"y = {y} makes Q at least 2^{bits}, which puts every entry of "
+            f"the matrix beyond the supported primality range (2^256); "
+            f"lower {_knobs(cls)}")
+    pa = pa.tolist()
+    return QProduct(Q=math.prod(pa, start=q), P_a=tuple(pa),
+                    case="A_plus" if cls == "both" else cls)
 
 
 @dataclass(frozen=True)
@@ -344,19 +354,6 @@ def _row_block(matrix, r0, r1):
     return per_row
 
 
-def _knobs(case_tag):
-    """The parameters that set Q's size: outside A±, Q also holds the
-    primes = a (mod q) up to yz/t."""
-    return "--yz, y" if case_tag == "other" else "y"
-
-
-def _beyond_primality(y, rows, bits, lower):
-    """The refusal of a matrix with bits-bit entries, past is_prime."""
-    return RangeExceeded(
-        f"y = {y} and rows = {rows} put {bits}-bit entries in the matrix, "
-        f"beyond the supported primality range (2^256); lower {lower}")
-
-
 def sample_rows_census(config, interval, rows,
                        spec=SpecialSetSpec.all_primes(), workers=1):
     """Scan rows r = 1..rows of the matrix for good and bad primes of
@@ -407,7 +404,10 @@ def sample_rows_census(config, interval, rows,
     top = rows * config.Q + start + length - 1          # the largest entry
     lower = f"{_knobs(config.case_tag)} or rows"
     if top > _PRIMALITY_CEILING:
-        raise _beyond_primality(config.y, rows, top.bit_length(), lower)
+        raise RangeExceeded(
+            f"y = {config.y} and rows = {rows} put {top.bit_length()}-bit "
+            f"entries in the matrix, beyond the supported primality range "
+            f"(2^256); lower {lower}")
     if spec.kind == "floorprod" and top >= MAX_SCAN_HI:
         raise RangeTooLarge(
             f"y = {config.y} and rows = {rows} put entries up to {top} in "
@@ -597,19 +597,18 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000,
                      workers=1):
     """Assemble a full construction: parameters, Q, interval, row census.
 
-    Explicit y/p0/yz win over the chosen defaults. The carrier density
+    Explicit y/p0/yz win over the chosen defaults. Q comes from build_Q,
+    which refuses a y from 2^31 and a Q past 2^256. The carrier density
     in z and the bounds follows the set (carrier_F): floor products
     use f^{-1}(X) / log X, all other sets X / log X. Returns (config,
     interval, census, bounds). spec defaults to every prime. workers
     bounds the processes of the row census (sample_rows_census).
     """
-    if rows < 1:        # before the refusal below, which reads rows
+    if rows < 1:        # before build_Q lists P_a
         raise InvalidQuery(f"rows must be >= 1, got {rows}")
-    cls = classify_residue(a, q)
     chosen = choose_parameters(X, q, spec, y_override=y)
-    y = chosen.y
+    y, t = chosen.y, chosen.t
     p0 = p0 if p0 is not None else chosen.p0
-    t = chosen.t
     z = chosen.z if yz is None else max(1, -(-yz // y))
     if yz is None and y * z > MAX_INTERVAL:
         raise IntervalTooLarge(
@@ -618,22 +617,7 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000,
             f" is how much sparser {spec.descriptor()} is than the primes "
             f"at X = {X}; give --yz, or a smaller --x")
     yz = yz if yz is not None else y * z
-    if cls == "other" and t is None:
-        raise ParameterDomain(
-            f"a = {a} is not an A± residue mod {q}, so t is needed and y "
-            f"must exceed e^e ~ {E_POW_E:.2f}; got y = {y}, use "
-            f"--y {math.floor(E_POW_E) + 1} or more")
-    pa, tag = _prime_support(q, a, y, p0, t, yz / t if t else None)
-    # each p is at least 2^(bit_length - 1), frexp's exponent of p, so
-    # the entries, all >= rows Q, have at least bits + rows.bit_length()
-    # bits: a Q past 2^256 is refused before P_a is listed and multiplied
-    # out, and no row count helps (sample_rows_census refuses the rest)
-    bits = int((np.frexp(pa)[1] - 1).sum())
-    if bits >= 256:
-        raise _beyond_primality(y, rows, bits + rows.bit_length(),
-                                _knobs(tag))
-    pa = pa.tolist()
-    product = QProduct(Q=_product([q] + pa), P_a=tuple(pa), case=tag)
+    product = build_Q(q, a, y, p0, t, yz / t if t else None)
     config = make_config(q, a, y, p0, t, z, product)
     anchors, interval = anchored_interval(config, yz)
     census = sample_rows_census(config, interval, rows, spec=spec,

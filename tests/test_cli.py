@@ -1,5 +1,6 @@
 """Command line front end: subcommands, formats, exit codes, manifests."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -19,10 +20,10 @@ import _oracles
 from conftest import needs_fork
 from primestrings import __version__, maier, search
 from primestrings.cli import (_CHUNK_ROWS, _one_line_warning, _rows_text,
-                              build_parser, main, parse_set)
+                              build_parser, main, parse_count, parse_set)
 from primestrings.errors import EmptyProductWarning
 from primestrings.search import MAX_CENSUS_Q, MAX_WORKERS
-from primestrings.sieve import PROGRESS_EVERY
+from primestrings.sieve import MAX_SCAN_SPAN, PROGRESS_EVERY
 
 GAMMA_40 = "0.5772156649015328606065120900824024310421"
 
@@ -266,6 +267,14 @@ def test_usage_errors_exit_2(argv, capsys):
     assert exc.value.code == 2
 
 
+def test_parse_count_reads_scientific_notation_exactly():
+    # a float would round 1e30 to 1000000000000000019884624838656
+    assert parse_count("1e30") == 10 ** 30
+    assert parse_count("1.5e3") == 1500
+    with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+        parse_count("1.5")
+
+
 def test_threads_above_the_bound_exit_2_naming_it(capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned for a refused --threads")
@@ -473,20 +482,20 @@ def test_maier_refuses_a_q_past_2_256_before_it_is_multiplied_out(
     # each p in P_a is at least 2^(bit_length - 1), so those exponents
     # sum to less than log2 Q; at y = 1e7 they pass 256 and Q would
     # have about 10^7 bits
-    products, real = [], maier._product
+    products, real = [], maier.QProduct
 
-    def spy(factors):
-        products.append(len(factors))
-        return real(factors)
+    def spy(**fields):
+        products.append(fields["Q"])
+        return real(**fields)
 
-    monkeypatch.setattr(maier, "_product", spy)
+    monkeypatch.setattr(maier, "QProduct", spy)
     code, out, err = run_cli(["maier", "--q", "5", "--a", "4", "--y", "1e7",
                               "--yz", "1000", "--rows", "1",
                               "--threads", "1"], capsys)
     assert code == 4 and out == ""
-    assert re.fullmatch(r"error: y = 10000000 and rows = 1 put \d+-bit "
-                        r"entries in the matrix, beyond the supported "
-                        r"primality range \(2\^256\); lower y\n",
+    assert re.fullmatch(r"error: y = 10000000 makes Q at least 2\^\d+, "
+                        r"which puts every entry of the matrix beyond the "
+                        r"supported primality range \(2\^256\); lower y\n",
                         err)
     assert products == []
     # the spy is live: a Q below 2^256 is multiplied out
@@ -494,6 +503,23 @@ def test_maier_refuses_a_q_past_2_256_before_it_is_multiplied_out(
                           "--yz", "200", "--rows", "2", "--threads", "1"],
                          capsys)
     assert code == 0 and len(products) == 1
+
+
+@pytest.mark.parametrize("y, value", [("3e9", 3 * 10 ** 9),
+                                      ("1e30", 10 ** 30)])
+def test_maier_refuses_a_y_past_the_sieve_naming_it(y, value, capsys,
+                                                    monkeypatch):
+    # P_a lists the primes up to y, so y must lie below MAX_SCAN_SPAN;
+    # the refusal comes before any sieve and prints y's exact digits
+    windows = []
+    monkeypatch.setattr(maier, "sieve_range",
+                        lambda lo, hi: windows.append((lo, hi)))
+    code, out, err = run_cli(["maier", "--q", "5", "--a", "4", "--y", y,
+                              "--yz", "100", "--rows", "2",
+                              "--threads", "1"], capsys)
+    assert code == 4 and out == "" and windows == []
+    assert err == (f"error: y = {value} must be below MAX_SCAN_SPAN = "
+                   f"{MAX_SCAN_SPAN}\n")
 
 
 def test_maier_q_zero_exits_4(capsys):

@@ -104,17 +104,28 @@ def _check_other_case(qq, a, y, p0, t, yzt):
 @pytest.mark.parametrize("qq, a, y, p0, kwargs, size", [
     (5, 4, 20, 3, {}, 5),                               # A_minus
     (5, 4, 23, 3, {}, 6),
-    (5, 4, 1009, 3, {}, 127),
+    (5, 4, 276, 3, {}, 42),                 # the widest P_a multiplied out
     (7, 1, 15, 11, {}, 4),                              # A_plus
     (5, 2, 20, 3, {"t": 7, "yz_over_t": 40}, 7),        # other
     (5, 2, 20, 3, {"t": 7, "yz_over_t": 50}, 8),
 ])
 def test_build_q_product_tree_matches_sequential(qq, a, y, p0, kwargs, size):
-    # Q is multiplied by a balanced tree; every leaf count must give the
-    # sequential product, odd counts carrying their last factor up
     got = build_Q(qq, a, y, p0, **kwargs)
     assert len(got.P_a) == size
     assert got.Q == functools.reduce(operator.mul, got.P_a, qq)
+
+
+def test_build_q_refuses_a_p_a_whose_bits_reach_256():
+    # each p in P_a is at least 2^(bit_length - 1): at y = 276 those
+    # exponents sum to 249 and Q is multiplied out (above); at y = 277
+    # they reach 257 and Q is refused, naming y, the only knob of Q's
+    # size in the A± cases
+    for y, bits in ((277, 257), (1009, 983)):
+        with pytest.raises(RangeExceeded, match=rf"^y = {y} makes Q at least "
+                           rf"2\^{bits}, which puts every entry of the "
+                           r"matrix beyond the supported primality range "
+                           r"\(2\^256\); lower y$"):
+            build_Q(5, 4, y, 3)
 
 
 def test_build_q_guards():
@@ -648,16 +659,17 @@ def test_sample_rows_census_guards():
 def test_sample_rows_census_rejects_entries_beyond_primality_range(
         monkeypatch):
     # y = 300 makes Q a 296-bit product, so no entry can reach
-    # is_prime: run_construction refuses it from P_a before it builds Q,
-    # so before the coprime mask, naming a lower bound on the bits and
-    # only y, since every entry is at least Q whatever the row count
+    # is_prime: build_Q refuses it from P_a before it builds Q, so
+    # before the coprime mask, naming a lower bound on Q and only y,
+    # since every entry is at least Q whatever the row count
     masks = []
     mask = maier._coprime_mask
     monkeypatch.setattr(maier, "_coprime_mask",
                         lambda *args: masks.append(args) or mask(*args))
-    with pytest.raises(RangeExceeded, match=r"^y = 300 and rows = 1 put "
-                       r"\d+-bit entries in the matrix, beyond the supported"
-                       r" primality range \(2\^256\); lower y$"):
+    with pytest.raises(RangeExceeded, match=r"^y = 300 makes Q at least "
+                       r"2\^\d+, which puts every entry of the matrix "
+                       r"beyond the supported primality range \(2\^256\); "
+                       r"lower y$"):
         run_construction(5, 4, y=300, yz=2000, rows=1)
     assert masks == []
     # the largest entry rows*Q + start + length - 1 may be 2^256 itself
@@ -682,14 +694,14 @@ def test_a_q_past_2_256_is_refused_while_p_a_is_an_array(monkeypatch):
     # y = 1e7 sieves 664,579 primes: the bit sum over P_a is taken in
     # numpy, so the refusal lists none of them as Python ints, and
     # builds no Q
-    def no_product(factors):
+    def no_product(**fields):
         raise AssertionError("Q was multiplied out")
 
     real = maier.sieve_range
     monkeypatch.setattr(maier, "sieve_range",
                         lambda lo, hi: real(lo, hi).view(_Unlisted))
-    monkeypatch.setattr(maier, "_product", no_product)
-    with pytest.raises(RangeExceeded, match="^y = 10000000 and rows = 1 "):
+    monkeypatch.setattr(maier, "QProduct", no_product)
+    with pytest.raises(RangeExceeded, match="^y = 10000000 makes Q "):
         run_construction(5, 4, y=10 ** 7, yz=1000, rows=1)
     # the spy is live: a Q below 2^256 lists P_a, then builds Q
     with pytest.raises(AssertionError, match="listed"):
