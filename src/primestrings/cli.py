@@ -3,7 +3,8 @@
 Subcommands: strings, maier, counts sq, counts psi, census.
 Output is JSON (or CSV where offered) on stdout; logs go to stderr.
 Exit codes: 0 success, 2 usage error, 3 scan completed without a hit,
-4 runtime/domain error.
+4 runtime/domain error, 128 + 15 after a SIGTERM, which unwinds the
+command (a Maier census kills its forked row blocks on the way out).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import json
 import logging
 import math
 import os
+import signal
 import sys
+import threading
 import time
 import warnings
 from itertools import chain
@@ -30,7 +33,6 @@ from .search import (MAX_WORKERS, NotFound, StringQuery, find_first_string,
 from .special import GFamily, SpecialSetSpec
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_NOT_FOUND = 3
 EXIT_ERROR = 4
 
@@ -346,6 +348,12 @@ def _one_line_warning(show):
     return one_line
 
 
+def _exit_on_sigterm(signum, frame):
+    """Leave by SystemExit, which unwinds the command: the Maier census
+    kills and reaps its forked row blocks on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -355,6 +363,10 @@ def main(argv=None):
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s: %(message)s")
     t0 = time.monotonic()
+    # signal handlers are set only in the main thread
+    own = threading.current_thread() is threading.main_thread()
+    if own:
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _one_line_warning(warnings.showwarning)
@@ -364,6 +376,9 @@ def main(argv=None):
         # a package warning is raised here only under -W error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if own:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -26,14 +27,19 @@ from .arith import euler_phi, prime_factors, crt_pair
 from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
                      ParameterDomain, RangeExceeded, RangeTooLarge)
 from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _PRIMALITY_CEILING,
-                    _base_primes, _strike, is_prime,
+                    _base_primes, _segment_bounds, _strike, is_prime,
                     primality_is_deterministic, sieve_range)
-from .search import _forked_results, _good_runs, check_workers
+from .search import (DEFAULT_SCAN_SEGMENT, _forked_results, _good_runs,
+                     check_workers)
 from .special import member, SpecialSetSpec
 
 E_POW_E = math.exp(math.e)              # ~15.154, threshold for t
 X_FLOOR = math.exp(math.exp(math.e))    # loglog X must exceed e
 MAX_INTERVAL = 10 ** 8
+# per_row, census_json and its JSON text take about 435 bytes a row
+# (ru_maxrss 34.5 -> 78.0 MB from 1 to 10^5 rows at yz = 1, at 1 and 2
+# workers), so a census of MAX_ROWS rows peaks near 0.9 GB
+MAX_ROWS = 2 * 10 ** 6
 _PRESIEVE_B = 1 << 16                   # row presieve: primes up to this
 _LIMB = (1 << 47) - 1                   # _residues takes n 47 bits at a time
 
@@ -118,6 +124,10 @@ def choose_parameters(X, q, spec, y_override=None):
     if X <= X_FLOOR:
         raise ParameterDomain(
             f"X must exceed e^(e^e) ~ {X_FLOOR:.0f} so loglog X > e")
+    if X > sys.float_info.max:
+        raise ParameterDomain(
+            f"X must not exceed the largest float, {sys.float_info.max!r}: "
+            f"F(X) and the bounds are evaluated in floats")
     if y_override is not None and y_override < 7:
         raise ParameterDomain(f"y override must be >= 7, got {y_override}")
     z = math.ceil(max(carrier_F(spec, X) ** 3, D ** 3))
@@ -152,23 +162,22 @@ def _knobs(case_tag):
 def build_Q(q, a, y, p0, t=None, yz_over_t=None):
     """Assemble the prime support P_a and the modulus Q = q * prod(P_a).
 
-    A_plus/A_minus (and both): P_a holds primes p <= y with p not
-    dividing q, p != p0, p != 1 mod q. Otherwise three prime blocks are
-    joined: p <= y with p != 1, a; t <= p <= y with p = 1; and
-    p <= y*z/t with p = a, again excluding p0 and divisors of q; t and
-    yz_over_t are read only in that case.
+    P_a holds the primes p not dividing q, p != p0, by r = p mod q. A±
+    (A_plus, A_minus, both): p <= y with r != 1. Otherwise p <= y with
+    r != 1, a; t <= p <= y with r = 1; p <= y*z/t with r = a (only this
+    case reads t and yz_over_t). One rule keeps both: p <= (yz/t if
+    r = a else y) and (r != 1 or p >= t), with t = inf, yz/t = y in A±.
 
-    y must lie below MAX_SCAN_SPAN = 2^31, the widest sieve_range
-    window. A Q past 2^256 leaves every matrix entry beyond is_prime, so
-    it is refused before P_a is listed: each p is at least 2^(e - 1),
-    for frexp's exponent e of p.
+    One walk lists the primes up to the larger bound, below
+    MAX_SCAN_SPAN = 2^31, in windows of search.DEFAULT_SCAN_SEGMENT
+    integers. A Q past 2^256 puts every matrix entry beyond is_prime:
+    each p is at least 2^(e - 1), for frexp's exponent e of p, so the
+    walk refuses Q at the first window where those exponents reach 256,
+    before that window's primes become Python ints.
     """
     cls = classify_residue(a, q)
     if y < 2:
         raise ParameterDomain(f"y must be >= 2, got {y}")
-    if y >= MAX_SCAN_SPAN:
-        raise RangeTooLarge(f"y = {y} must be below MAX_SCAN_SPAN = "
-                            f"{MAX_SCAN_SPAN}")
     if not is_prime(p0) or q % p0 == 0:
         raise ParameterDomain(f"p0 = {p0} must be a prime not dividing q")
     if cls == "other":
@@ -182,29 +191,29 @@ def build_Q(q, a, y, p0, t=None, yz_over_t=None):
         if t > yz_over_t:
             raise ParameterDomain(
                 f"need t <= sqrt(y z): t = {t}, yz/t = {yz_over_t}")
-    one, a_mod = 1 % q, a % q
-    q_int64 = min(q, 1 << 62)           # p < 2^48, so p mod this is p mod q
-    small = sieve_range(0, y + 1)
-    res = small % q_int64
-    if cls != "other":
-        pa = small[res != one]
-    else:
-        wide = sieve_range(0, math.floor(yz_over_t) + 1)
-        pa = np.sort(np.concatenate([      # blocks of disjoint residues
-            small[(res != one) & (res != a_mod)],
-            small[(small >= t) & (res == one)],
-            wide[wide % q_int64 == a_mod]]))
-    pa = pa[(pa != p0) & ~np.isin(pa, prime_factors(q))]
-    if not pa.size:
+    t, wide = (t, math.floor(yz_over_t)) if cls == "other" else (math.inf, y)
+    top = max(y, wide)
+    if top >= MAX_SCAN_SPAN:
+        raise RangeTooLarge(f"{'y' if top == y else 'yz/t'} = {top} must "
+                            f"be below MAX_SCAN_SPAN = {MAX_SCAN_SPAN}")
+    one, a_mod, factors = 1 % q, a % q, prime_factors(q)
+    q_int64 = min(q, 1 << 62)           # p < 2^31, so p mod this is p mod q
+    pa, bits = [], 0
+    for lo, hi in _segment_bounds(0, top + 1, DEFAULT_SCAN_SEGMENT):
+        p = sieve_range(lo, hi)
+        r = p % q_int64
+        p = p[(p <= np.where(r == a_mod, wide, y)) & ((r != one) | (p >= t))
+              & (p != p0) & ~np.isin(p, factors)]
+        bits += int((np.frexp(p)[1] - 1).sum())
+        if bits >= 256:
+            raise RangeExceeded(
+                f"y = {y} makes Q at least 2^{bits}, which puts every entry "
+                f"of the matrix beyond the supported primality range "
+                f"(2^256); lower {_knobs(cls)}")
+        pa += p.tolist()
+    if not pa:
         warnings.warn(f"P_a is empty for a={a}, q={q}, y={y}; Q = q",
                       EmptyProductWarning)
-    bits = int((np.frexp(pa)[1] - 1).sum())
-    if bits >= 256:
-        raise RangeExceeded(
-            f"y = {y} makes Q at least 2^{bits}, which puts every entry of "
-            f"the matrix beyond the supported primality range (2^256); "
-            f"lower {_knobs(cls)}")
-    pa = pa.tolist()
     return QProduct(Q=math.prod(pa, start=q), P_a=tuple(pa),
                     case="A_plus" if cls == "both" else cls)
 
@@ -354,10 +363,19 @@ def _row_block(matrix, r0, r1):
     return per_row
 
 
+def _check_rows(rows):
+    """Refuse a row count outside 1..MAX_ROWS, before any work."""
+    if rows < 1:
+        raise InvalidQuery(f"rows must be >= 1, got {rows}")
+    if rows > MAX_ROWS:
+        raise InvalidQuery(f"rows = {rows} exceeds MAX_ROWS = {MAX_ROWS}, "
+                           f"the most a census holds; lower --rows")
+
+
 def sample_rows_census(config, interval, rows,
                        spec=SpecialSetSpec.all_primes(), workers=1):
-    """Scan rows r = 1..rows of the matrix for good and bad primes of
-    spec's set, by default every prime.
+    """Scan rows r = 1..rows of the matrix, rows at most MAX_ROWS, for
+    good and bad primes of spec's set, by default every prime.
 
     A prime at column i is good when i = a (mod q). Only columns
     coprime to Q can contribute primes beyond Q's own support, so the
@@ -393,8 +411,7 @@ def sample_rows_census(config, interval, rows,
     but beatty_member may raise PrecisionExhausted on a composite
     entry, which needs m/alpha within about m 2^-bits of an integer.
     """
-    if rows < 1:
-        raise InvalidQuery(f"rows must be >= 1, got {rows}")
+    _check_rows(rows)
     check_workers(workers)
     if config.Q % config.q != 0:
         raise ParameterDomain(
@@ -501,8 +518,8 @@ def count_S_q(q, z, return_members=False):
         raise RangeTooLarge(f"z {z} must be below MAX_SCAN_SPAN = "
                             f"{MAX_SCAN_SPAN}")
     primes = sieve_range(0, max(1, z + 1))
-    # a prime p <= z < q is its own residue, never 1; q <= z fits int64
-    primes = primes[primes % q == 1 % q] if q <= z else primes[:0]
+    # p < 2^31, so p mod min(q, 2^62) is p mod q
+    primes = primes[primes % min(q, 1 << 62) == 1 % q]
     return _count_products(primes.tolist(), z, return_members)
 
 
@@ -597,26 +614,27 @@ def run_construction(q, a, y=None, p0=None, yz=None, rows=1000,
                      workers=1):
     """Assemble a full construction: parameters, Q, interval, row census.
 
-    Explicit y/p0/yz win over the chosen defaults. Q comes from build_Q,
-    which refuses a y from 2^31 and a Q past 2^256. The carrier density
-    in z and the bounds follows the set (carrier_F): floor products
-    use f^{-1}(X) / log X, all other sets X / log X. Returns (config,
-    interval, census, bounds). spec defaults to every prime. workers
-    bounds the processes of the row census (sample_rows_census).
+    Explicit y/p0/yz win over the chosen defaults. rows and yz, given or
+    derived, are checked first: outside A± build_Q lists primes up to
+    yz/t. build_Q then refuses a y from 2^31 and a Q past 2^256 as it
+    lists P_a. z and the bounds follow the set's carrier density
+    (carrier_F). Returns (config, interval, census, bounds); spec
+    defaults to every prime; workers bounds the row census's processes.
     """
-    if rows < 1:        # before build_Q lists P_a
-        raise InvalidQuery(f"rows must be >= 1, got {rows}")
+    _check_rows(rows)
     chosen = choose_parameters(X, q, spec, y_override=y)
     y, t = chosen.y, chosen.t
     p0 = p0 if p0 is not None else chosen.p0
-    z = chosen.z if yz is None else max(1, -(-yz // y))
-    if yz is None and y * z > MAX_INTERVAL:
+    given = yz is not None
+    z = max(1, -(-yz // y)) if given else chosen.z
+    yz = yz if given else y * z
+    if not 1 <= yz <= MAX_INTERVAL:
         raise IntervalTooLarge(
+            f"--yz {yz} must lie in [1, {MAX_INTERVAL}]" if given else
             f"the default yz = y z = {y} * {z} exceeds {MAX_INTERVAL}: z = "
             f"ceil(max(F(X)^3, D^3)), where F(X) = {carrier_F(spec, X):.6g}"
             f" is how much sparser {spec.descriptor()} is than the primes "
             f"at X = {X}; give --yz, or a smaller --x")
-    yz = yz if yz is not None else y * z
     product = build_Q(q, a, y, p0, t, yz / t if t else None)
     config = make_config(q, a, y, p0, t, z, product)
     anchors, interval = anchored_interval(config, yz)

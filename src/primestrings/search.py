@@ -38,7 +38,7 @@ from .arith import euler_phi, prime_factors
 from .errors import (InvalidModulus, InvalidQuery, InvalidRange,
                      PrimestringsError, RangeTooLarge)
 from .sieve import (DEFAULT_SEGMENT_BYTES, MAX_SCAN_HI, PROGRESS_EVERY,
-                    _segment_bounds, sieve_range)
+                    _segment_bounds, _strike, sieve_range)
 from .special import SpecialSetSpec, member, special_primes
 
 log = logging.getLogger("primestrings.search")
@@ -412,10 +412,10 @@ def _prime_census(X, q):
 
 def _coprime_classes(q):
     """Mask of the classes mod q prime to q: q's primes strike theirs."""
-    mask = np.ones(q, dtype=bool)
-    for p in prime_factors(q):
-        mask[::p] = False
-    return mask
+    struck = np.zeros(q, dtype=bool)
+    ps = np.array(prime_factors(q), dtype=np.int64)
+    _strike(struck, np.zeros_like(ps), ps)
+    return ~struck
 
 
 def residue_census(spec, X, q, workers=1,

@@ -12,11 +12,12 @@ for p < 512, 0.5-0.8 for p in [512, 2100), 0.7-0.9 for [2100, 10^4).
 
 Every crossing-off in the package goes through one kernel, _strike,
 which sets flags[first::step] for many (first, step) pairs at once: in
-a sieve segment here, and in a Maier row (the presieve) and the Maier
-column interval (coprimality to Q) in maier. A step s hits at most h
-indices of an n-long array once s >= ceil(n/h), so only the steps
-below ceil(n/64) cross off in a Python loop; the others cross off in
-numpy tiers of at most 64, 32, ..., 2 indices, or one index for s >= n.
+a sieve segment here, in a Maier row (the presieve) and the Maier
+column interval (coprimality to Q) in maier, and in the classes mod q
+prime to q in search. A step s hits at most h indices of an n-long
+array once s >= ceil(n/h), so only the steps below ceil(n/64) cross
+off in a Python loop; the others cross off in numpy tiers of at most
+64, 32, ..., 2 indices, or one index for s >= n.
 The base primes up to sqrt(hi) come from one ascending array per
 process (_base_primes), filled lazily and extended on demand under
 the package's one lock, so a window lists no base prime that an

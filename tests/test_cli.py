@@ -6,8 +6,10 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from primestrings import __version__, maier, search
 from primestrings.cli import (_CHUNK_ROWS, _one_line_warning, _rows_text,
                               build_parser, main, parse_count, parse_set)
 from primestrings.errors import EmptyProductWarning
+from primestrings.maier import MAX_INTERVAL, MAX_ROWS
 from primestrings.search import MAX_CENSUS_Q, MAX_WORKERS
 from primestrings.sieve import MAX_SCAN_SPAN, PROGRESS_EVERY
 
@@ -44,14 +47,19 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
-def run_python(args):
-    """Run `python args` in a child that imports src/."""
+def run_env():
+    """os.environ with src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"),
         env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(args):
+    """Run `python args` in a child that imports src/."""
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=run_env())
 
 
 def run_module(argv):
@@ -522,6 +530,22 @@ def test_maier_refuses_a_y_past_the_sieve_naming_it(y, value, capsys,
                    f"{MAX_SCAN_SPAN}\n")
 
 
+@pytest.mark.parametrize("yz, value", [("1e12", 10 ** 12),
+                                       ("5e8", 5 * 10 ** 8), ("0", 0)])
+def test_maier_refuses_a_yz_outside_its_range_before_any_sieve(
+        yz, value, capsys, monkeypatch):
+    # outside A± build_Q lists the primes up to yz/t (t ~ 1.01 at
+    # y = 16), so a given --yz is checked against [1, MAX_INTERVAL] first
+    windows = []
+    monkeypatch.setattr(maier, "sieve_range",
+                        lambda lo, hi: windows.append((lo, hi)))
+    code, out, err = run_cli(["maier", "--q", "7", "--a", "3", "--y", "16",
+                              "--yz", yz, "--rows", "1", "--threads", "1"],
+                             capsys)
+    assert code == 4 and out == "" and windows == []
+    assert err == f"error: --yz {value} must lie in [1, {MAX_INTERVAL}]\n"
+
+
 def test_maier_q_zero_exits_4(capsys):
     code, out, err = run_cli(["maier", "--q", "0", "--a", "1",
                               "--threads", "1"], capsys)
@@ -710,6 +734,50 @@ def test_a_forked_worker_that_dies_exits_4(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err == ("error: a forked worker ended with exit status 3 and "
                    "no result\n")
+
+
+def _running(pid):
+    """Whether pid names a process that is neither gone nor a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="reads a process's children from /proc")
+def test_a_sigterm_to_the_cli_ends_its_forked_row_blocks():
+    # a census of MAX_ROWS rows runs for minutes; a SIGTERM sent to the
+    # calling process alone unwinds it, and the census kills and reaps
+    # the child that runs its second block
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "primestrings", "maier", "--q", "5", "--a",
+         "4", "--y", "20", "--yz", "200", "--rows", str(MAX_ROWS),
+         "--threads", "2"], env=run_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while not pids and proc.poll() is None \
+                and time.monotonic() < deadline:
+            pids = children.read_text().split()
+            time.sleep(0.01)
+        assert pids, "no row block was forked"
+        proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 2
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(_running, pids)), "a row block outlived its caller"
+        assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+    finally:
+        for pid in [*pids, proc.pid]:
+            if _running(pid):
+                os.kill(int(pid), signal.SIGKILL)
+        proc.stderr.close()
+        proc.wait()
 
 
 # ------------------------------------------------------------ manifest

@@ -7,6 +7,8 @@ import math
 import operator
 import os
 import random
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -27,7 +29,7 @@ from primestrings import maier
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
                                  InvalidQuery, ParameterDomain, RangeExceeded,
                                  RangeTooLarge)
-from primestrings.maier import _PRESIEVE_B, PHI_NOTE, X_FLOOR
+from primestrings.maier import _PRESIEVE_B, MAX_ROWS, PHI_NOTE, X_FLOOR
 from primestrings.search import MAX_WORKERS, _good_runs
 from primestrings.sieve import MAX_SCAN_HI, MAX_SCAN_SPAN
 
@@ -141,6 +143,92 @@ def test_build_q_guards():
         build_Q(5, 2, 20, 3, t=9, yz_over_t=4)   # t > yz/t
     with pytest.raises(InvalidQuery):
         build_Q(6, 3, 20, 7)                # gcd(a, q) > 1
+
+
+def _p_a_oracle(qq, a, y, p0, t, yzt):
+    """P_a by the three-block rule, in plain Python over a dense sieve:
+    p <= y with p != 1 mod q (and != a outside A±); outside A± also
+    t <= p <= y with p = 1, and p <= yz/t with p = a."""
+    other = classify_residue(a, qq) == "other"
+    one, a_mod = 1 % qq, a % qq
+    pa = []
+    for p in map(int, _oracles.simple_sieve(max(y, int(yzt)) if other
+                                             else y)):
+        r = p % qq
+        keep = p <= y and r != one and not (other and r == a_mod)
+        keep = keep or other and t <= p <= y and r == one
+        keep = keep or other and p <= yzt and r == a_mod
+        if keep and p != p0 and qq % p:
+            pa.append(p)
+    return pa
+
+
+_EDGE = 1 << 21                     # the width of one build_Q window
+
+
+@st.composite
+def _build_q_args(draw):
+    qq = draw(st.one_of(st.integers(1, 60), st.integers(1 << 16, 1 << 22),
+                        st.integers(1, 1000).map(lambda k: k << 64)))
+    a = draw(st.one_of(st.just(1 % qq), st.just(qq - 1),
+                       st.integers(0, qq - 1))
+             .filter(lambda a: math.gcd(a, qq) == 1))
+    y = draw(st.one_of(st.integers(2, 400),
+                       st.integers(_EDGE - 64, _EDGE + 64)))
+    yzt = draw(st.one_of(st.floats(1, 3000),
+                         st.floats(_EDGE - 64, _EDGE + 64)))
+    t = draw(st.floats(1, min(yzt, 60)))
+    p0 = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23])
+              .filter(lambda p: qq % p))
+    return qq, a, y, p0, t, yzt
+
+
+@settings(max_examples=60, deadline=None)
+@given(_build_q_args())
+# a P_a member past the first window: 2097169 = 3 + q is prime
+@example((2097166, 3, 20, 23, 7.0, 2097169.5))
+@example((15 << 70, (15 << 70) - 7, 40, 7, 7.0, _EDGE + 0.5))
+@example((5, 4, _EDGE, 3, 2.0, 10.0))
+@example((5, 2, 20, 3, 11.0, 50.0))     # keeps t = 11 = 1 (mod 5)
+def test_build_q_p_a_equals_the_three_block_rule(args):
+    # one walk over the primes to the larger bound, one rule for every
+    # residue case: P_a and Q as three sieved blocks give them, and a
+    # refusal once the exponents of P_a's primes reach 256
+    qq, a, y, p0, t, yzt = args
+    want = _p_a_oracle(*args)
+    bits = sum(p.bit_length() - 1 for p in want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyProductWarning)
+        if bits >= 256:
+            with pytest.raises(RangeExceeded, match=rf"^y = {y} makes Q at "
+                               r"least 2\^\d+, ") as exc:
+                build_Q(*args)
+            # the bits summed up to the refusing window
+            got = int(re.search(r"2\^(\d+),", str(exc.value))[1])
+            assert 256 <= got <= bits
+            return
+        got = build_Q(*args)
+    assert got.P_a == tuple(want)
+    assert got.Q == math.prod(want, start=qq)
+
+
+def test_build_q_refuses_after_the_first_window(monkeypatch):
+    # the exponents of the primes below 2^21 pass 256 at once, so y = 1e8
+    # sieves one window, not the 5,761,455 primes up to y
+    windows, real = [], maier.sieve_range
+    monkeypatch.setattr(maier, "sieve_range",
+                        lambda lo, hi: windows.append((lo, hi)) or
+                        real(lo, hi))
+    with pytest.raises(RangeExceeded, match=r"^y = 100000000 makes Q at "):
+        build_Q(5, 4, 10 ** 8, 3)
+    assert windows == [(0, 1 << 21)]
+
+
+def test_build_q_names_the_bound_past_the_sieve():
+    # outside A± the walk reaches yz/t, which must also lie below 2^31
+    with pytest.raises(RangeTooLarge, match=r"^yz/t = 2147483648 must be "
+                       r"below MAX_SCAN_SPAN = 2147483648$"):
+        build_Q(5, 2, 20, 3, t=7, yz_over_t=2.0 ** 31 + 0.5)
 
 
 # ----------------------------------------------------------------- anchors
@@ -715,6 +803,22 @@ def test_a_construction_of_no_rows_is_refused_before_its_size():
         run_construction(5, 4, y=300, yz=2000, rows=0)
 
 
+def test_a_row_count_past_max_rows_is_refused_before_any_work(monkeypatch):
+    # per_row and census_json hold a tuple and a dict a row: a count
+    # past MAX_ROWS is refused before build_Q sieves, and by
+    # sample_rows_census for a direct caller
+    config, _, interval = micro_config()
+    monkeypatch.setattr(maier, "sieve_range",
+                        lambda lo, hi: pytest.fail("sieved"))
+    rows = MAX_ROWS + 1
+    msg = (rf"^rows = {rows} exceeds MAX_ROWS = {MAX_ROWS}, the most a "
+           r"census holds; lower --rows$")
+    with pytest.raises(InvalidQuery, match=msg):
+        run_construction(5, 4, y=20, yz=200, rows=rows)
+    with pytest.raises(InvalidQuery, match=msg):
+        sample_rows_census(config, interval, rows)
+
+
 def test_sample_rows_census_refuses_floorprod_entries_from_2_48():
     # floor-product membership stops at MAX_SCAN_HI: a census whose
     # largest entry rows*Q + start + length - 1 reaches it is refused
@@ -864,6 +968,16 @@ def test_choose_parameters_override():
     assert got3.p0 == 5                        # 3 divides q
     with pytest.raises(ParameterDomain):
         choose_parameters(10 ** 8, 7, ALL, y_override=6)
+
+
+def test_choose_parameters_refuses_an_x_past_the_floats():
+    # F(X) divides X by a float: the refusal names X and the bound and
+    # formats no X as a float; the largest float itself is accepted
+    with pytest.raises(ParameterDomain, match=r"^X must not exceed the "
+                       r"largest float, 1\.7976931348623157e\+308: F\(X\) "
+                       r"and the bounds are evaluated in floats$"):
+        choose_parameters(10 ** 400, 5, ALL)
+    assert choose_parameters(int(sys.float_info.max), 5, ALL).y == 355
 
 
 def test_choose_parameters_rejects_q_below_one():

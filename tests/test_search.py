@@ -170,9 +170,19 @@ def test_census_statistics_at_the_largest_modulus():
 
 
 def test_coprime_classes_equal_the_gcd_mask():
-    for qq in [*range(1, 301), 999_983, 10 ** 6]:
+    for qq in [*range(1, 301), 30030, 510510, 720720, 999_983, 10 ** 6]:
         want = np.gcd(np.arange(qq), qq) == 1
         assert np.array_equal(search._coprime_classes(qq), want), qq
+
+
+def test_coprime_classes_cross_off_through_the_sieve_kernel(monkeypatch):
+    # _strike, the package's one crossing-off kernel, strikes q's primes
+    steps, real = [], search._strike
+    monkeypatch.setattr(search, "_strike",
+                        lambda *args: steps.append(args[2].tolist())
+                        or real(*args))
+    search._coprime_classes(510510)
+    assert steps == [[2, 3, 5, 7, 11, 13, 17]]
 
 
 def test_census_csv():
