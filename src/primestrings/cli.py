@@ -1,7 +1,9 @@
 """Command line interface.
 
-Subcommands: strings, maier, counts sq, counts psi, census.
-Output is JSON (or CSV where offered) on stdout; logs go to stderr.
+Subcommands: strings, maier, counts sq, counts psi, census. Each
+returns its exit code and its document, JSON (or CSV where offered);
+main alone writes the document to stdout, and the run manifest where
+--manifest asks for one. Logs go to stderr.
 Exit codes: 0 success, 2 usage error, 3 scan completed without a hit,
 4 runtime/domain error, 128 + 15 after a SIGTERM, which unwinds the
 command (a Maier census kills its forked row blocks on the way out).
@@ -124,9 +126,10 @@ def parse_set(text):
     raise argparse.ArgumentTypeError(f"unknown set descriptor {text!r}")
 
 
-def _emit(args, text, argv, t0, workers=1):
-    """Write text, one str or an iterable of str pieces, to stdout."""
-    path = getattr(args, "manifest", None)
+def _emit(args, text, argv, t0, workers):
+    """Write text, one str or an iterable of str pieces, to stdout, and
+    the run manifest where --manifest asks for one."""
+    path = args.manifest
     digest = hashlib.sha256()
     for piece in [text] if isinstance(text, str) else text:
         sys.stdout.write(piece)
@@ -180,81 +183,67 @@ def _rows_text(pieces):
             None, b"\0").decode("ascii")
 
 
-def cmd_strings(args, argv, t0):
+def cmd_strings(args):
     query = StringQuery(spec=args.set, k=args.k, q=args.q, a=args.a,
                         limit=args.limit)
+    scan = scan_all_strings if args.all_runs else find_first_string
     start = time.monotonic()
-    if args.all_runs:
-        runs = scan_all_strings(query, workers=args.threads)
-        log.info("scan: %d ms", (time.monotonic() - start) * 1000)
-        runs = np.compress(runs["length"] >= args.k, runs)
-        if args.format == "csv":
-            text = chain(["start,length\n"], _rows_text(
-                [runs["start"], b",", runs["length"], b"\n"]))
-        else:   # the bytes json.dumps gives the runs as {"start", ...} dicts
-            head, _, tail = _dump({
-                "set": args.set.descriptor(), "q": args.q, "a": args.a,
-                "limit": args.limit, "runs": [],
-            }).partition("[]")                  # the only list is the runs
-            rows = _rows_text([b', {"length": ', runs["length"],
-                               b', "start": ', runs["start"], b"}"])
-            # no ", " before the first row
-            text = chain([head, "[", next(rows, ", ")[2:]], rows, ["]", tail])
-        _emit(args, text, argv, t0, workers=args.threads)
-        return EXIT_OK
-    result = find_first_string(query, workers=args.threads)
+    result = scan(query, workers=args.threads)
     log.info("scan: %d ms", (time.monotonic() - start) * 1000)
+    if args.all_runs:
+        runs = np.compress(result["length"] >= args.k, result)
+        if args.format == "csv":
+            return EXIT_OK, chain(["start,length\n"], _rows_text(
+                [runs["start"], b",", runs["length"], b"\n"]))
+        # the bytes json.dumps gives the runs as {"start", ...} dicts
+        head, _, tail = _dump({
+            "set": args.set.descriptor(), "q": args.q, "a": args.a,
+            "limit": args.limit, "runs": [],
+        }).partition("[]")                      # the only list is the runs
+        rows = _rows_text([b', {"length": ', runs["length"],
+                           b', "start": ', runs["start"], b"}"])
+        # no ", " before the first row
+        return EXIT_OK, chain([head, "[", next(rows, ", ")[2:]], rows,
+                              ["]", tail])
+    code = EXIT_NOT_FOUND if isinstance(result, NotFound) else EXIT_OK
     record = hit_record(query, result)
-    if args.format == "csv":
-        cols = ["set", "k", "q", "a", "limit", "found", "start_index",
-                "primes"]
-        row = dict(record)
-        row.setdefault("found", True)
-        row["primes"] = ";".join(str(p) for p in row.get("primes", []))
-        row.setdefault("start_index", "")
-        text = ",".join(cols) + "\n" + \
-            ",".join(str(row.get(c, "")) for c in cols) + "\n"
-    else:
-        text = _dump(record)
-    _emit(args, text, argv, t0, workers=args.threads)
-    return EXIT_OK if not isinstance(result, NotFound) else EXIT_NOT_FOUND
+    if args.format == "json":
+        return code, _dump(record)
+    cols = ["set", "k", "q", "a", "limit", "found", "start_index", "primes"]
+    row = {"found": True, "start_index": "", **record}
+    row["primes"] = ";".join(map(str, row.get("primes", [])))
+    return code, ",".join(cols) + "\n" + \
+        ",".join(str(row[c]) for c in cols) + "\n"
 
 
-def cmd_census(args, argv, t0):
+def cmd_census(args):
     census = residue_census(args.set, args.limit, args.q,
                             workers=args.threads)
     if args.format == "csv":
-        text = census.to_csv()
-    else:
-        text = _dump({
-            "set": census.set_descriptor, "X": census.X, "q": census.q,
-            "counts": {str(r): c for r, c in census.counts.items()},
-            "phi": census.phi, "coprime_mean": census.coprime_mean,
-            "max_ratio": census.max_ratio, "min_ratio": census.min_ratio,
-        })
-    _emit(args, text, argv, t0, workers=args.threads)
-    return EXIT_OK
+        return EXIT_OK, "residue,count\n" + "".join(
+            f"{r},{c}\n" for r, c in census.counts.items())
+    return EXIT_OK, _dump({
+        "set": census.set_descriptor, "X": census.X, "q": census.q,
+        "counts": {str(r): c for r, c in census.counts.items()},
+        "phi": census.phi, "coprime_mean": census.coprime_mean,
+        "max_ratio": census.max_ratio, "min_ratio": census.min_ratio,
+    })
 
 
-def cmd_maier(args, argv, t0):
-    config, interval, census, bounds = run_construction(
+def cmd_maier(args):
+    return EXIT_OK, _dump(census_json(*run_construction(
         q=args.q, a=args.a, y=args.y, p0=args.p0, yz=args.yz,
-        rows=args.rows, spec=args.set, X=args.x, workers=args.threads)
-    _emit(args, _dump(census_json(config, interval, census, bounds)),
-          argv, t0, workers=args.threads)
-    return EXIT_OK
+        rows=args.rows, spec=args.set, X=args.x, workers=args.threads)))
 
 
-def cmd_counts_sq(args, argv, t0):
-    count = count_S_q(args.q, args.z)
-    _emit(args, _dump({"q": args.q, "z": args.z, "count": count}), argv, t0)
-    return EXIT_OK
+def cmd_counts_sq(args):
+    return EXIT_OK, _dump({"q": args.q, "z": args.z,
+                           "count": count_S_q(args.q, args.z)})
 
 
-def cmd_counts_psi(args, argv, t0):
-    count = count_psi(args.x, args.t)
-    _emit(args, _dump({"x": args.x, "t": args.t, "count": count}), argv, t0)
-    return EXIT_OK
+def cmd_counts_psi(args):
+    return EXIT_OK, _dump({"x": args.x, "t": args.t,
+                           "count": count_psi(args.x, args.t)})
 
 
 def build_parser():
@@ -370,7 +359,10 @@ def main(argv=None):
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _one_line_warning(warnings.showwarning)
-            return args.func(args, argv, t0)
+            code, text = args.func(args)
+            _emit(args, text, argv, t0,
+                  1 if args.command == "counts" else args.threads)
+            return code
     except (PrimestringsError, PrimestringsWarning, ValueError,
             OverflowError, OSError) as exc:
         # a package warning is raised here only under -W error

@@ -18,6 +18,7 @@ import bisect
 import math
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -190,7 +191,8 @@ def build_Q(q, a, y, p0, t=None, yz_over_t=None):
             raise ParameterDomain("non-A± case needs yz/t")
         if t > yz_over_t:
             raise ParameterDomain(
-                f"need t <= sqrt(y z): t = {t}, yz/t = {yz_over_t}")
+                f"need t <= sqrt(y z): t = {t}, so y z must be at least "
+                f"ceil(t^2) = {math.ceil(t * t)}; raise --yz")
     t, wide = (t, math.floor(yz_over_t)) if cls == "other" else (math.inf, y)
     top = max(y, wide)
     if top >= MAX_SCAN_SPAN:
@@ -464,14 +466,16 @@ def sample_rows_census(config, interval, rows,
 def _count_products(ps, bound, return_members):
     """Count n <= bound whose prime factors all lie in ps; 1 counts.
 
-    ps is ascending. The walk builds each n once, as value * p^e with
-    p above every prime of value, and recurses to the primes after p
-    with budget // p^e. Once p^2 > budget, value * r has no room for a
-    second factor >= r for any listed r in [p, budget], so those n are
-    leaves: one bisect counts them (or lists them) with no call per n.
-    Each level adds a distinct prime, so the depth is the most distinct
-    primes of an n <= bound, not log2(bound). With return_members the
-    sorted n are returned.
+    ps is ascending; count_S_q and count_psi pass an array("q"), 8
+    bytes a prime where a list holds a Python int for each. The walk
+    builds each n once, as value * p^e with p above every prime of
+    value, and recurses to the primes after p with budget // p^e. Once
+    p^2 > budget, value * r has no room for a second factor >= r for
+    any listed r in [p, budget], so those n are leaves: one bisect
+    counts them (or lists them) with no call per n. Each level adds a
+    distinct prime, so the depth is the most distinct primes of an
+    n <= bound, not log2(bound). With return_members the sorted n are
+    returned.
     """
     if bound < 1:
         return [] if return_members else 0
@@ -520,7 +524,7 @@ def count_S_q(q, z, return_members=False):
     primes = sieve_range(0, max(1, z + 1))
     # p < 2^31, so p mod min(q, 2^62) is p mod q
     primes = primes[primes % min(q, 1 << 62) == 1 % q]
-    return _count_products(primes.tolist(), z, return_members)
+    return _count_products(array("q", primes.tobytes()), z, return_members)
 
 
 def count_psi(x, t, return_members=False):
@@ -535,7 +539,8 @@ def count_psi(x, t, return_members=False):
         raise RangeTooLarge(f"t {t} and x {x} need the primes below {hi}, "
                             f"more than MAX_SCAN_SPAN = {MAX_SCAN_SPAN}")
     primes = sieve_range(0, hi)
-    return _count_products(primes[primes < t].tolist(), x, return_members)
+    return _count_products(array("q", primes[primes < t].tobytes()), x,
+                           return_members)
 
 
 def estimate_string_bound(x_scales, d_value, f_value, q, case):

@@ -29,6 +29,7 @@ import signal
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -211,20 +212,18 @@ def _ordered_results(task, jobs, workers):
     pool's jobs among those first drawn, so one worker builds no pool.
     The pool's jobs are submitted before the caller runs job 1, and
     before it blocks on a pool result the caller runs its own jobs
-    drawn so far. Jobs are drawn lazily, at most 2 * workers ahead of
-    the consumer, so an early break leaves nothing queued; a job's
-    exception is raised in its turn, wherever the job ran.
+    drawn so far, each through _run_into. Jobs are drawn lazily, at
+    most 2 * workers ahead of the consumer, so an early break leaves
+    nothing queued; a job's exception is raised in its turn, wherever
+    the job ran.
     """
     check_workers(workers)
     # the caller's jobs are those drawn at index 0 (mod workers)
     jobs = enumerate(jobs)
     head = list(islice(jobs, 2 * workers))
     n_pool = sum(i % workers > 0 for i, _ in head)
-    if not n_pool:                   # one worker, or a one-job plan
-        for _, job in chain(head, jobs):
-            yield job, task(job)
-        return
-    with ThreadPoolExecutor(max_workers=min(workers - 1, n_pool)) as pool:
+    with (ThreadPoolExecutor(max_workers=min(workers - 1, n_pool))
+          if n_pool else nullcontext()) as pool:
         own = deque()                # the caller's jobs not yet run
 
         def draw(i, job):
@@ -357,11 +356,6 @@ class SetCensus:
     coprime_mean: float
     max_ratio: float
     min_ratio: float
-
-    def to_csv(self):
-        lines = ["residue,count"]
-        lines += [f"{r},{self.counts[r]}" for r in sorted(self.counts)]
-        return "\n".join(lines) + "\n"
 
 
 def _prime_census(X, q):

@@ -398,12 +398,16 @@ def test_census_json(capsys):
 
 
 def test_census_csv(capsys):
-    code, out, _ = run_cli(["census", "--set", "beatty:pi", "--q", "7",
-                            "--limit", "100", "--threads", "1",
-                            "--format", "csv"], capsys)
-    assert code == 0
-    assert out.splitlines() == ["residue,count", "0,0", "1,1", "2,1",
-                                "3,3", "4,1", "5,1", "6,1"]
+    for argv, rows in [
+            (["--set", "beatty:pi", "--q", "7", "--limit", "100"],
+             ["0,0", "1,1", "2,1", "3,3", "4,1", "5,1", "6,1"]),
+            (["--q", "3", "--limit", "10"],
+             ["0,1", "1,1", "2,2"]),                # 3; 7; 2 and 5
+    ]:
+        code, out, _ = run_cli(["census", *argv, "--threads", "1",
+                                "--format", "csv"], capsys)
+        assert code == 0
+        assert out == "residue,count\n" + "".join(f"{r}\n" for r in rows)
 
 
 @pytest.mark.parametrize("family,B", [("log", 0.001), ("loglog", 0.2)])
@@ -483,6 +487,19 @@ def test_maier_non_a_pm_refusal_names_yz(capsys):
                               "--threads", "1"], capsys)
     assert code == 4 and out == ""
     assert err.endswith("2^256); lower --yz, y\n")
+
+
+def test_maier_t_refusal_names_the_least_yz(capsys):
+    # at y = 16, t = 1.0134...: y z = 1 is below t^2, and ceil(t^2) = 2
+    # is accepted
+    argv = ["maier", "--q", "7", "--a", "3", "--y", "16", "--rows", "1",
+            "--threads", "1"]
+    code, out, err = run_cli(argv + ["--yz", "1"], capsys)
+    assert code == 4 and out == ""
+    assert err == ("error: need t <= sqrt(y z): t = 1.0134032504012969, so "
+                   "y z must be at least ceil(t^2) = 2; raise --yz\n")
+    code, out, _ = run_cli(argv + ["--yz", "2"], capsys)
+    assert code == 0 and json.loads(out)["case"] == "other"
 
 
 def test_maier_refuses_a_q_past_2_256_before_it_is_multiplied_out(
@@ -818,6 +835,34 @@ def test_manifest_digest_of_all_runs_is_the_digest_of_stdout(fmt, tmp_path,
         2 * _CHUNK_ROWS
     doc = json.loads(m.read_text())
     assert doc["result_digest"] == hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,workers", [
+    (["strings", "--k", "2", "--q", "4", "--a", "1", "--limit", "1000"], 2),
+    (["strings", "--k", "2", "--q", "4", "--a", "1", "--limit", "1000",
+      "--format", "csv"], 2),
+    (["strings", "--k", "1", "--q", "3", "--a", "1", "--limit", "1000",
+      "--all-runs"], 2),
+    (["strings", "--k", "1", "--q", "3", "--a", "1", "--limit", "1000",
+      "--all-runs", "--format", "csv"], 2),
+    (["census", "--set", "beatty:pi", "--q", "7", "--limit", "1000"], 2),
+    (["census", "--set", "beatty:pi", "--q", "7", "--limit", "1000",
+      "--format", "csv"], 2),
+    (["maier", "--q", "5", "--a", "4", "--yz", "30", "--rows", "5"], 2),
+    (["counts", "sq", "--q", "4", "--z", "30"], 1),
+    (["counts", "psi", "--x", "100", "--t", "10"], 1),
+])
+def test_manifest_of_every_command_digests_its_stdout(argv, workers,
+                                                      tmp_path, capsys):
+    # workers: the --threads bound, but 1 for counts, which runs in one
+    # process whatever --threads says
+    m = tmp_path / "m.json"
+    code, out, _ = run_cli(argv + ["--threads", "2", "--manifest", str(m)],
+                           capsys)
+    assert code == 0 and out
+    doc = json.loads(m.read_text())
+    assert doc["result_digest"] == hashlib.sha256(out.encode()).hexdigest()
+    assert doc["workers"] == workers
 
 
 def test_manifest_on_counts(tmp_path, capsys):

@@ -9,6 +9,7 @@ import os
 import random
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -922,6 +923,18 @@ def test_counts_at_benchmark_scale():
     assert count_S_q(5, 5403965) == 137345
     assert count_psi(5403940, 101) == 191453
     assert count_psi(1536503, 258) == 226061
+
+
+def test_counts_hold_their_primes_at_8_bytes_each():
+    # the 216,816 primes below 3e6 peak near 5 MB as an array("q") and
+    # near 12 MB as a list of Python ints
+    tracemalloc.start()
+    try:
+        assert count_psi(3 * 10 ** 6, 3 * 10 ** 6) == 3 * 10 ** 6
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_count_psi_depth_is_distinct_primes():

@@ -185,14 +185,6 @@ def test_coprime_classes_cross_off_through_the_sieve_kernel(monkeypatch):
     assert steps == [[2, 3, 5, 7, 11, 13, 17]]
 
 
-def test_census_csv():
-    census = residue_census(ALL, 10, 3)
-    text = census.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "residue,count"
-    assert lines[1:] == ["0,1", "1,1", "2,2"]  # 3; 7; 2 and 5
-
-
 def test_census_matches_direct_count(b_pi, primes_100k):
     X = 30_000
     bp = [p for p in _oracles.beatty_primes_below(X + 1)]
