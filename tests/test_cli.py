@@ -398,16 +398,12 @@ def test_census_json(capsys):
 
 
 def test_census_csv(capsys):
-    for argv, rows in [
-            (["--set", "beatty:pi", "--q", "7", "--limit", "100"],
-             ["0,0", "1,1", "2,1", "3,3", "4,1", "5,1", "6,1"]),
-            (["--q", "3", "--limit", "10"],
-             ["0,1", "1,1", "2,2"]),                # 3; 7; 2 and 5
-    ]:
-        code, out, _ = run_cli(["census", *argv, "--threads", "1",
-                                "--format", "csv"], capsys)
-        assert code == 0
-        assert out == "residue,count\n" + "".join(f"{r}\n" for r in rows)
+    code, out, _ = run_cli(["census", "--set", "beatty:pi", "--q", "7",
+                            "--limit", "100", "--threads", "1",
+                            "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["residue,count", "0,0", "1,1", "2,1",
+                                "3,3", "4,1", "5,1", "6,1"]
 
 
 @pytest.mark.parametrize("family,B", [("log", 0.001), ("loglog", 0.2)])

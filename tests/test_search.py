@@ -1,5 +1,6 @@
 """String scanning: hits, runs, censuses, verification, determinism."""
 
+import argparse
 import itertools
 import json
 import logging
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import _oracles
 import conftest
-from primestrings import arith, search, sieve
+from primestrings import arith, cli, search, sieve
 from primestrings import (GFamily, NotFound, SetCensus, SpecialSetSpec,
                           StringHit, StringQuery, count_primes_ap,
                           find_first_string, hit_record, is_prime,
@@ -183,6 +184,18 @@ def test_coprime_classes_cross_off_through_the_sieve_kernel(monkeypatch):
                         or real(*args))
     search._coprime_classes(510510)
     assert steps == [[2, 3, 5, 7, 11, 13, 17]]
+
+
+def test_census_csv():
+    # the census's CSV is written by the census command, from the census
+    census = residue_census(ALL, 10, 3)
+    assert dict(census.counts) == {0: 1, 1: 1, 2: 2}  # 3; 7; 2 and 5
+    code, text = cli.cmd_census(argparse.Namespace(
+        set=ALL, limit=10, q=3, threads=1, format="csv"))
+    assert code == 0
+    lines = text.strip().split("\n")
+    assert lines[0] == "residue,count"
+    assert lines[1:] == ["0,1", "1,1", "2,2"]
 
 
 def test_census_matches_direct_count(b_pi, primes_100k):
