@@ -28,8 +28,8 @@ from .arith import euler_phi, prime_factors, crt_pair
 from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
                      ParameterDomain, RangeExceeded, RangeTooLarge)
 from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _PRIMALITY_CEILING,
-                    _base_primes, _segment_bounds, _strike, is_prime,
-                    primality_is_deterministic, sieve_range)
+                    _base_primes, _class_primes, _segment_bounds, _strike,
+                    is_prime, primality_is_deterministic, sieve_range)
 from .search import (DEFAULT_SCAN_SEGMENT, _forked_results, _good_runs,
                      check_workers)
 from .special import member, SpecialSetSpec
@@ -42,7 +42,9 @@ MAX_INTERVAL = 10 ** 8
 # workers), so a census of MAX_ROWS rows peaks near 0.9 GB
 MAX_ROWS = 2 * 10 ** 6
 _PRESIEVE_B = 1 << 16                   # row presieve: primes up to this
-_LIMB = (1 << 47) - 1                   # _residues takes n 47 bits at a time
+# _residues reads n 63 - b bits at a time, b the bits of B - 1, B =
+# _PRESIEVE_B >= 3: no prime <= B has more (a power of 2 is no prime)
+_LIMB_BITS = 63 - (_PRESIEVE_B - 1).bit_length()
 
 PHI_NOTE = ("k-bound exponents are evaluated with phi(q); the asymptotic "
             "statement they mirror uses phi(Q), which is far larger")
@@ -331,12 +333,14 @@ class MaierCensus:
 
 
 def _residues(n, ps):
-    """n mod p for each p of the int64 array ps (every p below 2^16), for
-    a nonnegative int n: Horner's rule over the 47-bit limbs of n, one
-    numpy pass per limb; r < 2^16 keeps r 2^47 + limb below 2^63."""
+    """n mod p for each p of the int64 array ps (every p <= _PRESIEVE_B),
+    for a nonnegative int n: Horner's rule over the w-bit limbs of n,
+    w = _LIMB_BITS, one numpy pass per limb; r < p < 2^(63 - w) keeps
+    r 2^w + limb below 2^63."""
     r = np.zeros(ps.size, dtype=np.int64)
-    for shift in range(n.bit_length() // 47 * 47, -1, -47):
-        r = ((r << 47) + ((n >> shift) & _LIMB)) % ps
+    w = _LIMB_BITS
+    for shift in range(n.bit_length() // w * w, -1, -w):
+        r = ((r << w) + ((n >> shift) & ((1 << w) - 1))) % ps
     return r
 
 
@@ -472,18 +476,21 @@ def _count_products(ps, bound, return_members):
     value, and recurses to the primes after p with budget // p^e. Once
     p^2 > budget, value * r has no room for a second factor >= r for
     any listed r in [p, budget], so those n are leaves: one bisect
-    counts them (or lists them) with no call per n. Each level adds a
-    distinct prime, so the depth is the most distinct primes of an
-    n <= bound, not log2(bound). With return_members the sorted n are
-    returned.
+    counts them (or lists them) with no call per n. The parent makes
+    that bisect itself for a child whose budget is below the square of
+    the next prime, the child's first, so it makes no call for a child
+    of leaves only. Each level adds a distinct prime, so the depth is
+    the most distinct primes of an n <= bound, not log2(bound). With
+    return_members the sorted n are returned.
     """
     if bound < 1:
         return [] if return_members else 0
     members = [1] if return_members else None
+    n_ps = len(ps)
 
     def rec(j, value, budget):
         count = 0
-        for i in range(j, len(ps)):
+        for i in range(j, n_ps):
             p = ps[i]
             nb = budget // p
             if nb < p:
@@ -491,13 +498,21 @@ def _count_products(ps, bound, return_members):
                 if members is not None:
                     members.extend(value * r for r in ps[i:k])
                 return count + k - i
+            # past the last prime no child has a member: bisect finds none
+            sq = ps[i + 1] ** 2 if i + 1 < n_ps else budget + 1
             pe = p
             while nb:
+                vp = value * pe
                 if members is not None:
-                    members.append(value * pe)
+                    members.append(vp)
                 count += 1
-                if nb > p:             # room for a prime after p
-                    count += rec(i + 1, value * pe, nb)
+                if nb >= sq:           # the child holds more than leaves
+                    count += rec(i + 1, vp, nb)
+                elif nb > p:           # leaves only: the primes in (p, nb]
+                    k = bisect.bisect_right(ps, nb, i + 1)
+                    if members is not None:
+                        members.extend(vp * r for r in ps[i + 1:k])
+                    count += k - i - 1
                 pe *= p
                 nb //= p
         return count
@@ -509,11 +524,18 @@ def _count_products(ps, bound, return_members):
     return count
 
 
+def _as_array(primes):
+    """The int64 array primes as an array("q"), copied once."""
+    ps = array("q")
+    ps.frombytes(memoryview(primes).cast("B"))
+    return ps
+
+
 def count_S_q(q, z, return_members=False):
     """Count n <= z whose prime factors are all = 1 (mod q); 1 counts.
 
-    Exact, in one process. z must lie below MAX_SCAN_SPAN, the widest
-    window sieve_range lists primes over.
+    Exact, in one process. z must lie below MAX_SCAN_SPAN; the primes
+    come from sieve._class_primes, which sieves only the class 1 mod q.
     """
     if q < 1:
         raise InvalidQuery(f"q must be >= 1, got {q}")
@@ -521,26 +543,24 @@ def count_S_q(q, z, return_members=False):
     if z >= MAX_SCAN_SPAN:
         raise RangeTooLarge(f"z {z} must be below MAX_SCAN_SPAN = "
                             f"{MAX_SCAN_SPAN}")
-    primes = sieve_range(0, max(1, z + 1))
-    # p < 2^31, so p mod min(q, 2^62) is p mod q
-    primes = primes[primes % min(q, 1 << 62) == 1 % q]
-    return _count_products(array("q", primes.tobytes()), z, return_members)
+    return _count_products(_as_array(_class_primes(q, z)), z,
+                           return_members)
 
 
 def count_psi(x, t, return_members=False):
     """Psi(x, t): count n <= x with every prime factor strictly below t.
 
     Exact, in one process. Only primes below min(t, x + 1) can divide
-    such an n; that bound must not exceed MAX_SCAN_SPAN.
+    such an n; that bound must not exceed MAX_SCAN_SPAN. The sieve's
+    primes are below hi, which is at most ceil(t) when any prime is
+    below it, so they are below t and need no filter.
     """
     x = int(x)
     hi = max(2, min(math.ceil(t), x + 1))
     if hi > MAX_SCAN_SPAN:
         raise RangeTooLarge(f"t {t} and x {x} need the primes below {hi}, "
                             f"more than MAX_SCAN_SPAN = {MAX_SCAN_SPAN}")
-    primes = sieve_range(0, hi)
-    return _count_products(array("q", primes[primes < t].tobytes()), x,
-                           return_members)
+    return _count_products(_as_array(sieve_range(0, hi)), x, return_members)
 
 
 def estimate_string_bound(x_scales, d_value, f_value, q, case):

@@ -12,7 +12,8 @@ for p < 512, 0.5-0.8 for p in [512, 2100), 0.7-0.9 for [2100, 10^4).
 
 Every crossing-off in the package goes through one kernel, _strike,
 which sets flags[first::step] for many (first, step) pairs at once: in
-a sieve segment here, in a Maier row (the presieve) and the Maier
+a sieve segment and a segment of the class sieve (_class_primes, the
+primes = 1 mod q) here, in a Maier row (the presieve) and the Maier
 column interval (coprimality to Q) in maier, and in the classes mod q
 prime to q in search. A step s hits at most h indices of an n-long
 array once s >= ceil(n/h), so only the steps below ceil(n/64) cross
@@ -176,6 +177,43 @@ def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES):
     _check_window(lo, hi)
     base_odd = _base_primes(math.isqrt(max(hi, 1) - 1))[1:]
     return _primes_in(lo, hi, base_odd, segment_size)
+
+
+def _class_primes(q, z, segment_size=DEFAULT_SEGMENT_BYTES):
+    """Ascending primes p <= z with p = 1 (mod q), q >= 1, as an int64
+    array; z below MAX_SCAN_SPAN.
+
+    2 is in the class only for q = 1. Every odd member is a value
+    1 + jM, M = lcm(2, q), and bit j of the flags covers that value, so
+    only 1/phi(M) of the odds are sieved. A base prime p <= isqrt(z)
+    that divides M divides no value. Any other p divides 1 + jM exactly
+    when j = -M^-1 (mod p), so it strikes every p-th index from the
+    first such j whose value is at least p^2, as _sieve_segment does
+    over the odds. Index 0, the value 1, is struck.
+    """
+    chunks = [np.array([2] if q == 1 and z >= 2 else [], dtype=np.int64)]
+    M = q if q % 2 == 0 else 2 * q
+    n = (z - 1) // M + 1 if z >= 1 else 0   # the values <= z have j < n
+    if n < 2:                               # only the value 1, if any
+        return chunks[0]
+    step = [p for p in _base_primes(math.isqrt(z))[1:].tolist() if M % p]
+    first = []
+    for p in step:
+        lo = -(-(p * p - 1) // M)           # the first value >= p^2
+        first.append(lo + (-pow(M, -1, p) - lo) % p)
+    first = np.array(first, dtype=np.int64)
+    step = np.array(step, dtype=np.int64)
+    for a, b in _segment_bounds(0, n, segment_size):
+        comp = np.zeros(b - a, dtype=bool)
+        comp[0] = a == 0
+        off = first - a                     # past the segment start, mod p
+        _strike(comp, np.maximum(off, off % step), step)
+        idx = np.flatnonzero(~comp)
+        idx *= M                            # the value 1 + (a + idx) M
+        chunks.append(np.add(idx, 1 + a * M, out=idx))
+        if b * M // PROGRESS_EVERY != a * M // PROGRESS_EVERY:
+            log.info("sieved %d candidates up to %d", b * M, 1 + b * M)
+    return np.concatenate(chunks)
 
 
 def _strong_prp_base2(n):

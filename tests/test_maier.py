@@ -736,6 +736,18 @@ def test_limb_residues_match_python_mod(n):
     assert maier._residues(n, ps).tolist() == [n % p for p in ps.tolist()]
 
 
+def test_limb_residues_at_limb_edges_for_every_presieve_prime():
+    # a limb of w bits keeps r 2^w + limb below 2^63 only while every
+    # presieve prime has at most 63 - w bits; n = 0 and random n up to
+    # 2^256 are test_limb_residues_match_python_mod's
+    ps = maier._base_primes(_PRESIEVE_B)
+    w = maier._LIMB_BITS
+    assert w + int(ps[-1]).bit_length() <= 63
+    for n in [(1 << (k * w)) + d for k in range(1, 6) for d in (-1, 0, 1)]:
+        assert maier._residues(n, ps).tolist() == [n % p
+                                                   for p in ps.tolist()]
+
+
 def test_sample_rows_census_guards():
     config, _, interval = micro_config()
     with pytest.raises(InvalidQuery):
@@ -906,6 +918,29 @@ def test_count_psi_bulk_count_matches_oracle(spf_100k, x, t):
     members = count_psi(x, t, return_members=True)
     assert count_psi(x, t) == len(members)
     assert members == _oracles.psi_members(x, t, spf_100k)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_a_depth_2_child_at_the_next_square_matches_the_oracle(spf_100k, d):
+    # Psi: after 2 and 3 the child's budget is 5^2 + d; S_3: after 7 and
+    # 13 it is 19^2 + d. Below the square the parent bisects the child's
+    # leaves, from it on the child walks
+    x, z = 2 * 3 * (5 ** 2 + d), 7 * 13 * (19 ** 2 + d)
+    assert (x // 2 // 3, z // 7 // 13) == (25 + d, 361 + d)
+    members = count_psi(x, 50, return_members=True)
+    assert members == _oracles.psi_members(x, 50, spf_100k)
+    assert count_psi(x, 50) == len(members)
+    members = count_S_q(3, z, return_members=True)
+    assert members == _oracles.sq_members(3, z, spf_100k)
+    assert count_S_q(3, z) == len(members)
+
+
+def test_count_s_q_with_q_at_least_z_counts_only_1():
+    for z in (1, 2, 3, 10, 1000):
+        for q in (z, z + 1, 2 ** 63, 10 ** 22):
+            assert count_S_q(q, z) == 1
+            assert count_S_q(q, z, return_members=True) == [1]
+    assert count_S_q(3, -5) == 0
 
 
 def test_counts_closed_forms():

@@ -20,8 +20,9 @@ from primestrings import (SetCensus, count_primes_ap, is_prime, search,
 from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
     RangeTooLarge
 from primestrings.search import MAX_CENSUS_Q
-from primestrings.sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _TINY_PRIMES,
-                                _base_primes, _strike, _strong_lucas_prp,
+from primestrings.sieve import (DEFAULT_SEGMENT_BYTES, MAX_SCAN_HI,
+                                MAX_SCAN_SPAN, _TINY_PRIMES, _base_primes,
+                                _class_primes, _strike, _strong_lucas_prp,
                                 _strong_prp_base2, primality_is_deterministic)
 
 # random 214-bit primes and pairs of 107-bit primes, found with
@@ -326,6 +327,21 @@ def test_bitmap_identical_across_segmentation():
     base = sieve_range(0, 100_000)
     for seg in (64, 1_000, 4_999, 1 << 16):
         assert np.array_equal(sieve_range(0, 100_000, segment_size=seg), base)
+
+
+def test_class_primes_are_the_primes_of_their_class(primes_100k):
+    # at 64 values a segment, z runs over segment edges 1 + 64 k M,
+    # M = lcm(2, q), and one random height a modulus
+    rng = random.Random(41)
+    for q in range(1, 41):
+        m = q if q % 2 == 0 else 2 * q
+        edges = [1 + 64 * k * m + d for k in (1, 2, 5) for d in (-1, 0, 1)]
+        for z in [0, 1, 2, 3, q, q + 1, *edges, rng.randrange(100_000)]:
+            want = primes_100k[(primes_100k <= z)
+                               & (primes_100k % q == 1 % q)]
+            for seg in (64, DEFAULT_SEGMENT_BYTES):
+                assert np.array_equal(_class_primes(q, z, seg), want), \
+                    (q, z, seg)
 
 
 def test_count_primes_ap_examples():
