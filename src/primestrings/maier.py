@@ -8,8 +8,9 @@ and coprimality to Q is a column property. S columns are coprime and
 "good" primes (= a mod q) against "bad" ones and track the longest good
 run per row.
 
-All Q-sized arithmetic is exact big-int; only column indices (bounded
-by y*z) go through numpy.
+All Q-sized arithmetic is exact big-int. numpy holds column indices
+(bounded by y*z), and matrix entries only in a census whose every entry
+lies below 2^62.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 from .arith import euler_phi, prime_factors, crt_pair
 from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
                      ParameterDomain, RangeExceeded, RangeTooLarge)
-from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _PRIMALITY_CEILING,
-                    _base_primes, _class_primes, _segment_bounds, _strike,
+from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _BATCH_HI,
+                    _PRIMALITY_CEILING, _base_primes, _batch_ok,
+                    _class_primes, _is_prime_batch, _segment_bounds, _strike,
                     is_prime, primality_is_deterministic, sieve_range)
 from .search import (DEFAULT_SCAN_SEGMENT, _forked_results, _good_runs,
                      check_workers)
@@ -42,6 +44,9 @@ MAX_INTERVAL = 10 ** 8
 # workers), so a census of MAX_ROWS rows peaks near 0.9 GB
 MAX_ROWS = 2 * 10 ** 6
 _PRESIEVE_B = 1 << 16                   # row presieve: primes up to this
+# a row block tests its presieve survivors once this many have gathered:
+# one batched test spans many rows, and the gathered arrays stay small
+_TEST_CELLS = 1 << 16
 # _residues reads n 63 - b bits at a time, b the bits of B - 1, B =
 # _PRESIEVE_B >= 3: no prime <= B has more (a power of 2 is no prime)
 _LIMB_BITS = 63 - (_PRESIEVE_B - 1).bit_length()
@@ -344,28 +349,79 @@ def _residues(n, ps):
     return r
 
 
+def _set_primes(spec, Q, start, narrow):
+    """keep(row, col): whether each entry row Q + start + col, a presieve
+    survivor, is a prime of spec's set, tested in sample_rows_census's
+    order. With narrow, every entry lies below _BATCH_HI, so the entries
+    are one int64 array; else they are Python ints, for is_prime alone.
+    """
+    def keep(row, col):
+        if narrow:
+            cells = row * Q + (start + col)
+        else:
+            cells = row.astype(object) * Q + start + col.astype(object)
+        ok = np.ones(cells.size, dtype=bool)
+        if spec.kind == "beatty":
+            ok[:] = [member(spec, c) for c in cells.tolist()]
+        at = np.flatnonzero(ok)
+        ok[at] = _prime_cells(cells[at]) if narrow else \
+            [is_prime(c) for c in cells[at].tolist()]
+        if spec.kind == "floorprod":
+            at = np.flatnonzero(ok)
+            ok[at] = [member(spec, c) for c in cells[at].tolist()]
+        return ok
+    return keep
+
+
+def _prime_cells(cells):
+    """Primality of presieve survivors, an int64 array below _BATCH_HI.
+
+    A survivor has no prime factor up to _PRESIEVE_B other than itself
+    (sample_rows_census), so one below _PRESIEVE_B^2 is prime. The
+    others take _is_prime_batch where the platform passes _batch_ok,
+    else is_prime one at a time.
+    """
+    prime = cells < _PRESIEVE_B ** 2
+    at = np.flatnonzero(~prime)
+    prime[at] = _is_prime_batch(cells[at]) if _batch_ok() else \
+        [is_prime(c) for c in cells[at].tolist()]
+    return prime
+
+
 def _row_block(matrix, r0, r1):
     """per_row of rows r0..r1, from the setup sample_rows_census builds
-    once, matrix = (Q, start, mask, s_mask, ps, q_mod, passes); earlier
+    once, matrix = (Q, start, mask, s_mask, ps, q_mod, keep); earlier
     rows enter only through the presieve start (start + (r0 - 1) Q) mod p.
+    keep takes the presieve survivors of consecutive rows at once, as
+    their rows and columns, once at least _TEST_CELLS have gathered and
+    after the block's last row.
     """
-    Q, start, mask, s_mask, ps, q_mod, passes = matrix
+    Q, start, mask, s_mask, ps, q_mod, keep = matrix
     res = _residues(start + (r0 - 1) * Q, ps)
-    per_row = []
+    per_row, rows, cols, gathered = [], [], [], 0
     for r in range(r0, r1 + 1):
         base = r * Q + start
         res = (res + q_mod) % ps                    # base mod p
         first = (ps - res) % ps                     # first column p divides
         if base <= _PRESIEVE_B:
-            keep = base + first == ps               # the entry c = p
-            first[keep] += ps[keep]
+            own = base + first == ps                # the entry c = p
+            first[own] += ps[own]
         struck = np.zeros(mask.size, dtype=bool)
         _strike(struck, first, ps)
-        cols = [j for j in np.flatnonzero(mask & ~struck).tolist()
-                if passes(base + j)]
-        runs = _good_runs(s_mask[cols])[1]
-        good = int(runs.sum())
-        per_row.append((r, good, len(cols) - good, int(runs.max(initial=0))))
+        rows.append(r)
+        cols.append(np.flatnonzero(mask & ~struck))
+        gathered += cols[-1].size
+        if gathered < _TEST_CELLS and r < r1:
+            continue
+        sizes = [c.size for c in cols]
+        kept = np.split(keep(np.repeat(rows, sizes), np.concatenate(cols)),
+                        np.cumsum(sizes)[:-1])
+        for row, c, k in zip(rows, cols, kept):
+            runs = _good_runs(s_mask[c[k]])[1]
+            good = int(runs.sum())
+            per_row.append((row, good, int(k.sum()) - good,
+                            int(runs.max(initial=0))))
+        rows, cols, gathered = [], [], 0
     return per_row
 
 
@@ -406,13 +462,24 @@ def sample_rows_census(config, interval, rows,
     c = p. Each p strikes every p-th column from the first one it
     divides, through sieve._strike, the kernel of the segment sieve;
     that start moves up by p when the entry there is p itself (entries
-    fall below the bound when Q is small). Only the unstruck coprime
-    entries reach is_prime and the set filter.
+    fall below the bound when Q is small). A census with no coprime
+    column has no entry to test, and its rows are (r, 0, 0, 0) with no
+    presieve.
 
-    The tests run cheapest first: presieve, then Beatty membership,
-    then is_prime (BPSW), then floor-product membership, which costs
-    more than BPSW below 2^48, the only range where it is decided; a
-    census whose largest entry reaches 2^48 is refused before any row.
+    A block gathers the unstruck coprime entries of consecutive rows,
+    _TEST_CELLS or more (fewer at the block's end), and tests them
+    together, cheapest first: Beatty membership, then primality, then
+    floor-product membership, which costs more than BPSW below 2^48,
+    the only range where it is decided; a census whose largest entry
+    reaches 2^48 is refused before any row. Primality:
+      - an entry below _PRESIEVE_B^2 = 2^32 is prime with no test: it
+        has no prime factor up to 2^16 but itself (the presieve strikes
+        the primes not dividing Q, the coprime mask those that do);
+      - where the census's largest entry is below 2^62 (sieve._BATCH_HI)
+        and the platform passes sieve._batch_ok, the entries from 2^32
+        take sieve._is_prime_batch, one numpy pass per bit over all of
+        them, with is_prime's verdicts;
+      - every other entry takes is_prime (BPSW), one Python int a call.
     Since (p and m) = (m and p), the order changes no per_row tuple,
     but beatty_member may raise PrecisionExhausted on a composite
     entry, which needs m/alpha within about m 2^-bits of an integer.
@@ -438,21 +505,19 @@ def sample_rows_census(config, interval, rows,
             f"below 2^48 = {MAX_SCAN_HI}; lower {lower}")
     mask = _coprime_mask(config, start, length)
     s_mask = _s_mask(config, start, mask)
-    ps = _base_primes(_PRESIEVE_B)
-    q_mod = _residues(config.Q, ps)
-    ps, q_mod = ps[q_mod > 0], q_mod[q_mod > 0]     # p not dividing Q
-    if spec.kind == "beatty":
-        def passes(c):
-            return member(spec, c) and is_prime(c)
-    else:
-        def passes(c):
-            return is_prime(c) and member(spec, c)
-    matrix = config.Q, start, mask, s_mask, ps, q_mod, passes
-    size = -(-rows // workers)
-    blocks = [(r0, min(r0 + size - 1, rows))
-              for r0 in range(1, rows + 1, size)]
-    results = _forked_results(lambda rs: _row_block(matrix, *rs), blocks)
-    per_row = [row for block in results for row in block]
+    if mask.any():
+        ps = _base_primes(_PRESIEVE_B)
+        q_mod = _residues(config.Q, ps)
+        ps, q_mod = ps[q_mod > 0], q_mod[q_mod > 0]     # p not dividing Q
+        keep = _set_primes(spec, config.Q, start, top < _BATCH_HI)
+        matrix = config.Q, start, mask, s_mask, ps, q_mod, keep
+        size = -(-rows // workers)
+        blocks = [(r0, min(r0 + size - 1, rows))
+                  for r0 in range(1, rows + 1, size)]
+        results = _forked_results(lambda rs: _row_block(matrix, *rs), blocks)
+        per_row = [row for block in results for row in block]
+    else:                       # no row holds a prime beyond Q's support
+        per_row = [(r, 0, 0, 0) for r in range(1, rows + 1)]
     s_count = int(s_mask.sum())
     _, goods, bads, bests = zip(*per_row)
     return MaierCensus(S_count=s_count, T_count=int(mask.sum()) - s_count,
@@ -535,7 +600,8 @@ def count_S_q(q, z, return_members=False):
     """Count n <= z whose prime factors are all = 1 (mod q); 1 counts.
 
     Exact, in one process. z must lie below MAX_SCAN_SPAN; the primes
-    come from sieve._class_primes, which sieves only the class 1 mod q.
+    come from sieve._class_primes, which sieves only the class 1 mod q
+    and hands them over as one array("q").
     """
     if q < 1:
         raise InvalidQuery(f"q must be >= 1, got {q}")
@@ -543,8 +609,7 @@ def count_S_q(q, z, return_members=False):
     if z >= MAX_SCAN_SPAN:
         raise RangeTooLarge(f"z {z} must be below MAX_SCAN_SPAN = "
                             f"{MAX_SCAN_SPAN}")
-    return _count_products(_as_array(_class_primes(q, z)), z,
-                           return_members)
+    return _count_products(_class_primes(q, z), z, return_members)
 
 
 def count_psi(x, t, return_members=False):

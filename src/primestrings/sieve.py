@@ -23,13 +23,25 @@ The base primes up to sqrt(hi) come from one ascending array per
 process (_base_primes), filled lazily and extended on demand under
 the package's one lock, so a window lists no base prime that an
 earlier call, in any thread, already listed.
+
+is_prime tests one Python int. _is_prime_batch gives is_prime's verdicts
+for a whole int64 array of n in [2^32, 2^62) at once: the same trial
+division, base-2 strong test and Q = 1 Lucas ladder, one numpy pass per
+bit over the array. Each product a b mod n (a, b < n) takes q = floor(a b
+/ n) from 80-bit long doubles: two roundings with a 64-bit mantissa
+leave the quotient within a b / n 2^-63 < n 2^-63 < 1/2 of a b / n, so q
+is floor(a b / n) or one off and a b - q n, taken mod 2^64, lies in [-n,
+2n); one correction each way makes it exact. _batch_ok probes, once,
+that the platform's long double has that mantissa.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import threading
+from array import array
 
 import numpy as np
 
@@ -47,6 +59,7 @@ PROGRESS_EVERY = 10 ** 7        # candidates between progress log lines
 # _strong_lucas_prp's Q = 1 ladder gives Selfridge's verdicts exactly.
 _BPSW_DETERMINISTIC_LIMIT = 1 << 64
 _PRIMALITY_CEILING = 1 << 256
+_BATCH_HI = 1 << 62    # _is_prime_batch's n: keeps a b / n within 1/2
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TIERS = (64, 32, 16, 8, 4, 2, 1)  # _strike: a step >= ceil(n/h) hits <= h
@@ -180,8 +193,9 @@ def sieve_range(lo, hi, segment_size=DEFAULT_SEGMENT_BYTES):
 
 
 def _class_primes(q, z, segment_size=DEFAULT_SEGMENT_BYTES):
-    """Ascending primes p <= z with p = 1 (mod q), q >= 1, as an int64
-    array; z below MAX_SCAN_SPAN.
+    """Ascending primes p <= z with p = 1 (mod q), q >= 1, as an
+    array("q") filled one segment at a time, so the primes are held
+    once, at 8 bytes each; z below MAX_SCAN_SPAN.
 
     2 is in the class only for q = 1. Every odd member is a value
     1 + jM, M = lcm(2, q), and bit j of the flags covers that value, so
@@ -191,11 +205,11 @@ def _class_primes(q, z, segment_size=DEFAULT_SEGMENT_BYTES):
     first such j whose value is at least p^2, as _sieve_segment does
     over the odds. Index 0, the value 1, is struck.
     """
-    chunks = [np.array([2] if q == 1 and z >= 2 else [], dtype=np.int64)]
+    primes = array("q", [2] if q == 1 and z >= 2 else [])
     M = q if q % 2 == 0 else 2 * q
     n = (z - 1) // M + 1 if z >= 1 else 0   # the values <= z have j < n
     if n < 2:                               # only the value 1, if any
-        return chunks[0]
+        return primes
     step = [p for p in _base_primes(math.isqrt(z))[1:].tolist() if M % p]
     first = []
     for p in step:
@@ -210,10 +224,11 @@ def _class_primes(q, z, segment_size=DEFAULT_SEGMENT_BYTES):
         _strike(comp, np.maximum(off, off % step), step)
         idx = np.flatnonzero(~comp)
         idx *= M                            # the value 1 + (a + idx) M
-        chunks.append(np.add(idx, 1 + a * M, out=idx))
+        idx += 1 + a * M
+        primes.frombytes(memoryview(idx).cast("B"))
         if b * M // PROGRESS_EVERY != a * M // PROGRESS_EVERY:
             log.info("sieved %d candidates up to %d", b * M, 1 + b * M)
-    return np.concatenate(chunks)
+    return primes
 
 
 def _strong_prp_base2(n):
@@ -332,3 +347,147 @@ def is_prime(n):
 def primality_is_deterministic(n):
     """Whether is_prime(n) is exact rather than probabilistic."""
     return n < _BPSW_DETERMINISTIC_LIMIT
+
+
+def _mulmod(a, b, n, n_ld):
+    """a b mod n for int64 arrays 0 <= a, b < n < 2^62, n_ld being n as
+    long double (module docstring: q is floor(a b / n) or one off)."""
+    x = a.astype(np.longdouble)
+    x *= x if b is a else b.astype(np.longdouble)
+    x /= n_ld
+    u = np.uint64                          # products wrap mod 2^64
+    r = (a.view(u) * b.view(u) - x.astype(np.int64).view(u) * n.view(u)
+         ).view(np.int64)
+    r += n & (r >> 63)                     # [-n, 0) -> [0, n)
+    return _reduced(r, n)
+
+
+def _reduced(r, n):
+    """r mod n for an int64 array r in [0, 2n): r - n, plus n where
+    that is negative."""
+    r = r - n
+    r += n & (r >> 63)
+    return r
+
+
+def _bits_below(m):
+    """For an int64 array m > 0, the exponent of 2 in each m."""
+    return np.frexp(m & -m)[1] - 1
+
+
+def _strong_prp_base2_batch(n, n_ld):
+    """_strong_prp_base2 for each n of an odd int64 array in [2^32, 2^62).
+
+    Left to right over the bits of m = n - 1, x = 2^(m >> i) after bit
+    i. With m = d 2^s, n passes when x = 1 at i = s, or x = n - 1 at
+    some 1 <= i <= s.
+    """
+    m = n - 1
+    s = _bits_below(m)
+    x = np.ones_like(n)
+    passed = np.zeros(n.size, dtype=bool)
+    for i in range(int(m.max()).bit_length() - 1, 0, -1):
+        x = _reduced(_mulmod(x, x, n, n_ld) << ((m >> i) & 1), n)
+        passed |= ((x == m) & (i <= s)) | ((x == 1) & (i == s))
+    return passed
+
+
+def _selfridge(n):
+    """Selfridge's D for each n of an odd int64 array in [2^32, 2^62)
+    with no square: the first of 5, -7, 9, -11, ... with (D/n) = -1, or
+    0 where an earlier (D/n) is 0, so n shares a factor with |D| < n.
+
+    Every such D is 1 mod 4, so (D/n) = (n mod |D| / |D|) by
+    reciprocity: one table of |D| symbols a D, and each n is looked up
+    until its symbol is not 1.
+    """
+    D = np.zeros(n.size, dtype=np.int64)
+    todo = np.arange(n.size)
+    d = 5
+    while todo.size:
+        table = np.array([_jacobi(k, abs(d)) for k in range(abs(d))])
+        j = table[n[todo] % abs(d)]
+        D[todo[j == -1]] = d
+        todo = todo[j == 1]
+        d = -d - 2 if d > 0 else -d + 2
+    return D
+
+
+def _strong_lucas_batch(n, n_ld):
+    """_strong_lucas_prp for each n of an odd int64 array in [2^32, 2^62).
+
+    Squares, n sharing a factor with D (D = 0 from _selfridge) and n
+    sharing one with Q fail, as there. For each Q, with c = |Q|, n = c u
+    + v and k = -v^-1 mod c: c (k u + (k v + 1) / c) = k n + 1, so k u +
+    (k v + 1) / c is c^-1 mod n, with no Python int per n. The Q = 1
+    ladder then runs left to right over the bits of n + 1 = d 2^s, with
+    V, W = V'_k, V'_(k+1) for k = (n + 1) >> i after bit i: the check on
+    U'_d and V'_d at i = s, and V' = 0 at 2 <= i <= s.
+    """
+    # the double nearest n < 2^62 has a root within 2^-21 of sqrt(n)
+    root = np.rint(np.sqrt(n.astype(np.float64))).astype(np.int64)
+    D = np.zeros_like(n)
+    ok = root * root != n
+    D[ok] = _selfridge(n[ok])
+    ok = D != 0
+    P = np.zeros_like(n)                   # P' = Q^-1 - 2 mod n
+    for d in np.unique(D[ok]).tolist():
+        Q = (1 - d) // 4
+        c = abs(Q)
+        at = np.flatnonzero(D == d)
+        u, v = np.divmod(n[at], c)
+        unit = np.array([math.gcd(k, c) == 1 for k in range(c)])
+        k = np.array([-pow(k, -1, c) % c if math.gcd(k, c) == 1 else 0
+                      for k in range(c)])[v]
+        inv = k * u + (k * v + 1) // c
+        P[at] = _reduced((inv if Q > 0 else n[at] - inv) + n[at] - 2, n[at])
+        ok[at] = unit[v]
+    np1 = n + 1
+    s = _bits_below(np1)
+    V, W = np.full_like(n, 2), P.copy()
+    Vd, Wd = V, W
+    minus_P, minus_2 = n - P, n - 2
+    zero = np.zeros(n.size, dtype=bool)
+    for i in range(int(np1.max()).bit_length() - 1, 0, -1):
+        bit = ((np1 >> i) & 1).astype(bool)
+        X = _reduced(_mulmod(V, W, n, n_ld) + minus_P, n)     # V'_(2k+1)
+        B = np.where(bit, W, V)
+        Y = _reduced(_mulmod(B, B, n, n_ld) + minus_2, n)     # V'_(2k(+2))
+        V, W = np.where(bit, X, Y), np.where(bit, Y, X)
+        Vd, Wd = np.where(s == i, V, Vd), np.where(s == i, W, Wd)
+        if i >= 2:
+            zero |= (V == 0) & (i <= s)
+    extra = (_reduced(2 * Wd, n) == _mulmod(P, Vd, n, n_ld)) \
+        & ((Vd == 2) | (Vd == minus_2))
+    return ok & (extra | zero)
+
+
+@functools.cache
+def _batch_ok():
+    """Whether this platform's long double carries _mulmod's 64-bit
+    mantissa: its format, and one product against Python ints."""
+    if np.finfo(np.longdouble).nmant < 63:
+        return False
+    n = np.array([_BATCH_HI - 57], dtype=np.int64)   # the largest prime
+    a = n - 2
+    return _mulmod(a, a, n, n.astype(np.longdouble)).tolist() == [4]
+
+
+def _is_prime_batch(n):
+    """is_prime of each n of an integer array in [2^32, 2^62), as a bool
+    array: trial division by the primes below 41, then the base-2 strong
+    test, then the strong Lucas test on the survivors of both. Needs
+    _batch_ok(); an n outside the range raises RangeExceeded.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and (n.min() < 1 << 32 or n.max() >= _BATCH_HI):
+        raise RangeExceeded(f"batched primality takes n in [2^32, 2^62), "
+                            f"got [{n.min()}, {n.max()}]")
+    prime = np.ones(n.size, dtype=bool)
+    for p in _TINY_PRIMES:
+        prime &= n % p != 0
+    for test in _strong_prp_base2_batch, _strong_lucas_batch:
+        at = np.flatnonzero(prime)
+        if at.size:
+            prime[at] = test(n[at], n[at].astype(np.longdouble))
+    return prime

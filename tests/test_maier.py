@@ -27,6 +27,7 @@ from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
                           make_config, run_construction, sample_rows_census,
                           special_primes)
 from primestrings import maier
+from primestrings.cli import parse_set
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
                                  InvalidQuery, ParameterDomain, RangeExceeded,
                                  RangeTooLarge)
@@ -411,30 +412,32 @@ def test_presieve_against_trial_division(set_name, index, b_pi,
                                          monkeypatch):
     # entries below the presieve bound include the presieve primes
     # themselves (c = p must stay), and every composite entry has a
-    # factor below the bound, so is_prime sees exactly the primes; a
-    # Beatty set is tested first, so there only the prime members
+    # factor below the bound, so the presieve leaves exactly the primes,
+    # and below _PRESIEVE_B^2 they reach no primality test; a Beatty set
+    # tests each survivor's membership, so there member sees exactly the
+    # primes
     config, (start, length), rows = _small_entry_configs()[index]
     assert rows * config.Q + start + length < _PRESIEVE_B
     spec = b_pi if set_name == "beatty:pi" else SpecialSetSpec.all_primes()
-    tested = []
-    real_is_prime = maier.is_prime
+    calls = []
 
-    def recording_is_prime(n):
-        tested.append(n)
-        return real_is_prime(n)
+    def recording(name, real):
+        return lambda *args: calls.append((name, args[-1])) or real(*args)
 
-    monkeypatch.setattr(maier, "is_prime", recording_is_prime)
+    monkeypatch.setattr(maier, "is_prime", recording("is_prime", is_prime))
+    monkeypatch.setattr(maier, "member", recording("member", maier.member))
     census = sample_rows_census(config, (start, length), rows, spec=spec)
-    want_rows, want_tested = [], []
+    want_rows, want_calls = [], []
     for r in range(1, rows + 1):
         good = bad = run = best = 0
         for i in range(start, start + length):
             c = r * config.Q + i
             if math.gcd(i, config.Q) != 1 or not _oracles.trial_is_prime(c):
                 continue
-            if spec.kind == "beatty" and not _oracles.beatty_member_direct(c):
-                continue
-            want_tested.append(c)
+            if spec.kind == "beatty":
+                want_calls.append(("member", c))
+                if not _oracles.beatty_member_direct(c):
+                    continue
             if c % config.q == config.a % config.q:
                 good, run = good + 1, run + 1
                 best = max(best, run)
@@ -442,13 +445,14 @@ def test_presieve_against_trial_division(set_name, index, b_pi,
                 bad, run = bad + 1, 0
         want_rows.append((r, good, bad, best))
     assert census.per_row == want_rows
-    assert tested == want_tested
+    assert calls == want_calls
 
 
 @pytest.mark.parametrize("index", range(3))
 def test_presieve_floorprod_tests_bpsw_before_membership(index, monkeypatch):
     # a scalar floor-product membership costs more than BPSW below 2^48,
-    # so is_prime sees every prime entry and member only those it passed
+    # so member sees only the entries primality passed: below
+    # _PRESIEVE_B^2, every presieve survivor, with no is_prime call
     config, (start, length), rows = _small_entry_configs()[index]
     spec = SpecialSetSpec.floor_product(GFamily.loglog())
     values = set(_oracles.floorprod_values(
@@ -468,7 +472,7 @@ def test_presieve_floorprod_tests_bpsw_before_membership(index, monkeypatch):
             c = r * config.Q + i
             if math.gcd(i, config.Q) != 1 or not _oracles.trial_is_prime(c):
                 continue
-            want_calls += [("is_prime", c), ("member", c)]
+            want_calls.append(("member", c))
             if c not in values:
                 continue
             if c % config.q == config.a % config.q:
@@ -600,6 +604,77 @@ def test_one_two_and_three_workers_give_the_same_census(set_name, index,
             docs.add(json.dumps(census_json(config, interval, census),
                                 sort_keys=True))
         assert len(docs) == 1
+
+
+# the six Maier shapes of the benchmark's seed-1 high workload, a Beatty
+# shape with entries from 2^32 and a floor-product one
+BATCH_SHAPES = [
+    (5, 4, 203, 1963, 8, "all"), (7, 6, 149, 1494, 8, "beatty:pi"),
+    (3, 1, 179, 1803, 6, "all"), (5, 4, 54, 2023, 60, "all"),
+    (4, 3, 47, 1470, 80, "beatty:pi"), (5, 3, 30, 601, 30, "all"),
+    (4, 1, 46, 1500, 80, "beatty:e"), (4, 3, 47, 500, 8, "floorprod:loglog")]
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+def test_census_without_batched_primality_is_the_same(shape, monkeypatch):
+    # with the platform probe forced false every entry from 2^32 takes
+    # is_prime: per_row is unchanged at 1, 2 and 3 workers
+    q, a, y, yz, rows, desc = shape
+    spec = parse_set(desc)
+    config, interval, census, _ = run_construction(q, a, y=y, yz=yz,
+                                                   rows=rows, spec=spec)
+    want = census.per_row
+    for workers in (1, 2, 3):
+        assert sample_rows_census(config, interval, rows, spec=spec,
+                                  workers=workers).per_row == want
+    monkeypatch.setattr(maier, "_batch_ok", lambda: False)
+    for workers in (1, 2, 3):
+        assert sample_rows_census(config, interval, rows, spec=spec,
+                                  workers=workers).per_row == want
+
+
+def test_rows_across_2_32_match_is_prime_on_every_entry(monkeypatch):
+    # Q = 538249404 and the interval put row 7 across 2^32: below it
+    # a presieve survivor is prime with no test, from it the survivors
+    # take the batched test, or is_prime with the probe forced false
+    config = make_config(4, 3, 44, 5, None, 1, build_Q(4, 3, 44, 5))
+    start = (1 << 32) - 7 * config.Q - 500
+    rows = 10
+    want = []
+    for r in range(1, rows + 1):
+        good = bad = run = best = 0
+        for i in range(start, start + 1000):
+            c = r * config.Q + i
+            if math.gcd(i, config.Q) != 1 or not is_prime(c):
+                continue
+            if c % 4 == 3:
+                good, run = good + 1, run + 1
+                best = max(best, run)
+            else:
+                bad, run = bad + 1, 0
+        want.append((r, good, bad, best))
+    tested = []
+    monkeypatch.setattr(maier, "is_prime",
+                        lambda n: tested.append(n) or is_prime(n))
+    assert sample_rows_census(config, (start, 1000), rows).per_row == want
+    assert tested == []
+    monkeypatch.setattr(maier, "_batch_ok", lambda: False)
+    assert sample_rows_census(config, (start, 1000), rows).per_row == want
+    assert tested and min(tested) >= 1 << 32
+    assert any(r * config.Q + start < 1 << 32 for r in range(1, rows + 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_census_with_no_coprime_column_walks_no_row(workers, monkeypatch):
+    # yz = 1 leaves one column, which shares a factor with Q: no row can
+    # hold a prime beyond Q's support, so none is presieved
+    monkeypatch.setattr(maier, "_row_block", None)
+    config, _, census, _ = run_construction(5, 4, y=20, yz=1, rows=50_000,
+                                            workers=workers)
+    assert (census.S_count, census.T_count) == (0, 0)
+    assert census.per_row == [(r, 0, 0, 0) for r in range(1, 50_001)]
+    assert (census.good_total, census.bad_total, census.rows_with_bad,
+            census.max_good_run) == (0, 0, 0, 0)
 
 
 @needs_fork
@@ -958,6 +1033,19 @@ def test_counts_at_benchmark_scale():
     assert count_S_q(5, 5403965) == 137345
     assert count_psi(5403940, 101) == 191453
     assert count_psi(1536503, 258) == 226061
+
+
+def test_class_primes_are_held_once():
+    # the class sieve fills its array("q") one segment at a time: no
+    # second copy of the 332,194 primes = 1 mod 3 below 10^7
+    tracemalloc.start()
+    try:
+        primes = maier._class_primes(3, 10 ** 7, 1 << 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 332_194
+    assert peak < 1.3 * 8 * len(primes)
 
 
 def test_counts_hold_their_primes_at_8_bytes_each():

@@ -22,7 +22,8 @@ from primestrings.errors import InvalidModulus, InvalidRange, RangeExceeded, \
 from primestrings.search import MAX_CENSUS_Q
 from primestrings.sieve import (DEFAULT_SEGMENT_BYTES, MAX_SCAN_HI,
                                 MAX_SCAN_SPAN, _TINY_PRIMES, _base_primes,
-                                _class_primes, _strike, _strong_lucas_prp,
+                                _batch_ok, _class_primes, _is_prime_batch,
+                                _strike, _strong_lucas_prp,
                                 _strong_prp_base2, primality_is_deterministic)
 
 # random 214-bit primes and pairs of 107-bit primes, found with
@@ -545,3 +546,164 @@ def test_strong_lucas_matches_oracle_for_any_selfridge_d(n, k, share_q):
     assert got == _oracles.selfridge_strong_lucas(n, D=D)
     if math.gcd(Q, n) > 1:
         assert not got
+
+
+# --------------------------------------------- batched primality (uint64)
+
+needs_long_double = pytest.mark.skipif(
+    not _batch_ok(), reason="long double lacks a 64-bit mantissa here")
+BATCH_LO, BATCH_HI = 1 << 32, 1 << 62
+# base-2 strong pseudoprimes in the batch range: 2^32 + 1 = 641 * 6700417,
+# the composite Mersenne numbers 2^p - 1 (2^d = 1 for d = 2^(p-1) - 1,
+# which p divides) and 149491 * 747451 * 34233211
+SPSP2 = (2 ** 32 + 1, *(2 ** p - 1 for p in (37, 41, 43, 47, 53, 59)),
+         3825123056546413051)
+
+
+def _batch(ns):
+    n = np.array(ns, dtype=np.int64)
+    return n, n.astype(np.longdouble)
+
+
+def _prime_from(m):
+    m |= 1
+    while not is_prime(m):
+        m += 2
+    return m
+
+
+@st.composite
+def batch_inputs(draw):
+    """n in [2^32, 2^62), each at its own bit length: random, prime,
+    with a factor up to 2^16, a product of two primes above 2^16, or the
+    square of one."""
+    out = []
+    for _ in range(draw(st.integers(1, 24))):
+        bits = draw(st.integers(33, 62))
+        n = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        shape = draw(st.sampled_from(["any", "prime", "small", "rough",
+                                      "square"]))
+        if shape == "prime":
+            n = _prime_from(n)
+        elif shape == "small":
+            p = draw(st.sampled_from(_base_primes(1 << 16).tolist()))
+            n = n // p * p
+        elif shape == "rough":
+            a = _prime_from(draw(st.integers(1 << 16, 1 << (bits // 2))))
+            n = a * _prime_from(max(n // a, a))
+        elif shape == "square":
+            n = _prime_from(draw(st.integers(1 << 16, 1 << 31))) ** 2
+        if BATCH_LO <= n < BATCH_HI:
+            out.append(n)
+    return out
+
+
+@needs_long_double
+@seed(62)
+@settings(database=None, deadline=None, max_examples=200)
+@given(batch_inputs())
+@example(list(SPSP2))
+def test_batch_primality_matches_is_prime(ns):
+    n, _ = _batch(ns)
+    assert _is_prime_batch(n).tolist() == [is_prime(m) for m in ns]
+
+
+@needs_long_double
+def test_batch_primality_at_fixed_cases():
+    top = BATCH_HI - 57                        # the largest prime below
+    ns = [*SPSP2, 65537 ** 2, 2147483647 ** 2, top, top - 2, top + 2,
+          BATCH_HI - 1, BATCH_LO, BATCH_LO + 15, 2 ** 61 - 1]
+    n, n_ld = _batch(ns)
+    want = [is_prime(m) for m in ns]
+    assert _is_prime_batch(n).tolist() == want
+    assert [m for m, w in zip(ns, want) if w] == [top, BATCH_LO + 15,
+                                                  2 ** 61 - 1]
+    # the pseudoprimes pass the base-2 half, and only the Lucas half
+    # rejects them
+    n, n_ld = _batch(SPSP2)
+    assert sieve._strong_prp_base2_batch(n, n_ld).all()
+    assert not sieve._strong_lucas_batch(n, n_ld).any()
+
+
+@needs_long_double
+@seed(63)
+@settings(database=None, deadline=None, max_examples=100)
+@given(st.lists(st.integers(BATCH_LO + 1, BATCH_HI - 1), min_size=1,
+                max_size=64), st.integers(0, 2 ** 32))
+def test_mulmod_matches_python_ints(ns, salt):
+    # a, b uniform below n, where about 3% of the quotients at 2^61 come
+    # out one too high, and a, b in {n - 1, n - 2, 2^61} below n
+    rng = random.Random(salt)
+    a, b, n = [], [], []
+    for m in ns:
+        edges = [x for x in (m - 1, m - 2, 2 ** 61) if x < m]
+        pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(8)]
+        pairs += [(x, y) for x in edges for y in edges]
+        a += [x for x, _ in pairs]
+        b += [y for _, y in pairs]
+        n += [m] * len(pairs)
+    n = np.array(n)
+    got = sieve._mulmod(np.array(a), np.array(b), n, n.astype(np.longdouble))
+    assert got.tolist() == [x * y % m for x, y, m in zip(a, b, n.tolist())]
+
+
+def _selfridge_by_oracle(n):
+    D = 5
+    while _oracles.jacobi(D, n) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    return D if _oracles.jacobi(D, n) == -1 else 0
+
+
+@seed(64)
+@settings(database=None, deadline=None, max_examples=100)
+@given(st.lists(st.integers(BATCH_LO // 2, BATCH_HI // 2 - 1), min_size=1,
+                max_size=64))
+def test_selfridge_d_matches_the_scalar_search(halves):
+    ns = [2 * h + 1 for h in halves if math.isqrt(2 * h + 1) ** 2 != 2 * h + 1]
+    got = sieve._selfridge(np.array(ns, dtype=np.int64)).tolist()
+    assert got == [_selfridge_by_oracle(m) for m in ns]
+
+
+@needs_long_double
+@seed(65)
+@settings(database=None, deadline=None, max_examples=100)
+@given(st.lists(st.integers(BATCH_LO // 2, BATCH_HI // 2 - 1), min_size=1,
+                max_size=16), st.integers(0, 400), st.booleans())
+def test_strong_lucas_batch_matches_oracle_for_any_selfridge_d(halves, k,
+                                                               share_q):
+    # as test_strong_lucas_matches_oracle_for_any_selfridge_d: a forced D
+    # reaches a |Q| far beyond what n < 2^62 uses, through the c^-1 mod n
+    # of n = c u + v, and gcd(Q, n) > 1 (share_q)
+    D = (5 + 2 * k) * (-1) ** k
+    Q = (1 - D) // 4
+    p = next((p for p in range(41, abs(Q) + 1)
+              if Q % p == 0 and _oracles.trial_is_prime(p)), 1)
+    ns = [((2 * h + 1) // p | 1) * p if share_q else 2 * h + 1
+          for h in halves]
+    ns = [m for m in ns if BATCH_LO <= m < BATCH_HI and _no_tiny_factor(m)
+          and math.gcd(D, m) == 1 and math.isqrt(m) ** 2 != m]
+    if not ns:
+        return
+    n, n_ld = _batch(ns)
+    with mock.patch.object(sieve, "_selfridge",
+                           lambda n: np.full(n.size, D, dtype=np.int64)):
+        got = sieve._strong_lucas_batch(n, n_ld).tolist()
+    assert got == [_oracles.selfridge_strong_lucas(m, D=D) for m in ns]
+    assert not any(g for g, m in zip(got, ns) if math.gcd(Q, m) > 1)
+
+
+def test_batch_primality_refuses_entries_outside_its_range():
+    assert _is_prime_batch(np.array([], dtype=np.int64)).size == 0
+    for ns in ([BATCH_LO - 1], [BATCH_LO + 15, BATCH_HI], [-7, BATCH_LO]):
+        with pytest.raises(RangeExceeded, match=r"\[2\^32, 2\^62\)"):
+            _is_prime_batch(np.array(ns, dtype=np.int64))
+
+
+def test_batch_probe_needs_a_64_bit_mantissa(monkeypatch):
+    # a double in place of long double fails the format check, and, with
+    # the format check passed, the product check
+    probe = _batch_ok.__wrapped__
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    assert not probe()
+    monkeypatch.setattr(np, "finfo", lambda _t: mock.Mock(nmant=63))
+    assert not probe()
