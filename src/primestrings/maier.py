@@ -15,11 +15,9 @@ lies below 2^62.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 import warnings
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +25,8 @@ import numpy as np
 
 from .arith import euler_phi, prime_factors, crt_pair
 from .errors import (EmptyProductWarning, IntervalTooLarge, InvalidQuery,
-                     ParameterDomain, RangeExceeded, RangeTooLarge)
+                     InvalidRange, ParameterDomain, RangeExceeded,
+                     RangeTooLarge)
 from .sieve import (MAX_SCAN_HI, MAX_SCAN_SPAN, _BATCH_HI,
                     _PRIMALITY_CEILING, _base_primes, _batch_ok,
                     _class_primes, _is_prime_batch, _segment_bounds, _strike,
@@ -349,11 +348,11 @@ def _residues(n, ps):
     return r
 
 
-def _set_primes(spec, Q, start, narrow):
+def _set_primes(spec, Q, start, length, narrow):
     """keep(row, col): whether each entry row Q + start + col, a presieve
     survivor, is a prime of spec's set, tested in sample_rows_census's
     order. With narrow, every entry lies below _BATCH_HI, so the entries
-    are one int64 array; else they are Python ints, for is_prime alone.
+    are one int64 array; else they are Python ints, one call each.
     """
     def keep(row, col):
         if narrow:
@@ -361,31 +360,18 @@ def _set_primes(spec, Q, start, narrow):
         else:
             cells = row.astype(object) * Q + start + col.astype(object)
         ok = np.ones(cells.size, dtype=bool)
-        if spec.kind == "beatty":
+        if spec.kind != "all" and narrow:       # ascending parts for member
+            cuts = np.flatnonzero(np.diff(row)) + 1 if Q < length else []
+            ok = np.concatenate([member(spec, c)
+                                 for c in np.split(cells, cuts)])
+        elif spec.kind != "all":
             ok[:] = [member(spec, c) for c in cells.tolist()]
         at = np.flatnonzero(ok)
-        ok[at] = _prime_cells(cells[at]) if narrow else \
+        at = at[cells[at] >= _PRESIEVE_B ** 2]
+        ok[at] = _is_prime_batch(cells[at]) if narrow and _batch_ok() else \
             [is_prime(c) for c in cells[at].tolist()]
-        if spec.kind == "floorprod":
-            at = np.flatnonzero(ok)
-            ok[at] = [member(spec, c) for c in cells[at].tolist()]
         return ok
     return keep
-
-
-def _prime_cells(cells):
-    """Primality of presieve survivors, an int64 array below _BATCH_HI.
-
-    A survivor has no prime factor up to _PRESIEVE_B other than itself
-    (sample_rows_census), so one below _PRESIEVE_B^2 is prime. The
-    others take _is_prime_batch where the platform passes _batch_ok,
-    else is_prime one at a time.
-    """
-    prime = cells < _PRESIEVE_B ** 2
-    at = np.flatnonzero(~prime)
-    prime[at] = _is_prime_batch(cells[at]) if _batch_ok() else \
-        [is_prime(c) for c in cells[at].tolist()]
-    return prime
 
 
 def _row_block(matrix, r0, r1):
@@ -444,6 +430,7 @@ def sample_rows_census(config, interval, rows,
     scan walks those columns. Every entry r*Q + i keeps its column's
     residue i mod q, which holds for all rows exactly when q divides Q:
     S is one column mask, and a row's good runs are runs of S columns.
+    The interval starts at 1 or above, as anchored_interval's do.
 
     The column masks, the presieve primes with Q mod p and the test
     order are the same in every row, so they are built once, here.
@@ -455,23 +442,25 @@ def sample_rows_census(config, interval, rows,
     the blocks' rows in order, and every total derives from it, so the
     census does not depend on the worker count.
 
-    Before any primality test, each row is presieved by the primes
-    p <= _PRESIEVE_B = 2^16 that do not divide Q, read from the sieve's
-    per-process base-prime array, with Q and the block's start mod p
-    taken by _residues: an entry c with p | c is composite unless
-    c = p. Each p strikes every p-th column from the first one it
-    divides, through sieve._strike, the kernel of the segment sieve;
-    that start moves up by p when the entry there is p itself (entries
-    fall below the bound when Q is small). A census with no coprime
-    column has no entry to test, and its rows are (r, 0, 0, 0) with no
-    presieve.
+    Each row is presieved by the primes p <= _PRESIEVE_B = 2^16 that do
+    not divide Q, from the sieve's base-prime array, with Q and the
+    block's start mod p taken by _residues: an entry c with p | c is
+    composite unless c = p. Each p strikes every p-th column from the
+    first one it divides, through sieve._strike, the kernel of the
+    segment sieve; that start moves up by p when the entry there is p
+    itself (entries fall below the bound when Q is small). A census
+    with no coprime column has no entry to test, and its rows are
+    (r, 0, 0, 0) with no presieve.
 
     A block gathers the unstruck coprime entries of consecutive rows,
-    _TEST_CELLS or more (fewer at the block's end), and tests them
-    together, cheapest first: Beatty membership, then primality, then
-    floor-product membership, which costs more than BPSW below 2^48,
-    the only range where it is decided; a census whose largest entry
-    reaches 2^48 is refused before any row. Primality:
+    _TEST_CELLS or more (fewer at the block's end), and tests their set
+    membership, then the primality of the members alone: a set keeps a
+    fraction of them (1/alpha, or about 1/g(n)), and membership costs
+    less than BPSW. Below 2^62 member takes them as one array (one a
+    row where Q < length, as only there do rows overlap in value), for
+    special._mask, the span kernel of the scans; above, one Python int
+    a call, for Beatty sets alone: a floor-product census is refused
+    from 2^48, where its membership is not decided. Primality:
       - an entry below _PRESIEVE_B^2 = 2^32 is prime with no test: it
         has no prime factor up to 2^16 but itself (the presieve strikes
         the primes not dividing Q, the coprime mask those that do);
@@ -480,9 +469,8 @@ def sample_rows_census(config, interval, rows,
         take sieve._is_prime_batch, one numpy pass per bit over all of
         them, with is_prime's verdicts;
       - every other entry takes is_prime (BPSW), one Python int a call.
-    Since (p and m) = (m and p), the order changes no per_row tuple,
-    but beatty_member may raise PrecisionExhausted on a composite
-    entry, which needs m/alpha within about m 2^-bits of an integer.
+    The order changes no per_row tuple, but membership, asked first,
+    may raise PrecisionExhausted on a composite entry too.
     """
     _check_rows(rows)
     check_workers(workers)
@@ -491,6 +479,8 @@ def sample_rows_census(config, interval, rows,
             f"Q = {config.Q} is not a multiple of q = {config.q}, so rows "
             f"do not keep the column residues mod q")
     start, length = interval
+    if start < 1:                   # _residues reads only nonnegative n
+        raise InvalidRange(f"interval start {start} must be 1 or above")
     top = rows * config.Q + start + length - 1          # the largest entry
     lower = f"{_knobs(config.case_tag)} or rows"
     if top > _PRIMALITY_CEILING:
@@ -509,7 +499,7 @@ def sample_rows_census(config, interval, rows,
         ps = _base_primes(_PRESIEVE_B)
         q_mod = _residues(config.Q, ps)
         ps, q_mod = ps[q_mod > 0], q_mod[q_mod > 0]     # p not dividing Q
-        keep = _set_primes(spec, config.Q, start, top < _BATCH_HI)
+        keep = _set_primes(spec, config.Q, start, length, top < _BATCH_HI)
         matrix = config.Q, start, mask, s_mask, ps, q_mod, keep
         size = -(-rows // workers)
         blocks = [(r0, min(r0 + size - 1, rows))
@@ -532,68 +522,66 @@ def sample_rows_census(config, interval, rows,
 # counting functions and bound evaluation
 
 
+def _ragged(starts, widths):
+    """(owner, index) of widths[k] consecutive indices from starts[k],
+    for each k in turn, with owner the k of each index."""
+    owner = np.repeat(np.arange(widths.size), widths)
+    shift = np.repeat(starts - np.cumsum(widths) + widths, widths)
+    return owner, np.arange(owner.size) + shift
+
+
 def _count_products(ps, bound, return_members):
     """Count n <= bound whose prime factors all lie in ps; 1 counts.
 
-    ps is ascending; count_S_q and count_psi pass an array("q"), 8
-    bytes a prime where a list holds a Python int for each. The walk
-    builds each n once, as value * p^e with p above every prime of
-    value, and recurses to the primes after p with budget // p^e. Once
-    p^2 > budget, value * r has no room for a second factor >= r for
-    any listed r in [p, budget], so those n are leaves: one bisect
-    counts them (or lists them) with no call per n. The parent makes
-    that bisect itself for a child whose budget is below the square of
-    the next prime, the child's first, so it makes no call for a child
-    of leaves only. Each level adds a distinct prime, so the depth is
-    the most distinct primes of an n <= bound, not log2(bound). With
-    return_members the sorted n are returned.
+    ps is an ascending int64 array of primes below 2^31. The walk builds
+    each n > 1 once, as value * p^e with p above every prime of value,
+    a level of distinct primes at a time over arrays of the nodes that
+    may grow: value, budget = bound // value and the index j of the
+    least prime they may take. With m and k the numbers of primes up to
+    isqrt(budget) + 1 and up to budget, the primes of index [max(j, m),
+    k) are leaves, value * p with no room for a second factor >= p: one
+    searchsorted counts (or lists) them. Each prime of index [j, m)
+    makes the children value * p^e, e = 1, 2, ... while p^e <= budget,
+    in one loop over e for all of them; a child whose budget reaches
+    the next prime is a node of the next level. (The one p above
+    isqrt(budget) that m may take has one child, value * p, which counts
+    as its leaf would.) Values and budgets are int64 below 2^63 and
+    Python ints in object arrays past it. With return_members the
+    sorted n are returned, as a list.
     """
     if bound < 1:
         return [] if return_members else 0
-    members = [1] if return_members else None
-    n_ps = len(ps)
-
-    def rec(j, value, budget):
-        count = 0
-        for i in range(j, n_ps):
-            p = ps[i]
-            nb = budget // p
-            if nb < p:
-                k = bisect.bisect_right(ps, budget, i)
-                if members is not None:
-                    members.extend(value * r for r in ps[i:k])
-                return count + k - i
-            # past the last prime no child has a member: bisect finds none
-            sq = ps[i + 1] ** 2 if i + 1 < n_ps else budget + 1
-            pe = p
-            while nb:
-                vp = value * pe
-                if members is not None:
-                    members.append(vp)
-                count += 1
-                if nb >= sq:           # the child holds more than leaves
-                    count += rec(i + 1, vp, nb)
-                elif nb > p:           # leaves only: the primes in (p, nb]
-                    k = bisect.bisect_right(ps, nb, i + 1)
-                    if members is not None:
-                        members.extend(vp * r for r in ps[i + 1:k])
-                    count += k - i - 1
-                pe *= p
-                nb //= p
-        return count
-
-    count = 1 + rec(0, 1, int(bound))
+    n_ps, dtype = ps.size, np.int64 if bound < 1 << 63 else object
+    count, found = 1, [np.ones(1, dtype=dtype)]
+    value = found[0][:n_ps]                 # no node grows with no prime
+    budget, least = value * bound, np.zeros(value.size, dtype=np.int64)
+    while value.size:
+        cap = np.minimum(budget, 1 << 62).astype(np.int64)  # each p^2 < 2^62
+        m = np.searchsorted(ps, np.sqrt(cap).astype(np.int64) + 1, "right")
+        start = np.maximum(least, m)
+        leaves = np.searchsorted(ps, cap, "right") - start
+        count += int(leaves.sum())
+        if return_members:
+            owner, at = _ragged(start, leaves)
+            found.append(value[owner] * ps[at])
+        owner, at = _ragged(least, np.maximum(m - least, 0))
+        p = ps[at]
+        value, budget = value[owner] * p, budget[owner] // p
+        grow = [(value[:0], budget[:0], at[:0])]
+        while value.size:
+            count += value.size
+            if return_members:
+                found.append(value)
+            # past the last prime, j = len(ps) leaves a node no work
+            go = budget >= ps[np.minimum(at + 1, n_ps - 1)]
+            grow.append((value[go], budget[go], at[go] + 1))
+            more = budget >= p
+            p, at = p[more], at[more]
+            value, budget = value[more] * p, budget[more] // p
+        value, budget, least = (np.concatenate(part) for part in zip(*grow))
     if return_members:
-        members.sort()
-        return members
+        return np.sort(np.concatenate(found)).tolist()
     return count
-
-
-def _as_array(primes):
-    """The int64 array primes as an array("q"), copied once."""
-    ps = array("q")
-    ps.frombytes(memoryview(primes).cast("B"))
-    return ps
 
 
 def count_S_q(q, z, return_members=False):
@@ -601,7 +589,7 @@ def count_S_q(q, z, return_members=False):
 
     Exact, in one process. z must lie below MAX_SCAN_SPAN; the primes
     come from sieve._class_primes, which sieves only the class 1 mod q
-    and hands them over as one array("q").
+    into one array("q"), read in place as an int64 array.
     """
     if q < 1:
         raise InvalidQuery(f"q must be >= 1, got {q}")
@@ -609,7 +597,8 @@ def count_S_q(q, z, return_members=False):
     if z >= MAX_SCAN_SPAN:
         raise RangeTooLarge(f"z {z} must be below MAX_SCAN_SPAN = "
                             f"{MAX_SCAN_SPAN}")
-    return _count_products(_class_primes(q, z), z, return_members)
+    return _count_products(np.frombuffer(_class_primes(q, z), np.int64), z,
+                           return_members)
 
 
 def count_psi(x, t, return_members=False):
@@ -625,7 +614,7 @@ def count_psi(x, t, return_members=False):
     if hi > MAX_SCAN_SPAN:
         raise RangeTooLarge(f"t {t} and x {x} need the primes below {hi}, "
                             f"more than MAX_SCAN_SPAN = {MAX_SCAN_SPAN}")
-    return _count_products(_as_array(sieve_range(0, hi)), x, return_members)
+    return _count_products(sieve_range(0, hi), x, return_members)
 
 
 def estimate_string_bound(x_scales, d_value, f_value, q, case):

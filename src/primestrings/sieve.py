@@ -102,15 +102,19 @@ def _sieve_segment(j_lo, j_hi, base_odd):
     with p^2 < m_hi strikes its odd multiples k p for odd k >= p, which
     are 2p apart, so p indices apart. The first one in the window has
     k = max(ceil(m_lo / p), p) | 1, at index (k p - m_lo) / 2; both are
-    computed for all p in one int64 expression whose values stay below
-    2^49 for m_hi <= MAX_SCAN_HI.
+    computed for all p in place in one int64 array, whose values stay
+    below 2^49 for m_hi <= MAX_SCAN_HI.
     """
     comp = np.zeros(j_hi - j_lo, dtype=bool)
     m_lo = 2 * j_lo + 3
     m_hi = 2 * j_hi + 3
     ps = base_odd[:np.searchsorted(base_odd, math.isqrt(m_hi - 1), "right")]
-    k = np.maximum((m_lo + ps - 1) // ps, ps) | 1
-    _strike(comp, (k * ps - m_lo) >> 1, ps)
+    first = ps + (m_lo - 1)                 # k, then its index, in place
+    np.maximum(np.floor_divide(first, ps, out=first), ps, out=first)
+    first |= 1
+    first *= ps
+    first -= m_lo
+    _strike(comp, np.right_shift(first, 1, out=first), ps)
     return comp
 
 

@@ -421,14 +421,21 @@ def enumerate_special(spec, lo, hi):
 
 def floorprod_member(spec, m):
     """Whether m = floor(n g(n)) for an n >= g.default_start_n(), m < 2^48."""
-    if m >= MAX_SCAN_HI:
-        raise RangeTooLarge(f"floor-product membership is decided only "
-                            f"below 2^48 = {MAX_SCAN_HI}, got {m}")
-    return m >= 2 and bool(_floorprod_mask(spec.g, np.array([m]))[0])
+    return bool(member(spec, np.array([m]))[0])
 
 
 def member(spec, m):
-    """Membership of m in the carrier sequence."""
+    """Membership of m in the carrier sequence: of an int m, or of each
+    value of an ascending int64 array m, by one _mask call over those
+    from 1 up, as a bool array."""
+    if isinstance(m, np.ndarray):
+        if spec.kind == "floorprod" and m.size and m[-1] >= MAX_SCAN_HI:
+            raise RangeTooLarge(f"floor-product membership is decided only "
+                                f"below 2^48 = {MAX_SCAN_HI}, got {m[-1]}")
+        keep = m >= 1
+        if spec.kind != "all":
+            keep[keep] = _mask(spec, m[keep])
+        return keep
     if spec.kind == "all":
         return m >= 1
     if spec.kind == "beatty":

@@ -29,8 +29,8 @@ from primestrings import (GFamily, SpecialSetSpec, anchored_interval,
 from primestrings import maier
 from primestrings.cli import parse_set
 from primestrings.errors import (EmptyProductWarning, IntervalTooLarge,
-                                 InvalidQuery, ParameterDomain, RangeExceeded,
-                                 RangeTooLarge)
+                                 InvalidQuery, InvalidRange, ParameterDomain,
+                                 RangeExceeded, RangeTooLarge)
 from primestrings.maier import _PRESIEVE_B, MAX_ROWS, PHI_NOTE, X_FLOOR
 from primestrings.search import MAX_WORKERS, _good_runs
 from primestrings.sieve import MAX_SCAN_HI, MAX_SCAN_SPAN
@@ -406,6 +406,24 @@ def _small_entry_configs():
             (other, anchored_interval(other, 50)[1], 200)]
 
 
+def _recording_membership(monkeypatch):
+    """Spy on the census's member and is_prime: (the values member was
+    asked about, in order, each call an ascending int64 array, and the
+    values is_prime was asked about)."""
+    asked, tested, real = [], [], maier.member
+
+    def recording_member(spec, m):
+        assert isinstance(m, np.ndarray) and m.dtype == np.int64
+        assert (np.diff(m) > 0).all()
+        asked.extend(m.tolist())
+        return real(spec, m)
+
+    monkeypatch.setattr(maier, "member", recording_member)
+    monkeypatch.setattr(maier, "is_prime",
+                        lambda n: tested.append(n) or is_prime(n))
+    return asked, tested
+
+
 @pytest.mark.parametrize("set_name", ["all", "beatty:pi"])
 @pytest.mark.parametrize("index", range(3))
 def test_presieve_against_trial_division(set_name, index, b_pi,
@@ -414,20 +432,14 @@ def test_presieve_against_trial_division(set_name, index, b_pi,
     # themselves (c = p must stay), and every composite entry has a
     # factor below the bound, so the presieve leaves exactly the primes,
     # and below _PRESIEVE_B^2 they reach no primality test; a Beatty set
-    # tests each survivor's membership, so there member sees exactly the
-    # primes
+    # decides the membership of each survivor, so there member is asked
+    # about exactly the primes, in arrays (one a row where Q < length)
     config, (start, length), rows = _small_entry_configs()[index]
     assert rows * config.Q + start + length < _PRESIEVE_B
     spec = b_pi if set_name == "beatty:pi" else SpecialSetSpec.all_primes()
-    calls = []
-
-    def recording(name, real):
-        return lambda *args: calls.append((name, args[-1])) or real(*args)
-
-    monkeypatch.setattr(maier, "is_prime", recording("is_prime", is_prime))
-    monkeypatch.setattr(maier, "member", recording("member", maier.member))
+    asked, tested = _recording_membership(monkeypatch)
     census = sample_rows_census(config, (start, length), rows, spec=spec)
-    want_rows, want_calls = [], []
+    want_rows, want_asked = [], []
     for r in range(1, rows + 1):
         good = bad = run = best = 0
         for i in range(start, start + length):
@@ -435,7 +447,7 @@ def test_presieve_against_trial_division(set_name, index, b_pi,
             if math.gcd(i, config.Q) != 1 or not _oracles.trial_is_prime(c):
                 continue
             if spec.kind == "beatty":
-                want_calls.append(("member", c))
+                want_asked.append(c)
                 if not _oracles.beatty_member_direct(c):
                     continue
             if c % config.q == config.a % config.q:
@@ -445,34 +457,29 @@ def test_presieve_against_trial_division(set_name, index, b_pi,
                 bad, run = bad + 1, 0
         want_rows.append((r, good, bad, best))
     assert census.per_row == want_rows
-    assert calls == want_calls
+    assert (asked, tested) == (want_asked, [])
 
 
 @pytest.mark.parametrize("index", range(3))
 def test_presieve_floorprod_tests_bpsw_before_membership(index, monkeypatch):
-    # a scalar floor-product membership costs more than BPSW below 2^48,
-    # so member sees only the entries primality passed: below
-    # _PRESIEVE_B^2, every presieve survivor, with no is_prime call
+    # membership comes first for every set, and BPSW after it for the
+    # members alone; below _PRESIEVE_B^2 no survivor reaches BPSW, so
+    # member is asked about exactly the presieve survivors, which are
+    # the primes, in arrays, with no is_prime call
     config, (start, length), rows = _small_entry_configs()[index]
     spec = SpecialSetSpec.floor_product(GFamily.loglog())
     values = set(_oracles.floorprod_values(
         "loglog", 1.0, 2, rows * config.Q + start + length))
-    calls = []
-
-    def recording(name, real):
-        return lambda *args: calls.append((name, args[-1])) or real(*args)
-
-    monkeypatch.setattr(maier, "is_prime", recording("is_prime", is_prime))
-    monkeypatch.setattr(maier, "member", recording("member", maier.member))
+    asked, tested = _recording_membership(monkeypatch)
     census = sample_rows_census(config, (start, length), rows, spec=spec)
-    want_rows, want_calls = [], []
+    want_rows, want_asked = [], []
     for r in range(1, rows + 1):
         good = bad = run = best = 0
         for i in range(start, start + length):
             c = r * config.Q + i
             if math.gcd(i, config.Q) != 1 or not _oracles.trial_is_prime(c):
                 continue
-            want_calls.append(("member", c))
+            want_asked.append(c)
             if c not in values:
                 continue
             if c % config.q == config.a % config.q:
@@ -482,7 +489,7 @@ def test_presieve_floorprod_tests_bpsw_before_membership(index, monkeypatch):
                 bad, run = bad + 1, 0
         want_rows.append((r, good, bad, best))
     assert census.per_row == want_rows
-    assert calls == want_calls
+    assert (asked, tested) == (want_asked, [])
 
 
 def test_presieve_wide_Q(monkeypatch):
@@ -662,6 +669,102 @@ def test_rows_across_2_32_match_is_prime_on_every_entry(monkeypatch):
     assert sample_rows_census(config, (start, 1000), rows).per_row == want
     assert tested and min(tested) >= 1 << 32
     assert any(r * config.Q + start < 1 << 32 for r in range(1, rows + 1))
+
+
+def _rows_by_recount(config, interval, rows, desc):
+    """per_row of a census from gcd, is_prime and the set oracles, each
+    entry on its own: beatty_member_direct, or the floor-product values
+    of the entry's row window."""
+    start, length = interval
+    name = desc.split(":")[1]
+    want = []
+    for r in range(1, rows + 1):
+        lo = r * config.Q + start
+        if desc.startswith("floorprod"):
+            values = set(_oracles.floorprod_values(name, 1.0, lo, lo + length))
+        good = bad = run = best = 0
+        for i in range(start, start + length):
+            c = r * config.Q + i
+            if math.gcd(i, config.Q) != 1 or not is_prime(c):
+                continue
+            if not (c in values if desc.startswith("floorprod") else
+                    _oracles.beatty_member_direct(c, name)):
+                continue
+            if c % config.q == config.a % config.q:
+                good, run = good + 1, run + 1
+                best = max(best, run)
+            else:
+                bad, run = bad + 1, 0
+        want.append((r, good, bad, best))
+    return want
+
+
+def _narrow_constructions():
+    """(config, interval, rows): Q = 6 below the interval length 120, so
+    rows overlap in value; Q = 403788 above it; and entries near 2^36,
+    which reach the batched BPSW."""
+    plus = make_config(3, 1, 10, 5, None, 2, build_Q(3, 1, 10, 5))
+    shapes = [(plus, anchored_interval(plus, 120)[1], 40)]
+    for q, a, y, yz, rows in ((4, 3, 30, 400, 12), (4, 1, 46, 600, 6)):
+        config, interval, _, _ = run_construction(q, a, y=y, yz=yz, rows=1)
+        shapes.append((config, interval, rows))
+    return shapes
+
+
+@pytest.mark.parametrize("desc", ["beatty:pi", "beatty:e", "floorprod:loglog"])
+@pytest.mark.parametrize("index", range(3))
+def test_narrow_rows_decide_membership_as_each_entry_does(desc, index):
+    # a narrow census decides membership a block (or a row) at a time
+    # by the scans' span kernel; per_row matches a recount that decides
+    # each entry alone, at 1, 2 and 3 workers
+    config, interval, rows = _narrow_constructions()[index]
+    start, length = interval
+    assert (config.Q < length) == (index == 0)
+    assert rows * config.Q + start + length < (1 << 37 if index == 2 else
+                                               1 << 32)
+    want = _rows_by_recount(config, interval, rows, desc)
+    assert sum(g + b for _, g, b, _ in want) > 0
+    for workers in (1, 2, 3):
+        assert sample_rows_census(config, interval, rows, spec=parse_set(desc),
+                                  workers=workers).per_row == want
+
+
+@pytest.mark.parametrize("desc", ["beatty:pi", "floorprod:loglog"])
+def test_rows_overlapping_in_value_across_spans_match_the_scan(desc):
+    # Q = 6 below an interval wider than special._CHUNK: the rows of a
+    # block overlap in value, and each row spans two kernel spans, so
+    # member must take them one row at a time, each ascending; each row
+    # is recounted as the set-primes of its window by special_primes
+    config = make_config(3, 1, 10, 5, None, 2, build_Q(3, 1, 10, 5))
+    start, length = anchored_interval(config, 300_000)[1]
+    spec = parse_set(desc)
+    want = []
+    for r in range(1, 4):
+        lo = r * config.Q + start
+        sp = special_primes(spec, lo, lo + length)
+        sp = sp[np.gcd(sp - r * config.Q, config.Q) == 1]
+        good = sp % config.q == config.a % config.q
+        runs = _good_runs(good)[1]
+        want.append((r, int(good.sum()), int((~good).sum()),
+                     int(runs.max(initial=0))))
+    assert sample_rows_census(config, (start, length), 3,
+                              spec=spec).per_row == want
+
+
+def test_a_census_refuses_an_interval_starting_below_1():
+    # n mod p for the presieve is read from nonnegative n only, so a
+    # start below 1 would strike the wrong columns: with Q = 6 the
+    # interval (-5, 20) would read (1, 0, 1, 0) for row 1, whose entries
+    # 1..20 hold six coprime primes. The start is refused, and from 1
+    # the rows match trial division
+    config = make_config(3, 1, 10, 5, None, 2, build_Q(3, 1, 10, 5))
+    assert config.Q == 6
+    for start in (-5, 0):
+        with pytest.raises(InvalidRange,
+                           match=f"^interval start {start} must be 1 or"):
+            sample_rows_census(config, (start, 20), 3)
+    assert sample_rows_census(config, (1, 20), 3).per_row == \
+        _rows_by_trial_division(config, (1, 20), 3, ALL)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1008,6 +1111,65 @@ def test_a_depth_2_child_at_the_next_square_matches_the_oracle(spf_100k, d):
     members = count_S_q(3, z, return_members=True)
     assert members == _oracles.sq_members(3, z, spf_100k)
     assert count_S_q(3, z) == len(members)
+
+
+def _smooth(primes, x):
+    """n <= x whose prime factors all lie in primes, ascending; 1 counts."""
+    values = [1] if x >= 1 else []
+    for p in primes:
+        values = [v * p ** e for v in values
+                  for e in range(int(math.log(max(x // v, 1), p)) + 2)
+                  if v * p ** e <= x]
+    return sorted(values)
+
+
+# the budgets where the walk's edges fall: a prime's square, which is the
+# first budget where the prime is not a leaf, and a prime power, which is
+# the last budget where that power counts
+_EDGE_BOUNDS = st.one_of(
+    st.builds(lambda p, d: p * p + d, st.sampled_from(_SMALL_PRIMES),
+              st.integers(-1, 1)),
+    st.builds(lambda p, e, d: p ** e + d, st.sampled_from((2, 3, 5, 7, 11)),
+              st.integers(2, 8), st.integers(-1, 1)).filter(
+                  lambda n: n <= 20_000),
+    st.integers(-3, 0))
+
+
+@settings(database=None, deadline=None, max_examples=80)
+@given(kind=st.sampled_from(("sq", "psi")), q=st.integers(1, 13),
+       t=st.one_of(st.integers(0, 70), st.floats(0, 70)),
+       bound=st.one_of(_EDGE_BOUNDS, st.integers(-3, 20_000)))
+@example(kind="psi", q=1, t=3, bound=8)         # 2^3, budget 2 at 2^2
+@example(kind="psi", q=1, t=8, bound=49)        # 7^2, 7 not a leaf
+@example(kind="sq", q=3, t=0, bound=13 ** 2)
+@example(kind="sq", q=4, t=0, bound=5 ** 3)
+def test_product_walk_matches_the_oracles(spf_100k, kind, q, t, bound):
+    # the level walk against factorisation by a smallest-prime table:
+    # one node expands its primes p with p^2 <= budget and lists the rest
+    # as leaves, so an edge budget off by one either way is a wrong count
+    if kind == "sq":
+        members = count_S_q(q, bound, return_members=True)
+        want = _oracles.sq_members(q, bound, spf_100k)
+        count = count_S_q(q, bound)
+    else:
+        members = count_psi(bound, t, return_members=True)
+        want = _oracles.psi_members(bound, t, spf_100k)
+        count = count_psi(bound, t)
+    assert type(members) is list
+    assert members == want
+    assert count == len(want)
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+@pytest.mark.parametrize("bound", [2 ** 63 - 1, 2 ** 63, 3 ** 40 + 1,
+                                   10 ** 22, 2 ** 80])
+def test_a_bound_past_int64_walks_python_ints(t, bound):
+    # budgets past 2^63 - 1 take object arrays through the same walk
+    want = _smooth([p for p in (2, 3) if p < t], bound)
+    assert count_psi(bound, t) == len(want)
+    members = count_psi(bound, t, return_members=True)
+    assert type(members) is list and members == want
+    assert all(type(n) is int for n in members)
 
 
 def test_count_s_q_with_q_at_least_z_counts_only_1():

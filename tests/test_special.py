@@ -20,6 +20,7 @@ from primestrings.errors import (DomainError, GridTooSmall, InvalidQuery,
 from primestrings.fixedpoint import IrrationalConstant
 from primestrings.sieve import MAX_SCAN_SPAN
 from primestrings import special
+from primestrings.cli import parse_set
 from primestrings.special import _CHUNK, floorprod_member
 
 PI = named_constant("pi")
@@ -246,6 +247,48 @@ def test_descriptors():
         == "floorprod:loglog"
     assert SpecialSetSpec.floor_product(GFamily.log_pow(1.5)).descriptor() \
         == "floorprod:log^1.5"
+
+
+def _member_direct(desc, m):
+    if desc == "all":
+        return True
+    kind, name = desc.split(":")
+    if kind == "beatty":
+        return _oracles.beatty_member_direct(m, name)
+    return bool(_oracles.floorprod_values(name, 1.0, m, m + 1))
+
+
+@pytest.mark.parametrize("desc", ["all", "beatty:pi", "beatty:e",
+                                  "floorprod:loglog"])
+def test_member_of_an_array_is_member_of_each_value(desc):
+    # one call on an ascending int64 array, from below each set's least
+    # member, over sparse values and across three spans of _CHUNK
+    # values, gives each value's verdict: the enumeration's, the
+    # oracles', and the scalar member's; an empty array gives an empty one
+    spec = parse_set(desc)
+    small = np.arange(-3, 400)
+    sparse = np.arange(3, 700, 37) * 10 ** 5
+    high = 2 ** 47 + np.arange(0, 3 * _CHUNK, 997)
+    got = member(spec, np.concatenate([small, sparse, high]))
+    assert got.dtype == bool
+    want = np.concatenate([
+        np.isin(small, enumerate_special(spec, 1, 400)),
+        [_member_direct(desc, v) for v in sparse.tolist()],
+        np.isin(high, enumerate_special(spec, int(high[0]),
+                                        int(high[-1]) + 1))])
+    assert got.tolist() == want.tolist()
+    assert got.tolist() == [bool(member(spec, v)) for v in
+                            np.concatenate([small, sparse, high]).tolist()]
+    assert member(spec, np.empty(0, dtype=np.int64)).tolist() == []
+
+
+def test_member_of_an_array_refuses_floor_products_from_2_48():
+    spec = SpecialSetSpec.floor_product(GFamily.loglog())
+    below = np.array([2 ** 48 - 2, 2 ** 48 - 1])
+    assert member(spec, below).tolist() == [
+        floorprod_member(spec, int(v)) for v in below]
+    with pytest.raises(RangeTooLarge, match=f"got {2 ** 48}$"):
+        member(spec, np.array([5, 2 ** 48]))
 
 
 def test_all_primes_set():

@@ -51,3 +51,21 @@ def test_every_maier_wrap_point_is_reached(monkeypatch, capsys):
          "--rows", "2", "--set", "beatty:pi", "--threads", "1"])
     assert code == 0 and capsys.readouterr().out
     assert [attr for attr, n in calls.items() if not n] == []
+
+
+def test_counts_reach_their_wrap_points(monkeypatch, capsys):
+    # counts sq and counts psi call count_S_q and count_psi through
+    # cli, where the tracer wraps them
+    calls = {}
+    for owner, attr, _span, _hook in _wrap_points():
+        if owner is primestrings.cli and attr.startswith("count_"):
+            calls[attr] = 0
+            monkeypatch.setattr(owner, attr,
+                                _counting(calls, attr, getattr(owner, attr)))
+    assert sorted(calls) == ["count_S_q", "count_psi"]
+    for argv, attr in ((["counts", "sq", "--q", "3", "--z", "1000"],
+                        "count_S_q"),
+                       (["counts", "psi", "--x", "1000", "--t", "20"],
+                        "count_psi")):
+        assert primestrings.cli.main(argv) == 0 and capsys.readouterr().out
+        assert calls.pop(attr) == 1
